@@ -11,7 +11,6 @@
 #include "src/core/smfl.h"
 #include "src/data/inject.h"
 #include "src/data/stats.h"
-#include "src/mf/nmf.h"
 
 using namespace smfl;
 using la::Index;
@@ -67,10 +66,13 @@ int main() {
 
   exp::ReportTable report({"Method", "InBoundingBox", "MeanDistToData"});
   {
-    mf::NmfOptions options;
+    core::SmflOptions options;  // NMF: λ = 0, no landmarks
+    options.lambda = 0.0;
+    options.use_landmarks = false;
     options.rank = 5;
-    auto model =
-        bench::ValueOrDie(mf::FitNmf(input, injection.observed, options));
+    options.seed = 3;
+    auto model = bench::ValueOrDie(
+        core::FitSmfl(input, injection.observed, 2, options));
     auto stats = bench::ValueOrDie(core::ComputeFeatureGeometry(
         si_norm, model.v.Block(0, 0, 5, 2)));
     report.BeginRow("NMF");

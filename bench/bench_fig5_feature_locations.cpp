@@ -15,7 +15,6 @@
 #include "src/core/feature_geometry.h"
 #include "src/core/smfl.h"
 #include "src/data/inject.h"
-#include "src/mf/nmf.h"
 
 using namespace smfl;
 using la::Index;
@@ -56,10 +55,13 @@ int main() {
 
   const Index rank = 5;  // matches the paper's Fig 5 (K = 5)
   {
-    mf::NmfOptions options;
+    core::SmflOptions options;  // NMF: λ = 0, no landmarks
+    options.lambda = 0.0;
+    options.use_landmarks = false;
     options.rank = rank;
-    auto model =
-        bench::ValueOrDie(mf::FitNmf(input, injection.observed, options));
+    options.seed = 3;
+    auto model = bench::ValueOrDie(
+        core::FitSmfl(input, injection.observed, 2, options));
     add_row("NMF", model.v.Block(0, 0, rank, 2));
   }
   {

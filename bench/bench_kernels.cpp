@@ -6,22 +6,20 @@
 //     microkernel tier — tools/run_bench.sh runs the suite twice to
 //     publish scalar-vs-SIMD ratios, which are valid on any host because
 //     both runs share one core count.
-//   * MaskedReconstruct (fused R_Ω(UV)) against the unfused
-//     ApplyMask(MatMul(u, v)) it replaced, across observed rates down to
-//     1%. The fused kernel computes only the Ω entries, so its advantage
-//     grows as the mask gets sparser — the regime of the paper's Table VII
-//     high-missing-rate experiments.
-//   * MaskedReconstructIndexed: the same kernel consuming a prebuilt
-//     data::ObservedIndex (what the fit loop actually runs since PR 8) —
-//     the mask-vs-index gap is the per-call row-scan cost the CSR layout
-//     eliminates.
-//   * MaskedSquaredError at the same observed rates (the objective half of
-//     every fit iteration, SIMD-dispatched on dense rows).
+//   * MaskedReconstructIndexed (fused R_Ω(UV) over a prebuilt
+//     data::ObservedIndex, the kernel the fit loop runs) against the
+//     unfused ApplyMask(MatMul(u, v)) it replaced, across observed rates
+//     down to 1%. The fused kernel computes only the Ω entries, so its
+//     advantage grows as the mask gets sparser — the regime of the paper's
+//     Table VII high-missing-rate experiments.
+//   * MaskedSquaredError over the same index at the same observed rates
+//     (the objective half of every fit iteration, SIMD-dispatched on dense
+//     rows).
 //   * Batched fold-in serving throughput (rows/sec) against a frozen model
 //     at the process thread count (PR 3): grouped-gemm numerators plus the
 //     threaded per-row multiplicative solves of core::FoldIn.
 //
-// tools/run_bench.sh aggregates this into BENCH_PR8.json.
+// tools/run_bench.sh aggregates this into BENCH_KERNELS.json.
 
 #include <benchmark/benchmark.h>
 
@@ -94,22 +92,9 @@ BENCHMARK(BM_MatMulABt)->Arg(1000)->Arg(4000)->Unit(benchmark::kMillisecond);
 // Arg is the observed percentage of the mask.
 constexpr Index kReconN = 2000, kReconM = 64, kReconK = 16;
 
-void BM_MaskedReconstructFused(benchmark::State& state) {
-  const double rate = static_cast<double>(state.range(0)) / 100.0;
-  const Matrix u = RandomMatrix(kReconN, kReconK, 3);
-  const Matrix v = RandomMatrix(kReconK, kReconM, 4);
-  const Mask mask = RandomMask(kReconN, kReconM, 5, rate);
-  for (auto _ : state) {
-    Matrix r = data::MaskedReconstruct(u, v, mask);
-    benchmark::DoNotOptimize(r.data());
-  }
-}
-BENCHMARK(BM_MaskedReconstructFused)->Arg(90)->Arg(50)->Arg(10)->Arg(5)
-    ->Arg(1)->Unit(benchmark::kMillisecond);
-
-// The same fused kernel fed a prebuilt CSR index (built once per fit, so
-// its O(n·m) construction is amortized away from the per-iteration cost
-// being measured here).
+// The fused kernel fed a prebuilt CSR index (built once per fit, so its
+// O(n·m) construction is amortized away from the per-iteration cost being
+// measured here).
 void BM_MaskedReconstructIndexed(benchmark::State& state) {
   const double rate = static_cast<double>(state.range(0)) / 100.0;
   const Matrix u = RandomMatrix(kReconN, kReconK, 3);
@@ -143,11 +128,13 @@ void BM_MaskedSquaredError(benchmark::State& state) {
   const double rate = static_cast<double>(state.range(0)) / 100.0;
   const Matrix u = RandomMatrix(kReconN, kReconK, 3);
   const Matrix v = RandomMatrix(kReconK, kReconM, 4);
-  const Mask mask = RandomMask(kReconN, kReconM, 5, rate);
   const Matrix x = RandomMatrix(kReconN, kReconM, 6);
-  const Matrix r = data::MaskedReconstruct(u, v, mask);
+  // Built as the fit builds it: observed values packed alongside.
+  const data::ObservedIndex omega = data::ObservedIndex::FromMask(
+      RandomMask(kReconN, kReconM, 5, rate), x);
+  const Matrix r = data::MaskedReconstruct(u, v, omega);
   for (auto _ : state) {
-    double err = data::MaskedSquaredError(x, mask, r);
+    double err = data::MaskedSquaredError(x, omega, r);
     benchmark::DoNotOptimize(err);
   }
 }
@@ -205,7 +192,7 @@ BENCHMARK(BM_TelemetryOverhead)->Arg(0)->Arg(1);
 }  // namespace
 
 // Custom main instead of BENCHMARK_MAIN so the resolved SIMD tier lands in
-// the JSON context block — tools/run_bench.sh records it in BENCH_PR8.json
+// the JSON context block — tools/run_bench.sh records it in its JSON output
 // and refuses to gate on SIMD speedups when the tier is "scalar".
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);

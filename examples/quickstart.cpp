@@ -12,7 +12,6 @@
 #include "src/data/inject.h"
 #include "src/data/normalize.h"
 #include "src/exp/metrics.h"
-#include "src/mf/nmf.h"
 
 using namespace smfl;  // examples favor brevity; library code never does this
 
@@ -56,12 +55,13 @@ int main() {
   };
 
   {
-    mf::NmfOptions options;
+    core::SmflOptions options;
     options.rank = 5;
-    auto model = mf::FitNmf(input, observed, options);
-    if (model.ok()) {
-      report("NMF", mf::ImputeWithModel(input, observed, *model));
-    }
+    options.seed = 3;
+    options.lambda = 0.0;           // NMF: no spatial regularization
+    options.use_landmarks = false;  // and no landmarks
+    report("NMF", core::SmflImpute(input, observed, table.SpatialCols(),
+                                   options));
   }
   {
     core::SmflOptions options;

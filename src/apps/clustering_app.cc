@@ -7,7 +7,6 @@
 #include "src/cluster/spectral.h"
 #include "src/core/smfl.h"
 #include "src/data/normalize.h"
-#include "src/mf/nmf.h"
 #include "src/mf/pca.h"
 
 namespace smfl::apps {
@@ -68,10 +67,13 @@ Result<std::vector<Index>> ClusterIncomplete(
                           options.seed);
     }
     case ClusterMethod::kNmf: {
-      mf::NmfOptions nmf;
+      core::SmflOptions nmf;
+      nmf.lambda = 0.0;
+      nmf.use_landmarks = false;
       nmf.rank = options.rank;
       nmf.seed = options.seed;
-      ASSIGN_OR_RETURN(mf::NmfModel model, mf::FitNmf(x, observed, nmf));
+      ASSIGN_OR_RETURN(core::SmflModel model,
+                       core::FitSmfl(x, observed, spatial_cols, nmf));
       return KMeansLabels(model.u, options.num_clusters, options.seed);
     }
     case ClusterMethod::kSpectral: {

@@ -80,6 +80,27 @@ Result<LoadedCsv> LoadInput(const Flags& flags, std::string* output,
                    read_options.spatial_cols};
 }
 
+// A column without a single observed cell gives a fit nothing to learn it
+// from: its "imputed" values would be fabricated (zeros after min-max
+// normalization). impute, fit and select refuse such input by name; apply
+// does not, because there the model supplies what a fresh batch lacks.
+Status RequireObservedCellInEveryColumn(const LoadedCsv& input) {
+  const std::vector<std::string>& names = input.table.column_names();
+  for (Index j = 0; j < input.table.NumCols(); ++j) {
+    bool observed = false;
+    for (Index i = 0; i < input.table.NumRows() && !observed; ++i) {
+      observed = input.observed.Contains(i, j);
+    }
+    if (!observed) {
+      return Status::DataError(StrFormat(
+          "column '%s' has no observed cells; nothing can be learned for it "
+          "(drop the column or supply values)",
+          names[static_cast<size_t>(j)].c_str()));
+    }
+  }
+  return Status::OK();
+}
+
 // Parses --fallback=a,b,c into a degradation chain (empty flag = absent).
 std::vector<std::string> FallbackChainFromFlags(const Flags& flags,
                                                 std::vector<std::string> dflt) {
@@ -214,6 +235,7 @@ std::string UsageText() {
 
 Status RunImputeCommand(const Flags& flags, std::string* output) {
   ASSIGN_OR_RETURN(LoadedCsv input, LoadInput(flags, output));
+  RETURN_NOT_OK(RequireObservedCellInEveryColumn(input));
   const std::string out_path = flags.GetString("out", "");
   if (out_path.empty()) {
     return Status::InvalidArgument("--out=<file.csv> is required");
@@ -359,6 +381,7 @@ Status RunStatsCommand(const Flags& flags, std::string* output) {
 
 Status RunFitCommand(const Flags& flags, std::string* output) {
   ASSIGN_OR_RETURN(LoadedCsv input, LoadInput(flags, output));
+  RETURN_NOT_OK(RequireObservedCellInEveryColumn(input));
   const std::string model_path = flags.GetString("model", "");
   if (model_path.empty()) {
     return Status::InvalidArgument("--model=<file> is required");
@@ -585,6 +608,7 @@ Status RunApplyCommand(const Flags& flags, std::string* output) {
 
 Status RunSelectCommand(const Flags& flags, std::string* output) {
   ASSIGN_OR_RETURN(LoadedCsv input, LoadInput(flags, output));
+  RETURN_NOT_OK(RequireObservedCellInEveryColumn(input));
   ASSIGN_OR_RETURN(
       data::MinMaxNormalizer normalizer,
       data::MinMaxNormalizer::Fit(input.table.values(), input.observed));

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 
 #include "src/common/fault.h"
 #include "src/common/fit_progress.h"
@@ -20,7 +19,6 @@
 #include "src/data/observed_index.h"
 #include "src/la/ops.h"
 #include "src/la/simd.h"
-#include "src/mf/nmf.h"
 
 namespace smfl::core {
 
@@ -28,47 +26,27 @@ using mf::kDivEps;
 
 Matrix SmflModel::Reconstruct() const { return la::MatMul(u, v); }
 
-double SmflObjective(const Matrix& x, const Mask& observed,
-                     const NeighborGraph& graph, double lambda,
-                     const Matrix& u, const Matrix& v) {
-  return mf::MaskedReconstructionError(x, observed, u, v) +
+namespace {
+
+// Objective from a reconstruction already restricted to Ω. The
+// lambda * LQF product is kept even at lambda == 0 so that, on a graph
+// with edges, a non-finite U still poisons the objective.
+double ObjectiveGiven(const Matrix& x, const data::ObservedIndex& omega,
+                      const NeighborGraph& graph, double lambda,
+                      const Matrix& u, const Matrix& uv_masked) {
+  return data::MaskedSquaredError(x, omega, uv_masked) +
          lambda * graph.LaplacianQuadraticForm(u);
 }
 
-namespace {
-
-// R_Ω(U V) for the iteration hot path, preferring the CSR observed index
-// (`omega`, nullable) built once per fit attempt over per-call mask scans
-// — the three forms are bitwise identical. The unfused
-// ApplyMask(MatMul(u, v)) stays reachable via
-// SMFL_BENCH_LEGACY_RECONSTRUCT=1 so tools/run_bench.sh can measure the
-// pre-optimization per-iteration cost.
-Matrix ReconstructMasked(const Matrix& u, const Matrix& v,
-                         const Mask& observed,
-                         const data::ObservedIndex* omega) {
-  if (mf::LegacyReconstructForBench()) {
-    return data::ApplyMask(la::MatMul(u, v), observed);
-  }
-  if (omega != nullptr) {
-    return data::MaskedReconstruct(u, v, *omega);
-  }
-  return data::MaskedReconstruct(u, v, observed);
-}
-
-// Objective from a reconstruction already restricted to Ω. Matches
-// SmflObjective (the lambda * LQF product is kept even at lambda == 0 so a
-// non-finite U still poisons the objective the way it always did).
-double ObjectiveGiven(const Matrix& x, const Mask& observed,
-                      const NeighborGraph& graph, double lambda,
-                      const Matrix& u, const Matrix& uv_masked,
-                      const data::ObservedIndex* omega) {
-  const double err = omega != nullptr
-                         ? data::MaskedSquaredError(x, *omega, uv_masked)
-                         : data::MaskedSquaredError(x, observed, uv_masked);
-  return err + lambda * graph.LaplacianQuadraticForm(u);
-}
-
 }  // namespace
+
+double SmflObjective(const Matrix& x, const Mask& observed,
+                     const NeighborGraph& graph, double lambda,
+                     const Matrix& u, const Matrix& v) {
+  const data::ObservedIndex omega = data::ObservedIndex::FromMask(observed);
+  return ObjectiveGiven(x, omega, graph, lambda, u,
+                        data::MaskedReconstruct(u, v, omega));
+}
 
 namespace {
 
@@ -88,7 +66,8 @@ Status ValidateInputs(const Matrix& x, const Mask& observed,
   if (options.rank <= 0) {
     return Status::InvalidArgument("FitSmfl: rank must be positive");
   }
-  if (options.rank > x.rows()) {
+  // K-means needs K <= N; without landmarks (SMF, NMF) any rank is legal.
+  if (options.use_landmarks && options.rank > x.rows()) {
     return Status::InvalidArgument("FitSmfl: rank exceeds the row count");
   }
   if (options.lambda < 0.0) {
@@ -171,11 +150,11 @@ void UpdateUMultiplicative(const Matrix& x_observed,
 // col_begin = L for SMFL (landmark columns frozen), 0 for SMF. U has just
 // been updated, so R_Ω(U_new V) must be recomputed here — it cannot be
 // shared with the U update, which needed R_Ω(U_old V).
-void UpdateVMultiplicative(const Matrix& x_observed, const Mask& observed,
-                           const data::ObservedIndex* omega, const Matrix& u,
+void UpdateVMultiplicative(const Matrix& x_observed,
+                           const data::ObservedIndex& omega, const Matrix& u,
                            double div_eps, Matrix& v, Index col_begin) {
   if (col_begin >= v.cols()) return;
-  Matrix uv_masked = ReconstructMasked(u, v, observed, omega);
+  Matrix uv_masked = data::MaskedReconstruct(u, v, omega);
   Matrix num = MatMulAtBColsFrom(u, x_observed, col_begin);
   Matrix den = MatMulAtBColsFrom(u, uv_masked, col_begin);
   for (Index i = 0; i < v.rows(); ++i) {
@@ -209,11 +188,11 @@ void UpdateUGradient(const Matrix& x_observed,
 }
 
 // Projected gradient step for the free columns of V.
-void UpdateVGradient(const Matrix& x_observed, const Mask& observed,
-                     const data::ObservedIndex* omega, const Matrix& u,
+void UpdateVGradient(const Matrix& x_observed,
+                     const data::ObservedIndex& omega, const Matrix& u,
                      double delta, Matrix& v, Index col_begin) {
   if (col_begin >= v.cols()) return;
-  Matrix uv_masked = ReconstructMasked(u, v, observed, omega);
+  Matrix uv_masked = data::MaskedReconstruct(u, v, omega);
   Matrix num = MatMulAtBColsFrom(u, x_observed, col_begin);
   Matrix den = MatMulAtBColsFrom(u, uv_masked, col_begin);
   for (Index i = 0; i < v.rows(); ++i) {
@@ -590,25 +569,18 @@ Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
   const Matrix x_observed = data::ApplyMask(x, observed);
   // Ω in CSR form (with the observed values packed alongside), built once
   // per attempt: every reconstruction and objective evaluation below —
-  // including the TrainingGuard rollback rebuild — reuses it instead of
-  // rescanning the byte mask twice per row per call.
-  std::optional<data::ObservedIndex> omega_storage;
-  if (data::ObservedIndexEnabled()) {
-    omega_storage.emplace(data::ObservedIndex::FromMask(observed, x));
-  }
-  const data::ObservedIndex* omega =
-      omega_storage.has_value() ? &omega_storage.value() : nullptr;
+  // including the TrainingGuard rollback rebuild — walks only its spans.
+  const data::ObservedIndex omega = data::ObservedIndex::FromMask(observed, x);
   FitReport& report = model.report;
   // R_Ω(UV) for the current iterates. Computed once per accepted state:
   // the objective evaluation at the end of each iteration doubles as the
   // input to the next iteration's U update (which needs exactly
   // R_Ω(U_old V_old)), replacing what used to be a third independent
   // reconstruction per iteration.
-  Matrix uv_masked = ReconstructMasked(model.u, model.v, observed, omega);
-  const bool legacy_reconstruct = mf::LegacyReconstructForBench();
+  Matrix uv_masked = data::MaskedReconstruct(model.u, model.v, omega);
   if (resume == nullptr) {
     report.objective_trace.push_back(ObjectiveGiven(
-        x, observed, graph, options.lambda, model.u, uv_masked, omega));
+        x, omega, graph, options.lambda, model.u, uv_masked));
   } else {
     report.objective_trace = resume->objective_trace;
     report.iterations = resume->iteration + 1;
@@ -673,12 +645,6 @@ Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
   for (int iter = start_iter; iter < options.max_iterations; ++iter) {
     SMFL_TRACE_SPAN("smfl.fit.iter");
     report.iterations = iter + 1;
-    // Baseline-measurement mode recomputes the U update's reconstruction
-    // from scratch, restoring the pre-optimization three-per-iteration
-    // cost profile.
-    if (legacy_reconstruct) {
-      uv_masked = ReconstructMasked(model.u, model.v, observed, omega);
-    }
     switch (options.update) {
       case UpdateMethod::kMultiplicative: {
         {
@@ -688,8 +654,8 @@ Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
         }
         {
           SMFL_TRACE_SPAN("smfl.fit.update_v");
-          UpdateVMultiplicative(x_observed, observed, omega, model.u,
-                                div_eps, model.v, v_update_begin);
+          UpdateVMultiplicative(x_observed, omega, model.u, div_eps,
+                                model.v, v_update_begin);
         }
         break;
       }
@@ -701,8 +667,8 @@ Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
         }
         {
           SMFL_TRACE_SPAN("smfl.fit.update_v");
-          UpdateVGradient(x_observed, observed, omega, model.u,
-                          options.learning_rate, model.v, v_update_begin);
+          UpdateVGradient(x_observed, omega, model.u, options.learning_rate,
+                          model.v, v_update_begin);
         }
         break;
       }
@@ -720,10 +686,10 @@ Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
     // fault points so an injected corruption is visible to the guard).
     {
       SMFL_TRACE_SPAN("smfl.fit.reconstruct");
-      uv_masked = ReconstructMasked(model.u, model.v, observed, omega);
+      uv_masked = data::MaskedReconstruct(model.u, model.v, omega);
     }
-    const double objective = ObjectiveGiven(
-        x, observed, graph, options.lambda, model.u, uv_masked, omega);
+    const double objective =
+        ObjectiveGiven(x, omega, graph, options.lambda, model.u, uv_masked);
     // The paper's headline convergence artifact: the objective trajectory
     // over wall-clock time, as a counter track in the trace file.
     SMFL_TRACE_COUNTER("smfl.fit.objective", objective);
@@ -749,7 +715,7 @@ Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
         if (report.objective_trace.size() > keep) {
           report.objective_trace.resize(keep);
         }
-        uv_masked = ReconstructMasked(model.u, model.v, observed, omega);
+        uv_masked = data::MaskedReconstruct(model.u, model.v, omega);
         continue;
       }
     }
@@ -814,11 +780,21 @@ Result<SmflModel> FitSmfl(const Matrix& x, const Mask& observed,
   // Covers graph construction too; FitOnce re-enters the same override.
   parallel::ScopedParallelism scoped_threads(options.threads);
   RETURN_NOT_OK(ValidateInputs(x, observed, spatial_cols, options));
+  Matrix si = x.Block(0, 0, x.rows(), spatial_cols);
+  // At λ = 0 (NMF, or an unregularized SMF/SMFL) the Laplacian term is
+  // multiplied by zero, so the fit runs on an edgeless graph instead of
+  // paying for a p-NN search whose result it never reads.
+  if (!(options.lambda > 0.0)) {
+    ASSIGN_OR_RETURN(
+        NeighborGraph edgeless,
+        NeighborGraph::Build(
+            si, 1, std::vector<bool>(static_cast<size_t>(x.rows()), false)));
+    return FitSmflWithGraph(x, observed, spatial_cols, edgeless, options);
+  }
   // Graph over SI (§II-C). Rows with unobserved SI cells are isolated in
   // the graph rather than wired to mean-filled map-center neighbors: a
   // fabricated location would impose smoothness toward arbitrary rows
   // (see DESIGN.md §4 for this deviation from the paper's mean-fill).
-  Matrix si = x.Block(0, 0, x.rows(), spatial_cols);
   std::vector<bool> si_complete(static_cast<size_t>(x.rows()), true);
   Index complete_count = 0;
   for (Index i = 0; i < x.rows(); ++i) {

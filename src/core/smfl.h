@@ -8,6 +8,10 @@
 // spatial information SI (the first `spatial_cols` columns of X), and C is
 // the K-means center matrix over SI (the landmarks).
 //
+// The paper nests NMF ⊂ SMF ⊂ SMFL: with λ = 0 and no landmarks (Φ = ∅)
+// Formula 10 is the masked NMF objective ||R_Ω(X − U V)||_F², so plain NMF
+// is SmflOptions{lambda = 0, use_landmarks = false} on this same loop.
+//
 // Two updaters are provided:
 //  * kMultiplicative — Formulas 13/14; provably non-increasing objective
 //    (Propositions 5/7), no learning rate. The default.
@@ -64,13 +68,14 @@ struct SmflOptions {
   // Spatial regularization weight λ. The paper reports a sweet spot of
   // 0.05–0.1 on its real datasets; on the synthetic stand-ins in this
   // repository the minimum of the same U-shaped curve (see
-  // bench_fig6_lambda) sits near 0.5, so that is the default.
+  // bench_fig6_lambda) sits near 0.5, so that is the default. At 0 the
+  // fit skips the p-NN graph altogether.
   double lambda = 0.5;
   // p-nearest-neighbor count for the similarity graph (paper best: 3).
   Index num_neighbors = 3;
   // Edge weighting of the similarity graph (bench_ablation_weighting).
   GraphWeighting graph_weighting = GraphWeighting::kBinary;
-  // Landmarks on = SMFL, off = SMF.
+  // Landmarks on = SMFL, off = SMF (plain NMF when lambda is also 0).
   bool use_landmarks = true;
   UpdateMethod update = UpdateMethod::kMultiplicative;
   // Only used by kGradientDescent.
@@ -147,10 +152,11 @@ struct SmflModel {
                      const NeighborGraph& graph, double lambda,
                      const Matrix& u, const Matrix& v);
 
-// Fits SMF/SMFL on x, whose first `spatial_cols` columns are spatial
-// information. Builds the p-NN graph internally (missing SI cells are
-// mean-filled for graph construction only, §II-C). Input must be
-// nonnegative over observed entries — min-max normalize first.
+// Fits NMF/SMF/SMFL on x, whose first `spatial_cols` columns are spatial
+// information. Builds the p-NN graph internally (rows with missing SI cells
+// are isolated or attached by partial distance, §II-C; at lambda = 0 the
+// graph is edgeless). Input must be nonnegative over observed entries —
+// min-max normalize first.
 Result<SmflModel> FitSmfl(const Matrix& x, const Mask& observed,
                           Index spatial_cols, const SmflOptions& options);
 

@@ -2,11 +2,6 @@
 
 #include <vector>
 
-#include "src/common/parallel.h"
-#include "src/common/telemetry.h"
-#include "src/data/observed_index.h"
-#include "src/la/simd.h"
-
 namespace smfl::data {
 
 Index Mask::Count() const {
@@ -95,227 +90,6 @@ Matrix CombineByMask(const Matrix& x, const Matrix& x_star, const Mask& mask) {
     }
   }
   return out;
-}
-
-namespace {
-
-// One output row of R_Ω(UV) given its observed column list. Dense rows
-// (past the tier's measured crossover — simd.h) stream the rows of V in
-// ascending-k order (the per-element summation order of la::MatMul,
-// zero-skip included) and then zero the unobserved entries by walking the
-// column list; sparse rows run the per-entry dots of masked_dot_cols.
-// Both paths build every observed entry with the identical mul/add chain,
-// so the crossover choice never changes a bit of the output. Returns true
-// when the dense path ran (for the dispatch counters).
-inline bool ReconstructRowForCols(const la::simd::Kernels& ker, Index k,
-                                  Index m, const double* urow,
-                                  const double* vd, const Index* cols,
-                                  Index observed, double* orow) {
-  if (observed * ker.dense_crossover >= m) {
-    for (Index p = 0; p < k; ++p) {
-      const double uv = urow[p];
-      // smfl-lint: allow(float-eq) exact zero-skip: 0.0 adds nothing
-      if (uv == 0.0) continue;
-      ker.axpy(m, uv, vd + p * m, orow);
-    }
-    if (observed != m) {
-      Index c = 0;
-      for (Index j = 0; j < m; ++j) {
-        if (c < observed && cols[c] == j) {
-          ++c;
-        } else {
-          orow[j] = 0.0;
-        }
-      }
-    }
-    return true;
-  }
-  ker.masked_dot_cols(k, m, urow, vd, cols, observed, orow);
-  return false;
-}
-
-}  // namespace
-
-Matrix MaskedReconstruct(const Matrix& u, const Matrix& v, const Mask& mask) {
-  SMFL_CHECK_EQ(u.cols(), v.rows());
-  SMFL_CHECK_EQ(u.rows(), mask.rows());
-  SMFL_CHECK_EQ(v.cols(), mask.cols());
-  const Index n = u.rows(), k = u.cols(), m = v.cols();
-  Matrix out(n, m);
-  const double* ud = u.data();
-  const double* vd = v.data();
-  double* od = out.data();
-  constexpr Index kRowGrain = 16;
-  // Kernel table resolved on the calling thread (thread-local ScopedSimd
-  // overrides must reach the pool workers running the chunks — simd.h).
-  const la::simd::Kernels& ker = la::simd::Active();
-  if (ker.tier != la::simd::Tier::kScalar) {
-    SMFL_COUNTER_INC("la.simd.dispatch.masked_reconstruct");
-  }
-  parallel::ParallelFor(0, n, kRowGrain, [&](Index r0, Index r1) {
-    std::vector<Index> cols;
-    cols.reserve(static_cast<size_t>(m));
-    Index dense_rows = 0, gather_rows = 0;
-    for (Index i = r0; i < r1; ++i) {
-      // Single pass over the mask row: the column list doubles as the
-      // row count and as the unobserved-zeroing cursor, where the old
-      // code paid a RowCount scan plus a second obs[j] sweep.
-      const uint8_t* obs = mask.RowData(i);
-      cols.clear();
-      for (Index j = 0; j < m; ++j) {
-        if (obs[j]) cols.push_back(j);
-      }
-      const Index observed = static_cast<Index>(cols.size());
-      if (observed == 0) continue;
-      if (ReconstructRowForCols(ker, k, m, ud + i * k, vd, cols.data(),
-                                observed, od + i * m)) {
-        ++dense_rows;
-      } else {
-        ++gather_rows;
-      }
-    }
-    // Crossover decisions, aggregated per chunk (counters are atomic).
-    SMFL_COUNTER_ADD("la.simd.dispatch.masked_rows_dense", dense_rows);
-    SMFL_COUNTER_ADD("la.simd.dispatch.masked_rows_gather", gather_rows);
-  });
-  return out;
-}
-
-Matrix MaskedReconstruct(const Matrix& u, const Matrix& v,
-                         const ObservedIndex& omega) {
-  SMFL_CHECK_EQ(u.cols(), v.rows());
-  SMFL_CHECK_EQ(u.rows(), omega.rows());
-  SMFL_CHECK_EQ(v.cols(), omega.cols());
-  const Index n = u.rows(), k = u.cols(), m = v.cols();
-  Matrix out(n, m);
-  const double* ud = u.data();
-  const double* vd = v.data();
-  double* od = out.data();
-  constexpr Index kRowGrain = 16;
-  const la::simd::Kernels& ker = la::simd::Active();
-  if (ker.tier != la::simd::Tier::kScalar) {
-    SMFL_COUNTER_INC("la.simd.dispatch.masked_reconstruct");
-  }
-  parallel::ParallelFor(0, n, kRowGrain, [&](Index r0, Index r1) {
-    Index dense_rows = 0, gather_rows = 0;
-    for (Index i = r0; i < r1; ++i) {
-      // The precomputed index hands masked_dot_cols its column list for
-      // free — no mask-row scan, no per-call rebuild.
-      const std::span<const Index> cols = omega.RowCols(i);
-      const Index observed = static_cast<Index>(cols.size());
-      if (observed == 0) continue;
-      if (ReconstructRowForCols(ker, k, m, ud + i * k, vd, cols.data(),
-                                observed, od + i * m)) {
-        ++dense_rows;
-      } else {
-        ++gather_rows;
-      }
-    }
-    SMFL_COUNTER_ADD("la.simd.dispatch.masked_rows_dense", dense_rows);
-    SMFL_COUNTER_ADD("la.simd.dispatch.masked_rows_gather", gather_rows);
-  });
-  return out;
-}
-
-namespace {
-
-// Squared residual of one row over its observed columns. Dense rows (by
-// the same per-tier crossover as the reconstruction) vectorize the
-// elementwise (x - r)^2 into a scratch row, then fold the observed entries
-// in the same ascending-j order the scalar loop uses — each d*d is one sub
-// and one mul in both paths, and the accumulation itself never vectorizes,
-// so the sum is bitwise identical across tiers and across the crossover.
-// `xvals` (nullable) is the packed observed-value row of an ObservedIndex:
-// bit-copies of x at the observed columns, read sequentially instead of
-// gathered.
-inline double RowSquaredError(const la::simd::Kernels& ker, Index m,
-                              const double* xrow, const double* xvals,
-                              const double* rrow, const Index* cols,
-                              Index observed, double* sq) {
-  double acc = 0.0;
-  if (observed * ker.dense_crossover >= m) {
-    ker.sq_diff(m, xrow, rrow, sq);
-    for (Index c = 0; c < observed; ++c) {
-      acc += sq[cols[c]];
-    }
-  } else if (xvals != nullptr) {
-    for (Index c = 0; c < observed; ++c) {
-      const double d = xvals[c] - rrow[cols[c]];
-      acc += d * d;
-    }
-  } else {
-    for (Index c = 0; c < observed; ++c) {
-      const Index j = cols[c];
-      const double d = xrow[j] - rrow[j];
-      acc += d * d;
-    }
-  }
-  return acc;
-}
-
-}  // namespace
-
-double MaskedSquaredError(const Matrix& x, const Mask& mask,
-                          const Matrix& uv_masked) {
-  SMFL_CHECK(x.SameShape(uv_masked));
-  SMFL_CHECK_EQ(x.rows(), mask.rows());
-  SMFL_CHECK_EQ(x.cols(), mask.cols());
-  const Index m = x.cols();
-  constexpr Index kRowGrain = 64;
-  const la::simd::Kernels& ker = la::simd::Active();
-  if (ker.tier != la::simd::Tier::kScalar) {
-    SMFL_COUNTER_INC("la.simd.dispatch.masked_sq_err");
-  }
-  return parallel::ParallelReduce(
-      0, x.rows(), kRowGrain, [&](Index r0, Index r1) {
-        std::vector<double> sq(static_cast<size_t>(m));
-        std::vector<Index> cols;
-        cols.reserve(static_cast<size_t>(m));
-        double acc = 0.0;
-        for (Index i = r0; i < r1; ++i) {
-          // Single mask-row pass (was RowCount + a second obs[j] sweep).
-          const uint8_t* obs = mask.RowData(i);
-          cols.clear();
-          for (Index j = 0; j < m; ++j) {
-            if (obs[j]) cols.push_back(j);
-          }
-          const Index observed = static_cast<Index>(cols.size());
-          if (observed == 0) continue;
-          acc += RowSquaredError(ker, m, x.data() + i * m, nullptr,
-                                 uv_masked.data() + i * m, cols.data(),
-                                 observed, sq.data());
-        }
-        return acc;
-      });
-}
-
-double MaskedSquaredError(const Matrix& x, const ObservedIndex& omega,
-                          const Matrix& uv_masked) {
-  SMFL_CHECK(x.SameShape(uv_masked));
-  SMFL_CHECK_EQ(x.rows(), omega.rows());
-  SMFL_CHECK_EQ(x.cols(), omega.cols());
-  const Index m = x.cols();
-  constexpr Index kRowGrain = 64;
-  const la::simd::Kernels& ker = la::simd::Active();
-  if (ker.tier != la::simd::Tier::kScalar) {
-    SMFL_COUNTER_INC("la.simd.dispatch.masked_sq_err");
-  }
-  return parallel::ParallelReduce(
-      0, x.rows(), kRowGrain, [&](Index r0, Index r1) {
-        std::vector<double> sq(static_cast<size_t>(m));
-        double acc = 0.0;
-        for (Index i = r0; i < r1; ++i) {
-          const std::span<const Index> cols = omega.RowCols(i);
-          const Index observed = static_cast<Index>(cols.size());
-          if (observed == 0) continue;
-          const std::span<const double> vals = omega.RowValues(i);
-          acc += RowSquaredError(ker, m, x.data() + i * m,
-                                 vals.empty() ? nullptr : vals.data(),
-                                 uv_masked.data() + i * m, cols.data(),
-                                 observed, sq.data());
-        }
-        return acc;
-      });
 }
 
 }  // namespace smfl::data

@@ -108,23 +108,6 @@ class Mask {
 // (the paper's Formula 8 recovery step).
 [[nodiscard]] Matrix CombineByMask(const Matrix& x, const Matrix& x_star, const Mask& mask);
 
-// R_Ω(U V) in one fused pass — the per-iteration hot path of the masked
-// multiplicative updates (Formulas 13/14). Equivalent to
-// ApplyMask(MatMul(u, v), mask) bit for bit (same ascending-k summation
-// order and zero-skip per entry), but computes only what the mask needs
-// and never materializes the unmasked product or a second masking pass.
-// Rows are processed in parallel chunks (deterministic; see
-// common/parallel.h); rows below the active SIMD tier's measured density
-// crossover fall back to per-entry dots. The fit loops use the
-// ObservedIndex overload (observed_index.h), which skips the per-call
-// mask-row scans; this Mask form remains for one-shot callers.
-[[nodiscard]] Matrix MaskedReconstruct(const Matrix& u, const Matrix& v, const Mask& mask);
-
-// ||R_Ω(X) − UV_Ω||_F² given a reconstruction already restricted to Ω
-// (as produced by MaskedReconstruct). Deterministic chunked reduction.
-[[nodiscard]] double MaskedSquaredError(const Matrix& x, const Mask& mask,
-                          const Matrix& uv_masked);
-
 }  // namespace smfl::data
 
 #endif  // SMFL_DATA_MASK_H_

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "src/common/strings.h"
+
 namespace smfl::data {
 
 Result<MinMaxNormalizer> MinMaxNormalizer::Fit(const Matrix& x,
@@ -33,6 +35,14 @@ Result<MinMaxNormalizer> MinMaxNormalizer::Fit(const Matrix& x,
       // Column entirely unobserved: identity-ish transform.
       n.mins_[j] = 0.0;
       n.maxs_[j] = 1.0;
+    } else if (!std::isfinite(n.maxs_[j] - n.mins_[j])) {
+      // Finite values whose span overflows (e.g. ±1.7e308): every
+      // transformed cell would be 0 or NaN, so name the column here rather
+      // than let the fit blame its input for NaN/Inf.
+      return Status::DataError(StrFormat(
+          "MinMaxNormalizer: column %zu range [%g, %g] overflows (max - min "
+          "is not finite)",
+          j, n.mins_[j], n.maxs_[j]));
     } else if (n.maxs_[j] - n.mins_[j] < 1e-300) {
       // Constant column: avoid division by zero; maps to 0.
       n.maxs_[j] = n.mins_[j] + 1.0;
@@ -52,7 +62,7 @@ Result<MinMaxNormalizer> MinMaxNormalizer::FromBounds(
   }
   for (size_t j = 0; j < mins.size(); ++j) {
     if (!std::isfinite(mins[j]) || !std::isfinite(maxs[j]) ||
-        !(maxs[j] - mins[j] > 0.0)) {
+        !(maxs[j] - mins[j] > 0.0) || !std::isfinite(maxs[j] - mins[j])) {
       return Status::InvalidArgument(
           "MinMaxNormalizer: invalid bounds for column " + std::to_string(j));
     }

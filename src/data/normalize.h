@@ -18,15 +18,17 @@ class MinMaxNormalizer {
  public:
   // Learns per-column [min, max] over the entries in `observed`.
   // Columns with no observed entries or constant value get range [v, v+1]
-  // so Transform stays well-defined (maps to 0).
+  // so Transform stays well-defined (maps to 0). DataError, naming the
+  // column, on a non-finite observed value or a range whose max - min
+  // overflows to inf.
   static Result<MinMaxNormalizer> Fit(const Matrix& x, const Mask& observed);
 
   // Fit over all entries.
   static Result<MinMaxNormalizer> Fit(const Matrix& x);
 
   // Reconstructs a fitted normalizer from per-column bounds, as persisted
-  // by core/model_io. Requires equal sizes, finite values, and
-  // max > min per column.
+  // by core/model_io. Requires equal sizes, finite values, and a finite
+  // max - min > 0 per column.
   static Result<MinMaxNormalizer> FromBounds(std::vector<double> mins,
                                              std::vector<double> maxs);
 

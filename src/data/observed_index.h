@@ -10,11 +10,11 @@
 // the observed values are packed alongside), independent of how sparse the
 // byte grid it came from was.
 //
-// The index is a pure re-layout: the masked kernels consuming it
-// (MaskedReconstruct / MaskedSquaredError overloads below) visit the same
-// columns in the same ascending order as their Mask-scanning twins, so the
-// two paths are bitwise identical — tests/observed_index_test.cc proves it
-// across observed rates, thread counts, and SIMD tiers.
+// The masked kernels below are the only form of R_Ω(UV) and of the masked
+// squared error: they visit the observed columns of each row in ascending
+// order, so they are bitwise identical to the unfused
+// ApplyMask(MatMul(u, v)) reference — tests/observed_index_test.cc proves
+// it across observed rates, thread counts, and SIMD tiers.
 
 #ifndef SMFL_DATA_OBSERVED_INDEX_H_
 #define SMFL_DATA_OBSERVED_INDEX_H_
@@ -88,21 +88,23 @@ class ObservedIndex {
   std::vector<double> values_;  // optional; parallel to col_idx_
 };
 
-// R_Ω(U V) / ||R_Ω(X) − UV_Ω||_F² consuming the precomputed index instead
-// of rescanning mask rows — bitwise identical to the Mask overloads in
-// mask.h (same per-row dense/gather crossover, same ascending-j /
-// ascending-k orders). Implemented alongside them in mask.cc.
+// R_Ω(U V) in one fused pass — the per-iteration hot path of the masked
+// multiplicative updates (Formulas 13/14). Equivalent to
+// ApplyMask(MatMul(u, v), Ω) bit for bit (same ascending-k summation
+// order and zero-skip per entry), but computes only what Ω needs and never
+// materializes the unmasked product or a second masking pass. Rows are
+// processed in parallel chunks (deterministic; see common/parallel.h);
+// rows below the active SIMD tier's measured density crossover fall back
+// to per-entry dots.
 [[nodiscard]] Matrix MaskedReconstruct(const Matrix& u, const Matrix& v,
                                        const ObservedIndex& omega);
+
+// ||R_Ω(X) − UV_Ω||_F² given a reconstruction already restricted to Ω
+// (as produced by MaskedReconstruct). Reads the packed observed values
+// when the index carries them. Deterministic chunked reduction.
 [[nodiscard]] double MaskedSquaredError(const Matrix& x,
                                         const ObservedIndex& omega,
                                         const Matrix& uv_masked);
-
-// Escape hatch mirroring SMFL_BENCH_LEGACY_RECONSTRUCT: SMFL_OBSERVED_INDEX
-// set to "0"/"off"/"false" makes the fit loops fall back to per-call mask
-// scans. Deliberately re-read per call (it is consulted once per fit
-// attempt, not per row) so the equivalence tests can toggle it in-process.
-[[nodiscard]] bool ObservedIndexEnabled();
 
 }  // namespace smfl::data
 

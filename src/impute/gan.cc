@@ -5,8 +5,8 @@
 
 #include "src/cluster/kmeans.h"
 #include "src/common/rng.h"
+#include "src/core/smfl.h"
 #include "src/data/normalize.h"
-#include "src/mf/nmf.h"
 #include "src/nn/mlp.h"
 
 namespace smfl::impute {
@@ -175,7 +175,7 @@ Result<Matrix> GainImputer::Impute(const Matrix& x, const Mask& observed,
 }
 
 Result<Matrix> CamfImputer::Impute(const Matrix& x, const Mask& observed,
-                                   Index /*spatial_cols*/) const {
+                                   Index spatial_cols) const {
   const Index n = x.rows(), m = x.cols();
   if (n == 0 || m == 0) return Status::InvalidArgument("CAMF: empty matrix");
   if (observed.rows() != n || observed.cols() != m) {
@@ -207,15 +207,17 @@ Result<Matrix> CamfImputer::Impute(const Matrix& x, const Mask& observed,
         mc.Set(r, j, observed.Contains(i, j));
       }
     }
-    // NMF base imputation for the cluster.
+    // NMF base imputation for the cluster (λ = 0, no landmarks).
     Matrix base = xc;
     {
-      mf::NmfOptions nmf;
+      core::SmflOptions nmf;
+      nmf.lambda = 0.0;
+      nmf.use_landmarks = false;
       nmf.rank = std::min(options_.nmf_rank, std::min(nc, m));
       nmf.max_iterations = options_.nmf_iterations;
       nmf.seed = options_.seed + static_cast<uint64_t>(c);
-      auto model = mf::FitNmf(xc, mc, nmf);
-      if (model.ok()) base = mf::ImputeWithModel(xc, mc, *model);
+      auto imputed = core::SmflImpute(xc, mc, spatial_cols, nmf);
+      if (imputed.ok()) base = std::move(imputed).value();
     }
     // Adversarial refinement initialized from the NMF completion: GAIN on
     // the cluster, but with the NMF values (instead of noise) available as

@@ -16,10 +16,18 @@ Result<Matrix> SoftImputeImputer::Impute(const Matrix& x, const Mask& observed,
   return data::CombineByMask(x, result.completed, observed);
 }
 
+NmfImputer::NmfImputer() : NmfImputer(core::SmflOptions{}) {
+  options_.seed = 3;
+}
+
+NmfImputer::NmfImputer(core::SmflOptions options) : options_(options) {
+  options_.lambda = 0.0;
+  options_.use_landmarks = false;
+}
+
 Result<Matrix> NmfImputer::Impute(const Matrix& x, const Mask& observed,
-                                  Index /*spatial_cols*/) const {
-  ASSIGN_OR_RETURN(mf::NmfModel model, mf::FitNmf(x, observed, options_));
-  return mf::ImputeWithModel(x, observed, model);
+                                  Index spatial_cols) const {
+  return core::SmflImpute(x, observed, spatial_cols, options_);
 }
 
 SmfImputer::SmfImputer(core::SmflOptions options) : options_(options) {

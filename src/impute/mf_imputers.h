@@ -6,7 +6,6 @@
 
 #include "src/core/smfl.h"
 #include "src/impute/imputer.h"
-#include "src/mf/nmf.h"
 #include "src/mf/softimpute.h"
 #include "src/mf/svt.h"
 
@@ -37,16 +36,19 @@ class SoftImputeImputer : public Imputer {
   mf::SoftImputeOptions options_;
 };
 
-// Plain masked NMF [41] — no spatial information at all.
+// Plain masked NMF [41] — no spatial information at all: the core loop
+// with lambda = 0 and no landmarks, both pinned by the constructor.
 class NmfImputer : public Imputer {
  public:
-  explicit NmfImputer(mf::NmfOptions options = {}) : options_(options) {}
+  // NMF's own default seed (3), not SmflOptions' 23.
+  NmfImputer();
+  explicit NmfImputer(core::SmflOptions options);
   std::string name() const override { return "NMF"; }
   Result<Matrix> Impute(const Matrix& x, const Mask& observed,
                         Index spatial_cols) const override;
 
  private:
-  mf::NmfOptions options_;
+  core::SmflOptions options_;
 };
 
 // SMF: NMF + spatial regularization, no landmarks (Problem 1).

@@ -3,7 +3,6 @@
 #ifndef SMFL_MF_FACTORIZATION_H_
 #define SMFL_MF_FACTORIZATION_H_
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -17,19 +16,6 @@ using la::Matrix;
 // Denominator floor for multiplicative update rules. Standard NMF practice:
 // keeps iterates finite and nonnegative when a factor row/column dies.
 inline constexpr double kDivEps = 1e-12;
-
-// Benchmark-only escape hatch: SMFL_BENCH_LEGACY_RECONSTRUCT=1 makes the
-// iterative solvers recompute R_Ω(UV) unfused (full GEMM + masking pass)
-// in every update and objective evaluation — the pre-optimization
-// per-iteration cost. tools/run_bench.sh uses it for before/after numbers;
-// never set it in production.
-inline bool LegacyReconstructForBench() {
-  static const bool legacy = [] {
-    const char* env = std::getenv("SMFL_BENCH_LEGACY_RECONSTRUCT");
-    return env != nullptr && env[0] == '1';
-  }();
-  return legacy;
-}
 
 // Which tier of a graceful-degradation chain (e.g. SMFL → SMF → NMF →
 // column-mean) served a result, and why the tiers before it were skipped.

@@ -2,12 +2,19 @@
 
 namespace smfl::repair {
 
+NmfRepairer::NmfRepairer() : NmfRepairer(core::SmflOptions{}) {
+  options_.seed = 3;
+}
+
+NmfRepairer::NmfRepairer(core::SmflOptions options) : options_(options) {
+  options_.lambda = 0.0;
+  options_.use_landmarks = false;
+}
+
 Result<Matrix> NmfRepairer::Repair(const Matrix& dirty,
                                    const Mask& dirty_cells,
-                                   Index /*spatial_cols*/) const {
-  const Mask clean = dirty_cells.Complement();
-  ASSIGN_OR_RETURN(mf::NmfModel model, mf::FitNmf(dirty, clean, options_));
-  return mf::ImputeWithModel(dirty, clean, model);
+                                   Index spatial_cols) const {
+  return core::SmflRepair(dirty, dirty_cells, spatial_cols, options_);
 }
 
 SmfRepairer::SmfRepairer(core::SmflOptions options) : options_(options) {

@@ -6,20 +6,23 @@
 #define SMFL_REPAIR_MF_REPAIRERS_H_
 
 #include "src/core/smfl.h"
-#include "src/mf/nmf.h"
 #include "src/repair/repairer.h"
 
 namespace smfl::repair {
 
+// NMF is the core loop with lambda = 0 and no landmarks, both pinned by
+// the constructor.
 class NmfRepairer : public Repairer {
  public:
-  explicit NmfRepairer(mf::NmfOptions options = {}) : options_(options) {}
+  // NMF's own default seed (3), not SmflOptions' 23.
+  NmfRepairer();
+  explicit NmfRepairer(core::SmflOptions options);
   std::string name() const override { return "NMF"; }
   Result<Matrix> Repair(const Matrix& dirty, const Mask& dirty_cells,
                         Index spatial_cols) const override;
 
  private:
-  mf::NmfOptions options_;
+  core::SmflOptions options_;
 };
 
 class SmfRepairer : public Repairer {

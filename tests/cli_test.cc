@@ -283,6 +283,92 @@ TEST(CliTest, SelectCommandRecommendsFlags) {
   EXPECT_NE(output.find("<- best"), std::string::npos);
 }
 
+// A CSV whose last column holds no value at all: impute (the fallback
+// chain included), fit and select must refuse it by name instead of
+// writing a column of zeros. apply still serves such a batch — there the
+// model supplies the missing column.
+TEST(CliTest, RejectsColumnWithoutObservedCells) {
+  auto dataset = data::MakeLakeLike(200, 41);
+  ASSERT_TRUE(dataset.ok());
+  const data::Table& table = dataset->table;
+  const Index last = table.NumCols() - 1;
+  const std::string last_name = table.column_names().back();
+  Mask observed = Mask::AllSet(table.NumRows(), table.NumCols());
+  for (Index i = 0; i < table.NumRows(); ++i) observed.Set(i, last, false);
+  const std::string in_path = TempPath("smfl_cli_empty_column.csv");
+  ASSERT_TRUE(data::WriteCsv(in_path, table, observed).ok());
+  const std::string out_path = TempPath("smfl_cli_empty_column_out.csv");
+  const std::string model_path = TempPath("smfl_cli_empty_column.model");
+  std::remove(out_path.c_str());
+  std::remove(model_path.c_str());
+
+  const std::vector<std::vector<std::string>> commands = {
+      {"impute", "--in=" + in_path, "--out=" + out_path},
+      {"impute", "--in=" + in_path, "--out=" + out_path, "--method=fallback"},
+      {"fit", "--in=" + in_path, "--model=" + model_path},
+      {"select", "--in=" + in_path},
+  };
+  for (const auto& args : commands) {
+    std::string output;
+    Status status = ::smfl::cli::Run(MakeFlags(args), &output);
+    EXPECT_EQ(status.code(), StatusCode::kDataError)
+        << args[0] << ": " << status.ToString();
+    EXPECT_NE(status.message().find("'" + last_name + "'"), std::string::npos)
+        << status.message();
+    EXPECT_FALSE(std::filesystem::exists(out_path)) << args[0];
+    EXPECT_FALSE(std::filesystem::exists(model_path)) << args[0];
+  }
+
+  // apply: fit on complete data, then serve the batch lacking the column.
+  const std::string train_path = TempPath("smfl_cli_empty_column_train.csv");
+  ASSERT_TRUE(data::WriteCsv(train_path, table).ok());
+  std::string output;
+  Status status = ::smfl::cli::Run(
+      MakeFlags({"fit", "--in=" + train_path, "--model=" + model_path,
+                 "--rank=4"}),
+      &output);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  status = ::smfl::cli::Run(
+      MakeFlags({"apply", "--in=" + in_path, "--model=" + model_path,
+                 "--out=" + out_path}),
+      &output);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  std::remove(in_path.c_str());
+  std::remove(out_path.c_str());
+  std::remove(model_path.c_str());
+  std::remove(train_path.c_str());
+}
+
+// ±1.7e308 is finite but max - min overflows: impute and fit must name the
+// column in a DataError rather than blame NaN/Inf input.
+TEST(CliTest, RejectsOverflowingColumnRange) {
+  const std::string in_path = TempPath("smfl_cli_overflow.csv");
+  {
+    std::ofstream out(in_path);
+    out << "lat,lon,temp,big\n";
+    for (int i = 0; i < 60; ++i) {
+      out << 0.01 * i << "," << 0.5 - 0.005 * i << ",";
+      if (i % 7 != 3) out << 5 + 0.1 * i;
+      out << "," << (i % 2 == 0 ? "1.7e308" : "-1.7e308") << "\n";
+    }
+  }
+  const std::string out_path = TempPath("smfl_cli_overflow_out.csv");
+  const std::string model_path = TempPath("smfl_cli_overflow.model");
+  for (const auto& args : std::vector<std::vector<std::string>>{
+           {"impute", "--in=" + in_path, "--out=" + out_path},
+           {"fit", "--in=" + in_path, "--model=" + model_path}}) {
+    std::string output;
+    Status status = ::smfl::cli::Run(MakeFlags(args), &output);
+    EXPECT_EQ(status.code(), StatusCode::kDataError)
+        << args[0] << ": " << status.ToString();
+    EXPECT_NE(status.message().find("column 3"), std::string::npos)
+        << status.message();
+  }
+  std::remove(in_path.c_str());
+  std::remove(out_path.c_str());
+  std::remove(model_path.c_str());
+}
+
 TEST(CliTest, UsageListsAllMethods) {
   const std::string usage = UsageText();
   EXPECT_NE(usage.find("SMFL"), std::string::npos);

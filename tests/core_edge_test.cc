@@ -12,8 +12,8 @@
 #include "src/data/generators.h"
 #include "src/data/inject.h"
 #include "src/data/normalize.h"
+#include "src/data/observed_index.h"
 #include "src/la/ops.h"
-#include "src/mf/nmf.h"
 
 namespace smfl::core {
 namespace {
@@ -106,8 +106,9 @@ TEST(SmflEdgeTest, LambdaZeroEqualsLandmarkedNmf) {
   options.max_iterations = 10;
   auto model = FitSmfl(s.input, s.observed, 2, options);
   ASSERT_TRUE(model.ok());
-  const double reconstruction =
-      mf::MaskedReconstructionError(s.input, s.observed, model->u, model->v);
+  const data::ObservedIndex omega = data::ObservedIndex::FromMask(s.observed);
+  const double reconstruction = data::MaskedSquaredError(
+      s.input, omega, data::MaskedReconstruct(model->u, model->v, omega));
   EXPECT_NEAR(model->report.final_objective(), reconstruction, 1e-9);
 }
 

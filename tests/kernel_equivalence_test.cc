@@ -1,9 +1,10 @@
 // Bitwise-reproducibility contract of the parallel numeric stack: every
 // threaded kernel must produce byte-identical output at any thread count,
 // the fused MaskedReconstruct must match the unfused
-// ApplyMask(MatMul(u, v)) form bit for bit, and full SMFL fits must walk
-// identical objective trajectories at 1 vs 4 threads. The monotonicity
-// property tests (Props 5/7) rely on these trajectories being exact.
+// ApplyMask(MatMul(u, v)) form bit for bit, and full SMFL / SMF / NMF fits
+// must walk identical objective trajectories at 1 vs 4 threads. The
+// monotonicity property tests (Props 5/7) rely on these trajectories being
+// exact.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "src/data/inject.h"
 #include "src/data/mask.h"
 #include "src/data/normalize.h"
+#include "src/data/observed_index.h"
 #include "src/la/ops.h"
 #include "src/la/simd.h"
 
@@ -24,6 +26,7 @@ namespace smfl {
 namespace {
 
 using data::Mask;
+using data::ObservedIndex;
 using la::Index;
 using la::Matrix;
 
@@ -110,9 +113,10 @@ TEST(KernelEquivalenceTest,
     const Matrix v = RandomMatrix(12, 53, seed * 7 + 2);
     // Low and high rates hit both the sparse-dot and dense-row paths.
     for (double rate : {0.1, 0.9}) {
-      const Mask mask = RandomMask(101, 53, seed * 7 + 3, rate);
+      const ObservedIndex omega =
+          ObservedIndex::FromMask(RandomMask(101, 53, seed * 7 + 3, rate));
       ExpectThreadCountInvariant(
-          [&] { return data::MaskedReconstruct(u, v, mask); },
+          [&] { return data::MaskedReconstruct(u, v, omega); },
           "MaskedReconstruct seed " + std::to_string(seed) + " rate " +
               std::to_string(rate));
     }
@@ -130,9 +134,10 @@ TEST(KernelEquivalenceTest, MaskedReconstructMatchesUnfusedForm) {
     const Matrix v = RandomMatrix(9, 61, seed * 11 + 2, 0.2);
     for (double rate : {0.05, 0.5, 1.0}) {
       const Mask mask = RandomMask(83, 61, seed * 11 + 3, rate);
+      const ObservedIndex omega = ObservedIndex::FromMask(mask);
       for (int simd_mode : {0, 1}) {
         la::simd::ScopedSimd scoped(simd_mode);
-        ExpectBitwiseEqual(data::MaskedReconstruct(u, v, mask),
+        ExpectBitwiseEqual(data::MaskedReconstruct(u, v, omega),
                            data::ApplyMask(la::MatMul(u, v), mask),
                            "fused vs unfused, seed " + std::to_string(seed) +
                                " rate " + std::to_string(rate) + " simd " +
@@ -145,21 +150,23 @@ TEST(KernelEquivalenceTest, MaskedReconstructMatchesUnfusedForm) {
 TEST(KernelEquivalenceTest, MaskedSquaredErrorIdenticalAcrossThreadCounts) {
   const Matrix x = RandomMatrix(211, 29, 5);
   const Matrix r = RandomMatrix(211, 29, 6);
-  const Mask mask = RandomMask(211, 29, 7, 0.7);
+  const ObservedIndex omega =
+      ObservedIndex::FromMask(RandomMask(211, 29, 7, 0.7), x);
   double at_one;
   {
     parallel::ScopedParallelism scoped(1);
-    at_one = data::MaskedSquaredError(x, mask, r);
+    at_one = data::MaskedSquaredError(x, omega, r);
   }
   for (int threads : {2, 4}) {
     parallel::ScopedParallelism scoped(threads);
-    EXPECT_EQ(at_one, data::MaskedSquaredError(x, mask, r))
+    EXPECT_EQ(at_one, data::MaskedSquaredError(x, omega, r))
         << threads << " threads";
   }
 }
 
-// Full-fit determinism: identical SMFL objective trajectories (and final
-// factors) at 1 vs 4 threads, across seeds, for both SMFL and SMF.
+// Full-fit determinism: identical objective trajectories (and final
+// factors) at 1 vs 4 threads, across seeds, for SMFL, SMF and NMF (the
+// lambda = 0, no-landmark configuration of the same loop).
 TEST(KernelEquivalenceTest, SmflTrajectoriesIdenticalAcrossThreadCounts) {
   for (uint64_t seed = 0; seed < 5; ++seed) {
     auto dataset = data::MakeVehicleLike(60, 100 + seed);
@@ -174,13 +181,15 @@ TEST(KernelEquivalenceTest, SmflTrajectoriesIdenticalAcrossThreadCounts) {
     ASSERT_TRUE(injection.ok());
     const Matrix x_in = data::ApplyMask(truth, injection->observed);
 
-    for (bool landmarks : {true, false}) {
+    for (const char* method : {"SMFL", "SMF", "NMF"}) {
+      const std::string name = method;
       core::SmflOptions options;
       options.rank = 4;
       options.max_iterations = 40;
       options.tolerance = 0.0;  // full trace, no early stop
       options.seed = seed * 7919 + 3;
-      options.use_landmarks = landmarks;
+      options.use_landmarks = name == "SMFL";
+      if (name == "NMF") options.lambda = 0.0;
 
       options.threads = 1;
       auto one = core::FitSmfl(x_in, injection->observed, 2, options);
@@ -189,8 +198,7 @@ TEST(KernelEquivalenceTest, SmflTrajectoriesIdenticalAcrossThreadCounts) {
       auto four = core::FitSmfl(x_in, injection->observed, 2, options);
       ASSERT_TRUE(four.ok()) << four.status().ToString();
 
-      const std::string label = std::string(landmarks ? "SMFL" : "SMF") +
-                                " seed " + std::to_string(seed);
+      const std::string label = name + " seed " + std::to_string(seed);
       ASSERT_EQ(one->report.objective_trace.size(),
                 four->report.objective_trace.size())
           << label;

@@ -6,6 +6,7 @@
 #include "src/data/csv.h"
 #include "src/data/mask.h"
 #include "src/data/normalize.h"
+#include "src/data/observed_index.h"
 #include "src/data/table.h"
 
 namespace smfl::data {
@@ -102,11 +103,12 @@ TEST(MaskTest, EdgeShapesZeroByZero) {
   EXPECT_TRUE(m.Complement() == m);
   // The masked kernels must survive degenerate shapes, not just never see
   // them: an empty reconstruction of an empty product.
+  const ObservedIndex omega = ObservedIndex::FromMask(m);
   Matrix u(0, 3), v(3, 0);
-  Matrix r = MaskedReconstruct(u, v, m);
+  Matrix r = MaskedReconstruct(u, v, omega);
   EXPECT_EQ(r.rows(), 0);
   EXPECT_EQ(r.cols(), 0);
-  EXPECT_EQ(MaskedSquaredError(Matrix(0, 0), m, r), 0.0);
+  EXPECT_EQ(MaskedSquaredError(Matrix(0, 0), omega, r), 0.0);
 }
 
 TEST(MaskTest, EdgeShapesZeroColumns) {
@@ -116,11 +118,12 @@ TEST(MaskTest, EdgeShapesZeroColumns) {
   // Every row is vacuously fully set.
   EXPECT_TRUE(m.RowFullySet(0));
   EXPECT_EQ(m.FullySetRows().size(), 4u);
+  const ObservedIndex omega = ObservedIndex::FromMask(m);
   Matrix u(4, 2), v(2, 0);
-  Matrix r = MaskedReconstruct(u, v, m);
+  Matrix r = MaskedReconstruct(u, v, omega);
   EXPECT_EQ(r.rows(), 4);
   EXPECT_EQ(r.cols(), 0);
-  EXPECT_EQ(MaskedSquaredError(Matrix(4, 0), m, r), 0.0);
+  EXPECT_EQ(MaskedSquaredError(Matrix(4, 0), omega, r), 0.0);
 }
 
 TEST(MaskTest, EdgeShapesAllUnobservedRows) {
@@ -129,14 +132,15 @@ TEST(MaskTest, EdgeShapesAllUnobservedRows) {
   for (Index i = 0; i < 3; ++i) EXPECT_EQ(m.RowCount(i), 0);
   Matrix u{{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}};
   Matrix v{{1.0, 0.0, 2.0, 0.0}, {0.0, 1.0, 0.0, 2.0}};
-  Matrix r = MaskedReconstruct(u, v, m);
+  const ObservedIndex omega = ObservedIndex::FromMask(m);
+  Matrix r = MaskedReconstruct(u, v, omega);
   ASSERT_EQ(r.rows(), 3);
   ASSERT_EQ(r.cols(), 4);
   for (Index i = 0; i < r.size(); ++i) {
     EXPECT_EQ(r.data()[i], 0.0) << "flat index " << i;
   }
   Matrix x{{1, 1, 1, 1}, {1, 1, 1, 1}, {1, 1, 1, 1}};
-  EXPECT_EQ(MaskedSquaredError(x, m, r), 0.0);
+  EXPECT_EQ(MaskedSquaredError(x, omega, r), 0.0);
 }
 
 // ---------------------------------------------------------------- Table
@@ -299,6 +303,27 @@ TEST(NormalizeTest, RejectsNonFinite) {
   Matrix x(2, 2, 0.0);
   x(0, 0) = std::numeric_limits<double>::infinity();
   EXPECT_FALSE(MinMaxNormalizer::Fit(x).ok());
+}
+
+// Finite values whose span overflows (max - min = inf) must fail as a
+// DataError naming the column, not surface later as a NaN/Inf fit input.
+TEST(NormalizeTest, RejectsOverflowingRangeNamingColumn) {
+  Matrix x{{0.5, 1.7e308}, {0.25, -1.7e308}};
+  auto n = MinMaxNormalizer::Fit(x);
+  ASSERT_FALSE(n.ok());
+  EXPECT_EQ(n.status().code(), StatusCode::kDataError);
+  EXPECT_NE(n.status().message().find("column 1"), std::string::npos)
+      << n.status().message();
+  // A wide but representable span still fits.
+  EXPECT_TRUE(MinMaxNormalizer::Fit(Matrix{{1e300}, {-1e300}}).ok());
+}
+
+TEST(NormalizeTest, FromBoundsRejectsOverflowingRange) {
+  auto n = MinMaxNormalizer::FromBounds({0.0, -1.7e308}, {1.0, 1.7e308});
+  ASSERT_FALSE(n.ok());
+  EXPECT_NE(n.status().message().find("column 1"), std::string::npos)
+      << n.status().message();
+  EXPECT_TRUE(MinMaxNormalizer::FromBounds({0.0, -1e300}, {1.0, 1e300}).ok());
 }
 
 TEST(NormalizeTest, FillWithColumnMeans) {

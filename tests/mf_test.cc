@@ -3,9 +3,9 @@
 #include <cmath>
 
 #include "src/common/rng.h"
+#include "src/core/smfl.h"
 #include "src/data/inject.h"
 #include "src/la/ops.h"
-#include "src/mf/nmf.h"
 #include "src/mf/pca.h"
 #include "src/mf/softimpute.h"
 #include "src/mf/svt.h"
@@ -38,14 +38,30 @@ Mask RandomMask(Index n, Index m, double observed_rate, uint64_t seed) {
 }
 
 // ---------------------------------------------------------------- NMF
+//
+// NMF is the core SMFL loop with λ = 0 and no landmarks (Φ = ∅); seed 3 is
+// NMF's default. Spatial columns play no part in that configuration.
+
+core::SmflOptions NmfConfig() {
+  core::SmflOptions options;
+  options.lambda = 0.0;
+  options.use_landmarks = false;
+  options.seed = 3;
+  return options;
+}
+
+Result<core::SmflModel> NmfFit(const Matrix& x, const Mask& observed,
+                               const core::SmflOptions& options) {
+  return core::FitSmfl(x, observed, /*spatial_cols=*/1, options);
+}
 
 TEST(NmfTest, ReconstructsFullyObservedLowRank) {
   Matrix x = LowRankNonnegative(30, 8, 3, 1);
-  NmfOptions options;
+  core::SmflOptions options = NmfConfig();
   options.rank = 3;
   options.max_iterations = 2000;
   options.tolerance = 1e-12;
-  auto model = FitNmf(x, Mask::AllSet(30, 8), options);
+  auto model = NmfFit(x, Mask::AllSet(30, 8), options);
   ASSERT_TRUE(model.ok());
   const double rel = la::FrobeniusNorm(x - model->Reconstruct()) /
                      la::FrobeniusNorm(x);
@@ -61,12 +77,12 @@ TEST_P(NmfMonotoneTest, ObjectiveNonIncreasing) {
   const auto [rank, density, seed] = GetParam();
   Matrix x = LowRankNonnegative(25, 7, 4, 100 + seed);
   Mask mask = RandomMask(25, 7, density, 200 + seed);
-  NmfOptions options;
+  core::SmflOptions options = NmfConfig();
   options.rank = rank;
   options.max_iterations = 150;
   options.tolerance = 0.0;  // run every iteration
   options.seed = static_cast<uint64_t>(seed);
-  auto model = FitNmf(x, mask, options);
+  auto model = NmfFit(x, mask, options);
   ASSERT_TRUE(model.ok());
   const auto& trace = model->report.objective_trace;
   ASSERT_GT(trace.size(), 2u);
@@ -84,7 +100,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(NmfTest, FactorsStayNonnegative) {
   Matrix x = LowRankNonnegative(20, 6, 3, 3);
-  auto model = FitNmf(x, RandomMask(20, 6, 0.7, 5), NmfOptions{});
+  auto model = NmfFit(x, RandomMask(20, 6, 0.7, 5), NmfConfig());
   ASSERT_TRUE(model.ok());
   for (Index i = 0; i < model->u.size(); ++i) {
     EXPECT_GE(model->u.data()[i], 0.0);
@@ -97,13 +113,12 @@ TEST(NmfTest, FactorsStayNonnegative) {
 TEST(NmfTest, ImputePreservesObserved) {
   Matrix x = LowRankNonnegative(15, 5, 2, 7);
   Mask mask = RandomMask(15, 5, 0.6, 9);
-  auto model = FitNmf(x, mask, NmfOptions{});
-  ASSERT_TRUE(model.ok());
-  Matrix imputed = ImputeWithModel(x, mask, *model);
+  auto imputed = core::SmflImpute(x, mask, /*spatial_cols=*/1, NmfConfig());
+  ASSERT_TRUE(imputed.ok());
   for (Index i = 0; i < 15; ++i) {
     for (Index j = 0; j < 5; ++j) {
       if (mask.Contains(i, j)) {
-        EXPECT_DOUBLE_EQ(imputed(i, j), x(i, j));
+        EXPECT_DOUBLE_EQ((*imputed)(i, j), x(i, j));
       }
     }
   }
@@ -111,28 +126,29 @@ TEST(NmfTest, ImputePreservesObserved) {
 
 TEST(NmfTest, RejectsBadInput) {
   Matrix x(3, 3, 1.0);
-  EXPECT_FALSE(FitNmf(Matrix(), Mask(), NmfOptions{}).ok());
-  NmfOptions options;
+  EXPECT_FALSE(NmfFit(Matrix(), Mask(), NmfConfig()).ok());
+  core::SmflOptions options = NmfConfig();
   options.rank = 0;
-  EXPECT_FALSE(FitNmf(x, Mask::AllSet(3, 3), options).ok());
+  EXPECT_FALSE(NmfFit(x, Mask::AllSet(3, 3), options).ok());
   // Negative observed entry.
   Matrix neg = x;
   neg(0, 0) = -1.0;
-  EXPECT_FALSE(FitNmf(neg, Mask::AllSet(3, 3), NmfOptions{}).ok());
-  // Negative value hidden by the mask is fine.
+  EXPECT_FALSE(NmfFit(neg, Mask::AllSet(3, 3), NmfConfig()).ok());
+  // Negative value hidden by the mask is fine (and rank 10 > 3 rows is
+  // legal without landmarks).
   Mask partial = Mask::AllSet(3, 3);
   partial.Set(0, 0, false);
-  EXPECT_TRUE(FitNmf(neg, partial, NmfOptions{}).ok());
+  EXPECT_TRUE(NmfFit(neg, partial, NmfConfig()).ok());
   // NaN rejected.
   Matrix nan_x = x;
   nan_x(1, 1) = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_FALSE(FitNmf(nan_x, Mask::AllSet(3, 3), NmfOptions{}).ok());
+  EXPECT_FALSE(NmfFit(nan_x, Mask::AllSet(3, 3), NmfConfig()).ok());
 }
 
 TEST(NmfTest, HandlesAllZeroColumn) {
   Matrix x = LowRankNonnegative(10, 4, 2, 11);
   for (Index i = 0; i < 10; ++i) x(i, 2) = 0.0;
-  auto model = FitNmf(x, Mask::AllSet(10, 4), NmfOptions{});
+  auto model = NmfFit(x, Mask::AllSet(10, 4), NmfConfig());
   ASSERT_TRUE(model.ok());
   EXPECT_FALSE(model->Reconstruct().HasNonFinite());
 }
@@ -143,11 +159,11 @@ TEST(NmfTest, EarlyStopReportsConvergence) {
   // (Exactly factorizable data decays geometrically forever and is the
   // documented case where early stop cannot fire.)
   Matrix x = LowRankNonnegative(20, 5, 4, 13);
-  NmfOptions options;
+  core::SmflOptions options = NmfConfig();
   options.rank = 2;
   options.max_iterations = 5000;
   options.tolerance = 1e-7;
-  auto model = FitNmf(x, Mask::AllSet(20, 5), options);
+  auto model = NmfFit(x, Mask::AllSet(20, 5), options);
   ASSERT_TRUE(model.ok());
   EXPECT_TRUE(model->report.converged);
   EXPECT_LT(model->report.iterations, 5000);

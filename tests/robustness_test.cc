@@ -204,7 +204,7 @@ TEST_F(RobustnessTest, GuardIsTransparentWithoutFaults) {
 TEST_F(RobustnessTest, DegradationChainServesFallbackTier) {
   Scenario s = MakeScenario(60, 0.15, 48);
   FaultSpec spec;
-  spec.count = -1;  // SMFL and SMF both permanently poisoned
+  spec.count = -1;  // the shared SMFL/SMF/NMF loop permanently poisoned
   ScopedFault fault("smfl.update.nan", spec);
 
   impute::FallbackImputer chain;  // SMFL -> SMF -> NMF -> Mean
@@ -213,17 +213,20 @@ TEST_F(RobustnessTest, DegradationChainServesFallbackTier) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_FALSE(result->HasNonFinite());
 
-  // NMF does not share the SMFL update loop, so it serves.
-  EXPECT_EQ(report.served_by, "NMF");
+  // NMF runs the same guarded loop (lambda = 0, no landmarks), so all
+  // three MF tiers fail with the numeric error and the mean serves.
+  EXPECT_EQ(report.served_by, "Mean");
   EXPECT_TRUE(report.degraded());
-  ASSERT_EQ(report.attempts.size(), 3u);
-  EXPECT_EQ(report.attempts[0].tier, "SMFL");
-  EXPECT_NE(report.attempts[0].error.find("Numeric error"),
-            std::string::npos);
-  EXPECT_EQ(report.attempts[1].tier, "SMF");
-  EXPECT_FALSE(report.attempts[1].error.empty());
-  EXPECT_EQ(report.attempts[2].tier, "NMF");
-  EXPECT_TRUE(report.attempts[2].error.empty());
+  ASSERT_EQ(report.attempts.size(), 4u);
+  const char* mf_tiers[] = {"SMFL", "SMF", "NMF"};
+  for (size_t t = 0; t < 3; ++t) {
+    EXPECT_EQ(report.attempts[t].tier, mf_tiers[t]);
+    EXPECT_NE(report.attempts[t].error.find("Numeric error"),
+              std::string::npos)
+        << mf_tiers[t] << ": " << report.attempts[t].error;
+  }
+  EXPECT_EQ(report.attempts[3].tier, "Mean");
+  EXPECT_TRUE(report.attempts[3].error.empty());
 }
 
 TEST_F(RobustnessTest, DegradationChainHealthyPathServesPrimaryTier) {
@@ -264,8 +267,20 @@ TEST_F(RobustnessTest, RepairDegradationChainServesFallbackTier) {
   mf::DegradationReport report;
   auto result = chain.RepairWithReport(s.truth, dirty, 2, &report);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(report.served_by, "NMF");
+  // One guarded loop serves all three MF tiers; each records the numeric
+  // error and HoloClean serves.
+  EXPECT_EQ(report.served_by, "HoloClean");
   EXPECT_TRUE(report.degraded());
+  ASSERT_EQ(report.attempts.size(), 4u);
+  const char* mf_tiers[] = {"SMFL", "SMF", "NMF"};
+  for (size_t t = 0; t < 3; ++t) {
+    EXPECT_EQ(report.attempts[t].tier, mf_tiers[t]);
+    EXPECT_NE(report.attempts[t].error.find("Numeric error"),
+              std::string::npos)
+        << mf_tiers[t] << ": " << report.attempts[t].error;
+  }
+  EXPECT_EQ(report.attempts[3].tier, "HoloClean");
+  EXPECT_TRUE(report.attempts[3].error.empty());
 }
 
 }  // namespace

@@ -2,9 +2,9 @@
 // every dispatched microkernel and every op built on them must produce
 // byte-identical results with vector kernels forced on vs pinned to the
 // scalar tier, at any thread count — including remainder lanes (n % 4,
-// n % 8), empty inputs, and 1x1 shapes. Full SMFL/SMF fits must serialize
-// to byte-identical model files under SMFL_SIMD=0/1 x threads {1, 4} x
-// multiple seeds (the acceptance bar of the dispatch layer). On hosts
+// n % 8), empty inputs, and 1x1 shapes. Full SMFL/SMF/NMF fits must
+// serialize to byte-identical model files under SMFL_SIMD=0/1 x threads
+// {1, 4} x multiple seeds (the acceptance bar of the dispatch layer). On hosts
 // whose probe resolves to the scalar tier these tests still run — both
 // sides execute the same table, so they degrade to self-consistency.
 
@@ -21,6 +21,7 @@
 #include "src/data/inject.h"
 #include "src/data/mask.h"
 #include "src/data/normalize.h"
+#include "src/data/observed_index.h"
 #include "src/la/ops.h"
 #include "src/la/simd.h"
 
@@ -307,9 +308,10 @@ TEST(SimdKernelTest, MaskedReconstructSimdInvariant) {
     const Matrix v = RandomMatrix(12, 53, seed * 7 + 2);
     // Low and high rates hit both the gathered-dot and dense-row paths.
     for (double rate : {0.1, 0.9}) {
-      const Mask mask = RandomMask(101, 53, seed * 7 + 3, rate);
+      const data::ObservedIndex omega = data::ObservedIndex::FromMask(
+          RandomMask(101, 53, seed * 7 + 3, rate));
       ExpectSimdInvariant(
-          [&] { return data::MaskedReconstruct(u, v, mask); },
+          [&] { return data::MaskedReconstruct(u, v, omega); },
           "MaskedReconstruct seed " + std::to_string(seed) + " rate " +
               std::to_string(rate));
     }
@@ -320,15 +322,16 @@ TEST(SimdKernelTest, MaskedSquaredErrorSimdInvariant) {
   const Matrix x = RandomMatrix(211, 29, 5);
   const Matrix r = RandomMatrix(211, 29, 6);
   for (double rate : {0.1, 0.7, 1.0}) {
-    const Mask mask = RandomMask(211, 29, 7, rate);
+    const data::ObservedIndex omega =
+        data::ObservedIndex::FromMask(RandomMask(211, 29, 7, rate), x);
     double vec, scalar;
     {
       simd::ScopedSimd on(1);
-      vec = data::MaskedSquaredError(x, mask, r);
+      vec = data::MaskedSquaredError(x, omega, r);
     }
     {
       simd::ScopedSimd off(0);
-      scalar = data::MaskedSquaredError(x, mask, r);
+      scalar = data::MaskedSquaredError(x, omega, r);
     }
     EXPECT_EQ(vec, scalar) << "MaskedSquaredError rate " << rate;
   }
@@ -354,7 +357,7 @@ TEST(SimdKernelTest, SimdAndThreadingComposeBitwise) {
 }
 
 // --------------------------------------------------------------------------
-// Full fits: the acceptance bar. SMFL and SMF models serialized after
+// Full fits: the acceptance bar. SMFL, SMF and NMF models serialized after
 // fitting with vector kernels on vs scalar pinned must be byte-identical
 // files, at 1 and 4 threads, across seeds.
 
@@ -372,13 +375,15 @@ TEST(SimdKernelTest, FitModelsByteIdenticalSimdOnVsOff) {
     ASSERT_TRUE(injection.ok());
     const Matrix x_in = data::ApplyMask(truth, injection->observed);
 
-    for (bool landmarks : {true, false}) {
+    for (const char* method : {"SMFL", "SMF", "NMF"}) {
+      const std::string name = method;
       core::SmflOptions options;
       options.rank = 4;
       options.max_iterations = 25;
       options.tolerance = 0.0;
       options.seed = seed * 7919 + 3;
-      options.use_landmarks = landmarks;
+      options.use_landmarks = name == "SMFL";
+      if (name == "NMF") options.lambda = 0.0;
 
       std::string reference;
       for (int threads : {1, 4}) {
@@ -392,11 +397,11 @@ TEST(SimdKernelTest, FitModelsByteIdenticalSimdOnVsOff) {
 
         const std::string serialized_on = core::SerializeModel(*on);
         const std::string serialized_off = core::SerializeModel(*off);
-        const std::string label = std::string(landmarks ? "SMFL" : "SMF") +
-                                  " seed " + std::to_string(seed) + " @ " +
-                                  std::to_string(threads) + " threads";
+        const std::string label = name + " seed " + std::to_string(seed) +
+                                  " @ " + std::to_string(threads) +
+                                  " threads";
         ASSERT_EQ(serialized_on, serialized_off) << label;
-        // And across thread counts too: one model per (seed, landmarks).
+        // And across thread counts too: one model per (seed, method).
         if (reference.empty()) {
           reference = serialized_on;
         } else {

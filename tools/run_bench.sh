@@ -1,28 +1,25 @@
 #!/usr/bin/env bash
 # Benchmark baseline: measures the SIMD microkernel layer, the
 # deterministic parallel execution layer, the fused masked-reconstruction
-# kernel (Mask-scanning and ObservedIndex forms, down to 1% observed),
-# fold-in serving throughput, and the telemetry disabled-path overhead,
-# and writes the results to BENCH_PR8.json at the repository root
-# (superseding BENCH_PR7.json, which predated the CSR observed-index and
-# carried the AVX2 gather-path crossover regression this PR fixed).
+# kernel over the observed index (against the unfused baseline, down to 1%
+# observed), fold-in serving throughput, and the telemetry disabled-path
+# overhead, and writes the results to BENCH_KERNELS.json at the repository
+# root (BENCH_PR8.json is the committed historical baseline, in an older
+# schema).
 #
 # What runs:
 #   1. bench_fig9_scalability (MF family: NMF / SMF / SMFL, lake dataset,
 #      250/500/1000 rows) at SMFL_THREADS = 1, 2, 4 and the machine's
 #      hardware concurrency — thread-scaling of the fit loop.
-#   2. The same slice at 1 thread with SMFL_BENCH_LEGACY_RECONSTRUCT=1 —
-#      the pre-fusion 3-reconstructions-per-iteration cost — to isolate
-#      the single-threaded win of MaskedReconstruct + hoisting.
-#   3. bench_kernels TWICE at 1 thread: once with the runtime-dispatched
+#   2. bench_kernels TWICE at 1 thread: once with the runtime-dispatched
 #      SIMD tier (whatever the CPU probe resolves — recorded as
 #      host.simd_tier from the benchmark's JSON context) and once with
 #      SMFL_SIMD=0 pinning the scalar tier. The per-kernel ratio is the
 #      SIMD speedup, valid on ANY host because both runs share one core
 #      count. Then once per thread count for the thread-scaling curves.
-#   4. bench_table4_imputation (all methods, all datasets, 1 trial) at the
+#   3. bench_table4_imputation (all methods, all datasets, 1 trial) at the
 #      same thread counts, timed end to end.
-#   5. BM_TelemetryOverhead (inside bench_kernels): the per-instrument cost
+#   4. BM_TelemetryOverhead (inside bench_kernels): the per-instrument cost
 #      with collection off and on.
 #
 # Results are bitwise identical across thread counts AND SIMD tiers by
@@ -44,7 +41,7 @@ set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="$repo_root/build"
-out_json="$repo_root/BENCH_PR8.json"
+out_json="$repo_root/BENCH_KERNELS.json"
 
 mode="full"
 table4_rows=400
@@ -75,7 +72,7 @@ trap 'rm -rf "$scratch"' EXIT
 # the vector dispatch, or the per-tier density crossover — still fails
 # loudly.
 if [[ "$mode" == "gate" ]]; then
-  gate_filter='BM_MaskedReconstruct(Fused|Unfused|Indexed)/10$|BM_MatMulABt/1000$'
+  gate_filter='BM_MaskedReconstruct(Unfused|Indexed)/10$|BM_MatMulABt/1000$'
   gate_flags=(--benchmark_filter="$gate_filter" --benchmark_repetitions=3
               --benchmark_report_aggregates_only=true
               --benchmark_out_format=json)
@@ -96,7 +93,7 @@ import json, os, sys
 # scalar-vs-scalar ratio is stable across vector units, whereas under
 # AVX2 the unfused dense gemm vectorizes better than the fused sparse
 # gather path and the ratio compresses toward ~1.3 at 10% observed.
-FUSION_MIN_10PCT = 1.5   # fused vs unfused MaskedReconstruct @ 10%, scalar tier
+FUSION_MIN_10PCT = 1.5   # indexed vs unfused reconstruct @ 10%, scalar tier
 # SIMD-vs-scalar on the panel gemm (skipped on scalar hosts). Checked on
 # BM_MatMulABt/1000 rather than BM_MatMul/256: the compiler auto-vectorizes
 # the scalar axpy kernel well enough (~1.15x gap) that the axpy-based gemm
@@ -130,7 +127,7 @@ tier = ctx.get("simd_tier", "unknown")
 
 failures = []
 
-fused = scalar["BM_MaskedReconstructFused/10"]
+fused = scalar["BM_MaskedReconstructIndexed/10"]
 unfused = scalar["BM_MaskedReconstructUnfused/10"]
 fusion_speedup = unfused / fused
 status = "PASS" if fusion_speedup >= FUSION_MIN_10PCT else "FAIL"
@@ -198,11 +195,6 @@ for t in $thread_counts; do
       "${fig9_flags[@]}" --benchmark_out="$scratch/fig9_t$t.json" >/dev/null
 done
 
-echo "==> fig9 slice @ 1 thread, legacy (unfused) reconstruction"
-SMFL_THREADS=1 SMFL_BENCH_LEGACY_RECONSTRUCT=1 \
-    "$build_dir/bench/bench_fig9_scalability" \
-    "${fig9_flags[@]}" --benchmark_out="$scratch/fig9_legacy.json" >/dev/null
-
 echo "==> fig9 slice @ 1 thread, scalar tier (SMFL_SIMD=0)"
 SMFL_THREADS=1 SMFL_SIMD=0 "$build_dir/bench/bench_fig9_scalability" \
     "${fig9_flags[@]}" --benchmark_out="$scratch/fig9_scalar.json" >/dev/null
@@ -263,7 +255,6 @@ def tag_scaling(entry):
     return entry
 
 per_thread = {t: fig9_times(f"{scratch}/fig9_t{t}.json") for t in threads}
-legacy = fig9_times(f"{scratch}/fig9_legacy.json")
 fig9_scalar = fig9_times(f"{scratch}/fig9_scalar.json")
 base = per_thread[1]
 
@@ -278,9 +269,6 @@ for name in sorted(base):
             {str(t): round(base[name] / per_thread[t][name], 3)
              for t in threads}),
     }
-    if name in legacy:
-        entry["legacy_unfused_ms_1_thread"] = round(legacy[name], 3)
-        entry["fusion_speedup_1_thread"] = round(legacy[name] / base[name], 3)
     if name in fig9_scalar:
         entry["scalar_tier_ms_1_thread"] = round(fig9_scalar[name], 3)
         entry["simd_speedup_1_thread"] = round(
@@ -322,35 +310,25 @@ for name in sorted(kbase):
         "speedup": round(kscalar[name] / kbase[name], 3),
     }
 
+# The observed-rate sweep of the fused kernel over the CSR index (the one
+# the fit runs) against the unfused ApplyMask(MatMul) baseline at 1
+# thread: the fused kernel computes only the Ω entries, so the gap widens
+# as Ω thins. Also the dispatched-vs-scalar ratio of the indexed path,
+# which must never drop below ~1.0x (AVX2 hardware gathers once measured
+# 0.85x scalar at 10% observed; the tier now uses scalar per-entry dots
+# with a measured dense crossover).
 fusion = {}
 for arg in (90, 50, 10, 5, 1):
-    fused = kbase[f"BM_MaskedReconstructFused/{arg}"]
+    fused = kbase[f"BM_MaskedReconstructIndexed/{arg}"]
     unfused = kbase[f"BM_MaskedReconstructUnfused/{arg}"]
-    fusion[f"observed_{arg}pct"] = {
+    entry = {
         "fused_ms": round(fused, 4), "unfused_ms": round(unfused, 4),
         "speedup": round(unfused / fused, 3),
     }
-
-# The observed-rate sweep of the CSR index (PR 8): indexed vs the
-# Mask-scanning form at 1 thread — the gap is the per-call O(m) row scan
-# plus cols-rebuild the once-per-fit index eliminates, so it widens as Ω
-# thins. Also the dispatched-vs-scalar ratio of the indexed path, the
-# regression the PR fixed (AVX2 hardware gathers measured 0.85x scalar at
-# 10% observed in BENCH_PR7.json; the tier now uses scalar per-entry dots
-# with a measured dense crossover and must never drop below 1.0x).
-observed_index = {}
-for arg in (90, 50, 10, 5, 1):
-    indexed = kbase[f"BM_MaskedReconstructIndexed/{arg}"]
-    mask_form = kbase[f"BM_MaskedReconstructFused/{arg}"]
-    entry = {
-        "indexed_ms": round(indexed, 4),
-        "mask_form_ms": round(mask_form, 4),
-        "index_vs_mask_speedup": round(mask_form / indexed, 3),
-    }
     scalar_indexed = kscalar.get(f"BM_MaskedReconstructIndexed/{arg}")
     if scalar_indexed is not None and simd_tier != "scalar":
-        entry["dispatched_vs_scalar"] = round(scalar_indexed / indexed, 3)
-    observed_index[f"observed_{arg}pct"] = entry
+        entry["dispatched_vs_scalar"] = round(scalar_indexed / fused, 3)
+    fusion[f"observed_{arg}pct"] = entry
 
 # Fold-in serving throughput: median real_time is ms per FoldIn() batch,
 # so rows / (ms / 1000) = rows served per second at that thread count.
@@ -408,7 +386,6 @@ best_simd = max(simd_kernels.items(), key=lambda kv: kv[1]["speedup"]) \
 largest = max((e for e in fig9.values() if e["method"] == "SMFL"),
               key=lambda e: e["rows"])
 out = {
-    "pr": 8,
     "generated_by": "tools/run_bench.sh",
     "host": {
         "cores": ncores,
@@ -429,7 +406,6 @@ out = {
     "fig9_scalability_mf_family": fig9,
     "kernel_microbench": kernels,
     "masked_reconstruct_fusion_1_thread": fusion,
-    "observed_index_sweep_1_thread": observed_index,
     "foldin_serving_throughput": foldin,
     "telemetry_overhead": telemetry,
     "table4_imputation_end_to_end": {
@@ -443,18 +419,10 @@ out = {
         "end_to_end_simd_speedup_1_thread":
             largest.get("simd_speedup_1_thread"),
         "largest_config": f"Fig9/lake/SMFL/{largest['rows']}",
-        "end_to_end_fusion_speedup_1_thread":
-            largest.get("fusion_speedup_1_thread"),
         "kernel_fusion_speedup_10pct_observed":
             fusion["observed_10pct"]["speedup"],
-        "masked_path_10pct_dispatched_vs_scalar": observed_index[
+        "masked_path_10pct_dispatched_vs_scalar": fusion[
             "observed_10pct"].get("dispatched_vs_scalar"),
-        "index_vs_mask_speedup_10pct_observed": observed_index[
-            "observed_10pct"]["index_vs_mask_speedup"],
-        "index_vs_mask_speedup_5pct_observed": observed_index[
-            "observed_5pct"]["index_vs_mask_speedup"],
-        "index_vs_mask_speedup_1pct_observed": observed_index[
-            "observed_1pct"]["index_vs_mask_speedup"],
         "threaded_speedup_at_max":
             largest["speedup_vs_1_thread"][str(threads[-1])],
         "foldin_rows_per_sec_at_max_threads": foldin.get(
