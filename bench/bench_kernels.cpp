@@ -15,6 +15,9 @@
 //   * MaskedSquaredError over the same index at the same observed rates
 //     (the objective half of every fit iteration, SIMD-dispatched on dense
 //     rows).
+//   * SmflFit: a whole 20-iteration SMFL fit at observed rates 10/30/90%,
+//     the end-to-end view of the Ω-sparse iteration (its time falls with
+//     |Ω|).
 //   * Batched fold-in serving throughput (rows/sec) against a frozen model
 //     at the process thread count (PR 3): grouped-gemm numerators plus the
 //     threaded per-row multiplicative solves of core::FoldIn.
@@ -23,9 +26,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <limits>
+
 #include "src/common/rng.h"
 #include "src/common/telemetry.h"
 #include "src/core/fold_in.h"
+#include "src/core/smfl.h"
 #include "src/data/mask.h"
 #include "src/data/observed_index.h"
 #include "src/la/ops.h"
@@ -140,6 +146,37 @@ void BM_MaskedSquaredError(benchmark::State& state) {
 }
 BENCHMARK(BM_MaskedSquaredError)->Arg(90)->Arg(50)->Arg(10)->Arg(5)->Arg(1)
     ->Unit(benchmark::kMicrosecond);
+
+// A whole SMFL fit at 1 thread: 4000 x 20 (2 always-observed spatial
+// columns), rank 10, 20 iterations with the early stop disabled, over a
+// prebuilt p-NN graph. Arg is the observed percentage of the attribute
+// cells. The fit loop walks only Ω, so its time should fall with the
+// observed rate; tools/run_bench.sh --gate checks the /90 over /10 ratio.
+void BM_SmflFit(benchmark::State& state) {
+  constexpr Index kN = 4000, kM = 20, kSpatial = 2;
+  const double rate = static_cast<double>(state.range(0)) / 100.0;
+  const Matrix x = RandomMatrix(kN, kM, 21);
+  Mask observed = RandomMask(kN, kM, 22, rate);
+  for (Index i = 0; i < kN; ++i) {
+    for (Index j = 0; j < kSpatial; ++j) observed.Set(i, j, true);
+  }
+  auto graph =
+      spatial::NeighborGraph::Build(x.Block(0, 0, kN, kSpatial), 3);
+  SMFL_CHECK(graph.ok());
+  core::SmflOptions options;
+  options.rank = 10;
+  options.max_iterations = 20;
+  options.tolerance = -std::numeric_limits<double>::infinity();
+  options.threads = 1;
+  for (auto _ : state) {
+    auto model =
+        core::FitSmflWithGraph(x, observed, kSpatial, *graph, options);
+    SMFL_CHECK(model.ok());
+    benchmark::DoNotOptimize(model->u.data());
+  }
+}
+BENCHMARK(BM_SmflFit)->Arg(10)->Arg(30)->Arg(90)
+    ->Unit(benchmark::kMillisecond);
 
 // Batched fold-in serving: Arg(0) fresh rows against a synthetic frozen
 // model (rank 12, 16 columns, 2 spatial). ~80% observed with coordinates

@@ -1,8 +1,12 @@
 #include "src/core/smfl.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "src/common/fault.h"
 #include "src/common/fit_progress.h"
@@ -26,26 +30,15 @@ using mf::kDivEps;
 
 Matrix SmflModel::Reconstruct() const { return la::MatMul(u, v); }
 
-namespace {
-
-// Objective from a reconstruction already restricted to Ω. The
-// lambda * LQF product is kept even at lambda == 0 so that, on a graph
+// The lambda * LQF product is kept even at lambda == 0 so that, on a graph
 // with edges, a non-finite U still poisons the objective.
-double ObjectiveGiven(const Matrix& x, const data::ObservedIndex& omega,
-                      const NeighborGraph& graph, double lambda,
-                      const Matrix& u, const Matrix& uv_masked) {
-  return data::MaskedSquaredError(x, omega, uv_masked) +
-         lambda * graph.LaplacianQuadraticForm(u);
-}
-
-}  // namespace
-
 double SmflObjective(const Matrix& x, const Mask& observed,
                      const NeighborGraph& graph, double lambda,
                      const Matrix& u, const Matrix& v) {
-  const data::ObservedIndex omega = data::ObservedIndex::FromMask(observed);
-  return ObjectiveGiven(x, omega, graph, lambda, u,
-                        data::MaskedReconstruct(u, v, omega));
+  const data::ObservedIndex omega = data::ObservedIndex::FromMask(observed, x);
+  std::vector<double> uv_packed(static_cast<size_t>(omega.Count()));
+  return data::MaskedReconstructPacked(u, v, omega, uv_packed) +
+         lambda * graph.LaplacianQuadraticForm(u);
 }
 
 namespace {
@@ -93,116 +86,202 @@ Status ValidateInputs(const Matrix& x, const Mask& observed,
   return Status::OK();
 }
 
-// Uᵀ R_Ω(X) restricted to columns [col_begin, M): the only V columns SMFL
-// updates. Returns a K x (M - col_begin) matrix. Parallelized over output
-// row blocks; each chunk streams the rows of a and b once, so every
-// element keeps its ascending-p summation order at any thread count.
-Matrix MatMulAtBColsFrom(const Matrix& a, const Matrix& b, Index col_begin) {
-  const Index k = a.cols(), m = b.cols() - col_begin;
-  Matrix c(k, m);
-  constexpr Index kRowGrain = 16;
+// ---------------------------------------------------------------------------
+// The Ω-sparse iteration. Formulas 13/14 read X and UV only through R_Ω, so
+// each pass walks the observed cells and nothing else: the U pass the CSR
+// rows of the ObservedIndex, the V pass its CSC twin, and the
+// reconstruction (data::MaskedReconstructPacked) writes R_Ω(UV) as |Ω|
+// packed doubles in CSR order. No n×m buffer exists in the loop. Every
+// output entry keeps the ascending-index mul/add chain of the dense
+// product it replaces; the only terms dropped are unobserved cells, each an
+// exact +0.0 (a zero times a finite factor entry) added to a chain that
+// starts at +0.0 and so never holds −0.0. Models are therefore bitwise
+// identical to the dense form — tests/smfl_oracle_test.cc checks the fit
+// against naive dense loops of both update rules. A non-finite factor
+// entry the objective cannot see (in a row or column with no observed
+// cell) no longer spreads through dense products; the TrainingGuard's
+// checkpoint refresh, which refuses non-finite factors, catches it.
+
+// Row grain of the U pass: each chunk owns its rows of U_new.
+constexpr Index kUpdateRowGrain = 64;
+// Column grain of the V pass: each free column is an independent unit of
+// |Ω_j|·K work that owns its K entries of V.
+constexpr Index kUpdateColGrain = 1;
+
+// One U step from (U, V) into `u_next`: Formula 13,
+//   U ← U ⊙ (R_Ω(X)Vᵀ + λ D U) / max(R_Ω(UV)Vᵀ + λ W U, div_eps),
+// or the projected-gradient step (§III-B1),
+//   U ← max(0, U + 2θ ((R_Ω(X) − R_Ω(UV))Vᵀ − λ (W U − D U))).
+// Row-parallel over the CSR spans; row i reads x and `uv_packed` (R_Ω(UV)
+// for the incoming factors, left by the previous objective evaluation) at
+// its observed cells only, and its neighbours' rows of U for the graph
+// terms — which is why U_new goes to a second buffer. `div_eps` is the
+// denominator floor the TrainingGuard widens after a rollback.
+void UpdateU(const data::ObservedIndex& omega,
+             std::span<const double> uv_packed, const NeighborGraph& graph,
+             const SmflOptions& options, double div_eps, const Matrix& u,
+             const Matrix& v, Matrix& u_next) {
+  const Index k = u.cols(), m = v.cols();
+  constexpr Index kWidth = la::simd::kPanelWidth;
+  const Index panels = (k + kWidth - 1) / kWidth;
+  // V's rows packed into dot_panel panels once per update; panel q holds
+  // rows [q·kWidth, q·kWidth + kWidth).
+  std::vector<double> packed(
+      static_cast<size_t>(panels * kWidth * std::max<Index>(m, 1)));
+  for (Index q = 0; q < panels; ++q) {
+    la::simd::PackRowPanel(v.data() + q * kWidth * m, m,
+                           std::min(kWidth, k - q * kWidth), m,
+                           packed.data() + q * kWidth * m);
+  }
+  const bool multiplicative = options.update == UpdateMethod::kMultiplicative;
+  const double lambda = options.lambda;
+  const double step = 2.0 * options.learning_rate;
   // Resolved on the calling thread so a ScopedSimd override reaches the
   // pool workers (simd.h, dispatch resolution).
   const la::simd::Kernels& ker = la::simd::Active();
-  if (ker.tier != la::simd::Tier::kScalar) {
-    SMFL_COUNTER_INC("la.simd.dispatch.matmul_atb_cols");
-  }
-  parallel::ParallelFor(0, k, kRowGrain, [&](Index r0, Index r1) {
-    for (Index p = 0; p < a.rows(); ++p) {
-      auto arow = a.Row(p);
-      auto brow = b.Row(p);
-      for (Index i = r0; i < r1; ++i) {
-        const double av = arow[i];
-        // smfl-lint: allow(float-eq) exact zero-skip: 0.0 adds nothing
-        if (av == 0.0) continue;
-        ker.axpy(m, av, brow.data() + col_begin, c.Row(i).data());
+  parallel::ParallelFor(0, u.rows(), kUpdateRowGrain, [&](Index r0, Index r1) {
+    std::vector<double> num(static_cast<size_t>(k)),
+        den(static_cast<size_t>(k)), du(static_cast<size_t>(k)),
+        resid(static_cast<size_t>(m));
+    for (Index i = r0; i < r1; ++i) {
+      const std::span<const Index> cols = omega.RowCols(i);
+      const auto observed = static_cast<Index>(cols.size());
+      const double* xs = omega.RowValues(i).data();
+      const double* uvs = uv_packed.data() + omega.RowOffset(i);
+      // Multiplicative: num = R_Ω(X)Vᵀ and den = R_Ω(UV)Vᵀ. Gradient: the
+      // single chain (R_Ω(X) − R_Ω(UV))Vᵀ, into num.
+      const double* a = xs;
+      if (!multiplicative) {
+        for (Index c = 0; c < observed; ++c) {
+          resid[static_cast<size_t>(c)] = xs[c] - uvs[c];
+        }
+        a = resid.data();
+      }
+      for (Index q = 0; q < panels; ++q) {
+        const Index lanes = std::min(kWidth, k - q * kWidth);
+        const double* panel = packed.data() + q * kWidth * m;
+        ker.dot_panel_cols(observed, a, cols.data(), panel, lanes,
+                           num.data() + q * kWidth);
+        if (multiplicative) {
+          ker.dot_panel_cols(observed, uvs, cols.data(), panel, lanes,
+                             den.data() + q * kWidth);
+        }
+      }
+      const auto urow = u.Row(i);
+      double degree = 0.0;
+      if (lambda > 0.0) {
+        // (D U)_i in NeighborGraph::MultiplyD's order: neighbour rows
+        // summed from zero in adjacency order.
+        std::fill(du.begin(), du.end(), 0.0);
+        for (const NeighborGraph::Edge& e : graph.NeighborsOf(i)) {
+          const auto nrow = u.Row(e.to);
+          for (Index l = 0; l < k; ++l) {
+            du[static_cast<size_t>(l)] += e.weight * nrow[l];
+          }
+        }
+        degree = graph.Degree(i);
+      }
+      auto out = u_next.Row(i);
+      for (Index l = 0; l < k; ++l) {
+        const auto sl = static_cast<size_t>(l);
+        if (multiplicative) {
+          double nl = num[sl], dl = den[sl];
+          if (lambda > 0.0) {
+            nl += du[sl] * lambda;
+            dl += degree * urow[l] * lambda;
+          }
+          out[l] = urow[l] * (nl / std::max(dl, div_eps));
+        } else {
+          double g = num[sl];
+          if (lambda > 0.0) g -= (degree * urow[l] - du[sl]) * lambda;
+          out[l] = std::max(urow[l] + g * step, 0.0);
+        }
       }
     }
   });
-  return c;
 }
 
-// One multiplicative U update (Formula 13):
-// U ← U ⊙ (R_Ω(X)Vᵀ + λ D U) / (R_Ω(UV)Vᵀ + λ W U)
-// `uv_masked` is R_Ω(UV) for the U and V passed in — the previous
-// iteration's objective evaluation already computed it, so the caller
-// hands it down instead of paying a third reconstruction per iteration.
-// `div_eps` is the denominator floor; the TrainingGuard widens it when a
-// near-zero denominator has already caused a rollback.
-void UpdateUMultiplicative(const Matrix& x_observed,
-                           const NeighborGraph& graph, double lambda,
-                           double div_eps, Matrix& u, const Matrix& v,
-                           const Matrix& uv_masked) {
-  Matrix num = la::MatMulABt(x_observed, v);
-  Matrix den = la::MatMulABt(uv_masked, v);
-  if (lambda > 0.0) {
-    Matrix du = graph.MultiplyD(u);
-    Matrix wu = graph.MultiplyW(u);
-    du *= lambda;
-    wu *= lambda;
-    num += du;
-    den += wu;
-  }
-  u = la::Hadamard(u, la::SafeDivide(num, den, div_eps));
-}
-
-// One multiplicative V update (Formula 14) over columns [col_begin, M);
-// col_begin = L for SMFL (landmark columns frozen), 0 for SMF. U has just
-// been updated, so R_Ω(U_new V) must be recomputed here — it cannot be
-// shared with the U update, which needed R_Ω(U_old V).
-void UpdateVMultiplicative(const Matrix& x_observed,
-                           const data::ObservedIndex& omega, const Matrix& u,
-                           double div_eps, Matrix& v, Index col_begin) {
-  if (col_begin >= v.cols()) return;
-  Matrix uv_masked = data::MaskedReconstruct(u, v, omega);
-  Matrix num = MatMulAtBColsFrom(u, x_observed, col_begin);
-  Matrix den = MatMulAtBColsFrom(u, uv_masked, col_begin);
-  for (Index i = 0; i < v.rows(); ++i) {
-    auto vrow = v.Row(i);
-    auto nrow = num.Row(i);
-    auto drow = den.Row(i);
-    for (Index j = col_begin; j < v.cols(); ++j) {
-      vrow[j] *= nrow[j - col_begin] /
-                 std::max(drow[j - col_begin], div_eps);
-    }
-  }
-}
-
-// Projected gradient step for U (§III-B1):
-// U ← max(0, U + 2θ (R_Ω(X)Vᵀ − R_Ω(UV)Vᵀ − λ L U)).
-// `uv_masked` is R_Ω(UV) for the incoming U, handed down by the caller.
-void UpdateUGradient(const Matrix& x_observed,
-                     const NeighborGraph& graph, double lambda, double theta,
-                     Matrix& u, const Matrix& v, const Matrix& uv_masked) {
-  Matrix grad = la::MatMulABt(x_observed - uv_masked, v);
-  if (lambda > 0.0) {
-    // L U = W U − D U.
-    Matrix lu = graph.MultiplyW(u);
-    lu -= graph.MultiplyD(u);
-    lu *= lambda;
-    grad -= lu;
-  }
-  grad *= 2.0 * theta;
-  u += grad;
-  la::ClampMin(u, 0.0);
-}
-
-// Projected gradient step for the free columns of V.
-void UpdateVGradient(const Matrix& x_observed,
-                     const data::ObservedIndex& omega, const Matrix& u,
-                     double delta, Matrix& v, Index col_begin) {
-  if (col_begin >= v.cols()) return;
-  Matrix uv_masked = data::MaskedReconstruct(u, v, omega);
-  Matrix num = MatMulAtBColsFrom(u, x_observed, col_begin);
-  Matrix den = MatMulAtBColsFrom(u, uv_masked, col_begin);
-  for (Index i = 0; i < v.rows(); ++i) {
-    auto vrow = v.Row(i);
-    for (Index j = col_begin; j < v.cols(); ++j) {
-      const double g =
-          2.0 * delta * (num(i, j - col_begin) - den(i, j - col_begin));
-      vrow[j] = std::max(0.0, vrow[j] + g);
-    }
-  }
+// One V step over the free columns j >= omega.ColumnsBegin() (L for SMFL,
+// whose landmark columns stay frozen; 0 for SMF/NMF), reading the
+// just-updated U: Formula 14,
+//   V ← V ⊙ (Uᵀ R_Ω(X)) / max(Uᵀ R_Ω(UV), div_eps),
+// or its projected-gradient step V ← max(0, V + 2θ (Uᵀ R_Ω(X) − Uᵀ R_Ω(UV))).
+// Column-parallel over the CSC twin: each observed row p of column j, in
+// ascending order, forms (U V)_pj with masked_dot_cols' chain and feeds
+// both sums. Column j's reconstruction reads only column j of V, so the
+// column is updated in place once its sums are complete.
+//
+// The dense forms skip u_pl == 0 in the reconstruction and in both sums.
+// Against a finite partner a skipped term is an exact ±0.0 that leaves a
+// sum (never −0.0) unchanged, so the loops test for zeros only where the
+// partner — V's column, or a reconstructed entry — is not finite; x always
+// is (ValidateInputs).
+void UpdateV(const data::ObservedIndex& omega, const SmflOptions& options,
+             double div_eps, const Matrix& u, Matrix& v) {
+  const Index k = u.cols();
+  const bool multiplicative = options.update == UpdateMethod::kMultiplicative;
+  const double step = 2.0 * options.learning_rate;
+  // Observed rows reconstructed together: independent dot chains that
+  // interleave instead of waiting on one another's adds.
+  constexpr size_t kRowBlock = 4;
+  parallel::ParallelFor(
+      omega.ColumnsBegin(), v.cols(), kUpdateColGrain, [&](Index c0, Index c1) {
+        std::vector<double> vj(static_cast<size_t>(k)),
+            num(static_cast<size_t>(k)), den(static_cast<size_t>(k)),
+            zeros(static_cast<size_t>(k), 0.0);
+        for (Index j = c0; j < c1; ++j) {
+          bool finite_column = true;
+          for (Index l = 0; l < k; ++l) {
+            vj[static_cast<size_t>(l)] = v(l, j);
+            finite_column = finite_column && std::isfinite(v(l, j));
+          }
+          std::fill(num.begin(), num.end(), 0.0);
+          std::fill(den.begin(), den.end(), 0.0);
+          const std::span<const Index> rows = omega.ColRows(j);
+          const std::span<const double> xs = omega.ColValues(j);
+          for (size_t c = 0; c < rows.size(); c += kRowBlock) {
+            const size_t block = std::min(kRowBlock, rows.size() - c);
+            // A short block pads with a zero row, whose chain is all zeros.
+            std::array<const double*, kRowBlock> ur;
+            for (size_t q = 0; q < kRowBlock; ++q) {
+              ur[q] = q < block ? u.Row(rows[c + q]).data() : zeros.data();
+            }
+            std::array<double, kRowBlock> uv{};
+            for (Index l = 0; l < k; ++l) {
+              const double vl = vj[static_cast<size_t>(l)];
+              for (size_t q = 0; q < kRowBlock; ++q) {
+                // smfl-lint: allow(float-eq) exact zero-skip: 0.0 adds nothing
+                if (!finite_column && ur[q][l] == 0.0) continue;
+                uv[q] += ur[q][l] * vl;
+              }
+            }
+            for (size_t q = 0; q < block; ++q) {
+              const double x = xs[c + q];
+              const double r = uv[q];
+              const double* w = ur[q];
+              if (std::isfinite(r)) {
+                for (Index l = 0; l < k; ++l) {
+                  num[static_cast<size_t>(l)] += w[l] * x;
+                  den[static_cast<size_t>(l)] += w[l] * r;
+                }
+                continue;
+              }
+              for (Index l = 0; l < k; ++l) {
+                // smfl-lint: allow(float-eq) exact zero-skip: 0.0 adds nothing
+                if (w[l] == 0.0) continue;
+                num[static_cast<size_t>(l)] += w[l] * x;
+                den[static_cast<size_t>(l)] += w[l] * r;
+              }
+            }
+          }
+          for (Index l = 0; l < k; ++l) {
+            const auto sl = static_cast<size_t>(l);
+            v(l, j) = multiplicative
+                          ? vj[sl] * (num[sl] / std::max(den[sl], div_eps))
+                          : std::max(0.0, vj[sl] + step * (num[sl] - den[sl]));
+          }
+        }
+      });
 }
 
 }  // namespace
@@ -566,21 +645,26 @@ Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
   }
   }  // resume == nullptr initialization
 
-  const Matrix x_observed = data::ApplyMask(x, observed);
-  // Ω in CSR form (with the observed values packed alongside), built once
-  // per attempt: every reconstruction and objective evaluation below —
-  // including the TrainingGuard rollback rebuild — walks only its spans.
-  const data::ObservedIndex omega = data::ObservedIndex::FromMask(observed, x);
+  // Ω in CSR form with the observed values packed alongside, plus its CSC
+  // twin over the columns the V update touches, built once per attempt:
+  // every pass of the iteration below — and the TrainingGuard rollback
+  // rebuild — walks only these spans.
+  data::ObservedIndex omega = data::ObservedIndex::FromMask(observed, x);
+  omega.BuildColumns(v_update_begin);
   FitReport& report = model.report;
-  // R_Ω(UV) for the current iterates. Computed once per accepted state:
-  // the objective evaluation at the end of each iteration doubles as the
-  // input to the next iteration's U update (which needs exactly
-  // R_Ω(U_old V_old)), replacing what used to be a third independent
-  // reconstruction per iteration.
-  Matrix uv_masked = data::MaskedReconstruct(model.u, model.v, omega);
+  // R_Ω(UV) for the current iterates, packed in CSR order. Computed once
+  // per accepted state: the objective evaluation at the end of each
+  // iteration doubles as the input to the next iteration's U update (which
+  // needs exactly R_Ω(U_old V_old)).
+  std::vector<double> uv_packed(static_cast<size_t>(omega.Count()));
+  // The U step's output buffer, swapped with model.u after each step.
+  Matrix u_next(n, k);
+  const double initial_error =
+      data::MaskedReconstructPacked(model.u, model.v, omega, uv_packed);
   if (resume == nullptr) {
-    report.objective_trace.push_back(ObjectiveGiven(
-        x, omega, graph, options.lambda, model.u, uv_masked));
+    report.objective_trace.push_back(
+        initial_error +
+        options.lambda * graph.LaplacianQuadraticForm(model.u));
   } else {
     report.objective_trace = resume->objective_trace;
     report.iterations = resume->iteration + 1;
@@ -645,33 +729,15 @@ Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
   for (int iter = start_iter; iter < options.max_iterations; ++iter) {
     SMFL_TRACE_SPAN("smfl.fit.iter");
     report.iterations = iter + 1;
-    switch (options.update) {
-      case UpdateMethod::kMultiplicative: {
-        {
-          SMFL_TRACE_SPAN("smfl.fit.update_u");
-          UpdateUMultiplicative(x_observed, graph, options.lambda,
-                                div_eps, model.u, model.v, uv_masked);
-        }
-        {
-          SMFL_TRACE_SPAN("smfl.fit.update_v");
-          UpdateVMultiplicative(x_observed, omega, model.u, div_eps,
-                                model.v, v_update_begin);
-        }
-        break;
-      }
-      case UpdateMethod::kGradientDescent: {
-        {
-          SMFL_TRACE_SPAN("smfl.fit.update_u");
-          UpdateUGradient(x_observed, graph, options.lambda,
-                          options.learning_rate, model.u, model.v, uv_masked);
-        }
-        {
-          SMFL_TRACE_SPAN("smfl.fit.update_v");
-          UpdateVGradient(x_observed, omega, model.u, options.learning_rate,
-                          model.v, v_update_begin);
-        }
-        break;
-      }
+    {
+      SMFL_TRACE_SPAN("smfl.fit.update_u");
+      UpdateU(omega, uv_packed, graph, options, div_eps, model.u, model.v,
+              u_next);
+      std::swap(model.u, u_next);
+    }
+    {
+      SMFL_TRACE_SPAN("smfl.fit.update_v");
+      UpdateV(omega, options, div_eps, model.u, model.v);
     }
     // Fault points for robustness tests: corrupt a factor entry / blow the
     // objective up right after the update, before the guard looks.
@@ -681,15 +747,17 @@ Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
     if (SMFL_FAULT_FIRED("smfl.update.spike")) {
       model.u *= 1e3;
     }
-    // Reconstruction for the just-updated iterates: feeds this objective
-    // evaluation now and the next iteration's U update (computed after the
-    // fault points so an injected corruption is visible to the guard).
+    // Reconstruction and squared error for the just-updated iterates: the
+    // packed R_Ω(UV) feeds the next iteration's U update (computed after
+    // the fault points so an injected corruption is visible to the guard).
+    double squared_error = 0.0;
     {
       SMFL_TRACE_SPAN("smfl.fit.reconstruct");
-      uv_masked = data::MaskedReconstruct(model.u, model.v, omega);
+      squared_error =
+          data::MaskedReconstructPacked(model.u, model.v, omega, uv_packed);
     }
     const double objective =
-        ObjectiveGiven(x, omega, graph, options.lambda, model.u, uv_masked);
+        squared_error + options.lambda * graph.LaplacianQuadraticForm(model.u);
     // The paper's headline convergence artifact: the objective trajectory
     // over wall-clock time, as a counter track in the trace file.
     SMFL_TRACE_COUNTER("smfl.fit.objective", objective);
@@ -715,7 +783,8 @@ Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
         if (report.objective_trace.size() > keep) {
           report.objective_trace.resize(keep);
         }
-        uv_masked = data::MaskedReconstruct(model.u, model.v, omega);
+        (void)data::MaskedReconstructPacked(model.u, model.v, omega,
+                                            uv_packed);
         continue;
       }
     }

@@ -1,5 +1,6 @@
 #include "src/data/csv.h"
 
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -162,22 +163,32 @@ Status WriteCsv(const std::string& path, const Table& table,
   }
   // Rendered in memory, then atomically replaced on disk (temp + fsync +
   // rename): a crash mid-write can never leave a truncated CSV behind.
-  std::ostringstream out;
+  // Cells go through std::to_chars in general format at precision 12,
+  // which the standard defines as printf's %.12g: the same bytes an
+  // ostream at precision(12) writes, without its per-cell overhead.
+  std::string out;
   const auto& names = table.column_names();
   for (size_t j = 0; j < names.size(); ++j) {
-    if (j > 0) out << delimiter;
-    out << names[j];
+    if (j > 0) out += delimiter;
+    out += names[j];
   }
-  out << "\n";
-  out.precision(12);
+  out += '\n';
+  // %.12g needs at most 19 bytes ("-1.23456789012e-308"), plus a delimiter.
+  out.reserve(out.size() + static_cast<size_t>(table.NumRows()) *
+                               (static_cast<size_t>(table.NumCols()) * 20 + 1));
+  char cell[32];
   for (Index i = 0; i < table.NumRows(); ++i) {
     for (Index j = 0; j < table.NumCols(); ++j) {
-      if (j > 0) out << delimiter;
-      if (observed.Contains(i, j)) out << table.values()(i, j);
+      if (j > 0) out += delimiter;
+      if (!observed.Contains(i, j)) continue;
+      const std::to_chars_result r =
+          std::to_chars(cell, cell + sizeof(cell), table.values()(i, j),
+                        std::chars_format::general, 12);
+      out.append(cell, r.ptr);
     }
-    out << "\n";
+    out += '\n';
   }
-  return WriteFileDurable(path, out.str());
+  return WriteFileDurable(path, out);
 }
 
 Status WriteCsv(const std::string& path, const Table& table, char delimiter) {

@@ -1,5 +1,7 @@
 #include "src/data/observed_index.h"
 
+#include <algorithm>
+
 #include "src/common/parallel.h"
 #include "src/common/telemetry.h"
 #include "src/la/simd.h"
@@ -13,6 +15,7 @@ ObservedIndex ObservedIndex::FromRowMajorBytes(Index rows, Index cols,
   ObservedIndex out;
   out.rows_ = rows;
   out.cols_ = cols;
+  out.col_begin_ = cols;
   out.row_ptr_.assign(static_cast<size_t>(rows) + 1, 0);
   // First pass sizes the exact allocation; second pass fills. Both stream
   // the byte grid row-major, so the column order within each row (and the
@@ -39,6 +42,7 @@ ObservedIndex ObservedIndex::FromMask(const Mask& mask) {
     ObservedIndex out;
     out.rows_ = mask.rows();
     out.cols_ = mask.cols();
+    out.col_begin_ = mask.cols();
     out.row_ptr_.assign(static_cast<size_t>(mask.rows()) + 1, 0);
     return out;
   }
@@ -59,41 +63,75 @@ ObservedIndex ObservedIndex::FromMask(const Mask& mask, const Matrix& values) {
   return out;
 }
 
+void ObservedIndex::BuildColumns(Index col_begin) {
+  SMFL_CHECK(col_begin >= 0 && col_begin <= cols_);
+  col_begin_ = col_begin;
+  const auto width = static_cast<size_t>(cols_ - col_begin);
+  // Counting sort of the CSR entries by column: count, prefix-sum, then
+  // scatter in CSR order — rows ascend within each column because the CSR
+  // walk visits rows in ascending order.
+  col_ptr_.assign(width + 1, 0);
+  for (const Index j : col_idx_) {
+    if (j >= col_begin) ++col_ptr_[static_cast<size_t>(j - col_begin) + 1];
+  }
+  for (size_t c = 0; c < width; ++c) col_ptr_[c + 1] += col_ptr_[c];
+  const auto total = static_cast<size_t>(col_ptr_[width]);
+  row_idx_.assign(total, 0);
+  col_values_.assign(values_.empty() ? 0 : total, 0.0);
+  std::vector<Index> next(col_ptr_.begin(), col_ptr_.end() - 1);
+  for (Index i = 0; i < rows_; ++i) {
+    for (Index e = row_ptr_[static_cast<size_t>(i)];
+         e < row_ptr_[static_cast<size_t>(i) + 1]; ++e) {
+      const Index j = col_idx_[static_cast<size_t>(e)];
+      if (j < col_begin) continue;
+      const auto slot =
+          static_cast<size_t>(next[static_cast<size_t>(j - col_begin)]++);
+      row_idx_[slot] = i;
+      if (!values_.empty()) col_values_[slot] = values_[static_cast<size_t>(e)];
+    }
+  }
+}
+
 namespace {
 
-// One output row of R_Ω(UV) given its observed column list. Dense rows
-// (past the tier's measured crossover — simd.h) stream the rows of V in
-// ascending-k order (the per-element summation order of la::MatMul,
-// zero-skip included) and then zero the unobserved entries by walking the
-// column list; sparse rows run the per-entry dots of masked_dot_cols.
+// One row of U V at its observed columns, written to orow[cols[c]]. Dense
+// rows (past the tier's measured crossover — simd.h) zero the whole row and
+// stream the rows of V into it in ascending-k order (the per-element
+// summation order of la::MatMul, zero-skip included), so they also leave
+// the unobserved entries of orow holding U V; sparse rows run the
+// per-entry dots of masked_dot_cols and touch only the observed entries.
 // Both paths build every observed entry with the identical mul/add chain,
 // so the crossover choice never changes a bit of the output. Returns true
-// when the dense path ran (for the dispatch counters).
+// when the dense path ran.
 inline bool ReconstructRowForCols(const la::simd::Kernels& ker, Index k,
                                   Index m, const double* urow,
                                   const double* vd, const Index* cols,
                                   Index observed, double* orow) {
   if (observed * ker.dense_crossover >= m) {
+    std::fill(orow, orow + m, 0.0);
     for (Index p = 0; p < k; ++p) {
       const double uv = urow[p];
       // smfl-lint: allow(float-eq) exact zero-skip: 0.0 adds nothing
       if (uv == 0.0) continue;
       ker.axpy(m, uv, vd + p * m, orow);
     }
-    if (observed != m) {
-      Index c = 0;
-      for (Index j = 0; j < m; ++j) {
-        if (c < observed && cols[c] == j) {
-          ++c;
-        } else {
-          orow[j] = 0.0;
-        }
-      }
-    }
     return true;
   }
   ker.masked_dot_cols(k, m, urow, vd, cols, observed, orow);
   return false;
+}
+
+// Zeroes the entries of orow outside the ascending column list.
+inline void ZeroUnobserved(Index m, const Index* cols, Index observed,
+                           double* orow) {
+  Index c = 0;
+  for (Index j = 0; j < m; ++j) {
+    if (c < observed && cols[c] == j) {
+      ++c;
+    } else {
+      orow[j] = 0.0;
+    }
+  }
 }
 
 }  // namespace
@@ -123,6 +161,7 @@ Matrix MaskedReconstruct(const Matrix& u, const Matrix& v,
       if (observed == 0) continue;
       if (ReconstructRowForCols(ker, k, m, ud + i * k, vd, cols.data(),
                                 observed, od + i * m)) {
+        if (observed != m) ZeroUnobserved(m, cols.data(), observed, od + i * m);
         ++dense_rows;
       } else {
         ++gather_rows;
@@ -197,6 +236,56 @@ double MaskedSquaredError(const Matrix& x, const ObservedIndex& omega,
                                  uv_masked.data() + i * m, cols.data(),
                                  observed, sq.data());
         }
+        return acc;
+      });
+}
+
+double MaskedReconstructPacked(const Matrix& u, const Matrix& v,
+                               const ObservedIndex& omega,
+                               std::span<double> packed_uv) {
+  SMFL_CHECK_EQ(u.cols(), v.rows());
+  SMFL_CHECK_EQ(u.rows(), omega.rows());
+  SMFL_CHECK_EQ(v.cols(), omega.cols());
+  SMFL_CHECK_EQ(static_cast<Index>(packed_uv.size()), omega.Count());
+  SMFL_CHECK(omega.HasValues() || omega.Count() == 0);
+  const Index k = u.cols(), m = v.cols();
+  const double* ud = u.data();
+  const double* vd = v.data();
+  // MaskedSquaredError's grain: the chunking fixes the summation grouping.
+  constexpr Index kRowGrain = 64;
+  const la::simd::Kernels& ker = la::simd::Active();
+  if (ker.tier != la::simd::Tier::kScalar) {
+    SMFL_COUNTER_INC("la.simd.dispatch.masked_reconstruct");
+  }
+  return parallel::ParallelReduce(
+      0, u.rows(), kRowGrain, [&](Index r0, Index r1) {
+        // One reconstructed row, then gathered to its packed slots.
+        std::vector<double> row(static_cast<size_t>(m));
+        double acc = 0.0;
+        Index dense_rows = 0, gather_rows = 0;
+        for (Index i = r0; i < r1; ++i) {
+          const std::span<const Index> cols = omega.RowCols(i);
+          if (cols.empty()) continue;
+          const auto observed = static_cast<Index>(cols.size());
+          if (ReconstructRowForCols(ker, k, m, ud + i * k, vd, cols.data(),
+                                    observed, row.data())) {
+            ++dense_rows;
+          } else {
+            ++gather_rows;
+          }
+          const double* xvals = omega.RowValues(i).data();
+          double* out = packed_uv.data() + omega.RowOffset(i);
+          double row_acc = 0.0;
+          for (Index c = 0; c < observed; ++c) {
+            const double r = row[static_cast<size_t>(cols[c])];
+            out[c] = r;
+            const double d = xvals[c] - r;
+            row_acc += d * d;
+          }
+          acc += row_acc;
+        }
+        SMFL_COUNTER_ADD("la.simd.dispatch.masked_rows_dense", dense_rows);
+        SMFL_COUNTER_ADD("la.simd.dispatch.masked_rows_gather", gather_rows);
         return acc;
       });
 }

@@ -1,14 +1,16 @@
-// CSR-style layout of the observed set Ω (the paper's R_Ω support).
+// CSR-style layout of the observed set Ω (the paper's R_Ω support), with
+// an optional CSC twin.
 //
 // The fit loop only ever touches observed entries, yet a Mask answers
 // "which columns of row i are observed?" by rescanning its byte row. An
 // ObservedIndex answers it with a precomputed span: row_ptr + col_idx in
 // the same compressed-sparse-row shape as la::SparseMatrix (sparse.h),
-// built once per fit in O(n·m) and reused by every reconstruction,
-// objective evaluation, and fold-in grouping afterwards. The index itself
-// costs O(|Ω|) memory ((rows+1 + |Ω|) Index slots, plus |Ω| doubles when
-// the observed values are packed alongside), independent of how sparse the
-// byte grid it came from was.
+// built once per fit in O(n·m) and reused by every pass of the iteration
+// and by fold-in grouping. BuildColumns adds the same set by column (for
+// the fit's column-parallel V update). The index costs O(|Ω|) memory
+// ((rows+1 + |Ω|) Index slots, plus |Ω| doubles when the observed values
+// are packed alongside, and as much again for the twin), independent of
+// how sparse the byte grid it came from was.
 //
 // The masked kernels below are the only form of R_Ω(UV) and of the masked
 // squared error: they visit the observed columns of each row in ascending
@@ -80,16 +82,59 @@ class ObservedIndex {
 
   bool HasValues() const { return !values_.empty(); }
 
+  // Position of row i's first entry in CSR order: per-cell arrays packed
+  // parallel to the index (|Ω| doubles) hold row i's observed columns at
+  // [RowOffset(i), RowOffset(i + 1)).
+  Index RowOffset(Index i) const {
+    SMFL_DCHECK(i >= 0 && i <= rows_);
+    return row_ptr_[static_cast<size_t>(i)];
+  }
+
+  // Builds the CSC twin for columns [col_begin, cols): per column, the
+  // observed rows in ascending order and (when the index carries values)
+  // their packed values. O(|Ω|) from the CSR arrays, no mask scan; a
+  // second call replaces the first.
+  void BuildColumns(Index col_begin);
+
+  // First column the CSC twin covers (cols() when it was never built).
+  Index ColumnsBegin() const { return col_begin_; }
+
+  // Column j's observed rows, ascending. Requires
+  // ColumnsBegin() <= j < cols().
+  std::span<const Index> ColRows(Index j) const {
+    SMFL_DCHECK(j >= col_begin_ && j < cols_);
+    const auto slot = static_cast<size_t>(j - col_begin_);
+    const auto begin = static_cast<size_t>(col_ptr_[slot]);
+    const auto end = static_cast<size_t>(col_ptr_[slot + 1]);
+    return {row_idx_.data() + begin, end - begin};
+  }
+
+  // Column j's packed observed values (parallel to ColRows); empty when
+  // the index was built without values.
+  std::span<const double> ColValues(Index j) const {
+    SMFL_DCHECK(j >= col_begin_ && j < cols_);
+    if (col_values_.empty()) return {};
+    const auto slot = static_cast<size_t>(j - col_begin_);
+    const auto begin = static_cast<size_t>(col_ptr_[slot]);
+    const auto end = static_cast<size_t>(col_ptr_[slot + 1]);
+    return {col_values_.data() + begin, end - begin};
+  }
+
  private:
   Index rows_ = 0;
   Index cols_ = 0;
   std::vector<Index> row_ptr_;  // size rows_ + 1
   std::vector<Index> col_idx_;  // ascending within each row
   std::vector<double> values_;  // optional; parallel to col_idx_
+  // CSC twin over columns [col_begin_, cols_) (BuildColumns).
+  Index col_begin_ = 0;
+  std::vector<Index> col_ptr_;      // size cols_ - col_begin_ + 1
+  std::vector<Index> row_idx_;      // ascending within each column
+  std::vector<double> col_values_;  // optional; parallel to row_idx_
 };
 
-// R_Ω(U V) in one fused pass — the per-iteration hot path of the masked
-// multiplicative updates (Formulas 13/14). Equivalent to
+// R_Ω(U V) as an n×m matrix in one fused pass (the fit loop uses the
+// packed form, MaskedReconstructPacked). Equivalent to
 // ApplyMask(MatMul(u, v), Ω) bit for bit (same ascending-k summation
 // order and zero-skip per entry), but computes only what Ω needs and never
 // materializes the unmasked product or a second masking pass. Rows are
@@ -101,10 +146,23 @@ class ObservedIndex {
 
 // ||R_Ω(X) − UV_Ω||_F² given a reconstruction already restricted to Ω
 // (as produced by MaskedReconstruct). Reads the packed observed values
-// when the index carries them. Deterministic chunked reduction.
+// when the index carries them. Deterministic chunked reduction: each row
+// sums its squared residuals in ascending column order, each 64-row chunk
+// sums its rows in order, and the chunk totals join in order.
 [[nodiscard]] double MaskedSquaredError(const Matrix& x,
                                         const ObservedIndex& omega,
                                         const Matrix& uv_masked);
+
+// R_Ω(U V) and the squared error against the index's packed observed
+// values, in one pass with no n×m buffer: writes (UV) at every observed
+// cell into `packed_uv` in CSR order (|Ω| doubles, row i's at
+// [RowOffset(i), RowOffset(i + 1))) and returns ||R_Ω(X) − R_Ω(UV)||_F².
+// Each entry is MaskedReconstruct's, and the sum groups exactly as
+// MaskedSquaredError's, so both are bitwise equal to the unpacked pair.
+// The index must carry values (FromMask(mask, x)).
+[[nodiscard]] double MaskedReconstructPacked(const Matrix& u, const Matrix& v,
+                                             const ObservedIndex& omega,
+                                             std::span<double> packed_uv);
 
 }  // namespace smfl::data
 

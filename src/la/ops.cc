@@ -120,28 +120,6 @@ Matrix MatMulABt(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-Matrix Hadamard(const Matrix& a, const Matrix& b) {
-  SMFL_CHECK(a.SameShape(b));
-  Matrix c(a.rows(), a.cols());
-  const double* ad = a.data();
-  const double* bd = b.data();
-  double* cd = c.data();
-  for (Index i = 0; i < a.size(); ++i) cd[i] = ad[i] * bd[i];
-  return c;
-}
-
-Matrix SafeDivide(const Matrix& num, const Matrix& den, double eps) {
-  SMFL_CHECK(num.SameShape(den));
-  Matrix c(num.rows(), num.cols());
-  const double* nd = num.data();
-  const double* dd = den.data();
-  double* cd = c.data();
-  for (Index i = 0; i < num.size(); ++i) {
-    cd[i] = nd[i] / std::max(dd[i], eps);
-  }
-  return c;
-}
-
 double FrobeniusNormSquared(const Matrix& a) {
   double acc = 0.0;
   const double* d = a.data();
@@ -197,11 +175,6 @@ double MaxAbsDiff(const Matrix& a, const Matrix& b) {
     best = std::max(best, std::fabs(ad[i] - bd[i]));
   }
   return best;
-}
-
-void ClampMin(Matrix& a, double lo) {
-  double* d = a.data();
-  for (Index i = 0; i < a.size(); ++i) d[i] = std::max(d[i], lo);
 }
 
 Vector ColMeans(const Matrix& a) {

@@ -22,13 +22,6 @@ namespace smfl::la {
 // C = A * B^T without forming B^T.
 [[nodiscard]] Matrix MatMulABt(const Matrix& a, const Matrix& b);
 
-// Element-wise (Hadamard) product.
-[[nodiscard]] Matrix Hadamard(const Matrix& a, const Matrix& b);
-
-// Element-wise quotient with denominator clamped at `eps` (used by
-// multiplicative NMF updates; keeps entries finite and nonnegative).
-[[nodiscard]] Matrix SafeDivide(const Matrix& num, const Matrix& den, double eps);
-
 // ||A||_F.
 [[nodiscard]] double FrobeniusNorm(const Matrix& a);
 
@@ -52,10 +45,6 @@ namespace smfl::la {
 
 // Max |a_ij - b_ij|.
 [[nodiscard]] double MaxAbsDiff(const Matrix& a, const Matrix& b);
-
-// Clamps all entries below `lo` to `lo` (projection onto the nonnegative
-// orthant when lo = 0).
-void ClampMin(Matrix& a, double lo);
 
 // Column-wise mean of the rows.
 [[nodiscard]] Vector ColMeans(const Matrix& a);

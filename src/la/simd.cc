@@ -50,6 +50,22 @@ void DotPanelScalar(Index k, const double* a, const double* panel,
   }
 }
 
+void DotPanelColsScalar(Index n, const double* a, const Index* cols,
+                        const double* panel, Index lanes, double* out) {
+  // dot_panel's lane chains, walking only the listed panel rows.
+  double acc[kPanelWidth] = {};
+  for (Index c = 0; c < n; ++c) {
+    const double ac = a[c];
+    const double* prow = panel + cols[c] * kPanelWidth;
+    for (Index l = 0; l < kPanelWidth; ++l) {
+      acc[l] += ac * prow[l];
+    }
+  }
+  for (Index l = 0; l < lanes; ++l) {
+    out[l] = acc[l];
+  }
+}
+
 void MaskedDotColsScalar(Index k, Index m, const double* u, const double* v,
                          const Index* cols, Index ncols, double* orow) {
   for (Index c = 0; c < ncols; ++c) {
@@ -77,7 +93,8 @@ void SqDiffScalar(Index n, const double* x, const double* r, double* out) {
 // full-width axpy+restrict pass (the historical `observed * 4 >= m`,
 // confirmed by the BENCH_PR8 observed-rate sweep).
 constexpr Kernels kScalarTable{Tier::kScalar, AxpyScalar, DotPanelScalar,
-                               MaskedDotColsScalar, SqDiffScalar, 4};
+                               DotPanelColsScalar, MaskedDotColsScalar,
+                               SqDiffScalar, 4};
 
 // ---------------------------------------------------------------------------
 // AVX2 tier (x86). Per-function target attributes keep the rest of the
@@ -123,6 +140,25 @@ __attribute__((target("avx2"))) void DotPanelAvx2(Index k, const double* a,
   }
 }
 
+__attribute__((target("avx2"))) void DotPanelColsAvx2(
+    Index n, const double* a, const Index* cols, const double* panel,
+    Index lanes, double* out) {
+  __m256d acc0 = _mm256_setzero_pd();
+  __m256d acc1 = _mm256_setzero_pd();
+  for (Index c = 0; c < n; ++c) {
+    const __m256d ac = _mm256_set1_pd(a[c]);
+    const double* prow = panel + cols[c] * kPanelWidth;
+    acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(ac, _mm256_loadu_pd(prow)));
+    acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(ac, _mm256_loadu_pd(prow + 4)));
+  }
+  double lane[kPanelWidth];
+  _mm256_storeu_pd(lane, acc0);
+  _mm256_storeu_pd(lane + 4, acc1);
+  for (Index l = 0; l < lanes; ++l) {
+    out[l] = lane[l];
+  }
+}
+
 // No AVX2 masked_dot_cols: the _mm256_i64gather_pd kernel that lived here
 // through PR 7 measured 0.85× the scalar per-entry dots at 10% observed
 // (BENCH_PR7.json) — hardware gathers are slow on the server Xeons this
@@ -148,7 +184,8 @@ __attribute__((target("avx2"))) void SqDiffAvx2(Index n, const double* x,
 // cheaper than scalar dense, so it overtakes the (scalar) per-entry dots
 // at ~20% observed rather than 25% (BENCH_PR8 observed-rate sweep).
 constexpr Kernels kAvx2Table{Tier::kAvx2, AxpyAvx2, DotPanelAvx2,
-                             MaskedDotColsScalar, SqDiffAvx2, 5};
+                             DotPanelColsAvx2, MaskedDotColsScalar,
+                             SqDiffAvx2, 5};
 
 #endif  // SMFL_SIMD_X86
 
@@ -200,6 +237,30 @@ void DotPanelNeon(Index k, const double* a, const double* panel, Index lanes,
   }
 }
 
+void DotPanelColsNeon(Index n, const double* a, const Index* cols,
+                      const double* panel, Index lanes, double* out) {
+  float64x2_t acc0 = vdupq_n_f64(0.0);
+  float64x2_t acc1 = vdupq_n_f64(0.0);
+  float64x2_t acc2 = vdupq_n_f64(0.0);
+  float64x2_t acc3 = vdupq_n_f64(0.0);
+  for (Index c = 0; c < n; ++c) {
+    const float64x2_t ac = vdupq_n_f64(a[c]);
+    const double* prow = panel + cols[c] * kPanelWidth;
+    acc0 = vaddq_f64(acc0, vmulq_f64(ac, vld1q_f64(prow)));
+    acc1 = vaddq_f64(acc1, vmulq_f64(ac, vld1q_f64(prow + 2)));
+    acc2 = vaddq_f64(acc2, vmulq_f64(ac, vld1q_f64(prow + 4)));
+    acc3 = vaddq_f64(acc3, vmulq_f64(ac, vld1q_f64(prow + 6)));
+  }
+  double lane[kPanelWidth];
+  vst1q_f64(lane, acc0);
+  vst1q_f64(lane + 2, acc1);
+  vst1q_f64(lane + 4, acc2);
+  vst1q_f64(lane + 6, acc3);
+  for (Index l = 0; l < lanes; ++l) {
+    out[l] = lane[l];
+  }
+}
+
 void SqDiffNeon(Index n, const double* x, const double* r, double* out) {
   Index j = 0;
   for (; j + 2 <= n; j += 2) {
@@ -215,7 +276,8 @@ void SqDiffNeon(Index n, const double* x, const double* r, double* out) {
 // NEON crossover 1/5: like AVX2, sparse rows run the scalar dots while the
 // dense path runs 2-wide — break-even sits below the scalar tier's 1/4.
 constexpr Kernels kNeonTable{Tier::kNeon, AxpyNeon, DotPanelNeon,
-                             MaskedDotColsScalar, SqDiffNeon, 5};
+                             DotPanelColsNeon, MaskedDotColsScalar,
+                             SqDiffNeon, 5};
 
 #endif  // SMFL_SIMD_NEON
 

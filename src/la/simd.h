@@ -1,6 +1,8 @@
 // Vectorized microkernels behind one-time runtime CPU dispatch — the raw
-// inner loops under la::MatMul / MatMulAtB / MatMulABt, the SMFL V-update
-// gemm, and the fused data::MaskedReconstruct / MaskedSquaredError paths.
+// inner loops under la::MatMul / MatMulAtB / MatMulABt, the Ω-sparse SMFL
+// U update, and the fused data::MaskedReconstruct / MaskedSquaredError
+// paths. The table: axpy, dot_panel, dot_panel_cols (index-list
+// dot_panel), masked_dot_cols, sq_diff.
 //
 // DETERMINISM CONTRACT. Every tier (scalar, AVX2, NEON) computes every
 // output element with the IDENTICAL sequence of IEEE-754 operations: the
@@ -95,7 +97,7 @@ struct Kernels {
   Tier tier;
 
   // y[j] += a * x[j] for j in [0, n), ascending — the shared inner loop of
-  // MatMul / MatMulAtB / the SMFL V-update gemm / dense MaskedReconstruct.
+  // MatMul / MatMulAtB / dense MaskedReconstruct.
   void (*axpy)(Index n, double a, const double* x, double* y);
 
   // out[l] = sum_p a[p] * panel[p * kPanelWidth + l] for l in [0, lanes),
@@ -104,6 +106,17 @@ struct Kernels {
   // doubles to `out`. Powers MatMulABt.
   void (*dot_panel)(Index k, const double* a, const double* panel,
                     Index lanes, double* out);
+
+  // out[l] = sum_c a[c] * panel[cols[c] * kPanelWidth + l] for l in
+  // [0, lanes): dot_panel restricted to the panel rows listed in `cols`,
+  // each lane an independent ascending-c mul/add chain. With `cols` the
+  // observed columns of one data row and `a` that row's packed values, it
+  // is the Ω-sparse form of one MatMulABt output row — bitwise equal to
+  // dot_panel over the zero-filled row when the panel is finite: each
+  // skipped term is then an exact ±0.0 added to a chain that starts at
+  // +0.0 and so never holds −0.0. Powers the SMFL U update (core/smfl.cc).
+  void (*dot_panel_cols)(Index n, const double* a, const Index* cols,
+                         const double* panel, Index lanes, double* out);
 
   // orow[cols[c]] = sum_p u[p] * v[p * m + cols[c]] for c in [0, ncols),
   // with the exact-zero skip on u[p] the scalar sparse path has always

@@ -166,7 +166,8 @@ TEST(KernelEquivalenceTest, MaskedSquaredErrorIdenticalAcrossThreadCounts) {
 
 // Full-fit determinism: identical objective trajectories (and final
 // factors) at 1 vs 4 threads, across seeds, for SMFL, SMF and NMF (the
-// lambda = 0, no-landmark configuration of the same loop).
+// lambda = 0, no-landmark configuration of the same loop), under both
+// update rules.
 TEST(KernelEquivalenceTest, SmflTrajectoriesIdenticalAcrossThreadCounts) {
   for (uint64_t seed = 0; seed < 5; ++seed) {
     auto dataset = data::MakeVehicleLike(60, 100 + seed);
@@ -182,33 +183,39 @@ TEST(KernelEquivalenceTest, SmflTrajectoriesIdenticalAcrossThreadCounts) {
     const Matrix x_in = data::ApplyMask(truth, injection->observed);
 
     for (const char* method : {"SMFL", "SMF", "NMF"}) {
-      const std::string name = method;
-      core::SmflOptions options;
-      options.rank = 4;
-      options.max_iterations = 40;
-      options.tolerance = 0.0;  // full trace, no early stop
-      options.seed = seed * 7919 + 3;
-      options.use_landmarks = name == "SMFL";
-      if (name == "NMF") options.lambda = 0.0;
+      for (core::UpdateMethod rule : {core::UpdateMethod::kMultiplicative,
+                                      core::UpdateMethod::kGradientDescent}) {
+        const std::string name =
+            std::string(method) +
+            (rule == core::UpdateMethod::kGradientDescent ? " gradient" : "");
+        core::SmflOptions options;
+        options.rank = 4;
+        options.max_iterations = 40;
+        options.tolerance = 0.0;  // full trace, no early stop
+        options.seed = seed * 7919 + 3;
+        options.use_landmarks = std::string(method) == "SMFL";
+        if (std::string(method) == "NMF") options.lambda = 0.0;
+        options.update = rule;
 
-      options.threads = 1;
-      auto one = core::FitSmfl(x_in, injection->observed, 2, options);
-      ASSERT_TRUE(one.ok()) << one.status().ToString();
-      options.threads = 4;
-      auto four = core::FitSmfl(x_in, injection->observed, 2, options);
-      ASSERT_TRUE(four.ok()) << four.status().ToString();
+        options.threads = 1;
+        auto one = core::FitSmfl(x_in, injection->observed, 2, options);
+        ASSERT_TRUE(one.ok()) << one.status().ToString();
+        options.threads = 4;
+        auto four = core::FitSmfl(x_in, injection->observed, 2, options);
+        ASSERT_TRUE(four.ok()) << four.status().ToString();
 
-      const std::string label = name + " seed " + std::to_string(seed);
-      ASSERT_EQ(one->report.objective_trace.size(),
-                four->report.objective_trace.size())
-          << label;
-      for (size_t t = 0; t < one->report.objective_trace.size(); ++t) {
-        ASSERT_EQ(one->report.objective_trace[t],
-                  four->report.objective_trace[t])
-            << label << " trace index " << t;
+        const std::string label = name + " seed " + std::to_string(seed);
+        ASSERT_EQ(one->report.objective_trace.size(),
+                  four->report.objective_trace.size())
+            << label;
+        for (size_t t = 0; t < one->report.objective_trace.size(); ++t) {
+          ASSERT_EQ(one->report.objective_trace[t],
+                    four->report.objective_trace[t])
+              << label << " trace index " << t;
+        }
+        ExpectBitwiseEqual(one->u, four->u, label + " U");
+        ExpectBitwiseEqual(one->v, four->v, label + " V");
       }
-      ExpectBitwiseEqual(one->u, four->u, label + " U");
-      ExpectBitwiseEqual(one->v, four->v, label + " V");
     }
   }
 }

@@ -1136,6 +1136,78 @@ TEST_F(LintTest, RaceParallelReduceLocalAccumulatorIsSafe) {
   EXPECT_TRUE(r.violations.empty()) << ResultToJson(r);
 }
 
+// Every declarator of a multi-declarator local is chunk-local, whatever
+// its initializer form: `name(...)` and `name{...}` chain to the next
+// declarator just like `name = init`.
+TEST_F(LintTest, RaceMultiDeclaratorParenLocalsAreSafe) {
+  WriteFile("src/core/rows.cc",
+            "namespace smfl::core {\n"
+            "void Rows(la::Index n, la::Index k, la::Matrix& out) {\n"
+            "  parallel::ParallelFor(0, n, 64, [&](la::Index b, la::Index e) {\n"
+            "    std::vector<double> num(k), den(static_cast<size_t>(k)), du(k);\n"
+            "    for (la::Index i = b; i < e; ++i) {\n"
+            "      for (la::Index l = 0; l < k; ++l) {\n"
+            "        num[l] = 1.0;\n"
+            "        den[l] = 2.0;\n"
+            "        du[l] += num[l] * den[l];\n"
+            "        out(i, l) = du[l];\n"
+            "      }\n"
+            "    }\n"
+            "  });\n"
+            "}\n"
+            "}  // namespace smfl::core\n");
+  LintOptions options;
+  options.race_pass = true;
+  const LintResult r = Run(options);
+  EXPECT_TRUE(r.violations.empty()) << ResultToJson(r);
+}
+
+TEST_F(LintTest, RaceMultiDeclaratorBraceLocalsAreSafe) {
+  WriteFile("src/core/pairs.cc",
+            "namespace smfl::core {\n"
+            "void Pairs(la::Index n, la::Matrix& out) {\n"
+            "  parallel::ParallelFor(0, n, 64, [&](la::Index b, la::Index e) {\n"
+            "    std::vector<double> lo{0.0, 1.0}, hi{2.0, 3.0};\n"
+            "    for (la::Index i = b; i < e; ++i) {\n"
+            "      lo[0] = hi[1];\n"
+            "      hi[0] = lo[1];\n"
+            "      out(i, 0) = lo[0] + hi[0];\n"
+            "    }\n"
+            "  });\n"
+            "}\n"
+            "}  // namespace smfl::core\n");
+  LintOptions options;
+  options.race_pass = true;
+  const LintResult r = Run(options);
+  EXPECT_TRUE(r.violations.empty()) << ResultToJson(r);
+}
+
+// The chaining must not swallow a real race: a captured outer vector
+// written next to multi-declarator locals is still reported.
+TEST_F(LintTest, RaceCapturedVectorBesideMultiDeclaratorIsViolation) {
+  WriteFile("src/core/shared.cc",
+            "namespace smfl::core {\n"
+            "void Shared(la::Index n, la::Index k, std::vector<double>& acc) {\n"
+            "  parallel::ParallelFor(0, n, 64, [&](la::Index b, la::Index e) {\n"
+            "    std::vector<double> num(k), den(k);\n"
+            "    for (la::Index i = b; i < e; ++i) {\n"
+            "      num[0] = 1.0;\n"
+            "      den[0] = 2.0;\n"
+            "      acc[0] += num[0] * den[0];\n"
+            "    }\n"
+            "  });\n"
+            "}\n"
+            "}  // namespace smfl::core\n");
+  LintOptions options;
+  options.race_pass = true;
+  const LintResult r = Run(options);
+  ASSERT_EQ(r.violations.size(), 1u) << ResultToJson(r);
+  EXPECT_EQ(r.violations[0].rule, "race");
+  EXPECT_EQ(r.violations[0].line, 8);
+  EXPECT_NE(r.violations[0].message.find("'acc'"), std::string::npos)
+      << r.violations[0].message;
+}
+
 TEST_F(LintTest, RaceSuppressed) {
   WriteFile("src/core/flag.cc",
             "namespace smfl::core {\n"

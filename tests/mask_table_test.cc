@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <limits>
+#include <sstream>
+#include <vector>
 
+#include "src/common/rng.h"
 #include "src/data/csv.h"
 #include "src/data/mask.h"
 #include "src/data/normalize.h"
@@ -252,6 +258,63 @@ TEST(CsvTest, WriteReadRoundTrip) {
   EXPECT_FALSE(back->observed.Contains(1, 2));
   EXPECT_TRUE(back->observed.Contains(1, 1));
   std::remove(path.c_str());
+}
+
+// The writer renders cells with std::to_chars at precision 12; it must
+// emit exactly the bytes an ostream at precision(12) does (%.12g) on the
+// values where formatting is delicate: signed zeros, subnormals, the
+// extremes, round-half cases, non-finite values, and random bit patterns.
+TEST(CsvTest, WriterBytesMatchOstreamPrecision12) {
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.1, 1.0 / 3.0, 2.0 / 3.0, 123456789012.0,
+      1234567890123.0, 999999999999.5, 0.5e-4, 1e-5, 1e15, 1e16,
+      1e300, -1e300, 1e-300, -1e-300,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN()};
+  Rng rng(77);
+  while (values.size() < 600) {
+    const uint64_t bits = rng.NextU64();
+    double d;
+    std::memcpy(&d, &bits, sizeof(d));
+    values.push_back(d);
+  }
+  const Index cols = 3;
+  const Index rows = static_cast<Index>(values.size()) / cols;
+  Matrix m(rows, cols);
+  for (Index i = 0; i < m.size(); ++i) {
+    m.data()[i] = values[static_cast<size_t>(i)];
+  }
+  auto t = Table::Create({"lat", "lon", "v"}, m, 2);
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  Mask observed = Mask::AllSet(rows, cols);
+  observed.Set(1, 1, false);
+
+  std::ostringstream expected;
+  expected << "lat;lon;v\n";
+  expected.precision(12);
+  for (Index i = 0; i < rows; ++i) {
+    for (Index j = 0; j < cols; ++j) {
+      if (j > 0) expected << ';';
+      if (observed.Contains(i, j)) expected << m(i, j);
+    }
+    expected << "\n";
+  }
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "smfl_csv_bytes_test.csv")
+          .string();
+  ASSERT_TRUE(WriteCsv(path, *t, observed, ';').ok());
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream written;
+  written << in.rdbuf();
+  std::remove(path.c_str());
+  EXPECT_EQ(written.str(), expected.str());
 }
 
 // ---------------------------------------------------------------- normalize

@@ -183,22 +183,6 @@ TEST(OpsTest, MatVecProduct) {
   EXPECT_DOUBLE_EQ(y[1], -1.0);
 }
 
-TEST(OpsTest, Hadamard) {
-  Matrix a{{1, 2}, {3, 4}};
-  Matrix b{{2, 2}, {2, 2}};
-  Matrix c = Hadamard(a, b);
-  EXPECT_DOUBLE_EQ(c(1, 1), 8.0);
-}
-
-TEST(OpsTest, SafeDivideClampsDenominator) {
-  Matrix num{{1.0, 2.0}};
-  Matrix den{{0.0, 4.0}};
-  Matrix c = SafeDivide(num, den, 1e-6);
-  EXPECT_DOUBLE_EQ(c(0, 0), 1.0 / 1e-6);
-  EXPECT_DOUBLE_EQ(c(0, 1), 0.5);
-  EXPECT_FALSE(c.HasNonFinite());
-}
-
 TEST(OpsTest, NormsAndTraces) {
   Matrix a{{3, 0}, {0, 4}};
   EXPECT_DOUBLE_EQ(FrobeniusNormSquared(a), 25.0);
@@ -231,14 +215,6 @@ TEST(OpsTest, MaxAbsDiff) {
   Matrix a{{1, 2}, {3, 4}};
   Matrix b{{1, 2.5}, {3, 3}};
   EXPECT_DOUBLE_EQ(MaxAbsDiff(a, b), 1.0);
-}
-
-TEST(OpsTest, ClampMin) {
-  Matrix a{{-1, 2}, {0, -3}};
-  ClampMin(a, 0.0);
-  EXPECT_DOUBLE_EQ(a(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(a(0, 1), 2.0);
-  EXPECT_DOUBLE_EQ(a(1, 1), 0.0);
 }
 
 TEST(OpsTest, ColMeans) {

@@ -1,7 +1,8 @@
-// ObservedIndex contract tests: the CSR layout must reproduce the Mask's
-// set exactly, and the masked kernels consuming it must be bitwise
-// identical to the unfused ApplyMask(MatMul) form across observed rates,
-// thread counts, and SIMD tiers, with or without packed values.
+// ObservedIndex contract tests: the CSR layout and its CSC twin must
+// reproduce the Mask's set exactly, and the masked kernels consuming it
+// must be bitwise identical to the unfused ApplyMask(MatMul) form across
+// observed rates, thread counts, and SIMD tiers, with or without packed
+// values.
 
 #include <gtest/gtest.h>
 
@@ -119,6 +120,48 @@ TEST(ObservedIndexTest, PackedValuesMirrorObservedEntries) {
   }
 }
 
+// The CSR row offsets index per-cell packed arrays by row, and the CSC
+// twin lists exactly the mask's cells of its columns, rows ascending, with
+// the values bit-copied.
+TEST(ObservedIndexTest, RowOffsetsAndColumnTwinMatchMask) {
+  for (double rate : {0.0, 0.1, 0.5, 1.0}) {
+    const Mask mask = RandomMask(41, 17, 23, rate);
+    const Matrix x = RandomMatrix(41, 17, 24);
+    for (Index col_begin : {Index{0}, Index{2}, Index{17}}) {
+      ObservedIndex index = ObservedIndex::FromMask(mask, x);
+      index.BuildColumns(col_begin);
+      const std::string label = "rate " + std::to_string(rate) +
+                                " col_begin " + std::to_string(col_begin);
+      ASSERT_EQ(index.ColumnsBegin(), col_begin) << label;
+      ASSERT_EQ(index.RowOffset(0), 0) << label;
+      for (Index i = 0; i < mask.rows(); ++i) {
+        ASSERT_EQ(index.RowOffset(i + 1) - index.RowOffset(i),
+                  index.RowCount(i))
+            << label << " row " << i;
+      }
+      ASSERT_EQ(index.RowOffset(mask.rows()), index.Count()) << label;
+      for (Index j = col_begin; j < mask.cols(); ++j) {
+        const auto rows = index.ColRows(j);
+        const auto vals = index.ColValues(j);
+        ASSERT_EQ(rows.size(), vals.size()) << label << " col " << j;
+        size_t c = 0;
+        for (Index i = 0; i < mask.rows(); ++i) {
+          if (!mask.Contains(i, j)) continue;
+          ASSERT_LT(c, rows.size()) << label << " col " << j;
+          ASSERT_EQ(rows[c], i) << label << " col " << j;
+          ASSERT_EQ(vals[c], x(i, j)) << label << " col " << j;
+          ++c;
+        }
+        ASSERT_EQ(c, rows.size()) << label << " col " << j;
+      }
+    }
+  }
+  // Without packed values the twin carries rows only.
+  ObservedIndex bare = ObservedIndex::FromMask(RandomMask(9, 6, 3, 0.5));
+  bare.BuildColumns(1);
+  for (Index j = 1; j < 6; ++j) EXPECT_TRUE(bare.ColValues(j).empty());
+}
+
 TEST(ObservedIndexTest, EmptyShapes) {
   const ObservedIndex zero = ObservedIndex::FromMask(Mask(0, 0));
   EXPECT_EQ(zero.rows(), 0);
@@ -169,7 +212,7 @@ double ReferenceSquaredError(const Matrix& x, const Mask& mask,
 // observed rate (exercising both sides of the per-tier density crossover),
 // thread count, and SIMD tier, with and without packed values: the
 // reconstruction the unfused ApplyMask(MatMul) form, the squared error
-// ReferenceSquaredError.
+// ReferenceSquaredError — also when fused into one packed pass.
 TEST(ObservedIndexTest, MaskedKernelsBitwiseEqualReferenceForms) {
   const Index n = 83, m = 57, k = 7;
   for (double rate : {0.01, 0.1, 0.5, 1.0}) {
@@ -199,6 +242,21 @@ TEST(ObservedIndexTest, MaskedKernelsBitwiseEqualReferenceForms) {
         ASSERT_EQ(data::MaskedSquaredError(x, index_packed, via_index),
                   reference_err)
             << label << " (packed values)";
+
+        // The fit's fused form: R_Ω(UV) packed in CSR order, and the same
+        // squared error.
+        std::vector<double> packed(static_cast<size_t>(index.Count()));
+        ASSERT_EQ(data::MaskedReconstructPacked(u, v, index_packed, packed),
+                  reference_err)
+            << label << " (packed reconstruction)";
+        for (Index i = 0; i < n; ++i) {
+          const auto cols = index_packed.RowCols(i);
+          for (size_t c = 0; c < cols.size(); ++c) {
+            ASSERT_EQ(packed[static_cast<size_t>(index_packed.RowOffset(i)) + c],
+                      unfused(i, cols[c]))
+                << label << " packed row " << i << " slot " << c;
+          }
+        }
       }
     }
   }

@@ -2,9 +2,10 @@
 // every dispatched microkernel and every op built on them must produce
 // byte-identical results with vector kernels forced on vs pinned to the
 // scalar tier, at any thread count — including remainder lanes (n % 4,
-// n % 8), empty inputs, and 1x1 shapes. Full SMFL/SMF/NMF fits must
-// serialize to byte-identical model files under SMFL_SIMD=0/1 x threads
-// {1, 4} x multiple seeds (the acceptance bar of the dispatch layer). On hosts
+// n % 8), empty inputs, and 1x1 shapes. Full SMFL/SMF/NMF fits, under
+// both update rules, must serialize to byte-identical model files under
+// SMFL_SIMD=0/1 x threads {1, 4} x multiple seeds (the acceptance bar of
+// the dispatch layer). On hosts
 // whose probe resolves to the scalar tier these tests still run — both
 // sides execute the same table, so they degrade to self-consistency.
 
@@ -178,6 +179,59 @@ TEST(SimdKernelTest, DotPanelMatchesScalarTier) {
         ASSERT_EQ(out_vec[static_cast<size_t>(l)],
                   out_sca[static_cast<size_t>(l)])
             << "dot_panel k=" << k << " lanes=" << lanes << " lane " << l;
+      }
+    }
+  }
+}
+
+// The index-list dot_panel: vector tier vs scalar tier over panels with
+// fewer and more rows than kPanelWidth, ragged lane counts, and column
+// lists from empty to every row; and both tiers vs dot_panel over the
+// zero-filled dense row (the Ω-sparse U update's bitwise claim).
+TEST(SimdKernelTest, DotPanelColsMatchesScalarTier) {
+  for (const Index m : {Index{1}, Index{5}, Index{7}, simd::kPanelWidth,
+                        Index{9}, Index{20}, Index{33}}) {
+    for (const Index lanes :
+         {Index{1}, Index{2}, Index{3}, Index{5}, simd::kPanelWidth}) {
+      for (const double rate : {0.0, 0.3, 1.0}) {
+        const Matrix b = RandomMatrix(lanes, m, 41);
+        std::vector<double> panel(static_cast<size_t>(simd::kPanelWidth * m));
+        simd::PackRowPanel(b.data(), m, lanes, m, panel.data());
+        Rng rng(42 + static_cast<uint64_t>(m));
+        std::vector<Index> cols;
+        std::vector<double> a;
+        std::vector<double> dense(static_cast<size_t>(m), 0.0);
+        for (Index j = 0; j < m; ++j) {
+          if (rng.Uniform() >= rate) continue;
+          cols.push_back(j);
+          a.push_back(rng.Uniform(-1.0, 1.0));
+          dense[static_cast<size_t>(j)] = a.back();
+        }
+        const auto n = static_cast<Index>(cols.size());
+        std::vector<double> out_vec(static_cast<size_t>(lanes), -1.0);
+        std::vector<double> out_sca(static_cast<size_t>(lanes), -2.0);
+        std::vector<double> out_dense(static_cast<size_t>(lanes), -3.0);
+        {
+          simd::ScopedSimd on(1);
+          simd::Active().dot_panel_cols(n, a.data(), cols.data(),
+                                        panel.data(), lanes, out_vec.data());
+        }
+        {
+          simd::ScopedSimd off(0);
+          simd::Active().dot_panel_cols(n, a.data(), cols.data(),
+                                        panel.data(), lanes, out_sca.data());
+          simd::Active().dot_panel(m, dense.data(), panel.data(), lanes,
+                                   out_dense.data());
+        }
+        for (Index l = 0; l < lanes; ++l) {
+          const auto sl = static_cast<size_t>(l);
+          const std::string label = "dot_panel_cols m=" + std::to_string(m) +
+                                    " lanes=" + std::to_string(lanes) +
+                                    " n=" + std::to_string(n) + " lane " +
+                                    std::to_string(l);
+          ASSERT_EQ(out_vec[sl], out_sca[sl]) << label;
+          ASSERT_EQ(out_sca[sl], out_dense[sl]) << label << " vs dense";
+        }
       }
     }
   }
@@ -376,36 +430,42 @@ TEST(SimdKernelTest, FitModelsByteIdenticalSimdOnVsOff) {
     const Matrix x_in = data::ApplyMask(truth, injection->observed);
 
     for (const char* method : {"SMFL", "SMF", "NMF"}) {
-      const std::string name = method;
-      core::SmflOptions options;
-      options.rank = 4;
-      options.max_iterations = 25;
-      options.tolerance = 0.0;
-      options.seed = seed * 7919 + 3;
-      options.use_landmarks = name == "SMFL";
-      if (name == "NMF") options.lambda = 0.0;
+      for (core::UpdateMethod rule : {core::UpdateMethod::kMultiplicative,
+                                      core::UpdateMethod::kGradientDescent}) {
+        const std::string name =
+            std::string(method) +
+            (rule == core::UpdateMethod::kGradientDescent ? " gradient" : "");
+        core::SmflOptions options;
+        options.rank = 4;
+        options.max_iterations = 25;
+        options.tolerance = 0.0;
+        options.seed = seed * 7919 + 3;
+        options.use_landmarks = std::string(method) == "SMFL";
+        if (std::string(method) == "NMF") options.lambda = 0.0;
+        options.update = rule;
 
-      std::string reference;
-      for (int threads : {1, 4}) {
-        options.threads = threads;
-        options.simd = 1;
-        auto on = core::FitSmfl(x_in, injection->observed, 2, options);
-        ASSERT_TRUE(on.ok()) << on.status().ToString();
-        options.simd = 0;
-        auto off = core::FitSmfl(x_in, injection->observed, 2, options);
-        ASSERT_TRUE(off.ok()) << off.status().ToString();
+        std::string reference;
+        for (int threads : {1, 4}) {
+          options.threads = threads;
+          options.simd = 1;
+          auto on = core::FitSmfl(x_in, injection->observed, 2, options);
+          ASSERT_TRUE(on.ok()) << on.status().ToString();
+          options.simd = 0;
+          auto off = core::FitSmfl(x_in, injection->observed, 2, options);
+          ASSERT_TRUE(off.ok()) << off.status().ToString();
 
-        const std::string serialized_on = core::SerializeModel(*on);
-        const std::string serialized_off = core::SerializeModel(*off);
-        const std::string label = name + " seed " + std::to_string(seed) +
-                                  " @ " + std::to_string(threads) +
-                                  " threads";
-        ASSERT_EQ(serialized_on, serialized_off) << label;
-        // And across thread counts too: one model per (seed, method).
-        if (reference.empty()) {
-          reference = serialized_on;
-        } else {
-          ASSERT_EQ(serialized_on, reference) << label << " vs 1 thread";
+          const std::string serialized_on = core::SerializeModel(*on);
+          const std::string serialized_off = core::SerializeModel(*off);
+          const std::string label = name + " seed " + std::to_string(seed) +
+                                    " @ " + std::to_string(threads) +
+                                    " threads";
+          ASSERT_EQ(serialized_on, serialized_off) << label;
+          // And across thread counts too: one model per (seed, method).
+          if (reference.empty()) {
+            reference = serialized_on;
+          } else {
+            ASSERT_EQ(serialized_on, reference) << label << " vs 1 thread";
+          }
         }
       }
     }

@@ -18,19 +18,24 @@
 #                     /statusz over loopback with bash's /dev/tcp (no curl
 #                     dependency), and validates the Prometheus exposition
 #                     line grammar (docs/observability.md)
-#   7. bench          perf-regression gate (tools/run_bench.sh --gate):
-#                     masked-reconstruct fusion and SIMD gemm speedups must
-#                     stay above the committed thresholds; a regression
-#                     fails the gate exactly like a lint finding would
-#   8. asan           tier-1 suite under AddressSanitizer (+ leak check)
-#   9. ubsan          tier-1 suite under UndefinedBehaviorSanitizer
-#  10. tsan           threading-sensitive subset under ThreadSanitizer;
+#   7. perfbench-build the repository benchmark (perfbench/) configured and
+#                     built the way perfbench/run.py builds it (Release),
+#                     then its self-tests: a library API change that would
+#                     break the benchmark fails here
+#   8. bench          perf-regression gate (tools/run_bench.sh --gate):
+#                     masked-reconstruct fusion, SIMD gemm and Ω-sparse fit
+#                     speedups must stay above the committed thresholds; a
+#                     regression fails the gate exactly like a lint finding
+#                     would
+#   9. asan           tier-1 suite under AddressSanitizer (+ leak check)
+#  10. ubsan          tier-1 suite under UndefinedBehaviorSanitizer
+#  11. tsan           threading-sensitive subset under ThreadSanitizer;
 #                     auto-skipped (and recorded as such) when the toolchain
 #                     lacks TSan support
 #
 # Every step's outcome lands in CHECKS.json ({"steps": [{name, status,
 # seconds, detail}...], "ok": bool}); the script exits nonzero if any step
-# fails. Skips are not failures. `--fast` runs only steps 1-6 (the bench
+# fails. Skips are not failures. `--fast` runs only steps 1-7 (the bench
 # gate wants an unloaded machine and the sanitizer suites are three extra
 # full builds).
 #
@@ -58,6 +63,8 @@ done
 
 build_dir="$repo_root/build-checks"
 log_dir="$build_dir/check-logs"
+# Step details name logs relative to the repository root.
+log_rel="${log_dir#"$repo_root"/}"
 mkdir -p "$log_dir"
 
 step_names=()
@@ -85,7 +92,7 @@ run_step() {
   else
     step_statuses+=(fail)
     any_failed=1
-    detail="failed; see $log"
+    detail="failed; see ${log#"$repo_root"/}"
     echo "==> $name: FAILED (log: $log)"
     tail -n 20 "$log"
   fi
@@ -97,7 +104,18 @@ run_step() {
 configure_and_build() {
   cmake -B "$build_dir" -S "$repo_root" -DSMFL_WERROR=ON \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo &&
-    cmake --build "$build_dir" -j
+    cmake --build "$build_dir" -j "$(nproc)"
+}
+
+# The repository benchmark, configured as perfbench/run.py configures it
+# (Release, its own tree), with the harness and the CLI built and the
+# harness self-tests run; --selftest exits before the harness's
+# Release-only guard, so nothing is measured here.
+perfbench_build() {
+  local dir="$build_dir/perfbench"
+  cmake -S "$repo_root/perfbench" -B "$dir" -DCMAKE_BUILD_TYPE=Release &&
+    cmake --build "$dir" --target perfbench_harness smfl -j "$(nproc)" &&
+    "$dir/perfbench_harness" --selftest
 }
 
 # One raw HTTP GET over loopback with bash's /dev/tcp: no curl/netcat in
@@ -197,10 +215,10 @@ run_step werror-build "warning-clean under -Wconversion -Wshadow -Werror" \
 if [[ "${step_statuses[0]}" == pass ]]; then
   run_step tier1-tests "full ctest suite" \
     ctest --test-dir "$build_dir" --output-on-failure -j
-  run_step smfl-lint "repo contracts clean (see $log_dir/smfl-lint.json)" \
+  run_step smfl-lint "repo contracts clean (see $log_rel/smfl-lint.json)" \
     "$build_dir/tools/smfl_lint" --repo-root "$repo_root" \
     --json "$log_dir/smfl-lint.json" src
-  run_step lint-graph "module DAG + R13 race pass clean (SARIF: $log_dir/smfl-lint.sarif)" \
+  run_step lint-graph "module DAG + R13 race pass clean (SARIF: $log_rel/smfl-lint.sarif)" \
     "$build_dir/tools/smfl_lint" --repo-root "$repo_root" --graph --race \
     --sarif "$log_dir/smfl-lint.sarif" \
     --json "$log_dir/smfl-lint-graph.json" src
@@ -212,13 +230,15 @@ if [[ "${step_statuses[0]}" == pass ]]; then
     -R '^crash_recovery_test$'
   run_step obs-scrape "live /metrics + /healthz + /statusz scrape of a real fit" \
     obs_scrape
+  run_step perfbench-build "perfbench harness + smfl built (Release) and self-tests pass" \
+    perfbench_build
 else
   echo "==> skipping tests and lint: the gate build failed"
 fi
 
 if [[ $fast -eq 0 ]]; then
   if [[ "${step_statuses[0]}" == pass ]]; then
-    run_step bench "fusion + SIMD + sparse masked-path thresholds (run_bench.sh --gate)" \
+    run_step bench "fusion + SIMD + sparse masked-path + Ω-sparse fit thresholds (run_bench.sh --gate)" \
       "$repo_root/tools/run_bench.sh" --gate --build-dir="$build_dir"
   else
     echo "==> skipping bench gate: the gate build failed"
@@ -263,7 +283,7 @@ json_escape() {
 echo
 echo "==> summary ($out_json)"
 for i in "${!step_names[@]}"; do
-  printf '    %-14s %s (%ss)\n' "${step_names[$i]}" "${step_statuses[$i]}" \
+  printf '    %-16s %s (%ss)\n' "${step_names[$i]}" "${step_statuses[$i]}" \
     "${step_seconds[$i]}"
 done
 

@@ -7,7 +7,7 @@
 #   thread     the threading-sensitive subset (parallel_test, simd_kernel_test,
 #              kernel_equivalence_test, smfl_monotonicity_property_test,
 #              fold_in_serving_test, telemetry_test, crash_recovery_test,
-#              observed_index_test, obs_endpoint_test)
+#              observed_index_test, obs_endpoint_test, smfl_oracle_test)
 #              under ThreadSanitizer, with SMFL_THREADS=4 so the pool is
 #              actually exercised even on a single-core machine;
 #              obs_endpoint_test races the HTTP exporter thread against a
@@ -54,7 +54,7 @@ for san in "${sanitizers[@]}"; do
   cmake -B "$build_dir" -S "$repo_root" -DSMFL_SANITIZE="$san" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo
   echo "==> building ($san)"
-  cmake --build "$build_dir" -j
+  cmake --build "$build_dir" -j "$(nproc)"
   echo "==> running tests ($san)"
   case "$san" in
     address)
@@ -68,7 +68,7 @@ for san in "${sanitizers[@]}"; do
     thread)
       SMFL_THREADS=4 TSAN_OPTIONS=halt_on_error=1 \
           ctest --test-dir "$build_dir" --output-on-failure \
-          -R '^(parallel_test|simd_kernel_test|kernel_equivalence_test|smfl_monotonicity_property_test|fold_in_serving_test|telemetry_test|crash_recovery_test|observed_index_test|obs_endpoint_test)$'
+          -R '^(parallel_test|simd_kernel_test|kernel_equivalence_test|smfl_monotonicity_property_test|fold_in_serving_test|telemetry_test|crash_recovery_test|observed_index_test|obs_endpoint_test|smfl_oracle_test)$'
       ;;
   esac
   echo "==> $san: PASSED"

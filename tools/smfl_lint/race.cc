@@ -159,7 +159,11 @@ BodyScope CollectLocals(const std::vector<Token>& toks,
       bool derived_init = false;
       size_t stop = lam.body_end;
       bool stopped_at_comma = false;
-      for (size_t k = name_idx + 2; k < lam.body_end; ++k) {
+      // The paren/brace forms scan from their opener, so commas inside the
+      // initializer stay nested and `stop` lands on the matching closer.
+      const bool grouped = TokIsPunct(after, "(") || TokIsPunct(after, "{");
+      for (size_t k = grouped ? name_idx + 1 : name_idx + 2;
+           k < lam.body_end; ++k) {
         const Token& u = toks[k];
         if (u.kind == Kind::kPunct) {
           if (u.text == "(" || u.text == "[" || u.text == "{") {
@@ -172,6 +176,10 @@ BodyScope CollectLocals(const std::vector<Token>& toks,
               break;
             }
             --depth;
+            if (grouped && depth == 0) {
+              stop = k;
+              break;
+            }
             continue;
           }
           if (depth == 0 && (u.text == ";" || u.text == ",")) {
@@ -185,13 +193,18 @@ BodyScope CollectLocals(const std::vector<Token>& toks,
         }
       }
       if (derived_init) scope.derived.insert(toks[name_idx].text);
-      // Only the `name = init,` form chains to another declarator; the
-      // paren/brace/range-for forms end the statement for our purposes.
-      if (!TokIsPunct(after, "=") || !stopped_at_comma ||
-          stop + 1 >= lam.body_end) {
-        break;
+      // `name = init,` chains at its top-level comma, `name(...)` and
+      // `name{...}` at a comma right after the closer
+      // (`std::vector<double> num(k), den(k);` declares both); the
+      // range-for form ends the statement.
+      size_t k = lam.body_end;
+      if (TokIsPunct(after, "=") && stopped_at_comma) {
+        k = stop + 1;
+      } else if (grouped && stop + 1 < lam.body_end &&
+                 TokIsPunct(toks[stop + 1], ",")) {
+        k = stop + 2;
       }
-      size_t k = stop + 1;
+      if (k >= lam.body_end) break;
       while (k < lam.body_end &&
              (TokIsPunct(toks[k], "&") || TokIsPunct(toks[k], "*"))) {
         ++k;
