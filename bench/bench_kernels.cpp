@@ -1,11 +1,14 @@
-// Kernel-level microbenchmarks for the parallel execution + SIMD layers:
+// Kernel-level microbenchmarks for the parallel execution + SIMD layers.
+// Every benchmark compared across SIMD tiers takes the tier as its LAST
+// argument (0 = scalar pinned, 1 = the dispatched tier) and pins it with
+// la::simd::ScopedSimd inside the body, so one process runs both tiers:
+// tools/run_bench.sh interleaves their repetitions at random
+// (--benchmark_enable_random_interleaving) and reads scalar-vs-SIMD
+// ratios, valid on any host, from per-repetition pairs.
 //
 //   * MatMul / MatMulAtB / MatMulABt at --threads-controlled parallelism
 //     (set SMFL_THREADS before launching; results are bitwise identical at
-//     any setting, so only wall clock varies). SMFL_SIMD=0 pins the scalar
-//     microkernel tier — tools/run_bench.sh runs the suite twice to
-//     publish scalar-vs-SIMD ratios, which are valid on any host because
-//     both runs share one core count.
+//     any setting, so only wall clock varies).
 //   * MaskedReconstructIndexed (fused R_Ω(UV) over a prebuilt
 //     data::ObservedIndex, the kernel the fit loop runs) against the
 //     unfused ApplyMask(MatMul(u, v)) it replaced, across observed rates
@@ -18,6 +21,10 @@
 //   * SmflFit: a whole 20-iteration SMFL fit at observed rates 10/30/90%,
 //     the end-to-end view of the Ω-sparse iteration (its time falls with
 //     |Ω|).
+//   * FitUStep / FitVStep / FitReconstruct: the fit loop's three passes one
+//     at a time at perfbench's impute shape (4000 × 20, rank 10, p = 3) at
+//     10% and 90% observed attribute cells, and LaplacianQuadraticForm
+//     over the same graph.
 //   * Batched fold-in serving throughput (rows/sec) against a frozen model
 //     at the process thread count (PR 3): grouped-gemm numerators plus the
 //     threaded per-row multiplicative solves of core::FoldIn.
@@ -36,6 +43,7 @@
 #include "src/data/observed_index.h"
 #include "src/la/ops.h"
 #include "src/la/simd.h"
+#include "src/spatial/graph.h"
 
 using namespace smfl;
 using data::Mask;
@@ -61,6 +69,7 @@ Mask RandomMask(Index rows, Index cols, uint64_t seed, double set_rate) {
 }
 
 void BM_MatMul(benchmark::State& state) {
+  const la::simd::ScopedSimd tier(static_cast<int>(state.range(1)));
   const Index n = state.range(0);
   const Matrix a = RandomMatrix(n, n, 1);
   const Matrix b = RandomMatrix(n, n, 2);
@@ -69,10 +78,11 @@ void BM_MatMul(benchmark::State& state) {
     benchmark::DoNotOptimize(c.data());
   }
 }
-BENCHMARK(BM_MatMul)->Arg(128)->Arg(256)->Arg(512)
+BENCHMARK(BM_MatMul)->ArgsProduct({{128, 256, 512}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
 void BM_MatMulAtB(benchmark::State& state) {
+  const la::simd::ScopedSimd tier(static_cast<int>(state.range(1)));
   const Index n = state.range(0);
   const Matrix a = RandomMatrix(n, 64, 1);
   const Matrix b = RandomMatrix(n, 64, 2);
@@ -81,9 +91,11 @@ void BM_MatMulAtB(benchmark::State& state) {
     benchmark::DoNotOptimize(c.data());
   }
 }
-BENCHMARK(BM_MatMulAtB)->Arg(1000)->Arg(4000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MatMulAtB)->ArgsProduct({{1000, 4000}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_MatMulABt(benchmark::State& state) {
+  const la::simd::ScopedSimd tier(static_cast<int>(state.range(1)));
   const Index n = state.range(0);
   const Matrix a = RandomMatrix(n, 64, 1);
   const Matrix b = RandomMatrix(256, 64, 2);
@@ -92,16 +104,18 @@ void BM_MatMulABt(benchmark::State& state) {
     benchmark::DoNotOptimize(c.data());
   }
 }
-BENCHMARK(BM_MatMulABt)->Arg(1000)->Arg(4000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MatMulABt)->ArgsProduct({{1000, 4000}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 // The fit-loop hot pair: R_Ω(UV) for an N x M data matrix at rank K = 16.
-// Arg is the observed percentage of the mask.
+// Args: the observed percentage of the mask, tier.
 constexpr Index kReconN = 2000, kReconM = 64, kReconK = 16;
 
 // The fused kernel fed a prebuilt CSR index (built once per fit, so its
 // O(n·m) construction is amortized away from the per-iteration cost being
 // measured here).
 void BM_MaskedReconstructIndexed(benchmark::State& state) {
+  const la::simd::ScopedSimd tier(static_cast<int>(state.range(1)));
   const double rate = static_cast<double>(state.range(0)) / 100.0;
   const Matrix u = RandomMatrix(kReconN, kReconK, 3);
   const Matrix v = RandomMatrix(kReconK, kReconM, 4);
@@ -112,10 +126,12 @@ void BM_MaskedReconstructIndexed(benchmark::State& state) {
     benchmark::DoNotOptimize(r.data());
   }
 }
-BENCHMARK(BM_MaskedReconstructIndexed)->Arg(90)->Arg(50)->Arg(10)->Arg(5)
-    ->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MaskedReconstructIndexed)
+    ->ArgsProduct({{90, 50, 10, 5, 1}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_MaskedReconstructUnfused(benchmark::State& state) {
+  const la::simd::ScopedSimd tier(static_cast<int>(state.range(1)));
   const double rate = static_cast<double>(state.range(0)) / 100.0;
   const Matrix u = RandomMatrix(kReconN, kReconK, 3);
   const Matrix v = RandomMatrix(kReconK, kReconM, 4);
@@ -125,12 +141,14 @@ void BM_MaskedReconstructUnfused(benchmark::State& state) {
     benchmark::DoNotOptimize(r.data());
   }
 }
-BENCHMARK(BM_MaskedReconstructUnfused)->Arg(90)->Arg(50)->Arg(10)->Arg(5)
-    ->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MaskedReconstructUnfused)
+    ->ArgsProduct({{90, 50, 10, 5, 1}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 // The objective evaluation paired with every reconstruction: sum of
 // squared residuals over Ω. Dense rows take the SIMD sq_diff kernel.
 void BM_MaskedSquaredError(benchmark::State& state) {
+  const la::simd::ScopedSimd tier(static_cast<int>(state.range(1)));
   const double rate = static_cast<double>(state.range(0)) / 100.0;
   const Matrix u = RandomMatrix(kReconN, kReconK, 3);
   const Matrix v = RandomMatrix(kReconK, kReconM, 4);
@@ -144,15 +162,16 @@ void BM_MaskedSquaredError(benchmark::State& state) {
     benchmark::DoNotOptimize(err);
   }
 }
-BENCHMARK(BM_MaskedSquaredError)->Arg(90)->Arg(50)->Arg(10)->Arg(5)->Arg(1)
+BENCHMARK(BM_MaskedSquaredError)->ArgsProduct({{90, 50, 10, 5, 1}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
 // A whole SMFL fit at 1 thread: 4000 x 20 (2 always-observed spatial
 // columns), rank 10, 20 iterations with the early stop disabled, over a
-// prebuilt p-NN graph. Arg is the observed percentage of the attribute
-// cells. The fit loop walks only Ω, so its time should fall with the
+// prebuilt p-NN graph. Args: the observed percentage of the attribute
+// cells, tier. The fit loop walks only Ω, so its time should fall with the
 // observed rate; tools/run_bench.sh --gate checks the /90 over /10 ratio.
 void BM_SmflFit(benchmark::State& state) {
+  const la::simd::ScopedSimd tier(static_cast<int>(state.range(1)));
   constexpr Index kN = 4000, kM = 20, kSpatial = 2;
   const double rate = static_cast<double>(state.range(0)) / 100.0;
   const Matrix x = RandomMatrix(kN, kM, 21);
@@ -175,8 +194,123 @@ void BM_SmflFit(benchmark::State& state) {
     benchmark::DoNotOptimize(model->u.data());
   }
 }
-BENCHMARK(BM_SmflFit)->Arg(10)->Arg(30)->Arg(90)
+BENCHMARK(BM_SmflFit)->ArgsProduct({{10, 30, 90}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
+
+// The fit loop's inputs at perfbench's impute shape: 4000 × 20 with the 2
+// spatial columns always observed and each attribute cell observed at
+// `percent`, rank 10, the p = 3 graph over the spatial columns, and the
+// packed operands one iteration reads (Vᵀ K-padded, R_Ω(UV)).
+struct FitPassInputs {
+  static constexpr Index kN = 4000, kM = 20, kSpatial = 2, kRank = 10;
+
+  explicit FitPassInputs(int64_t percent)
+      : x(RandomMatrix(kN, kM, 21)),
+        u(RandomMatrix(kN, kRank, 23)),
+        v(RandomMatrix(kRank, kM, 24)),
+        u_next(kN, kRank),
+        vt(static_cast<size_t>(kM * la::simd::PaddedWidth(kRank))) {
+    Mask observed =
+        RandomMask(kN, kM, 22, static_cast<double>(percent) / 100.0);
+    for (Index i = 0; i < kN; ++i) {
+      for (Index j = 0; j < kSpatial; ++j) observed.Set(i, j, true);
+    }
+    omega = data::ObservedIndex::FromMask(observed, x);
+    omega.BuildColumns(kSpatial);
+    auto built = spatial::NeighborGraph::Build(x.Block(0, 0, kN, kSpatial), 3);
+    SMFL_CHECK(built.ok());
+    graph = std::move(built).value();
+    la::simd::PackTransposed(v.data(), kRank, kM, vt.data());
+    uv.resize(static_cast<size_t>(omega.Count()));
+    (void)data::MaskedReconstructPacked(u, v, omega, uv);
+  }
+
+  Matrix x, u, v, u_next;
+  data::ObservedIndex omega;
+  spatial::NeighborGraph graph;
+  std::vector<double> vt, uv;
+};
+
+// One U step (Formula 13, λ = 0.5) over every row, as the fit runs it at
+// one thread. Args: observed percent, tier.
+void BM_FitUStep(benchmark::State& state) {
+  const la::simd::ScopedSimd tier(static_cast<int>(state.range(1)));
+  FitPassInputs in(state.range(0));
+  la::simd::UStep step;
+  step.k = FitPassInputs::kRank;
+  step.vt = in.vt.data();
+  step.row_ptr = in.omega.CsrRowPtr().data();
+  step.cols = in.omega.CsrColIdx().data();
+  step.x = in.omega.CsrValues().data();
+  step.uv = in.uv.data();
+  step.u = in.u.data();
+  step.nbr_ptr = in.graph.Offsets().data();
+  step.nbr = in.graph.Targets().data();
+  step.nbr_w = in.graph.Weights().data();
+  step.degree = in.graph.Degrees().data();
+  step.lambda = 0.5;
+  step.div_eps = 1e-12;
+  step.u_next = in.u_next.data();
+  const la::simd::Kernels& ker = la::simd::Active();
+  for (auto _ : state) {
+    ker.u_step_rows(step, 0, FitPassInputs::kN);
+    benchmark::DoNotOptimize(in.u_next.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_FitUStep)->ArgsProduct({{10, 90}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
+
+// One V step (Formula 14) over the free columns. It reads V from the
+// packed Vᵀ and writes V, so every iteration repeats the same step.
+void BM_FitVStep(benchmark::State& state) {
+  const la::simd::ScopedSimd tier(static_cast<int>(state.range(1)));
+  FitPassInputs in(state.range(0));
+  la::simd::VStep step;
+  step.k = FitPassInputs::kRank;
+  step.m = FitPassInputs::kM;
+  step.u = in.u.data();
+  step.vt = in.vt.data();
+  step.col_begin = in.omega.ColumnsBegin();
+  step.col_ptr = in.omega.CscColPtr().data();
+  step.rows = in.omega.CscRowIdx().data();
+  step.x = in.omega.CscValues().data();
+  step.div_eps = 1e-12;
+  step.v = in.v.data();
+  const la::simd::Kernels& ker = la::simd::Active();
+  for (auto _ : state) {
+    ker.v_step_cols(step, FitPassInputs::kSpatial, FitPassInputs::kM);
+    benchmark::DoNotOptimize(in.v.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_FitVStep)->ArgsProduct({{10, 90}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
+
+// The reconstruction + squared error pass (data::MaskedReconstructPacked).
+void BM_FitReconstruct(benchmark::State& state) {
+  const la::simd::ScopedSimd tier(static_cast<int>(state.range(1)));
+  FitPassInputs in(state.range(0));
+  for (auto _ : state) {
+    const double err =
+        data::MaskedReconstructPacked(in.u, in.v, in.omega, in.uv);
+    benchmark::DoNotOptimize(err);
+    benchmark::DoNotOptimize(in.uv.data());
+  }
+}
+BENCHMARK(BM_FitReconstruct)->ArgsProduct({{10, 90}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
+
+// Tr(UᵀLU) over the p = 3 graph of the same shape (scalar code on every
+// tier; the observed rate does not enter).
+void BM_LaplacianQuadraticForm(benchmark::State& state) {
+  FitPassInputs in(10);
+  for (auto _ : state) {
+    const double lqf = in.graph.LaplacianQuadraticForm(in.u);
+    benchmark::DoNotOptimize(lqf);
+  }
+}
+BENCHMARK(BM_LaplacianQuadraticForm)->Unit(benchmark::kMicrosecond);
 
 // Batched fold-in serving: Arg(0) fresh rows against a synthetic frozen
 // model (rank 12, 16 columns, 2 spatial). ~80% observed with coordinates

@@ -1,7 +1,6 @@
 #include "src/core/smfl.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
 #include <span>
@@ -112,92 +111,39 @@ constexpr Index kUpdateColGrain = 1;
 //   U ← U ⊙ (R_Ω(X)Vᵀ + λ D U) / max(R_Ω(UV)Vᵀ + λ W U, div_eps),
 // or the projected-gradient step (§III-B1),
 //   U ← max(0, U + 2θ ((R_Ω(X) − R_Ω(UV))Vᵀ − λ (W U − D U))).
-// Row-parallel over the CSR spans; row i reads x and `uv_packed` (R_Ω(UV)
-// for the incoming factors, left by the previous objective evaluation) at
-// its observed cells only, and its neighbours' rows of U for the graph
-// terms — which is why U_new goes to a second buffer. `div_eps` is the
-// denominator floor the TrainingGuard widens after a rollback.
+// Row-parallel over the CSR spans, each chunk one call of the la::simd
+// u_step_rows kernel: row i reads x and `uv_packed` (R_Ω(UV) for the
+// incoming factors, left by the previous objective evaluation) at its
+// observed cells only, V through `vt` (Vᵀ packed K-padded by the caller),
+// and its neighbours' rows of U through the graph's CSR arrays — which is
+// why U_new goes to a second buffer. `div_eps` is the denominator floor
+// the TrainingGuard widens after a rollback.
 void UpdateU(const data::ObservedIndex& omega,
              std::span<const double> uv_packed, const NeighborGraph& graph,
              const SmflOptions& options, double div_eps, const Matrix& u,
-             const Matrix& v, Matrix& u_next) {
-  const Index k = u.cols(), m = v.cols();
-  constexpr Index kWidth = la::simd::kPanelWidth;
-  const Index panels = (k + kWidth - 1) / kWidth;
-  // V's rows packed into dot_panel panels once per update; panel q holds
-  // rows [q·kWidth, q·kWidth + kWidth).
-  std::vector<double> packed(
-      static_cast<size_t>(panels * kWidth * std::max<Index>(m, 1)));
-  for (Index q = 0; q < panels; ++q) {
-    la::simd::PackRowPanel(v.data() + q * kWidth * m, m,
-                           std::min(kWidth, k - q * kWidth), m,
-                           packed.data() + q * kWidth * m);
-  }
-  const bool multiplicative = options.update == UpdateMethod::kMultiplicative;
-  const double lambda = options.lambda;
-  const double step = 2.0 * options.learning_rate;
+             std::span<const double> vt, Matrix& u_next) {
+  la::simd::UStep step;
+  step.k = u.cols();
+  step.vt = vt.data();
+  step.row_ptr = omega.CsrRowPtr().data();
+  step.cols = omega.CsrColIdx().data();
+  step.x = omega.CsrValues().data();
+  step.uv = uv_packed.data();
+  step.u = u.data();
+  step.nbr_ptr = graph.Offsets().data();
+  step.nbr = graph.Targets().data();
+  step.nbr_w = graph.Weights().data();
+  step.degree = graph.Degrees().data();
+  step.lambda = options.lambda;
+  step.step = 2.0 * options.learning_rate;
+  step.div_eps = div_eps;
+  step.multiplicative = options.update == UpdateMethod::kMultiplicative;
+  step.u_next = u_next.data();
   // Resolved on the calling thread so a ScopedSimd override reaches the
   // pool workers (simd.h, dispatch resolution).
   const la::simd::Kernels& ker = la::simd::Active();
   parallel::ParallelFor(0, u.rows(), kUpdateRowGrain, [&](Index r0, Index r1) {
-    std::vector<double> num(static_cast<size_t>(k)),
-        den(static_cast<size_t>(k)), du(static_cast<size_t>(k)),
-        resid(static_cast<size_t>(m));
-    for (Index i = r0; i < r1; ++i) {
-      const std::span<const Index> cols = omega.RowCols(i);
-      const auto observed = static_cast<Index>(cols.size());
-      const double* xs = omega.RowValues(i).data();
-      const double* uvs = uv_packed.data() + omega.RowOffset(i);
-      // Multiplicative: num = R_Ω(X)Vᵀ and den = R_Ω(UV)Vᵀ. Gradient: the
-      // single chain (R_Ω(X) − R_Ω(UV))Vᵀ, into num.
-      const double* a = xs;
-      if (!multiplicative) {
-        for (Index c = 0; c < observed; ++c) {
-          resid[static_cast<size_t>(c)] = xs[c] - uvs[c];
-        }
-        a = resid.data();
-      }
-      for (Index q = 0; q < panels; ++q) {
-        const Index lanes = std::min(kWidth, k - q * kWidth);
-        const double* panel = packed.data() + q * kWidth * m;
-        ker.dot_panel_cols(observed, a, cols.data(), panel, lanes,
-                           num.data() + q * kWidth);
-        if (multiplicative) {
-          ker.dot_panel_cols(observed, uvs, cols.data(), panel, lanes,
-                             den.data() + q * kWidth);
-        }
-      }
-      const auto urow = u.Row(i);
-      double degree = 0.0;
-      if (lambda > 0.0) {
-        // (D U)_i in NeighborGraph::MultiplyD's order: neighbour rows
-        // summed from zero in adjacency order.
-        std::fill(du.begin(), du.end(), 0.0);
-        for (const NeighborGraph::Edge& e : graph.NeighborsOf(i)) {
-          const auto nrow = u.Row(e.to);
-          for (Index l = 0; l < k; ++l) {
-            du[static_cast<size_t>(l)] += e.weight * nrow[l];
-          }
-        }
-        degree = graph.Degree(i);
-      }
-      auto out = u_next.Row(i);
-      for (Index l = 0; l < k; ++l) {
-        const auto sl = static_cast<size_t>(l);
-        if (multiplicative) {
-          double nl = num[sl], dl = den[sl];
-          if (lambda > 0.0) {
-            nl += du[sl] * lambda;
-            dl += degree * urow[l] * lambda;
-          }
-          out[l] = urow[l] * (nl / std::max(dl, div_eps));
-        } else {
-          double g = num[sl];
-          if (lambda > 0.0) g -= (degree * urow[l] - du[sl]) * lambda;
-          out[l] = std::max(urow[l] + g * step, 0.0);
-        }
-      }
-    }
+    ker.u_step_rows(step, r0, r1);
   });
 }
 
@@ -206,82 +152,38 @@ void UpdateU(const data::ObservedIndex& omega,
 // just-updated U: Formula 14,
 //   V ← V ⊙ (Uᵀ R_Ω(X)) / max(Uᵀ R_Ω(UV), div_eps),
 // or its projected-gradient step V ← max(0, V + 2θ (Uᵀ R_Ω(X) − Uᵀ R_Ω(UV))).
-// Column-parallel over the CSC twin: each observed row p of column j, in
-// ascending order, forms (U V)_pj with masked_dot_cols' chain and feeds
-// both sums. Column j's reconstruction reads only column j of V, so the
-// column is updated in place once its sums are complete.
+// Column-parallel over the CSC twin, each chunk one call of the la::simd
+// v_step_cols kernel: each observed row p of column j, in ascending order,
+// forms (U V)_pj from V's column as packed in `vt` (V is unchanged since
+// the U step packed it) and feeds both sums, which stay in registers
+// until the column is written back.
 //
 // The dense forms skip u_pl == 0 in the reconstruction and in both sums.
 // Against a finite partner a skipped term is an exact ±0.0 that leaves a
-// sum (never −0.0) unchanged, so the loops test for zeros only where the
+// sum (never −0.0) unchanged, so the kernel tests for zeros only where the
 // partner — V's column, or a reconstructed entry — is not finite; x always
 // is (ValidateInputs).
 void UpdateV(const data::ObservedIndex& omega, const SmflOptions& options,
-             double div_eps, const Matrix& u, Matrix& v) {
-  const Index k = u.cols();
-  const bool multiplicative = options.update == UpdateMethod::kMultiplicative;
-  const double step = 2.0 * options.learning_rate;
-  // Observed rows reconstructed together: independent dot chains that
-  // interleave instead of waiting on one another's adds.
-  constexpr size_t kRowBlock = 4;
-  parallel::ParallelFor(
-      omega.ColumnsBegin(), v.cols(), kUpdateColGrain, [&](Index c0, Index c1) {
-        std::vector<double> vj(static_cast<size_t>(k)),
-            num(static_cast<size_t>(k)), den(static_cast<size_t>(k)),
-            zeros(static_cast<size_t>(k), 0.0);
-        for (Index j = c0; j < c1; ++j) {
-          bool finite_column = true;
-          for (Index l = 0; l < k; ++l) {
-            vj[static_cast<size_t>(l)] = v(l, j);
-            finite_column = finite_column && std::isfinite(v(l, j));
-          }
-          std::fill(num.begin(), num.end(), 0.0);
-          std::fill(den.begin(), den.end(), 0.0);
-          const std::span<const Index> rows = omega.ColRows(j);
-          const std::span<const double> xs = omega.ColValues(j);
-          for (size_t c = 0; c < rows.size(); c += kRowBlock) {
-            const size_t block = std::min(kRowBlock, rows.size() - c);
-            // A short block pads with a zero row, whose chain is all zeros.
-            std::array<const double*, kRowBlock> ur;
-            for (size_t q = 0; q < kRowBlock; ++q) {
-              ur[q] = q < block ? u.Row(rows[c + q]).data() : zeros.data();
-            }
-            std::array<double, kRowBlock> uv{};
-            for (Index l = 0; l < k; ++l) {
-              const double vl = vj[static_cast<size_t>(l)];
-              for (size_t q = 0; q < kRowBlock; ++q) {
-                // smfl-lint: allow(float-eq) exact zero-skip: 0.0 adds nothing
-                if (!finite_column && ur[q][l] == 0.0) continue;
-                uv[q] += ur[q][l] * vl;
-              }
-            }
-            for (size_t q = 0; q < block; ++q) {
-              const double x = xs[c + q];
-              const double r = uv[q];
-              const double* w = ur[q];
-              if (std::isfinite(r)) {
-                for (Index l = 0; l < k; ++l) {
-                  num[static_cast<size_t>(l)] += w[l] * x;
-                  den[static_cast<size_t>(l)] += w[l] * r;
-                }
-                continue;
-              }
-              for (Index l = 0; l < k; ++l) {
-                // smfl-lint: allow(float-eq) exact zero-skip: 0.0 adds nothing
-                if (w[l] == 0.0) continue;
-                num[static_cast<size_t>(l)] += w[l] * x;
-                den[static_cast<size_t>(l)] += w[l] * r;
-              }
-            }
-          }
-          for (Index l = 0; l < k; ++l) {
-            const auto sl = static_cast<size_t>(l);
-            v(l, j) = multiplicative
-                          ? vj[sl] * (num[sl] / std::max(den[sl], div_eps))
-                          : std::max(0.0, vj[sl] + step * (num[sl] - den[sl]));
-          }
-        }
-      });
+             double div_eps, const Matrix& u, std::span<const double> vt,
+             Matrix& v) {
+  la::simd::VStep step;
+  step.k = u.cols();
+  step.m = v.cols();
+  step.u = u.data();
+  step.vt = vt.data();
+  step.col_begin = omega.ColumnsBegin();
+  step.col_ptr = omega.CscColPtr().data();
+  step.rows = omega.CscRowIdx().data();
+  step.x = omega.CscValues().data();
+  step.step = 2.0 * options.learning_rate;
+  step.div_eps = div_eps;
+  step.multiplicative = options.update == UpdateMethod::kMultiplicative;
+  step.v = v.data();
+  const la::simd::Kernels& ker = la::simd::Active();
+  parallel::ParallelFor(omega.ColumnsBegin(), v.cols(), kUpdateColGrain,
+                        [&](Index c0, Index c1) {
+                          ker.v_step_cols(step, c0, c1);
+                        });
 }
 
 }  // namespace
@@ -576,12 +478,6 @@ Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
     // Rows whose SI is not fully observed have no trustworthy location;
     // they get uniform weights instead of a kernel anchored at the
     // mean-filled (map-center) coordinates.
-    std::vector<bool> si_complete(static_cast<size_t>(n), true);
-    for (Index i = 0; i < n; ++i) {
-      for (Index j = 0; j < spatial_cols; ++j) {
-        if (!observed.Contains(i, j)) si_complete[static_cast<size_t>(i)] = false;
-      }
-    }
     double sigma2 = 0.0;
     std::vector<Index> nearest(static_cast<size_t>(n), 0);
     for (Index i = 0; i < n; ++i) {
@@ -657,6 +553,11 @@ Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
   // iteration doubles as the input to the next iteration's U update (which
   // needs exactly R_Ω(U_old V_old)).
   std::vector<double> uv_packed(static_cast<size_t>(omega.Count()));
+  // Vᵀ, K-padded (la::simd::PackTransposed), repacked at the start of each
+  // iteration and read by both updates: V changes only in the V step,
+  // which reads its own column before writing it.
+  std::vector<double> vt(
+      static_cast<size_t>(m * la::simd::PaddedWidth(k)));
   // The U step's output buffer, swapped with model.u after each step.
   Matrix u_next(n, k);
   const double initial_error =
@@ -731,13 +632,13 @@ Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
     report.iterations = iter + 1;
     {
       SMFL_TRACE_SPAN("smfl.fit.update_u");
-      UpdateU(omega, uv_packed, graph, options, div_eps, model.u, model.v,
-              u_next);
+      la::simd::PackTransposed(model.v.data(), k, m, vt.data());
+      UpdateU(omega, uv_packed, graph, options, div_eps, model.u, vt, u_next);
       std::swap(model.u, u_next);
     }
     {
       SMFL_TRACE_SPAN("smfl.fit.update_v");
-      UpdateV(omega, options, div_eps, model.u, model.v);
+      UpdateV(omega, options, div_eps, model.u, vt, model.v);
     }
     // Fault points for robustness tests: corrupt a factor entry / blow the
     // objective up right after the update, before the guard looks.
@@ -844,21 +745,17 @@ Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
 
 }  // namespace
 
-Result<SmflModel> FitSmfl(const Matrix& x, const Mask& observed,
-                          Index spatial_cols, const SmflOptions& options) {
-  // Covers graph construction too; FitOnce re-enters the same override.
-  parallel::ScopedParallelism scoped_threads(options.threads);
+Result<NeighborGraph> BuildSmflGraph(const Matrix& x, const Mask& observed,
+                                     Index spatial_cols,
+                                     const SmflOptions& options) {
   RETURN_NOT_OK(ValidateInputs(x, observed, spatial_cols, options));
   Matrix si = x.Block(0, 0, x.rows(), spatial_cols);
   // At λ = 0 (NMF, or an unregularized SMF/SMFL) the Laplacian term is
   // multiplied by zero, so the fit runs on an edgeless graph instead of
   // paying for a p-NN search whose result it never reads.
   if (!(options.lambda > 0.0)) {
-    ASSIGN_OR_RETURN(
-        NeighborGraph edgeless,
-        NeighborGraph::Build(
-            si, 1, std::vector<bool>(static_cast<size_t>(x.rows()), false)));
-    return FitSmflWithGraph(x, observed, spatial_cols, edgeless, options);
+    return NeighborGraph::Build(
+        si, 1, std::vector<bool>(static_cast<size_t>(x.rows()), false));
   }
   // Graph over SI (§II-C). Rows with unobserved SI cells are isolated in
   // the graph rather than wired to mean-filled map-center neighbors: a
@@ -879,18 +776,28 @@ Result<SmflModel> FitSmfl(const Matrix& x, const Mask& observed,
                            std::max<Index>(1, complete_count - 1));
   ASSIGN_OR_RETURN(NeighborGraph graph,
                    NeighborGraph::Build(si, p, si_complete));
-  if (options.graph_weighting == GraphWeighting::kHeatKernel) {
-    RETURN_NOT_OK(graph.ApplyHeatKernelWeights(si));
+  const bool heat = options.graph_weighting == GraphWeighting::kHeatKernel;
+  double sigma = 0.0;
+  if (heat) {
+    sigma = graph.MeanEdgeLength(si);
+    RETURN_NOT_OK(graph.ApplyHeatKernelWeights(si, sigma));
   }
   // Rows with PARTIALLY observed SI still carry locality in their observed
   // coordinates: attach each to its p nearest complete rows under the
-  // partial distance, so the smoothness term keeps acting on them.
+  // partial distance, so the smoothness term keeps acting on them. Binary
+  // graphs give these edges weight 1; heat-kernel graphs weight them with
+  // the same kernel and bandwidth as the p-NN edges, over the partial
+  // distance rescaled to the full dimensionality (as the landmark
+  // initialization rescales it), so a row missing a coordinate does not
+  // get the strongest ties in the graph.
   if (complete_count > 0 && complete_count < x.rows()) {
     std::vector<Index> complete_rows;
     complete_rows.reserve(static_cast<size_t>(complete_count));
     for (Index i = 0; i < x.rows(); ++i) {
       if (si_complete[static_cast<size_t>(i)]) complete_rows.push_back(i);
     }
+    // {partial row, complete row, rescaled squared partial distance}.
+    std::vector<la::Triplet> attach;
     for (Index i = 0; i < x.rows(); ++i) {
       if (si_complete[static_cast<size_t>(i)]) continue;
       std::vector<Index> obs_cols;
@@ -911,11 +818,34 @@ Result<SmflModel> FitSmfl(const Matrix& x, const Mask& observed,
       const size_t keep = std::min<size_t>(static_cast<size_t>(p),
                                            best.size());
       std::partial_sort(best.begin(), best.begin() + keep, best.end());
+      const double rescale = static_cast<double>(spatial_cols) /
+                             static_cast<double>(obs_cols.size());
       for (size_t b = 0; b < keep; ++b) {
-        graph.AddSymmetricEdge(i, best[b].second);
+        attach.push_back({i, best[b].second, best[b].first * rescale});
       }
     }
+    if (heat && !attach.empty() && !(sigma > 0.0)) {
+      // No complete-row edge to take the bandwidth from: the mean
+      // (rescaled) length of the attach edges themselves, floored like
+      // MeanEdgeLength.
+      double total = 0.0;
+      for (const la::Triplet& t : attach) total += std::sqrt(t.value);
+      sigma = std::max(total / static_cast<double>(attach.size()), 1e-12);
+    }
+    for (la::Triplet& t : attach) {
+      t.value = heat ? NeighborGraph::HeatKernelWeight(t.value, sigma) : 1.0;
+    }
+    graph.AddSymmetricEdges(attach);
   }
+  return graph;
+}
+
+Result<SmflModel> FitSmfl(const Matrix& x, const Mask& observed,
+                          Index spatial_cols, const SmflOptions& options) {
+  // Covers graph construction too; FitOnce re-enters the same override.
+  parallel::ScopedParallelism scoped_threads(options.threads);
+  ASSIGN_OR_RETURN(NeighborGraph graph,
+                   BuildSmflGraph(x, observed, spatial_cols, options));
   return FitSmflWithGraph(x, observed, spatial_cols, graph, options);
 }
 

@@ -160,8 +160,19 @@ struct SmflModel {
 Result<SmflModel> FitSmfl(const Matrix& x, const Mask& observed,
                           Index spatial_cols, const SmflOptions& options);
 
-// Same, but with a caller-provided neighbor graph (lets parameter sweeps
-// over λ / K reuse one graph).
+// The p-NN graph FitSmfl fits over: edgeless at lambda = 0; otherwise
+// built over the rows with complete SI (options.num_neighbors, clamped to
+// the complete-row count), optionally heat-kernel weighted, with each row
+// of partially observed SI attached to its p nearest complete rows under
+// the partial distance (weight 1, or the heat kernel over the partial
+// distance rescaled to the full dimensionality); rows with no observed SI
+// stay isolated.
+Result<NeighborGraph> BuildSmflGraph(const Matrix& x, const Mask& observed,
+                                     Index spatial_cols,
+                                     const SmflOptions& options);
+
+// Same as FitSmfl, but with a caller-provided neighbor graph (lets
+// parameter sweeps over λ / K reuse one graph, e.g. from BuildSmflGraph).
 Result<SmflModel> FitSmflWithGraph(const Matrix& x, const Mask& observed,
                                    Index spatial_cols,
                                    const NeighborGraph& graph,

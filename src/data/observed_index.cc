@@ -1,6 +1,7 @@
 #include "src/data/observed_index.h"
 
 #include <algorithm>
+#include <array>
 
 #include "src/common/parallel.h"
 #include "src/common/telemetry.h"
@@ -94,44 +95,70 @@ void ObservedIndex::BuildColumns(Index col_begin) {
 
 namespace {
 
-// One row of U V at its observed columns, written to orow[cols[c]]. Dense
-// rows (past the tier's measured crossover — simd.h) zero the whole row and
-// stream the rows of V into it in ascending-k order (the per-element
-// summation order of la::MatMul, zero-skip included), so they also leave
-// the unobserved entries of orow holding U V; sparse rows run the
-// per-entry dots of masked_dot_cols and touch only the observed entries.
-// Both paths build every observed entry with the identical mul/add chain,
-// so the crossover choice never changes a bit of the output. Returns true
-// when the dense path ran.
-inline bool ReconstructRowForCols(const la::simd::Kernels& ker, Index k,
-                                  Index m, const double* urow,
-                                  const double* vd, const Index* cols,
-                                  Index observed, double* orow) {
-  if (observed * ker.dense_crossover >= m) {
-    std::fill(orow, orow + m, 0.0);
-    for (Index p = 0; p < k; ++p) {
-      const double uv = urow[p];
-      // smfl-lint: allow(float-eq) exact zero-skip: 0.0 adds nothing
-      if (uv == 0.0) continue;
-      ker.axpy(m, uv, vd + p * m, orow);
-    }
-    return true;
+// V in the layout uv_row_pair reads (k × PaddedWidth(m), zero padding
+// columns), packed once per reconstruction call, and whether the u == 0
+// skip can change a chain: only against a non-finite entry of V.
+struct PaddedV {
+  explicit PaddedV(const Matrix& v)
+      : mp(la::simd::PaddedWidth(v.cols())),
+        data(static_cast<size_t>(std::max<Index>(v.rows() * mp, 1))),
+        skip_zeros(v.HasNonFinite()) {
+    la::simd::PackRowsPadded(v.data(), v.rows(), v.cols(), data.data());
   }
-  ker.masked_dot_cols(k, m, urow, vd, cols, observed, orow);
-  return false;
-}
+  Index mp;
+  std::vector<double> data;
+  bool skip_zeros;
+};
 
-// Zeroes the entries of orow outside the ascending column list.
-inline void ZeroUnobserved(Index m, const Index* cols, Index observed,
-                           double* orow) {
-  Index c = 0;
-  for (Index j = 0; j < m; ++j) {
-    if (c < observed && cols[c] == j) {
-      ++c;
-    } else {
-      orow[j] = 0.0;
+// Reconstructs U V at the observed cells of rows [r0, r1) and hands each
+// row to sink(i, row), where row[j] holds (U V)_ij at every observed
+// column j of row i. Dense rows (past the tier's measured crossover —
+// simd.h) run uv_row_pair two at a time over the whole padded row; sparse
+// rows run the per-entry dots of masked_dot_cols. Both paths build every
+// observed entry with the identical ascending-k chain from +0.0 (zero-skip
+// included), so the crossover choice and the pairing never change a bit
+// of the output. A dense row may reach the sink after a later sparse row;
+// rows with no observed cell never do.
+template <typename Sink>
+void ReconstructRows(const la::simd::Kernels& ker, const Matrix& u,
+                     const PaddedV& v, const ObservedIndex& omega, Index r0,
+                     Index r1, const Sink& sink) {
+  const Index k = u.cols(), m = omega.cols(), mp = v.mp;
+  const double* ud = u.data();
+  const double* vd = v.data.data();
+  std::vector<double> buffers(static_cast<size_t>(3 * mp));
+  double* pair0 = buffers.data();
+  double* pair1 = pair0 + mp;
+  double* single = pair1 + mp;
+  Index pending = -1, dense_rows = 0, gather_rows = 0;
+  for (Index i = r0; i < r1; ++i) {
+    const std::span<const Index> cols = omega.RowCols(i);
+    const auto observed = static_cast<Index>(cols.size());
+    if (observed == 0) continue;
+    if (observed * ker.dense_crossover < m) {
+      ker.masked_dot_cols(k, mp, ud + i * k, vd, cols.data(), observed, single);
+      sink(i, single);
+      ++gather_rows;
+      continue;
     }
+    ++dense_rows;
+    if (pending < 0) {
+      pending = i;
+      continue;
+    }
+    ker.uv_row_pair(k, mp, vd, ud + pending * k, ud + i * k, v.skip_zeros,
+                    pair0, pair1);
+    sink(pending, pair0);
+    sink(i, pair1);
+    pending = -1;
   }
+  if (pending >= 0) {
+    const double* up = ud + pending * k;
+    ker.uv_row_pair(k, mp, vd, up, up, v.skip_zeros, pair0, pair1);
+    sink(pending, pair0);
+  }
+  SMFL_COUNTER_ADD("la.simd.dispatch.masked_rows_dense", dense_rows);
+  SMFL_COUNTER_ADD("la.simd.dispatch.masked_rows_gather", gather_rows);
 }
 
 }  // namespace
@@ -141,34 +168,23 @@ Matrix MaskedReconstruct(const Matrix& u, const Matrix& v,
   SMFL_CHECK_EQ(u.cols(), v.rows());
   SMFL_CHECK_EQ(u.rows(), omega.rows());
   SMFL_CHECK_EQ(v.cols(), omega.cols());
-  const Index n = u.rows(), k = u.cols(), m = v.cols();
+  const Index n = u.rows(), m = v.cols();
   Matrix out(n, m);
-  const double* ud = u.data();
-  const double* vd = v.data();
   double* od = out.data();
+  const PaddedV padded(v);
   constexpr Index kRowGrain = 16;
   const la::simd::Kernels& ker = la::simd::Active();
   if (ker.tier != la::simd::Tier::kScalar) {
     SMFL_COUNTER_INC("la.simd.dispatch.masked_reconstruct");
   }
   parallel::ParallelFor(0, n, kRowGrain, [&](Index r0, Index r1) {
-    Index dense_rows = 0, gather_rows = 0;
-    for (Index i = r0; i < r1; ++i) {
-      // The precomputed index hands masked_dot_cols its column list for
-      // free — no mask-row scan, no per-call rebuild.
-      const std::span<const Index> cols = omega.RowCols(i);
-      const Index observed = static_cast<Index>(cols.size());
-      if (observed == 0) continue;
-      if (ReconstructRowForCols(ker, k, m, ud + i * k, vd, cols.data(),
-                                observed, od + i * m)) {
-        if (observed != m) ZeroUnobserved(m, cols.data(), observed, od + i * m);
-        ++dense_rows;
-      } else {
-        ++gather_rows;
-      }
-    }
-    SMFL_COUNTER_ADD("la.simd.dispatch.masked_rows_dense", dense_rows);
-    SMFL_COUNTER_ADD("la.simd.dispatch.masked_rows_gather", gather_rows);
+    // The precomputed index hands each row its column list for free — no
+    // mask-row scan, no per-call rebuild.
+    ReconstructRows(ker, u, padded, omega, r0, r1,
+                    [&](Index i, const double* row) {
+                      double* orow = od + i * m;
+                      for (const Index j : omega.RowCols(i)) orow[j] = row[j];
+                    });
   });
   return out;
 }
@@ -248,9 +264,7 @@ double MaskedReconstructPacked(const Matrix& u, const Matrix& v,
   SMFL_CHECK_EQ(v.cols(), omega.cols());
   SMFL_CHECK_EQ(static_cast<Index>(packed_uv.size()), omega.Count());
   SMFL_CHECK(omega.HasValues() || omega.Count() == 0);
-  const Index k = u.cols(), m = v.cols();
-  const double* ud = u.data();
-  const double* vd = v.data();
+  const PaddedV padded(v);
   // MaskedSquaredError's grain: the chunking fixes the summation grouping.
   constexpr Index kRowGrain = 64;
   const la::simd::Kernels& ker = la::simd::Active();
@@ -259,33 +273,55 @@ double MaskedReconstructPacked(const Matrix& u, const Matrix& v,
   }
   return parallel::ParallelReduce(
       0, u.rows(), kRowGrain, [&](Index r0, Index r1) {
-        // One reconstructed row, then gathered to its packed slots.
-        std::vector<double> row(static_cast<size_t>(m));
+        // Each reconstructed row is gathered to its packed slots...
+        ReconstructRows(ker, u, padded, omega, r0, r1,
+                        [&](Index i, const double* row) {
+                          double* out = packed_uv.data() + omega.RowOffset(i);
+                          const std::span<const Index> cols = omega.RowCols(i);
+                          for (size_t c = 0; c < cols.size(); ++c) {
+                            out[c] = row[cols[c]];
+                          }
+                        });
+        // ...then the squared error sums each row in ascending column
+        // order and the row sums in row order. Four rows' chains run
+        // interleaved (they are independent); an empty row adds +0.0,
+        // which leaves the sum unchanged.
+        const double* xv = omega.CsrValues().data();
+        const double* rv = packed_uv.data();
         double acc = 0.0;
-        Index dense_rows = 0, gather_rows = 0;
-        for (Index i = r0; i < r1; ++i) {
-          const std::span<const Index> cols = omega.RowCols(i);
-          if (cols.empty()) continue;
-          const auto observed = static_cast<Index>(cols.size());
-          if (ReconstructRowForCols(ker, k, m, ud + i * k, vd, cols.data(),
-                                    observed, row.data())) {
-            ++dense_rows;
-          } else {
-            ++gather_rows;
+        Index i = r0;
+        for (; i + 4 <= r1; i += 4) {
+          std::array<Index, 4> pos{}, end{};
+          for (Index q = 0; q < 4; ++q) {
+            pos[q] = omega.RowOffset(i + q);
+            end[q] = omega.RowOffset(i + q + 1);
           }
-          const double* xvals = omega.RowValues(i).data();
-          double* out = packed_uv.data() + omega.RowOffset(i);
+          const Index shared =
+              std::min(std::min(end[0] - pos[0], end[1] - pos[1]),
+                       std::min(end[2] - pos[2], end[3] - pos[3]));
+          std::array<double, 4> sums{};
+          for (Index c = 0; c < shared; ++c) {
+            for (Index q = 0; q < 4; ++q) {
+              const double d = xv[pos[q] + c] - rv[pos[q] + c];
+              sums[q] += d * d;
+            }
+          }
+          for (Index q = 0; q < 4; ++q) {
+            for (Index e = pos[q] + shared; e < end[q]; ++e) {
+              const double d = xv[e] - rv[e];
+              sums[q] += d * d;
+            }
+            acc += sums[q];
+          }
+        }
+        for (; i < r1; ++i) {
           double row_acc = 0.0;
-          for (Index c = 0; c < observed; ++c) {
-            const double r = row[static_cast<size_t>(cols[c])];
-            out[c] = r;
-            const double d = xvals[c] - r;
+          for (Index e = omega.RowOffset(i); e < omega.RowOffset(i + 1); ++e) {
+            const double d = xv[e] - rv[e];
             row_acc += d * d;
           }
           acc += row_acc;
         }
-        SMFL_COUNTER_ADD("la.simd.dispatch.masked_rows_dense", dense_rows);
-        SMFL_COUNTER_ADD("la.simd.dispatch.masked_rows_gather", gather_rows);
         return acc;
       });
 }

@@ -90,6 +90,13 @@ class ObservedIndex {
     return row_ptr_[static_cast<size_t>(i)];
   }
 
+  // The raw CSR arrays, for kernels that walk a range of rows in one call:
+  // row i's entries sit at [CsrRowPtr()[i], CsrRowPtr()[i + 1]) of
+  // CsrColIdx() and CsrValues() (the latter empty without values).
+  std::span<const Index> CsrRowPtr() const { return row_ptr_; }
+  std::span<const Index> CsrColIdx() const { return col_idx_; }
+  std::span<const double> CsrValues() const { return values_; }
+
   // Builds the CSC twin for columns [col_begin, cols): per column, the
   // observed rows in ascending order and (when the index carries values)
   // their packed values. O(|Ω|) from the CSR arrays, no mask scan; a
@@ -119,6 +126,13 @@ class ObservedIndex {
     const auto end = static_cast<size_t>(col_ptr_[slot + 1]);
     return {col_values_.data() + begin, end - begin};
   }
+
+  // The twin's raw arrays: column j's entries sit at
+  // [CscColPtr()[j − ColumnsBegin()], CscColPtr()[j − ColumnsBegin() + 1])
+  // of CscRowIdx() and CscValues().
+  std::span<const Index> CscColPtr() const { return col_ptr_; }
+  std::span<const Index> CscRowIdx() const { return row_idx_; }
+  std::span<const double> CscValues() const { return col_values_; }
 
  private:
   Index rows_ = 0;

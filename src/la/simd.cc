@@ -8,7 +8,9 @@
 
 #include "src/la/simd.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -50,35 +52,33 @@ void DotPanelScalar(Index k, const double* a, const double* panel,
   }
 }
 
-void DotPanelColsScalar(Index n, const double* a, const Index* cols,
-                        const double* panel, Index lanes, double* out) {
-  // dot_panel's lane chains, walking only the listed panel rows.
-  double acc[kPanelWidth] = {};
-  for (Index c = 0; c < n; ++c) {
-    const double ac = a[c];
-    const double* prow = panel + cols[c] * kPanelWidth;
-    for (Index l = 0; l < kPanelWidth; ++l) {
-      acc[l] += ac * prow[l];
-    }
-  }
-  for (Index l = 0; l < lanes; ++l) {
-    out[l] = acc[l];
-  }
-}
-
 void MaskedDotColsScalar(Index k, Index m, const double* u, const double* v,
                          const Index* cols, Index ncols, double* orow) {
-  for (Index c = 0; c < ncols; ++c) {
-    const Index j = cols[c];
-    double acc = 0.0;
+  // Four entries' chains at a time, interleaved so their adds overlap; the
+  // zero-skip depends on u[p] only, so it is shared by all four. A short
+  // last group repeats its last column: the repeated chain is the same
+  // chain, so its duplicate store writes the same bits.
+  for (Index c = 0; c < ncols; c += 4) {
+    const Index last = ncols - 1;
+    const Index j0 = cols[c], j1 = cols[std::min(c + 1, last)],
+                j2 = cols[std::min(c + 2, last)],
+                j3 = cols[std::min(c + 3, last)];
+    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
     for (Index p = 0; p < k; ++p) {
       const double up = u[p];
       if (up == 0.0) {  // smfl-lint: allow(float-eq) exact zero-skip, mirrors the historical sparse path
         continue;
       }
-      acc += up * v[p * m + j];
+      const double* vr = v + p * m;
+      a0 += up * vr[j0];
+      a1 += up * vr[j1];
+      a2 += up * vr[j2];
+      a3 += up * vr[j3];
     }
-    orow[j] = acc;
+    orow[j0] = a0;
+    orow[j1] = a1;
+    orow[j2] = a2;
+    orow[j3] = a3;
   }
 }
 
@@ -89,12 +89,178 @@ void SqDiffScalar(Index n, const double* x, const double* r, double* out) {
   }
 }
 
-// Scalar crossover 1/4: below 25% observed the per-entry dots beat the
-// full-width axpy+restrict pass (the historical `observed * 4 >= m`,
-// confirmed by the BENCH_PR8 observed-rate sweep).
-constexpr Kernels kScalarTable{Tier::kScalar, AxpyScalar, DotPanelScalar,
-                               DotPanelColsScalar, MaskedDotColsScalar,
-                               SqDiffScalar, 4};
+// Lanes per pass of the scalar V step's K-wide accumulators (stack
+// arrays); a larger rank takes several passes over the column's rows.
+constexpr Index kScalarBlock = 16;
+
+void UStepRowsScalar(const UStep& s, Index r0, Index r1) {
+  const Index k = s.k, kp = PaddedWidth(k);
+  const bool graph = s.lambda > 0.0;
+  for (Index i = r0; i < r1; ++i) {
+    const Index c0 = s.row_ptr[i], c1 = s.row_ptr[i + 1];
+    const double* urow = s.u + i * k;
+    // Passes of kLaneWidth lanes, so the accumulators are fixed-size
+    // arrays the compiler keeps in registers; U's rows are read only up to
+    // their true width w.
+    for (Index l0 = 0; l0 < k; l0 += kLaneWidth) {
+      const Index w = std::min(kLaneWidth, k - l0);
+      // Multiplicative: num = R_Ω(X)_i Vᵀ and den = R_Ω(UV)_i Vᵀ. Gradient:
+      // the single chain (R_Ω(X) − R_Ω(UV))_i Vᵀ, into num.
+      double num[kLaneWidth] = {}, den[kLaneWidth] = {};
+      for (Index c = c0; c < c1; ++c) {
+        const double* vp = s.vt + s.cols[c] * kp + l0;
+        if (s.multiplicative) {
+          const double xc = s.x[c], uc = s.uv[c];
+          for (Index l = 0; l < kLaneWidth; ++l) {
+            num[l] += xc * vp[l];
+            den[l] += uc * vp[l];
+          }
+        } else {
+          const double a = s.x[c] - s.uv[c];
+          for (Index l = 0; l < kLaneWidth; ++l) num[l] += a * vp[l];
+        }
+      }
+      // (D U)_i: neighbour rows summed from zero in adjacency order.
+      double du[kLaneWidth] = {};
+      double degree = 0.0;
+      if (graph) {
+        for (Index e = s.nbr_ptr[i]; e < s.nbr_ptr[i + 1]; ++e) {
+          const double we = s.nbr_w[e];
+          const double* nrow = s.u + s.nbr[e] * k + l0;
+          for (Index l = 0; l < w; ++l) du[l] += we * nrow[l];
+        }
+        degree = s.degree[i];
+      }
+      double* out = s.u_next + i * k + l0;
+      for (Index l = 0; l < w; ++l) {
+        const double ul = urow[l0 + l];
+        if (s.multiplicative) {
+          double nl = num[l], dl = den[l];
+          if (graph) {
+            nl += du[l] * s.lambda;
+            dl += degree * ul * s.lambda;
+          }
+          out[l] = ul * (nl / std::max(dl, s.div_eps));
+        } else {
+          double g = num[l];
+          if (graph) g -= (degree * ul - du[l]) * s.lambda;
+          out[l] = std::max(ul + g * s.step, 0.0);
+        }
+      }
+    }
+  }
+}
+
+// (U V)_pj for up to four observed rows p = rows[0 .. block) of one column
+// (`vj`, K-padded): four independent ascending-l chains from +0.0 that
+// interleave instead of waiting on one another's adds. The u_pl == 0 skip
+// matters only against a non-finite v_lj, so it runs only then.
+inline void ColumnCells(Index k, const double* u, const Index* rows,
+                        Index block, const double* vj, bool finite_column,
+                        double* r) {
+  const double* ur[4];
+  for (Index q = 0; q < 4; ++q) {
+    ur[q] = u + rows[std::min(q, block - 1)] * k;  // pad by repetition
+  }
+  double acc[4] = {};
+  if (finite_column) {
+    for (Index l = 0; l < k; ++l) {
+      for (Index q = 0; q < 4; ++q) acc[q] += ur[q][l] * vj[l];
+    }
+  } else {
+    for (Index l = 0; l < k; ++l) {
+      for (Index q = 0; q < 4; ++q) {
+        // smfl-lint: allow(float-eq) exact zero-skip: 0.0 adds nothing
+        if (ur[q][l] == 0.0) continue;
+        acc[q] += ur[q][l] * vj[l];
+      }
+    }
+  }
+  for (Index q = 0; q < block; ++q) r[q] = acc[q];
+}
+
+bool FiniteLanes(const double* p, Index n) {
+  bool finite = true;
+  for (Index l = 0; l < n; ++l) finite = finite && std::isfinite(p[l]);
+  return finite;
+}
+
+void VStepColsScalar(const VStep& s, Index c0, Index c1) {
+  const Index k = s.k, kp = PaddedWidth(k);
+  for (Index j = c0; j < c1; ++j) {
+    const double* vj = s.vt + j * kp;
+    const bool finite_column = FiniteLanes(vj, k);
+    const Index p0 = s.col_ptr[j - s.col_begin];
+    const Index p1 = s.col_ptr[j - s.col_begin + 1];
+    for (Index l0 = 0; l0 < k; l0 += kScalarBlock) {
+      const Index w = std::min(kScalarBlock, k - l0);
+      double num[kScalarBlock] = {}, den[kScalarBlock] = {};
+      for (Index c = p0; c < p1; c += 4) {
+        const Index block = std::min<Index>(4, p1 - c);
+        double r[4];
+        ColumnCells(k, s.u, s.rows + c, block, vj, finite_column, r);
+        for (Index q = 0; q < block; ++q) {
+          const double x = s.x[c + q];
+          const double* up = s.u + s.rows[c + q] * k + l0;
+          if (std::isfinite(r[q])) {
+            for (Index l = 0; l < w; ++l) {
+              num[l] += up[l] * x;
+              den[l] += up[l] * r[q];
+            }
+            continue;
+          }
+          for (Index l = 0; l < w; ++l) {
+            // smfl-lint: allow(float-eq) exact zero-skip: 0.0 adds nothing
+            if (up[l] == 0.0) continue;
+            num[l] += up[l] * x;
+            den[l] += up[l] * r[q];
+          }
+        }
+      }
+      for (Index l = 0; l < w; ++l) {
+        const double vl = vj[l0 + l];
+        s.v[(l0 + l) * s.m + j] =
+            s.multiplicative
+                ? vl * (num[l] / std::max(den[l], s.div_eps))
+                : std::max(0.0, vl + s.step * (num[l] - den[l]));
+      }
+    }
+  }
+}
+
+void UvRowPairScalar(Index k, Index mp, const double* v, const double* u0,
+                     const double* u1, bool skip_zeros, double* r0,
+                     double* r1) {
+  for (Index j0 = 0; j0 < mp; j0 += kLaneWidth) {
+    double a0[kLaneWidth] = {}, a1[kLaneWidth] = {};
+    for (Index p = 0; p < k; ++p) {
+      const double* vr = v + p * mp + j0;
+      const double x0 = u0[p], x1 = u1[p];
+      // smfl-lint: allow(float-eq) exact zero-skip: 0.0 adds nothing
+      if (!(skip_zeros && x0 == 0.0)) {
+        for (Index l = 0; l < kLaneWidth; ++l) a0[l] += x0 * vr[l];
+      }
+      // smfl-lint: allow(float-eq) exact zero-skip: 0.0 adds nothing
+      if (!(skip_zeros && x1 == 0.0)) {
+        for (Index l = 0; l < kLaneWidth; ++l) a1[l] += x1 * vr[l];
+      }
+    }
+    for (Index l = 0; l < kLaneWidth; ++l) {
+      r0[j0 + l] = a0[l];
+      r1[j0 + l] = a1[l];
+    }
+  }
+}
+
+// Dense/per-entry crossover of the scalar tier (Kernels::dense_crossover;
+// measured table in docs/performance.md "Sparse Ω").
+constexpr Index kScalarCrossover = 3;
+
+constexpr Kernels kScalarTable{Tier::kScalar,     AxpyScalar,
+                               DotPanelScalar,    MaskedDotColsScalar,
+                               SqDiffScalar,      UStepRowsScalar,
+                               VStepColsScalar,   UvRowPairScalar,
+                               kScalarCrossover};
 
 // ---------------------------------------------------------------------------
 // AVX2 tier (x86). Per-function target attributes keep the rest of the
@@ -140,31 +306,301 @@ __attribute__((target("avx2"))) void DotPanelAvx2(Index k, const double* a,
   }
 }
 
-__attribute__((target("avx2"))) void DotPanelColsAvx2(
-    Index n, const double* a, const Index* cols, const double* panel,
-    Index lanes, double* out) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  for (Index c = 0; c < n; ++c) {
-    const __m256d ac = _mm256_set1_pd(a[c]);
-    const double* prow = panel + cols[c] * kPanelWidth;
-    acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(ac, _mm256_loadu_pd(prow)));
-    acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(ac, _mm256_loadu_pd(prow + 4)));
-  }
-  double lane[kPanelWidth];
-  _mm256_storeu_pd(lane, acc0);
-  _mm256_storeu_pd(lane + 4, acc1);
-  for (Index l = 0; l < lanes; ++l) {
-    out[l] = lane[l];
-  }
-}
-
 // No AVX2 masked_dot_cols: the _mm256_i64gather_pd kernel that lived here
 // through PR 7 measured 0.85× the scalar per-entry dots at 10% observed
 // (BENCH_PR7.json) — hardware gathers are slow on the server Xeons this
 // repo benches on, and the strided column reads defeat the vector win.
 // The AVX2 table routes sparse rows to MaskedDotColsScalar instead and
 // compensates with an earlier dense crossover (see kAvx2Table).
+
+// The register-block loops over b below carry `#pragma GCC unroll 8`:
+// unrolled before scalar replacement, the __m256d accumulator arrays live
+// in registers instead of being zeroed and spilled on the stack.
+
+// Lane mask selecting the first n (1..4) lanes.
+__attribute__((target("avx2"))) inline __m256i FirstLanes(Index n) {
+  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(n)),
+                            _mm256_setr_epi64x(0, 1, 2, 3));
+}
+
+// Register b of an NB-register block of a row of U (or V) whose true width
+// ends inside the last register: that one is a masked load, so no lane
+// past the row's end is read.
+template <int NB>
+__attribute__((target("avx2"))) inline __m256d LoadBlock(const double* p,
+                                                        int b,
+                                                        __m256i tail) {
+  return b + 1 < NB ? _mm256_loadu_pd(p + b * kLaneWidth)
+                    : _mm256_maskload_pd(p + b * kLaneWidth, tail);
+}
+
+// One pass of the U step over lanes [l0, l0 + 4·NB) of rows [r0, r1): the
+// scalar tier's chains, a vector lane per rank entry, every accumulator in
+// registers from the row's first cell to its store.
+template <int NB>
+__attribute__((target("avx2"))) void UStepPassAvx2(const UStep& s, Index r0,
+                                                  Index r1, Index l0) {
+  const Index k = s.k, kp = PaddedWidth(k);
+  const __m256i tail =
+      FirstLanes(std::min(kLaneWidth, k - l0 - (NB - 1) * kLaneWidth));
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d lambda = _mm256_set1_pd(s.lambda);
+  const __m256d step = _mm256_set1_pd(s.step);
+  const __m256d eps = _mm256_set1_pd(s.div_eps);
+  const bool graph = s.lambda > 0.0;
+  for (Index i = r0; i < r1; ++i) {
+    __m256d num[NB], den[NB];
+    #pragma GCC unroll 8
+    for (int b = 0; b < NB; ++b) num[b] = den[b] = zero;
+    const Index c1 = s.row_ptr[i + 1];
+    if (s.multiplicative) {
+      for (Index c = s.row_ptr[i]; c < c1; ++c) {
+        const double* vp = s.vt + s.cols[c] * kp + l0;
+        const __m256d xc = _mm256_set1_pd(s.x[c]);
+        const __m256d uc = _mm256_set1_pd(s.uv[c]);
+        #pragma GCC unroll 8
+        for (int b = 0; b < NB; ++b) {
+          const __m256d vv = _mm256_loadu_pd(vp + b * kLaneWidth);
+          num[b] = _mm256_add_pd(num[b], _mm256_mul_pd(xc, vv));
+          den[b] = _mm256_add_pd(den[b], _mm256_mul_pd(uc, vv));
+        }
+      }
+    } else {
+      for (Index c = s.row_ptr[i]; c < c1; ++c) {
+        const double* vp = s.vt + s.cols[c] * kp + l0;
+        const __m256d a = _mm256_set1_pd(s.x[c] - s.uv[c]);
+        #pragma GCC unroll 8
+        for (int b = 0; b < NB; ++b) {
+          num[b] = _mm256_add_pd(
+              num[b], _mm256_mul_pd(a, _mm256_loadu_pd(vp + b * kLaneWidth)));
+        }
+      }
+    }
+    const double* urow = s.u + i * k + l0;
+    __m256d out[NB];
+    if (graph) {
+      __m256d du[NB];
+      #pragma GCC unroll 8
+      for (int b = 0; b < NB; ++b) du[b] = zero;
+      for (Index e = s.nbr_ptr[i]; e < s.nbr_ptr[i + 1]; ++e) {
+        const __m256d we = _mm256_set1_pd(s.nbr_w[e]);
+        const double* nrow = s.u + s.nbr[e] * k + l0;
+        #pragma GCC unroll 8
+        for (int b = 0; b < NB; ++b) {
+          du[b] = _mm256_add_pd(du[b],
+                                _mm256_mul_pd(we, LoadBlock<NB>(nrow, b, tail)));
+        }
+      }
+      const __m256d degree = _mm256_set1_pd(s.degree[i]);
+      #pragma GCC unroll 8
+      for (int b = 0; b < NB; ++b) {
+        const __m256d ul = LoadBlock<NB>(urow, b, tail);
+        const __m256d wu = _mm256_mul_pd(degree, ul);
+        if (s.multiplicative) {
+          const __m256d nl =
+              _mm256_add_pd(num[b], _mm256_mul_pd(du[b], lambda));
+          const __m256d dl = _mm256_add_pd(den[b], _mm256_mul_pd(wu, lambda));
+          // max(eps, dl) is std::max(dl, eps): dl unless dl < eps.
+          out[b] = _mm256_mul_pd(ul, _mm256_div_pd(nl, _mm256_max_pd(eps, dl)));
+        } else {
+          const __m256d g = _mm256_sub_pd(
+              num[b], _mm256_mul_pd(_mm256_sub_pd(wu, du[b]), lambda));
+          // max(0, a) is std::max(a, 0.0): a unless a < 0 (keeps −0, NaN).
+          out[b] = _mm256_max_pd(zero,
+                                 _mm256_add_pd(ul, _mm256_mul_pd(g, step)));
+        }
+      }
+    } else {
+      #pragma GCC unroll 8
+      for (int b = 0; b < NB; ++b) {
+        const __m256d ul = LoadBlock<NB>(urow, b, tail);
+        out[b] = s.multiplicative
+                     ? _mm256_mul_pd(
+                           ul, _mm256_div_pd(num[b], _mm256_max_pd(eps, den[b])))
+                     : _mm256_max_pd(
+                           zero, _mm256_add_pd(ul, _mm256_mul_pd(num[b], step)));
+      }
+    }
+    double* orow = s.u_next + i * k + l0;
+    #pragma GCC unroll 8
+    for (int b = 0; b + 1 < NB; ++b) {
+      _mm256_storeu_pd(orow + b * kLaneWidth, out[b]);
+    }
+    _mm256_maskstore_pd(orow + (NB - 1) * kLaneWidth, tail, out[NB - 1]);
+  }
+}
+
+__attribute__((target("avx2"))) void UStepRowsAvx2(const UStep& s, Index r0,
+                                                  Index r1) {
+  // Passes of up to four registers (16 lanes) over the rank.
+  for (Index l0 = 0; l0 < s.k; l0 += 4 * kLaneWidth) {
+    switch (std::min<Index>(4, (s.k - l0 + kLaneWidth - 1) / kLaneWidth)) {
+      case 1: UStepPassAvx2<1>(s, r0, r1, l0); break;
+      case 2: UStepPassAvx2<2>(s, r0, r1, l0); break;
+      case 3: UStepPassAvx2<3>(s, r0, r1, l0); break;
+      default: UStepPassAvx2<4>(s, r0, r1, l0); break;
+    }
+  }
+}
+
+// One pass of the V step over lanes [l0, l0 + 4·NB) of column j.
+template <int NB>
+__attribute__((target("avx2"))) void VStepPassAvx2(const VStep& s, Index j,
+                                                  bool finite_column,
+                                                  Index l0) {
+  const Index k = s.k;
+  const double* vj = s.vt + j * PaddedWidth(k);
+  const Index w = std::min(NB * kLaneWidth, k - l0);
+  const __m256i tail = FirstLanes(w - (NB - 1) * kLaneWidth);
+  const __m256d zero = _mm256_setzero_pd();
+  __m256d num[NB], den[NB];
+  #pragma GCC unroll 8
+  for (int b = 0; b < NB; ++b) num[b] = den[b] = zero;
+  const Index p0 = s.col_ptr[j - s.col_begin];
+  const Index p1 = s.col_ptr[j - s.col_begin + 1];
+  for (Index c = p0; c < p1; c += 4) {
+    const Index block = std::min<Index>(4, p1 - c);
+    double r[4];
+    ColumnCells(k, s.u, s.rows + c, block, vj, finite_column, r);
+    for (Index q = 0; q < block; ++q) {
+      const double* up = s.u + s.rows[c + q] * k + l0;
+      const __m256d x = _mm256_set1_pd(s.x[c + q]);
+      const __m256d rq = _mm256_set1_pd(r[q]);
+      if (std::isfinite(r[q])) {
+        #pragma GCC unroll 8
+        for (int b = 0; b < NB; ++b) {
+          const __m256d ul = LoadBlock<NB>(up, b, tail);
+          num[b] = _mm256_add_pd(num[b], _mm256_mul_pd(ul, x));
+          den[b] = _mm256_add_pd(den[b], _mm256_mul_pd(ul, rq));
+        }
+        continue;
+      }
+      // Non-finite (U V)_pj: the u_pl == 0 terms become +0.0, which leaves
+      // a sum that never holds −0.0 unchanged — the scalar skip, per lane.
+      #pragma GCC unroll 8
+      for (int b = 0; b < NB; ++b) {
+        const __m256d ul = LoadBlock<NB>(up, b, tail);
+        const __m256d zeros = _mm256_cmp_pd(ul, zero, _CMP_EQ_OQ);
+        num[b] = _mm256_add_pd(num[b],
+                               _mm256_andnot_pd(zeros, _mm256_mul_pd(ul, x)));
+        den[b] = _mm256_add_pd(den[b],
+                               _mm256_andnot_pd(zeros, _mm256_mul_pd(ul, rq)));
+      }
+    }
+  }
+  const __m256d step = _mm256_set1_pd(s.step);
+  const __m256d eps = _mm256_set1_pd(s.div_eps);
+  double out[NB * kLaneWidth];
+  #pragma GCC unroll 8
+  for (int b = 0; b < NB; ++b) {
+    // vj is K-padded, so the full-width load stays inside it.
+    const __m256d vl = _mm256_loadu_pd(vj + l0 + b * kLaneWidth);
+    const __m256d o =
+        s.multiplicative
+            ? _mm256_mul_pd(vl, _mm256_div_pd(num[b], _mm256_max_pd(eps, den[b])))
+            // max(a, 0) is std::max(0.0, a): a only when a > 0.
+            : _mm256_max_pd(_mm256_add_pd(vl, _mm256_mul_pd(
+                                                  step, _mm256_sub_pd(num[b],
+                                                                      den[b]))),
+                            zero);
+    _mm256_storeu_pd(out + b * kLaneWidth, o);
+  }
+  for (Index l = 0; l < w; ++l) s.v[(l0 + l) * s.m + j] = out[l];
+}
+
+__attribute__((target("avx2"))) void VStepColsAvx2(const VStep& s, Index c0,
+                                                  Index c1) {
+  for (Index j = c0; j < c1; ++j) {
+    const bool finite_column =
+        FiniteLanes(s.vt + j * PaddedWidth(s.k), s.k);
+    for (Index l0 = 0; l0 < s.k; l0 += 4 * kLaneWidth) {
+      switch (std::min<Index>(4, (s.k - l0 + kLaneWidth - 1) / kLaneWidth)) {
+        case 1: VStepPassAvx2<1>(s, j, finite_column, l0); break;
+        case 2: VStepPassAvx2<2>(s, j, finite_column, l0); break;
+        case 3: VStepPassAvx2<3>(s, j, finite_column, l0); break;
+        default: VStepPassAvx2<4>(s, j, finite_column, l0); break;
+      }
+    }
+  }
+}
+
+// One column block (NB registers) of two rows of U V: 2·NB accumulators
+// live across the whole p loop and share each load of v. kSkip adds the
+// u[p] == 0 skip, per row and uniform across the row's lanes.
+template <int NB, bool kSkip>
+__attribute__((target("avx2"))) void UvRowPairBlockAvx2(
+    Index k, Index mp, const double* v, const double* u0, const double* u1,
+    double* r0, double* r1) {
+  __m256d a0[NB], a1[NB];
+  #pragma GCC unroll 8
+  for (int b = 0; b < NB; ++b) a0[b] = a1[b] = _mm256_setzero_pd();
+  for (Index p = 0; p < k; ++p) {
+    const double* vr = v + p * mp;
+    const __m256d x0 = _mm256_set1_pd(u0[p]);
+    const __m256d x1 = _mm256_set1_pd(u1[p]);
+    if (!kSkip) {
+      #pragma GCC unroll 8
+      for (int b = 0; b < NB; ++b) {
+        const __m256d vv = _mm256_loadu_pd(vr + b * kLaneWidth);
+        a0[b] = _mm256_add_pd(a0[b], _mm256_mul_pd(x0, vv));
+        a1[b] = _mm256_add_pd(a1[b], _mm256_mul_pd(x1, vv));
+      }
+      continue;
+    }
+    // smfl-lint: allow(float-eq) exact zero-skip: 0.0 adds nothing
+    if (u0[p] != 0.0) {
+      #pragma GCC unroll 8
+      for (int b = 0; b < NB; ++b) {
+        a0[b] = _mm256_add_pd(
+            a0[b], _mm256_mul_pd(x0, _mm256_loadu_pd(vr + b * kLaneWidth)));
+      }
+    }
+    // smfl-lint: allow(float-eq) exact zero-skip: 0.0 adds nothing
+    if (u1[p] != 0.0) {
+      #pragma GCC unroll 8
+      for (int b = 0; b < NB; ++b) {
+        a1[b] = _mm256_add_pd(
+            a1[b], _mm256_mul_pd(x1, _mm256_loadu_pd(vr + b * kLaneWidth)));
+      }
+    }
+  }
+  #pragma GCC unroll 8
+  for (int b = 0; b < NB; ++b) {
+    _mm256_storeu_pd(r0 + b * kLaneWidth, a0[b]);
+    _mm256_storeu_pd(r1 + b * kLaneWidth, a1[b]);
+  }
+}
+
+template <bool kSkip>
+__attribute__((target("avx2"))) void UvRowPairBlocksAvx2(
+    Index k, Index mp, const double* v, const double* u0, const double* u1,
+    double* r0, double* r1) {
+  // Column blocks of up to six registers (24 columns): 12 accumulators plus
+  // the shared load and the two broadcasts fit the 16 ymm registers.
+  for (Index j0 = 0; j0 < mp; j0 += 6 * kLaneWidth) {
+    const double* vb = v + j0;
+    double* o0 = r0 + j0;
+    double* o1 = r1 + j0;
+    switch (std::min<Index>(6, (mp - j0) / kLaneWidth)) {
+      case 1: UvRowPairBlockAvx2<1, kSkip>(k, mp, vb, u0, u1, o0, o1); break;
+      case 2: UvRowPairBlockAvx2<2, kSkip>(k, mp, vb, u0, u1, o0, o1); break;
+      case 3: UvRowPairBlockAvx2<3, kSkip>(k, mp, vb, u0, u1, o0, o1); break;
+      case 4: UvRowPairBlockAvx2<4, kSkip>(k, mp, vb, u0, u1, o0, o1); break;
+      case 5: UvRowPairBlockAvx2<5, kSkip>(k, mp, vb, u0, u1, o0, o1); break;
+      default: UvRowPairBlockAvx2<6, kSkip>(k, mp, vb, u0, u1, o0, o1); break;
+    }
+  }
+}
+
+__attribute__((target("avx2"))) void UvRowPairAvx2(
+    Index k, Index mp, const double* v, const double* u0, const double* u1,
+    bool skip_zeros, double* r0, double* r1) {
+  if (skip_zeros) {
+    UvRowPairBlocksAvx2<true>(k, mp, v, u0, u1, r0, r1);
+  } else {
+    UvRowPairBlocksAvx2<false>(k, mp, v, u0, u1, r0, r1);
+  }
+}
 
 __attribute__((target("avx2"))) void SqDiffAvx2(Index n, const double* x,
                                                 const double* r, double* out) {
@@ -180,12 +616,15 @@ __attribute__((target("avx2"))) void SqDiffAvx2(Index n, const double* x,
   }
 }
 
-// AVX2 crossover 1/5: the 4-wide axpy pass makes the dense path ~1.7×
-// cheaper than scalar dense, so it overtakes the (scalar) per-entry dots
-// at ~20% observed rather than 25% (BENCH_PR8 observed-rate sweep).
-constexpr Kernels kAvx2Table{Tier::kAvx2, AxpyAvx2, DotPanelAvx2,
-                             DotPanelColsAvx2, MaskedDotColsScalar,
-                             SqDiffAvx2, 5};
+// Dense/per-entry crossover of the AVX2 tier: its dense rows run the
+// register-blocked uv_row_pair, its sparse rows the scalar per-entry dots.
+constexpr Index kAvx2Crossover = 7;
+
+constexpr Kernels kAvx2Table{Tier::kAvx2,         AxpyAvx2,
+                             DotPanelAvx2,        MaskedDotColsScalar,
+                             SqDiffAvx2,          UStepRowsAvx2,
+                             VStepColsAvx2,       UvRowPairAvx2,
+                             kAvx2Crossover};
 
 #endif  // SMFL_SIMD_X86
 
@@ -193,7 +632,7 @@ constexpr Kernels kAvx2Table{Tier::kAvx2, AxpyAvx2, DotPanelAvx2,
 // NEON tier (aarch64). NEON is mandatory on aarch64 so there is no runtime
 // probe — the compile-time gate is the dispatch. No gather instruction
 // exists, so masked_dot_cols stays on the (already order-identical) scalar
-// routine.
+// routine, and so do the fit kernels.
 // ---------------------------------------------------------------------------
 
 #if defined(SMFL_SIMD_NEON)
@@ -237,30 +676,6 @@ void DotPanelNeon(Index k, const double* a, const double* panel, Index lanes,
   }
 }
 
-void DotPanelColsNeon(Index n, const double* a, const Index* cols,
-                      const double* panel, Index lanes, double* out) {
-  float64x2_t acc0 = vdupq_n_f64(0.0);
-  float64x2_t acc1 = vdupq_n_f64(0.0);
-  float64x2_t acc2 = vdupq_n_f64(0.0);
-  float64x2_t acc3 = vdupq_n_f64(0.0);
-  for (Index c = 0; c < n; ++c) {
-    const float64x2_t ac = vdupq_n_f64(a[c]);
-    const double* prow = panel + cols[c] * kPanelWidth;
-    acc0 = vaddq_f64(acc0, vmulq_f64(ac, vld1q_f64(prow)));
-    acc1 = vaddq_f64(acc1, vmulq_f64(ac, vld1q_f64(prow + 2)));
-    acc2 = vaddq_f64(acc2, vmulq_f64(ac, vld1q_f64(prow + 4)));
-    acc3 = vaddq_f64(acc3, vmulq_f64(ac, vld1q_f64(prow + 6)));
-  }
-  double lane[kPanelWidth];
-  vst1q_f64(lane, acc0);
-  vst1q_f64(lane + 2, acc1);
-  vst1q_f64(lane + 4, acc2);
-  vst1q_f64(lane + 6, acc3);
-  for (Index l = 0; l < lanes; ++l) {
-    out[l] = lane[l];
-  }
-}
-
 void SqDiffNeon(Index n, const double* x, const double* r, double* out) {
   Index j = 0;
   for (; j + 2 <= n; j += 2) {
@@ -273,11 +688,13 @@ void SqDiffNeon(Index n, const double* x, const double* r, double* out) {
   }
 }
 
-// NEON crossover 1/5: like AVX2, sparse rows run the scalar dots while the
-// dense path runs 2-wide — break-even sits below the scalar tier's 1/4.
-constexpr Kernels kNeonTable{Tier::kNeon, AxpyNeon, DotPanelNeon,
-                             DotPanelColsNeon, MaskedDotColsScalar,
-                             SqDiffNeon, 5};
+// The fit kernels and their crossover are the scalar tier's: no NEON
+// version of them is built or tested here.
+constexpr Kernels kNeonTable{Tier::kNeon,       AxpyNeon,
+                             DotPanelNeon,      MaskedDotColsScalar,
+                             SqDiffNeon,        UStepRowsScalar,
+                             VStepColsScalar,   UvRowPairScalar,
+                             kScalarCrossover};
 
 #endif  // SMFL_SIMD_NEON
 
@@ -402,6 +819,23 @@ void PackRowPanel(const double* b, Index ldb, Index nrows, Index k,
     for (Index l = nrows; l < kPanelWidth; ++l) {
       prow[l] = 0.0;
     }
+  }
+}
+
+void PackTransposed(const double* v, Index k, Index m, double* vt) {
+  const Index kp = PaddedWidth(k);
+  for (Index j = 0; j < m; ++j) {
+    double* col = vt + j * kp;
+    for (Index l = 0; l < k; ++l) col[l] = v[l * m + j];
+    for (Index l = k; l < kp; ++l) col[l] = 0.0;
+  }
+}
+
+void PackRowsPadded(const double* v, Index k, Index m, double* vp) {
+  const Index mp = PaddedWidth(m);
+  for (Index p = 0; p < k; ++p) {
+    std::copy(v + p * m, v + p * m + m, vp + p * mp);
+    std::fill(vp + p * mp + m, vp + p * mp + mp, 0.0);
   }
 }
 

@@ -1,18 +1,22 @@
 // Vectorized microkernels behind one-time runtime CPU dispatch — the raw
-// inner loops under la::MatMul / MatMulAtB / MatMulABt, the Ω-sparse SMFL
-// U update, and the fused data::MaskedReconstruct / MaskedSquaredError
-// paths. The table: axpy, dot_panel, dot_panel_cols (index-list
-// dot_panel), masked_dot_cols, sq_diff.
+// inner loops under la::MatMul / MatMulAtB / MatMulABt, the SMFL fit
+// loop's three per-iteration passes, and the data::MaskedReconstruct /
+// MaskedSquaredError paths. The table: axpy, dot_panel, masked_dot_cols,
+// sq_diff, and the register-resident fit kernels u_step_rows (Formula 13
+// or its gradient step over a range of rows), v_step_cols (Formula 14 or
+// its gradient step over a range of columns) and uv_row_pair (two rows of
+// U V with every accumulator in registers).
 //
 // DETERMINISM CONTRACT. Every tier (scalar, AVX2, NEON) computes every
 // output element with the IDENTICAL sequence of IEEE-754 operations: the
 // same ascending-k mul-then-add chain the serial code has always used.
 // Vectorization happens ONLY across independent output elements (a vector
-// lane per output column), never within one element's reduction — no
-// horizontal sums, no FMA contraction (the build pins -ffp-contract=off),
-// no reassociation. SIMD-on, SIMD-off, and any thread count therefore
-// produce byte-identical results; tests/simd_kernel_test.cc and
-// tests/kernel_equivalence_test.cc enforce this bit for bit.
+// lane per output column, per rank entry of an output row or column, or
+// per cell), never within one element's reduction — no horizontal sums,
+// no FMA contraction (the build pins -ffp-contract=off), no reassociation.
+// SIMD-on, SIMD-off, and any thread count therefore produce byte-identical
+// results; tests/simd_kernel_test.cc and tests/kernel_equivalence_test.cc
+// enforce this bit for bit.
 //
 // Dispatch resolution, strongest first (mirrors the threading layer):
 //   1. simd::ScopedSimd          — thread-local RAII override; this is what
@@ -91,13 +95,73 @@ class ScopedSimd {
 // dot_panel must hold kPanelWidth * max(k, 1) doubles.
 inline constexpr Index kPanelWidth = 8;
 
+// Lanes of one register block in the fit kernels (the AVX2 width). Their
+// packed operands pad each K-wide row of V-transpose, and each row of V,
+// to a multiple of it with zeros, so every vector load of a packed operand
+// stays inside it; rows of U and V themselves are read and written only
+// up to their true width.
+inline constexpr Index kLaneWidth = 4;
+
+// n rounded up to a multiple of kLaneWidth.
+[[nodiscard]] constexpr Index PaddedWidth(Index n) {
+  return (n + kLaneWidth - 1) / kLaneWidth * kLaneWidth;
+}
+
+// One SMFL U step (core/smfl.cc) over rows [r0, r1) — Formula 13,
+//   u_i ← u_i ⊙ (R_Ω(X)_i Vᵀ + λ (D U)_i) / max(R_Ω(UV)_i Vᵀ + λ d_i u_i, ε),
+// or the projected-gradient step
+//   u_i ← max(0, u_i + 2θ ((R_Ω(X)_i − R_Ω(UV)_i) Vᵀ − λ (d_i u_i − (D U)_i))).
+// Row i's observed cells are cols[row_ptr[i] .. row_ptr[i + 1]) with the
+// packed observed values x and R_Ω(UV) values uv at the same positions;
+// its graph neighbours are nbr[nbr_ptr[i] .. nbr_ptr[i + 1]) with weights
+// nbr_w and degree d_i = degree[i] (read only when lambda > 0).
+struct UStep {
+  Index k = 0;                    // rank
+  const double* vt = nullptr;     // V transposed, m × PaddedWidth(k)
+  const Index* row_ptr = nullptr;
+  const Index* cols = nullptr;
+  const double* x = nullptr;
+  const double* uv = nullptr;
+  const double* u = nullptr;      // U, n × k
+  const Index* nbr_ptr = nullptr;
+  const Index* nbr = nullptr;
+  const double* nbr_w = nullptr;
+  const double* degree = nullptr;
+  double lambda = 0.0;
+  double step = 0.0;              // 2θ, gradient rule only
+  double div_eps = 0.0;           // the denominator floor ε
+  bool multiplicative = true;
+  double* u_next = nullptr;       // output rows, n × k; must not alias u
+};
+
+// One SMFL V step over free columns [c0, c1) — Formula 14,
+//   v_j ← v_j ⊙ (Uᵀ R_Ω(X)_j) / max(Uᵀ R_Ω(UV)_j, ε),
+// or its gradient step v_j ← max(0, v_j + 2θ (Uᵀ R_Ω(X)_j − Uᵀ R_Ω(UV)_j)).
+// Column j's observed rows are rows[col_ptr[j − col_begin] ..
+// col_ptr[j − col_begin + 1]) (ascending) with packed values x; each
+// reconstructed (U V)_pj reads V's column j from vt.
+struct VStep {
+  Index k = 0;                    // rank
+  Index m = 0;                    // columns of v
+  const double* u = nullptr;      // U, n × k
+  const double* vt = nullptr;     // V before this step, m × PaddedWidth(k)
+  Index col_begin = 0;
+  const Index* col_ptr = nullptr;
+  const Index* rows = nullptr;
+  const double* x = nullptr;
+  double step = 0.0;
+  double div_eps = 0.0;
+  bool multiplicative = true;
+  double* v = nullptr;            // V, k × m; column j is written
+};
+
 // One dispatch table. Every function preserves the exact scalar
 // per-element operation order (see the file comment).
 struct Kernels {
   Tier tier;
 
   // y[j] += a * x[j] for j in [0, n), ascending — the shared inner loop of
-  // MatMul / MatMulAtB / dense MaskedReconstruct.
+  // MatMul / MatMulAtB.
   void (*axpy)(Index n, double a, const double* x, double* y);
 
   // out[l] = sum_p a[p] * panel[p * kPanelWidth + l] for l in [0, lanes),
@@ -107,20 +171,9 @@ struct Kernels {
   void (*dot_panel)(Index k, const double* a, const double* panel,
                     Index lanes, double* out);
 
-  // out[l] = sum_c a[c] * panel[cols[c] * kPanelWidth + l] for l in
-  // [0, lanes): dot_panel restricted to the panel rows listed in `cols`,
-  // each lane an independent ascending-c mul/add chain. With `cols` the
-  // observed columns of one data row and `a` that row's packed values, it
-  // is the Ω-sparse form of one MatMulABt output row — bitwise equal to
-  // dot_panel over the zero-filled row when the panel is finite: each
-  // skipped term is then an exact ±0.0 added to a chain that starts at
-  // +0.0 and so never holds −0.0. Powers the SMFL U update (core/smfl.cc).
-  void (*dot_panel_cols)(Index n, const double* a, const Index* cols,
-                         const double* panel, Index lanes, double* out);
-
   // orow[cols[c]] = sum_p u[p] * v[p * m + cols[c]] for c in [0, ncols),
   // with the exact-zero skip on u[p] the scalar sparse path has always
-  // had. Powers the sparse-row path of MaskedReconstruct.
+  // had. Powers the sparse-row path of the masked reconstructions.
   void (*masked_dot_cols)(Index k, Index m, const double* u, const double* v,
                           const Index* cols, Index ncols, double* orow);
 
@@ -129,15 +182,45 @@ struct Kernels {
   // MaskedSquaredError's dense rows.
   void (*sq_diff)(Index n, const double* x, const double* r, double* out);
 
-  // Measured dense/gather crossover for the masked kernels' per-row path
-  // choice: a row takes the dense (full-width axpy / sq_diff, then
-  // restrict to Ω) path when `observed * dense_crossover >= m`, and the
-  // per-column masked_dot_cols path below that. Per tier because the
-  // dense path vectorizes while masked_dot_cols is the scalar per-entry
-  // chain on every tier, so the break-even observed rate shifts with the
-  // vector width (tools/run_bench.sh observed-rate sweep; table in
-  // docs/performance.md "Sparse Ω"). Both paths produce bitwise-identical
-  // entries, so the constant only moves wall-clock, never results.
+  // The U step over rows [r0, r1) (see UStep). Per output entry u_il the
+  // chains are those of the dense formula restricted to Ω: num and den
+  // sum the row's observed cells in ascending column order from +0.0,
+  // (D U)_il sums the neighbour rows from +0.0 in adjacency order, then
+  // num + (D U)_il·λ, den + (d_i·u_il)·λ and the epilogue. Vector lanes
+  // are the K entries of the row; every accumulator stays in registers
+  // across the row's cells and edges.
+  void (*u_step_rows)(const UStep& s, Index r0, Index r1);
+
+  // The V step over free columns [c0, c1) (see VStep). For each observed
+  // row p of column j, ascending: (U V)_pj as the ascending-l chain from
+  // +0.0, skipping u_pl == 0 when V's column has a non-finite entry; then
+  // num_l += u_pl·x_pj and den_l += u_pl·(U V)_pj, skipping u_pl == 0 when
+  // (U V)_pj is not finite. Vector lanes are the K entries of the column;
+  // num and den stay in registers across the column's rows.
+  void (*v_step_cols)(const VStep& s, Index c0, Index c1);
+
+  // r0[j] = sum_p u0[p] * v[p * mp + j] and r1[j] likewise for u1, for j
+  // in [0, mp): two rows of U V, each entry the ascending-p chain from
+  // +0.0. `v` is k × mp with mp a multiple of kLaneWidth; with skip_zeros
+  // the terms with u[p] == 0 are skipped (needed only when v holds a
+  // non-finite entry: against a finite partner the skipped term is an
+  // exact ±0.0 that leaves the chain unchanged). Vector lanes are output
+  // columns; both rows' accumulators for a column block stay in registers
+  // across p, sharing each load of v. Powers the dense rows of the masked
+  // reconstructions.
+  void (*uv_row_pair)(Index k, Index mp, const double* v, const double* u0,
+                      const double* u1, bool skip_zeros, double* r0,
+                      double* r1);
+
+  // Measured dense/per-entry crossover for the masked kernels' per-row
+  // path choice: a row takes the dense path (the full row through
+  // uv_row_pair, or sq_diff in MaskedSquaredError, then its observed
+  // entries) when `observed * dense_crossover >= m`, and the per-entry
+  // path below that (so sparse rows of wide tables stay per-entry). Per
+  // tier because the dense path vectorizes while masked_dot_cols is the
+  // scalar per-entry chain on every tier (table in docs/performance.md
+  // "Sparse Ω"). Both paths produce bitwise-identical entries, so the
+  // constant only moves wall-clock, never results.
   Index dense_crossover;
 };
 
@@ -152,6 +235,15 @@ struct Kernels {
 // floating-point arithmetic, hence no determinism concern.
 void PackRowPanel(const double* b, Index ldb, Index nrows, Index k,
                   double* panel);
+
+// Packs row-major `v` (k × m) transposed into `vt` (m × PaddedWidth(k)):
+// vt[j * PaddedWidth(k) + l] = v[l * m + j], lanes [k, PaddedWidth(k))
+// zero. The layout UStep and VStep read. Pure data movement.
+void PackTransposed(const double* v, Index k, Index m, double* vt);
+
+// Copies row-major `v` (k × m) into `vp` (k × PaddedWidth(m)) with zero
+// padding columns — the layout uv_row_pair reads. Pure data movement.
+void PackRowsPadded(const double* v, Index k, Index m, double* vp);
 
 }  // namespace smfl::la::simd
 

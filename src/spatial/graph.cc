@@ -1,6 +1,7 @@
 #include "src/spatial/graph.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "src/common/parallel.h"
@@ -34,10 +35,9 @@ Result<NeighborGraph> NeighborGraph::Build(const Matrix& si, Index p,
     if (valid_rows[static_cast<size_t>(i)]) valid.push_back(i);
   }
   NeighborGraph g;
-  g.adj_.assign(static_cast<size_t>(n), {});
   if (valid.size() < 2) {
     // Degenerate but legal: an edgeless graph (zero Laplacian term).
-    g.degree_ = Vector(n);
+    g.Assign(n, {});
     return g;
   }
   if (p < 1 || p >= static_cast<Index>(valid.size())) {
@@ -56,36 +56,95 @@ Result<NeighborGraph> NeighborGraph::Build(const Matrix& si, Index p,
   ASSIGN_OR_RETURN(auto knn, AllKnn(valid_si, p));
   // Symmetrize: edge if either direction is a p-NN relation (weight 1,
   // Formula 3).
+  std::vector<la::Triplet> directed;
+  directed.reserve(2 * valid.size() * static_cast<size_t>(p));
   for (size_t v = 0; v < valid.size(); ++v) {
     const Index i = valid[v];
     for (const Neighbor& nb : knn[v]) {
       const Index j = valid[static_cast<size_t>(nb.index)];
-      g.adj_[static_cast<size_t>(i)].push_back({j, 1.0});
-      g.adj_[static_cast<size_t>(j)].push_back({i, 1.0});
+      directed.push_back({i, j, 1.0});
+      directed.push_back({j, i, 1.0});
     }
   }
-  Index edges = 0;
-  auto by_target = [](const Edge& a, const Edge& b) { return a.to < b.to; };
-  auto same_target = [](const Edge& a, const Edge& b) { return a.to == b.to; };
-  for (auto& list : g.adj_) {
-    std::sort(list.begin(), list.end(), by_target);
-    list.erase(std::unique(list.begin(), list.end(), same_target),
-               list.end());
-    edges += static_cast<Index>(list.size());
-  }
-  g.num_edges_ = edges / 2;
-  g.RecomputeDegrees();
+  g.Assign(n, std::move(directed));
   return g;
 }
 
-void NeighborGraph::RecomputeDegrees() {
-  const Index n = num_vertices();
+void NeighborGraph::Assign(Index n, std::vector<la::Triplet> directed) {
+  // Stable, so a repeated pair keeps the weight it was first given.
+  std::stable_sort(directed.begin(), directed.end(),
+                   [](const la::Triplet& a, const la::Triplet& b) {
+                     return a.row != b.row ? a.row < b.row : a.col < b.col;
+                   });
+  directed.erase(std::unique(directed.begin(), directed.end(),
+                             [](const la::Triplet& a, const la::Triplet& b) {
+                               return a.row == b.row && a.col == b.col;
+                             }),
+                 directed.end());
+  offsets_.assign(static_cast<size_t>(n) + 1, 0);
+  targets_.clear();
+  weights_.clear();
+  targets_.reserve(directed.size());
+  weights_.reserve(directed.size());
+  upper_offsets_.assign(static_cast<size_t>(n) + 1, 0);
+  upper_from_.clear();
+  upper_edge_.clear();
+  for (const la::Triplet& t : directed) {
+    ++offsets_[static_cast<size_t>(t.row) + 1];
+    if (t.col > t.row) {
+      ++upper_offsets_[static_cast<size_t>(t.row) + 1];
+      upper_from_.push_back(t.row);
+      upper_edge_.push_back(static_cast<Index>(targets_.size()));
+    }
+    targets_.push_back(t.col);
+    weights_.push_back(t.value);
+  }
+  for (size_t i = 0; i < static_cast<size_t>(n); ++i) {
+    offsets_[i + 1] += offsets_[i];
+    upper_offsets_[i + 1] += upper_offsets_[i];
+  }
+  num_edges_ = static_cast<Index>(targets_.size()) / 2;
   degree_ = Vector(n);
-  for (Index i = 0; i < n; ++i) {
+  RecomputeDegrees();
+}
+
+void NeighborGraph::RecomputeDegrees() {
+  for (Index i = 0; i < num_vertices(); ++i) {
     double acc = 0.0;
-    for (const Edge& e : adj_[static_cast<size_t>(i)]) acc += e.weight;
+    for (Index e = offsets_[static_cast<size_t>(i)];
+         e < offsets_[static_cast<size_t>(i) + 1]; ++e) {
+      acc += weights_[static_cast<size_t>(e)];
+    }
     degree_[i] = acc;
   }
+}
+
+std::vector<NeighborGraph::Edge> NeighborGraph::NeighborsOf(Index i) const {
+  SMFL_CHECK(i >= 0 && i < num_vertices());
+  std::vector<Edge> edges;
+  for (Index e = offsets_[static_cast<size_t>(i)];
+       e < offsets_[static_cast<size_t>(i) + 1]; ++e) {
+    edges.push_back({targets_[static_cast<size_t>(e)],
+                     weights_[static_cast<size_t>(e)]});
+  }
+  return edges;
+}
+
+double NeighborGraph::MeanEdgeLength(const Matrix& points) const {
+  SMFL_CHECK_EQ(points.rows(), num_vertices());
+  double total = 0.0;
+  for (size_t u = 0; u < upper_edge_.size(); ++u) {
+    const Index i = upper_from_[u];
+    const Index j = targets_[static_cast<size_t>(upper_edge_[u])];
+    total += std::sqrt(la::SquaredDistance(points.Row(i), points.Row(j)));
+  }
+  if (upper_edge_.empty()) return 0.0;
+  return std::max(total / static_cast<double>(upper_edge_.size()), 1e-12);
+}
+
+double NeighborGraph::HeatKernelWeight(double d2, double sigma) {
+  const double inv_two_sigma2 = 1.0 / (2.0 * sigma * sigma);
+  return std::exp(-d2 * inv_two_sigma2);
 }
 
 Status NeighborGraph::ApplyHeatKernelWeights(const Matrix& points,
@@ -96,25 +155,15 @@ Status NeighborGraph::ApplyHeatKernelWeights(const Matrix& points,
         "ApplyHeatKernelWeights: point count mismatch");
   }
   if (sigma <= 0.0) {
-    // Mean edge length as the bandwidth.
-    double total = 0.0;
-    Index count = 0;
-    for (Index i = 0; i < n; ++i) {
-      for (const Edge& e : adj_[static_cast<size_t>(i)]) {
-        if (e.to <= i) continue;
-        total += std::sqrt(
-            la::SquaredDistance(points.Row(i), points.Row(e.to)));
-        ++count;
-      }
-    }
-    if (count == 0) return Status::OK();  // edgeless graph: nothing to do
-    sigma = std::max(total / static_cast<double>(count), 1e-12);
+    sigma = MeanEdgeLength(points);
+    if (sigma <= 0.0) return Status::OK();  // edgeless graph: nothing to do
   }
-  const double inv_two_sigma2 = 1.0 / (2.0 * sigma * sigma);
   for (Index i = 0; i < n; ++i) {
-    for (Edge& e : adj_[static_cast<size_t>(i)]) {
-      const double d2 = la::SquaredDistance(points.Row(i), points.Row(e.to));
-      e.weight = std::exp(-d2 * inv_two_sigma2);
+    for (Index e = offsets_[static_cast<size_t>(i)];
+         e < offsets_[static_cast<size_t>(i) + 1]; ++e) {
+      const double d2 = la::SquaredDistance(
+          points.Row(i), points.Row(targets_[static_cast<size_t>(e)]));
+      weights_[static_cast<size_t>(e)] = HeatKernelWeight(d2, sigma);
     }
   }
   RecomputeDegrees();
@@ -133,21 +182,26 @@ Result<NeighborGraph> NeighborGraph::BuildHaversine(const Matrix& si,
   return Build(EmbedLatLonOnSphere(si), p);
 }
 
-void NeighborGraph::AddSymmetricEdge(Index a, Index b) {
-  SMFL_CHECK(a >= 0 && a < num_vertices());
-  SMFL_CHECK(b >= 0 && b < num_vertices());
-  if (a == b) return;
-  auto by_target = [](const Edge& e, Index target) { return e.to < target; };
-  auto& list_a = adj_[static_cast<size_t>(a)];
-  auto it = std::lower_bound(list_a.begin(), list_a.end(), b, by_target);
-  if (it != list_a.end() && it->to == b) return;  // already present
-  list_a.insert(it, {b, 1.0});
-  auto& list_b = adj_[static_cast<size_t>(b)];
-  list_b.insert(std::lower_bound(list_b.begin(), list_b.end(), a, by_target),
-                {a, 1.0});
-  degree_[a] += 1.0;
-  degree_[b] += 1.0;
-  ++num_edges_;
+void NeighborGraph::AddSymmetricEdges(std::span<const la::Triplet> edges) {
+  const Index n = num_vertices();
+  std::vector<la::Triplet> directed;
+  directed.reserve(targets_.size() + 2 * edges.size());
+  // The existing edges first, so a stable sort keeps their weights.
+  for (Index i = 0; i < n; ++i) {
+    for (Index e = offsets_[static_cast<size_t>(i)];
+         e < offsets_[static_cast<size_t>(i) + 1]; ++e) {
+      directed.push_back({i, targets_[static_cast<size_t>(e)],
+                          weights_[static_cast<size_t>(e)]});
+    }
+  }
+  for (const la::Triplet& t : edges) {
+    SMFL_CHECK(t.row >= 0 && t.row < n);
+    SMFL_CHECK(t.col >= 0 && t.col < n);
+    if (t.row == t.col) continue;
+    directed.push_back({t.row, t.col, t.value});
+    directed.push_back({t.col, t.row, t.value});
+  }
+  Assign(n, std::move(directed));
 }
 
 Matrix NeighborGraph::MultiplyD(const Matrix& u) const {
@@ -156,10 +210,12 @@ Matrix NeighborGraph::MultiplyD(const Matrix& u) const {
   parallel::ParallelFor(0, u.rows(), kVertexGrain, [&](Index r0, Index r1) {
     for (Index i = r0; i < r1; ++i) {
       auto out_row = out.Row(i);
-      for (const Edge& e : adj_[static_cast<size_t>(i)]) {
-        auto u_row = u.Row(e.to);
+      for (Index e = offsets_[static_cast<size_t>(i)];
+           e < offsets_[static_cast<size_t>(i) + 1]; ++e) {
+        const double w = weights_[static_cast<size_t>(e)];
+        auto u_row = u.Row(targets_[static_cast<size_t>(e)]);
         for (Index c = 0; c < u.cols(); ++c) {
-          out_row[c] += e.weight * u_row[c];
+          out_row[c] += w * u_row[c];
         }
       }
     }
@@ -183,25 +239,51 @@ Matrix NeighborGraph::MultiplyW(const Matrix& u) const {
 
 double NeighborGraph::LaplacianQuadraticForm(const Matrix& u) const {
   SMFL_CHECK_EQ(u.rows(), num_vertices());
+  const Index k = u.cols();
+  const double* ud = u.data();
+  // ||u_i − u_j||² for one edge: the ascending-column chain from +0.0.
+  const auto d2 = [&](Index e) {
+    const double* ui = ud + upper_from_[static_cast<size_t>(e)] * k;
+    const double* uj =
+        ud + targets_[static_cast<size_t>(upper_edge_[static_cast<size_t>(e)])] * k;
+    double acc = 0.0;
+    for (Index c = 0; c < k; ++c) {
+      const double diff = ui[c] - uj[c];
+      acc += diff * diff;
+    }
+    return acc;
+  };
+  const auto weight = [&](Index e) {
+    return weights_[static_cast<size_t>(upper_edge_[static_cast<size_t>(e)])];
+  };
   // Per-chunk partials combined in ascending chunk order: deterministic
   // at any thread count (though chunking may reorder sums vs. a single
-  // serial accumulator, the order is fixed by the partition alone).
+  // serial accumulator, the order is fixed by the partition alone). A
+  // chunk's upper-triangle edges are one flat range; four of their d²
+  // chains run interleaved, then join the chunk sum in edge order.
   return parallel::ParallelReduce(
       0, u.rows(), kVertexGrain, [&](Index r0, Index r1) {
+        const Index e1 = upper_offsets_[static_cast<size_t>(r1)];
+        Index e = upper_offsets_[static_cast<size_t>(r0)];
         double acc = 0.0;
-        for (Index i = r0; i < r1; ++i) {
-          auto ui = u.Row(i);
-          for (const Edge& e : adj_[static_cast<size_t>(i)]) {
-            if (e.to <= i) continue;  // each undirected edge once
-            auto uj = u.Row(e.to);
-            double d2 = 0.0;
-            for (Index c = 0; c < u.cols(); ++c) {
-              const double diff = ui[c] - uj[c];
-              d2 += diff * diff;
-            }
-            acc += e.weight * d2;
+        for (; e + 4 <= e1; e += 4) {
+          std::array<const double*, 4> a{}, b{};
+          for (Index q = 0; q < 4; ++q) {
+            a[q] = ud + upper_from_[static_cast<size_t>(e + q)] * k;
+            b[q] = ud + targets_[static_cast<size_t>(
+                            upper_edge_[static_cast<size_t>(e + q)])] *
+                            k;
           }
+          std::array<double, 4> s{};
+          for (Index c = 0; c < k; ++c) {
+            for (Index q = 0; q < 4; ++q) {
+              const double diff = a[q][c] - b[q][c];
+              s[q] += diff * diff;
+            }
+          }
+          for (Index q = 0; q < 4; ++q) acc += weight(e + q) * s[q];
         }
+        for (; e < e1; ++e) acc += weight(e) * d2(e);
         return acc;
       });
 }
@@ -210,8 +292,9 @@ Matrix NeighborGraph::DenseD() const {
   const Index n = num_vertices();
   Matrix d(n, n);
   for (Index i = 0; i < n; ++i) {
-    for (const Edge& e : adj_[static_cast<size_t>(i)]) {
-      d(i, e.to) = e.weight;
+    for (Index e = offsets_[static_cast<size_t>(i)];
+         e < offsets_[static_cast<size_t>(i) + 1]; ++e) {
+      d(i, targets_[static_cast<size_t>(e)]) = weights_[static_cast<size_t>(e)];
     }
   }
   return d;
@@ -235,8 +318,10 @@ la::SparseMatrix NeighborGraph::SparseD() const {
   std::vector<la::Triplet> triplets;
   triplets.reserve(static_cast<size_t>(2 * num_edges_));
   for (Index i = 0; i < n; ++i) {
-    for (const Edge& e : adj_[static_cast<size_t>(i)]) {
-      triplets.push_back({i, e.to, e.weight});
+    for (Index e = offsets_[static_cast<size_t>(i)];
+         e < offsets_[static_cast<size_t>(i) + 1]; ++e) {
+      triplets.push_back({i, targets_[static_cast<size_t>(e)],
+                          weights_[static_cast<size_t>(e)]});
     }
   }
   auto result = la::SparseMatrix::FromTriplets(n, n, std::move(triplets));
@@ -251,8 +336,10 @@ la::SparseMatrix NeighborGraph::SparseLaplacian() const {
   for (Index i = 0; i < n; ++i) {
     // smfl-lint: allow(float-eq) structural zero: keep the diagonal sparse
     if (degree_[i] != 0.0) triplets.push_back({i, i, degree_[i]});
-    for (const Edge& e : adj_[static_cast<size_t>(i)]) {
-      triplets.push_back({i, e.to, -e.weight});
+    for (Index e = offsets_[static_cast<size_t>(i)];
+         e < offsets_[static_cast<size_t>(i) + 1]; ++e) {
+      triplets.push_back({i, targets_[static_cast<size_t>(e)],
+                          -weights_[static_cast<size_t>(e)]});
     }
   }
   auto result = la::SparseMatrix::FromTriplets(n, n, std::move(triplets));

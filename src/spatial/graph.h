@@ -3,9 +3,12 @@
 //   W: diagonal degree matrix (Formula 4),
 //   L = W - D: graph Laplacian.
 //
-// NeighborGraph stores D as adjacency lists so the products D*U and W*U that
-// the multiplicative update (Formula 13) needs run in O(|E|·K) instead of
-// O(N²·K); dense forms exist for tests and small problems.
+// NeighborGraph stores D in compressed sparse rows (offsets, targets,
+// weights; each vertex's neighbours ascending), built eagerly by every
+// mutation and read-only afterwards, so the products D*U and W*U that the
+// multiplicative update (Formula 13) needs run in O(|E|·K) over flat arrays
+// that any number of workers may read. Dense forms exist for tests and
+// small problems.
 //
 // Edges carry weights. The paper's Formula 3 is binary (weight 1), which is
 // what Build produces; ApplyHeatKernelWeights re-weights the same topology
@@ -15,6 +18,7 @@
 #ifndef SMFL_SPATIAL_GRAPH_H_
 #define SMFL_SPATIAL_GRAPH_H_
 
+#include <span>
 #include <vector>
 
 #include "src/common/status.h"
@@ -49,17 +53,30 @@ class NeighborGraph {
   // N x 2.
   static Result<NeighborGraph> BuildHaversine(const Matrix& si, Index p);
 
-  // Adds an undirected unit-weight edge (deduplicated, self loops
-  // ignored). Used to attach rows with partially observed spatial
-  // information to their partial-distance neighbors after the main Build.
-  void AddSymmetricEdge(Index a, Index b);
+  // Adds the undirected edge {row, col} with weight `value` for every
+  // triplet, in one rebuild of the CSR arrays. A pair already in the graph
+  // keeps its edge, a pair repeated in the batch keeps its first weight,
+  // and self loops are ignored. Used to attach rows with partially
+  // observed spatial information to their partial-distance neighbors
+  // after the main Build.
+  void AddSymmetricEdges(std::span<const la::Triplet> edges);
 
-  // Replaces every edge's weight with exp(-d_ij^2 / (2 sigma^2)) computed
-  // from the point coordinates; sigma <= 0 picks the mean edge length.
-  // Degrees are recomputed. `points` must have num_vertices() rows.
+  // Replaces every edge's weight with HeatKernelWeight(d_ij^2, sigma)
+  // computed from the point coordinates; sigma <= 0 picks
+  // MeanEdgeLength(points). Degrees are recomputed. `points` must have
+  // num_vertices() rows.
   Status ApplyHeatKernelWeights(const Matrix& points, double sigma = 0.0);
 
-  Index num_vertices() const { return static_cast<Index>(adj_.size()); }
+  // The bandwidth ApplyHeatKernelWeights picks when sigma <= 0: the mean
+  // Euclidean edge length over `points`, floored at 1e-12; 0 for an
+  // edgeless graph.
+  double MeanEdgeLength(const Matrix& points) const;
+
+  // exp(-d2 / (2 sigma^2)): the heat-kernel weight of an edge whose
+  // endpoints lie d2 apart in squared distance.
+  static double HeatKernelWeight(double d2, double sigma);
+
+  Index num_vertices() const { return degree_.size(); }
   Index num_edges() const { return num_edges_; }
 
   // One weighted edge endpoint.
@@ -72,12 +89,19 @@ class NeighborGraph {
     }
   };
 
-  const std::vector<Edge>& NeighborsOf(Index i) const {
-    return adj_[static_cast<size_t>(i)];
-  }
+  // Vertex i's edges, ascending by target (a copy of its CSR slice).
+  std::vector<Edge> NeighborsOf(Index i) const;
+
+  // The CSR arrays: vertex i's neighbours are Targets()[Offsets()[i] ..
+  // Offsets()[i + 1]), ascending, with their weights at the same positions
+  // of Weights(). Offsets() has num_vertices() + 1 entries.
+  std::span<const Index> Offsets() const { return offsets_; }
+  std::span<const Index> Targets() const { return targets_; }
+  std::span<const double> Weights() const { return weights_; }
 
   // Vertex degree d_i = w_ii (sum of incident edge weights).
   double Degree(Index i) const { return degree_[i]; }
+  std::span<const double> Degrees() const { return degree_.values(); }
 
   // (D U): for each row i, the sum of U rows over i's neighbors.
   Matrix MultiplyD(const Matrix& u) const;
@@ -86,7 +110,11 @@ class NeighborGraph {
   Matrix MultiplyW(const Matrix& u) const;
 
   // Tr(Uᵀ L U) = ½ Σ_{ij} d_ij ||u_i − u_j||² — the spatial regularizer
-  // O_SR(U), computed edge-wise without forming L.
+  // O_SR(U), computed edge-wise without forming L. Each 64-vertex chunk
+  // sums its upper-triangle edges (i < j, in CSR order) as one flat range,
+  // d_ij·||u_i − u_j||² per edge with the squared distance an ascending-
+  // column chain from +0.0; the chunk totals then join in order, so the
+  // value is the same at any thread count.
   double LaplacianQuadraticForm(const Matrix& u) const;
 
   // Dense D / W / L for verification and small-scale math.
@@ -100,9 +128,21 @@ class NeighborGraph {
   la::SparseMatrix SparseLaplacian() const;
 
  private:
+  // Rebuilds every array from directed (from, to, weight) entries: sorts
+  // them by (from, to), keeps the first of each repeated pair, and fills
+  // the CSR, the upper-triangle list and the degrees.
+  void Assign(Index n, std::vector<la::Triplet> directed);
   void RecomputeDegrees();
 
-  std::vector<std::vector<Edge>> adj_;
+  std::vector<Index> offsets_{0};  // num_vertices() + 1
+  std::vector<Index> targets_;     // ascending within each vertex
+  std::vector<double> weights_;    // parallel to targets_
+  // The upper-triangle edges (from < to) in CSR order, for the
+  // LaplacianQuadraticForm: vertex i's at [upper_offsets_[i],
+  // upper_offsets_[i + 1]), as positions into targets_ / weights_.
+  std::vector<Index> upper_offsets_{0};
+  std::vector<Index> upper_from_;
+  std::vector<Index> upper_edge_;
   Vector degree_;
   Index num_edges_ = 0;
 };

@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -184,55 +187,202 @@ TEST(SimdKernelTest, DotPanelMatchesScalarTier) {
   }
 }
 
-// The index-list dot_panel: vector tier vs scalar tier over panels with
-// fewer and more rows than kPanelWidth, ragged lane counts, and column
-// lists from empty to every row; and both tiers vs dot_panel over the
-// zero-filled dense row (the Ω-sparse U update's bitwise claim).
-TEST(SimdKernelTest, DotPanelColsMatchesScalarTier) {
-  for (const Index m : {Index{1}, Index{5}, Index{7}, simd::kPanelWidth,
-                        Index{9}, Index{20}, Index{33}}) {
-    for (const Index lanes :
-         {Index{1}, Index{2}, Index{3}, Index{5}, simd::kPanelWidth}) {
-      for (const double rate : {0.0, 0.3, 1.0}) {
-        const Matrix b = RandomMatrix(lanes, m, 41);
-        std::vector<double> panel(static_cast<size_t>(simd::kPanelWidth * m));
-        simd::PackRowPanel(b.data(), m, lanes, m, panel.data());
-        Rng rng(42 + static_cast<uint64_t>(m));
-        std::vector<Index> cols;
-        std::vector<double> a;
-        std::vector<double> dense(static_cast<size_t>(m), 0.0);
+// --------------------------------------------------------------------------
+// The fit kernels (u_step_rows, v_step_cols, uv_row_pair): vector tier vs
+// scalar tier over every rank K in 1..17 (one to four 4-lane registers,
+// lane tails, and a second 16-lane pass) and every width m in 1..33.
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Identical bits, or NaN on both sides (which NaN operand a tier
+// propagates when two meet is not part of the contract).
+bool SameBits(double a, double b) {
+  if (std::isnan(a) && std::isnan(b)) return true;
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+void ExpectSameBits(const std::vector<double>& a, const std::vector<double>& b,
+                    const std::string& label) {
+  ASSERT_EQ(a.size(), b.size()) << label;
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_TRUE(SameBits(a[i], b[i]))
+        << label << " index " << i << ": " << a[i] << " vs " << b[i];
+  }
+}
+
+// One U step on both tiers: n = 6 rows with row 1 unobserved and row 4
+// fully observed, U with exact zeros, a graph in which row 2 is isolated,
+// and (for some shapes) an infinite V entry and an infinite R_Ω(UV) cell.
+TEST(SimdKernelTest, UStepRowsMatchesScalarTier) {
+  constexpr Index n = 6;
+  for (Index k = 1; k <= 17; ++k) {
+    for (Index m = 1; m <= 33; ++m) {
+      const auto seed = static_cast<uint64_t>(k * 100 + m);
+      Rng rng(seed);
+      const Matrix u = RandomMatrix(n, k, seed + 1, 0.25);
+      Matrix v = RandomMatrix(k, m, seed + 2, 0.1);
+      if ((k + m) % 3 == 0) v(k - 1, m - 1) = kInf;
+      std::vector<Index> row_ptr{0}, cols;
+      std::vector<double> x, uv;
+      for (Index i = 0; i < n; ++i) {
         for (Index j = 0; j < m; ++j) {
-          if (rng.Uniform() >= rate) continue;
+          if (i == 1 || (i != 4 && rng.Uniform() < 0.5)) continue;
           cols.push_back(j);
-          a.push_back(rng.Uniform(-1.0, 1.0));
-          dense[static_cast<size_t>(j)] = a.back();
+          x.push_back(rng.Uniform());
+          uv.push_back(rng.Uniform());
         }
-        const auto n = static_cast<Index>(cols.size());
-        std::vector<double> out_vec(static_cast<size_t>(lanes), -1.0);
-        std::vector<double> out_sca(static_cast<size_t>(lanes), -2.0);
-        std::vector<double> out_dense(static_cast<size_t>(lanes), -3.0);
+        row_ptr.push_back(static_cast<Index>(cols.size()));
+      }
+      if (m % 2 == 0) uv.back() = kInf;
+      // Row i's neighbours (i + 1) % n and (i + 3) % n; row 2 isolated.
+      std::vector<Index> nbr_ptr{0}, nbr;
+      std::vector<double> nbr_w, degree;
+      for (Index i = 0; i < n; ++i) {
+        double d = 0.0;
+        if (i != 2) {
+          for (const Index to : {(i + 1) % n, (i + 3) % n}) {
+            nbr.push_back(to);
+            nbr_w.push_back(rng.Uniform(0.1, 1.0));
+            d += nbr_w.back();
+          }
+        }
+        nbr_ptr.push_back(static_cast<Index>(nbr.size()));
+        degree.push_back(d);
+      }
+      std::vector<double> vt(static_cast<size_t>(m * simd::PaddedWidth(k)));
+      simd::PackTransposed(v.data(), k, m, vt.data());
+      for (const bool multiplicative : {true, false}) {
+        for (const double lambda : {0.0, 0.5}) {
+          simd::UStep step;
+          step.k = k;
+          step.vt = vt.data();
+          step.row_ptr = row_ptr.data();
+          step.cols = cols.data();
+          step.x = x.data();
+          step.uv = uv.data();
+          step.u = u.data();
+          step.nbr_ptr = nbr_ptr.data();
+          step.nbr = nbr.data();
+          step.nbr_w = nbr_w.data();
+          step.degree = degree.data();
+          step.lambda = lambda;
+          step.step = 0.1;
+          step.div_eps = 1e-9;
+          step.multiplicative = multiplicative;
+          std::vector<double> out_vec(static_cast<size_t>(n * k), -1.0);
+          std::vector<double> out_sca(static_cast<size_t>(n * k), -2.0);
+          {
+            simd::ScopedSimd on(1);
+            step.u_next = out_vec.data();
+            simd::Active().u_step_rows(step, 0, n);
+          }
+          {
+            simd::ScopedSimd off(0);
+            step.u_next = out_sca.data();
+            simd::Active().u_step_rows(step, 0, n);
+          }
+          ExpectSameBits(out_vec, out_sca,
+                         "u_step_rows k=" + std::to_string(k) +
+                             " m=" + std::to_string(m) +
+                             (multiplicative ? " mult" : " grad") +
+                             " lambda=" + std::to_string(lambda));
+        }
+      }
+    }
+  }
+}
+
+// One V step on both tiers over the free columns [1, m): n = 9 rows, U
+// with exact zeros and (for some shapes) an infinite entry, so the
+// reconstruction of its cells is not finite; V with an infinite entry in
+// one column (zero U entries meet it); the last column never observed.
+TEST(SimdKernelTest, VStepColsMatchesScalarTier) {
+  constexpr Index n = 9;
+  for (Index k = 1; k <= 17; ++k) {
+    for (Index m = 1; m <= 33; ++m) {
+      const auto seed = static_cast<uint64_t>(k * 1000 + m);
+      Rng rng(seed);
+      Matrix u = RandomMatrix(n, k, seed + 1, 0.25);
+      if ((k + m) % 4 == 0) u(2, 0) = kInf;
+      Matrix v = RandomMatrix(k, m, seed + 2);
+      if ((k + m) % 3 == 0) v(k - 1, m / 2) = kInf;
+      const Index col_begin = m > 1 ? 1 : 0;
+      std::vector<Index> col_ptr{0}, rows;
+      std::vector<double> x;
+      for (Index j = col_begin; j < m; ++j) {
+        for (Index i = 0; i < n; ++i) {
+          if (j == m - 1 && m > 2) continue;
+          if (i != 0 && i != 2 && rng.Uniform() < 0.5) continue;
+          rows.push_back(i);
+          x.push_back(rng.Uniform());
+        }
+        col_ptr.push_back(static_cast<Index>(rows.size()));
+      }
+      std::vector<double> vt(static_cast<size_t>(m * simd::PaddedWidth(k)));
+      simd::PackTransposed(v.data(), k, m, vt.data());
+      for (const bool multiplicative : {true, false}) {
+        simd::VStep step;
+        step.k = k;
+        step.m = m;
+        step.u = u.data();
+        step.vt = vt.data();
+        step.col_begin = col_begin;
+        step.col_ptr = col_ptr.data();
+        step.rows = rows.data();
+        step.x = x.data();
+        step.step = 0.1;
+        step.div_eps = 1e-9;
+        step.multiplicative = multiplicative;
+        std::vector<double> v_vec(v.data(), v.data() + v.size());
+        std::vector<double> v_sca = v_vec;
         {
           simd::ScopedSimd on(1);
-          simd::Active().dot_panel_cols(n, a.data(), cols.data(),
-                                        panel.data(), lanes, out_vec.data());
+          step.v = v_vec.data();
+          simd::Active().v_step_cols(step, col_begin, m);
         }
         {
           simd::ScopedSimd off(0);
-          simd::Active().dot_panel_cols(n, a.data(), cols.data(),
-                                        panel.data(), lanes, out_sca.data());
-          simd::Active().dot_panel(m, dense.data(), panel.data(), lanes,
-                                   out_dense.data());
+          step.v = v_sca.data();
+          simd::Active().v_step_cols(step, col_begin, m);
         }
-        for (Index l = 0; l < lanes; ++l) {
-          const auto sl = static_cast<size_t>(l);
-          const std::string label = "dot_panel_cols m=" + std::to_string(m) +
-                                    " lanes=" + std::to_string(lanes) +
-                                    " n=" + std::to_string(n) + " lane " +
-                                    std::to_string(l);
-          ASSERT_EQ(out_vec[sl], out_sca[sl]) << label;
-          ASSERT_EQ(out_sca[sl], out_dense[sl]) << label << " vs dense";
-        }
+        ExpectSameBits(v_vec, v_sca,
+                       "v_step_cols k=" + std::to_string(k) +
+                           " m=" + std::to_string(m) +
+                           (multiplicative ? " mult" : " grad"));
       }
+    }
+  }
+}
+
+// Two rows of U V on both tiers, with exact zeros in both rows; with
+// skip_zeros and an infinite V entry the skip decides the result, and
+// against a finite V the skip must not change a bit.
+TEST(SimdKernelTest, UvRowPairMatchesScalarTier) {
+  for (Index k = 1; k <= 17; ++k) {
+    for (Index m = 1; m <= 33; ++m) {
+      const auto seed = static_cast<uint64_t>(k * 10000 + m);
+      const Index mp = simd::PaddedWidth(m);
+      const Matrix u = RandomMatrix(2, k, seed + 1, 0.3);
+      const Matrix v = RandomMatrix(k, m, seed + 2);
+      std::vector<double> vp(static_cast<size_t>(k * mp));
+      simd::PackRowsPadded(v.data(), k, m, vp.data());
+      const auto run = [&](int mode, bool skip) {
+        simd::ScopedSimd tier(mode);
+        std::vector<double> r(static_cast<size_t>(2 * mp), -1.0);
+        simd::Active().uv_row_pair(k, mp, vp.data(), u.Row(0).data(),
+                                   u.Row(1).data(), skip, r.data(),
+                                   r.data() + mp);
+        return r;
+      };
+      const std::string label =
+          "uv_row_pair k=" + std::to_string(k) + " m=" + std::to_string(m);
+      const std::vector<double> finite = run(0, false);
+      ExpectSameBits(run(1, false), finite, label);
+      ExpectSameBits(run(1, true), finite, label + " skip");
+      ExpectSameBits(run(0, true), finite, label + " scalar skip");
+      vp[static_cast<size_t>((k - 1) * mp)] = kInf;
+      ExpectSameBits(run(1, true), run(0, true), label + " inf skip");
+      ExpectSameBits(run(1, false), run(0, false), label + " inf");
     }
   }
 }

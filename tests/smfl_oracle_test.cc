@@ -51,7 +51,9 @@ using spatial::NeighborGraph;
 
 constexpr Index kCols = 7;
 constexpr Index kSpatial = 2;
-constexpr Index kRank = 3;
+// Ranks: one partial 4-lane register block (3), two full blocks plus a
+// tail (10), and more than one 16-lane pass of the fit kernels (17).
+constexpr Index kRanks[] = {3, 10, 17};
 constexpr int kIterations = 15;
 constexpr Index kChunk = 64;  // the fit's reduction grain (see above)
 
@@ -256,67 +258,69 @@ TEST(SmflOracleTest, FitMatchesNaiveDenseUpdatesBitwise) {
   problems.push_back(MakeProblem(150, 0.3, 14));
 
   for (const Problem& p : problems) {
-    for (const char* method : {"SMFL", "SMF", "NMF"}) {
-      for (UpdateMethod rule :
-           {UpdateMethod::kMultiplicative, UpdateMethod::kGradientDescent}) {
-        const std::string name = method;
-        SmflOptions options;
-        options.rank = kRank;
-        options.use_landmarks = name == "SMFL";
-        options.lambda = name == "NMF" ? 0.0 : 0.5;
-        options.update = rule;
-        options.learning_rate = 0.05;
-        options.tolerance = -std::numeric_limits<double>::infinity();
-        options.seed = 29;
-        // The oracle has no rollback; a healthy run never needs one.
-        options.guard.enabled = false;
-        const std::string label =
-            p.name + " " + name +
-            (rule == UpdateMethod::kMultiplicative ? " multiplicative"
-                                                   : " gradient");
+    for (const Index rank : kRanks) {
+      for (const char* method : {"SMFL", "SMF", "NMF"}) {
+        for (UpdateMethod rule :
+             {UpdateMethod::kMultiplicative, UpdateMethod::kGradientDescent}) {
+          const std::string name = method;
+          SmflOptions options;
+          options.rank = rank;
+          options.use_landmarks = name == "SMFL";
+          options.lambda = name == "NMF" ? 0.0 : 0.5;
+          options.update = rule;
+          options.learning_rate = 0.05;
+          options.tolerance = -std::numeric_limits<double>::infinity();
+          options.seed = 29;
+          // The oracle has no rollback; a healthy run never needs one.
+          options.guard.enabled = false;
+          const std::string label =
+              p.name + " rank " + std::to_string(rank) + " " + name +
+              (rule == UpdateMethod::kMultiplicative ? " multiplicative"
+                                                     : " gradient");
 
-        options.max_iterations = 0;
-        auto init = core::FitSmflWithGraph(p.x, p.observed, kSpatial,
-                                           p.graph, options);
-        ASSERT_TRUE(init.ok()) << label << ": " << init.status().ToString();
+          options.max_iterations = 0;
+          auto init = core::FitSmflWithGraph(p.x, p.observed, kSpatial,
+                                             p.graph, options);
+          ASSERT_TRUE(init.ok()) << label << ": " << init.status().ToString();
 
-        Oracle oracle;
-        oracle.xm = data::ApplyMask(p.x, p.observed);
-        oracle.observed = p.observed;
-        oracle.d = p.graph.DenseD();
-        oracle.w = p.graph.DenseW();
-        oracle.lambda = options.lambda;
-        oracle.update = rule;
-        oracle.theta = options.learning_rate;
-        oracle.v_begin = options.use_landmarks ? kSpatial : 0;
+          Oracle oracle;
+          oracle.xm = data::ApplyMask(p.x, p.observed);
+          oracle.observed = p.observed;
+          oracle.d = p.graph.DenseD();
+          oracle.w = p.graph.DenseW();
+          oracle.lambda = options.lambda;
+          oracle.update = rule;
+          oracle.theta = options.learning_rate;
+          oracle.v_begin = options.use_landmarks ? kSpatial : 0;
 
-        Matrix u = init->u, v = init->v;
-        std::vector<double> trace = {oracle.Objective(u, v)};
-        ASSERT_EQ(init->report.objective_trace.size(), 1u) << label;
-        ASSERT_EQ(init->report.objective_trace[0], trace[0]) << label;
-        for (int t = 0; t < kIterations; ++t) {
-          oracle.Step(u, v);
-          trace.push_back(oracle.Objective(u, v));
-        }
+          Matrix u = init->u, v = init->v;
+          std::vector<double> trace = {oracle.Objective(u, v)};
+          ASSERT_EQ(init->report.objective_trace.size(), 1u) << label;
+          ASSERT_EQ(init->report.objective_trace[0], trace[0]) << label;
+          for (int t = 0; t < kIterations; ++t) {
+            oracle.Step(u, v);
+            trace.push_back(oracle.Objective(u, v));
+          }
 
-        options.max_iterations = kIterations;
-        for (int threads : {1, 4}) {
-          for (int simd : {0, 1}) {
-            options.threads = threads;
-            options.simd = simd;
-            const std::string run = label + " @ " + std::to_string(threads) +
-                                    " threads, simd " + std::to_string(simd);
-            auto fit = core::FitSmflWithGraph(p.x, p.observed, kSpatial,
-                                              p.graph, options);
-            ASSERT_TRUE(fit.ok()) << run << ": " << fit.status().ToString();
-            ASSERT_EQ(fit->report.objective_trace.size(), trace.size())
-                << run;
-            for (size_t t = 0; t < trace.size(); ++t) {
-              ASSERT_EQ(fit->report.objective_trace[t], trace[t])
-                  << run << " trace index " << t;
+          options.max_iterations = kIterations;
+          for (int threads : {1, 4}) {
+            for (int simd : {0, 1}) {
+              options.threads = threads;
+              options.simd = simd;
+              const std::string run = label + " @ " + std::to_string(threads) +
+                                      " threads, simd " + std::to_string(simd);
+              auto fit = core::FitSmflWithGraph(p.x, p.observed, kSpatial,
+                                                p.graph, options);
+              ASSERT_TRUE(fit.ok()) << run << ": " << fit.status().ToString();
+              ASSERT_EQ(fit->report.objective_trace.size(), trace.size())
+                  << run;
+              for (size_t t = 0; t < trace.size(); ++t) {
+                ASSERT_EQ(fit->report.objective_trace[t], trace[t])
+                    << run << " trace index " << t;
+              }
+              ExpectBitwiseEqual(fit->u, u, run + " U");
+              ExpectBitwiseEqual(fit->v, v, run + " V");
             }
-            ExpectBitwiseEqual(fit->u, u, run + " U");
-            ExpectBitwiseEqual(fit->v, v, run + " V");
           }
         }
       }

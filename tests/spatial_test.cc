@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <vector>
 
+#include "src/common/parallel.h"
 #include "src/common/rng.h"
 #include "src/la/ops.h"
 #include "src/spatial/graph.h"
@@ -246,6 +249,123 @@ TEST(NeighborGraphTest, TwoPointsGraph) {
   ASSERT_TRUE(g.ok());
   EXPECT_EQ(g->num_edges(), 1);
   EXPECT_DOUBLE_EQ(g->Degree(0), 1.0);
+}
+
+// The CSR adjacency against lists written out from the definition: after
+// Build (Formula 3's symmetric p-NN relation), after a batch edge add
+// (existing pairs keep their edge, a repeated pair keeps its first weight,
+// self loops are dropped) and after heat-kernel re-weighting, vertex i's
+// NeighborsOf is the sorted list of its targets with their weights, and
+// the degrees and edge count follow it.
+TEST(NeighborGraphTest, CsrListsMatchSortedReferenceAfterEveryMutation) {
+  constexpr Index n = 70;
+  Matrix points = RandomPoints(n, 2, 43);
+  auto g = NeighborGraph::Build(points, 3);
+  ASSERT_TRUE(g.ok());
+  auto knn = AllKnn(points, 3);
+  ASSERT_TRUE(knn.ok());
+  std::vector<std::map<Index, double>> ref(static_cast<size_t>(n));
+  for (Index i = 0; i < n; ++i) {
+    for (const Neighbor& nb : (*knn)[static_cast<size_t>(i)]) {
+      ref[static_cast<size_t>(i)][nb.index] = 1.0;
+      ref[static_cast<size_t>(nb.index)][i] = 1.0;
+    }
+  }
+  const auto expect_lists = [&](const std::string& stage) {
+    Index directed = 0;
+    for (Index i = 0; i < n; ++i) {
+      std::vector<NeighborGraph::Edge> want;
+      double degree = 0.0;
+      for (const auto& [to, weight] : ref[static_cast<size_t>(i)]) {
+        want.push_back({to, weight});
+        degree += weight;
+      }
+      directed += static_cast<Index>(want.size());
+      ASSERT_EQ(g->NeighborsOf(i), want) << stage << " vertex " << i;
+      ASSERT_EQ(g->Degree(i), degree) << stage << " vertex " << i;
+    }
+    ASSERT_EQ(g->num_edges(), directed / 2) << stage;
+  };
+  expect_lists("after Build");
+
+  const Index existing = ref[5].begin()->first;
+  const std::vector<la::Triplet> batch = {
+      {0, 69, 0.25}, {69, 0, 0.5},  // repeated pair: the first weight wins
+      {3, 3, 9.0},                  // self loop: dropped
+      {5, existing, 7.0},           // already an edge: kept as it was
+      {10, 50, 0.75}};
+  for (const la::Triplet& t : batch) {
+    if (t.row == t.col) continue;
+    ref[static_cast<size_t>(t.row)].emplace(t.col, t.value);
+    ref[static_cast<size_t>(t.col)].emplace(t.row, t.value);
+  }
+  g->AddSymmetricEdges(batch);
+  expect_lists("after AddSymmetricEdges");
+
+  // Heat weights: the bandwidth is the mean edge length over the edges
+  // i < j in (i, j) order, the weights exp(-d² / (2σ²)).
+  double total = 0.0;
+  Index count = 0;
+  for (Index i = 0; i < n; ++i) {
+    for (const auto& [to, weight] : ref[static_cast<size_t>(i)]) {
+      if (to <= i) continue;
+      total += std::sqrt(la::SquaredDistance(points.Row(i), points.Row(to)));
+      ++count;
+    }
+  }
+  const double sigma = std::max(total / static_cast<double>(count), 1e-12);
+  EXPECT_EQ(g->MeanEdgeLength(points), sigma);
+  for (Index i = 0; i < n; ++i) {
+    for (auto& [to, weight] : ref[static_cast<size_t>(i)]) {
+      weight = NeighborGraph::HeatKernelWeight(
+          la::SquaredDistance(points.Row(i), points.Row(to)), sigma);
+    }
+  }
+  ASSERT_TRUE(g->ApplyHeatKernelWeights(points).ok());
+  expect_lists("after ApplyHeatKernelWeights");
+}
+
+// LaplacianQuadraticForm against its summation order written out: each
+// 64-vertex chunk sums w_ij·||u_i − u_j||² over its upper-triangle edges
+// in (i, j) order, each squared distance an ascending-column chain from
+// +0.0, and the chunk totals join in order. The graph spans three chunks
+// and has edges across their boundaries.
+TEST(NeighborGraphTest, LaplacianQuadraticFormIsTheChunkedFlatSum) {
+  constexpr Index n = 150, kChunk = 64;
+  Matrix points = RandomPoints(n, 2, 47);
+  auto g = NeighborGraph::Build(points, 4);
+  ASSERT_TRUE(g.ok());
+  ASSERT_TRUE(g->ApplyHeatKernelWeights(points).ok());
+  // Small entries with a unit offset on every 7th: a few large squared
+  // distances among many small ones, so reordering the adds of even one
+  // group of four edges changes the low bits of the total.
+  Matrix u = RandomPoints(n, 7, 53);
+  for (Index i = 0; i < u.size(); ++i) {
+    u.data()[i] = u.data()[i] * 1e-3 + (i % 7 == 0 ? 1.0 : 0.0);
+  }
+  double expected = 0.0;
+  Index crossing = 0;
+  for (Index c0 = 0; c0 < n; c0 += kChunk) {
+    double chunk = 0.0;
+    for (Index i = c0; i < std::min(c0 + kChunk, n); ++i) {
+      for (const NeighborGraph::Edge& e : g->NeighborsOf(i)) {
+        if (e.to <= i) continue;
+        crossing += e.to >= c0 + kChunk ? 1 : 0;
+        double d2 = 0.0;
+        for (Index c = 0; c < u.cols(); ++c) {
+          const double diff = u(i, c) - u(e.to, c);
+          d2 += diff * diff;
+        }
+        chunk += e.weight * d2;
+      }
+    }
+    expected += chunk;
+  }
+  ASSERT_GT(crossing, 0);
+  for (const int threads : {1, 4}) {
+    parallel::ScopedParallelism scoped(threads);
+    EXPECT_EQ(g->LaplacianQuadraticForm(u), expected) << threads << " threads";
+  }
 }
 
 }  // namespace

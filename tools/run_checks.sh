@@ -238,7 +238,7 @@ fi
 
 if [[ $fast -eq 0 ]]; then
   if [[ "${step_statuses[0]}" == pass ]]; then
-    run_step bench "fusion + SIMD + sparse masked-path + Ω-sparse fit thresholds (run_bench.sh --gate)" \
+    run_step bench "fusion + SIMD + sparse masked-path + fit-kernel + Ω-sparse fit thresholds, tiers interleaved in one process (run_bench.sh --gate)" \
       "$repo_root/tools/run_bench.sh" --gate --build-dir="$build_dir"
   else
     echo "==> skipping bench gate: the gate build failed"
