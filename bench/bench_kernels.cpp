@@ -26,8 +26,10 @@
 //     10% and 90% observed attribute cells, and LaplacianQuadraticForm
 //     over the same graph.
 //   * Batched fold-in serving throughput (rows/sec) against a frozen model
-//     at the process thread count (PR 3): grouped-gemm numerators plus the
+//     at the process thread count: per-pattern packing of V plus the
 //     threaded per-row multiplicative solves of core::FoldIn.
+//   * FoldInSolve: one core::FoldIn batch at perfbench's apply-batches
+//     shape on each tier (the fold_in_rows kernel's end-to-end view).
 //
 // tools/run_bench.sh aggregates this into BENCH_KERNELS.json.
 
@@ -338,6 +340,47 @@ void BM_FoldInBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_FoldInBatch)->Arg(64)->Arg(512)->Arg(2048)
     ->Unit(benchmark::kMillisecond);
+
+// The serving solve at perfbench's apply-batches shape: a 1000-row batch
+// of 20 columns (2 coordinates) against a rank-10 model, with that
+// workload's outage patterns — 60% of rows lose one of 4 fixed sets of 6
+// attribute columns, the rest lose each attribute cell with probability
+// 0.2. Nearly every row runs the full 200 iterations. Arg: tier.
+void BM_FoldInSolve(benchmark::State& state) {
+  const la::simd::ScopedSimd tier(static_cast<int>(state.range(0)));
+  constexpr Index kRows = 1000, kCols = 20, kSpatial = 2, kRank = 10;
+  constexpr size_t kPatterns = 4, kOutageCols = 6;
+  core::SmflModel model;
+  model.v = RandomMatrix(kRank, kCols, 31);
+  model.landmarks = model.v.Block(0, 0, kRank, kSpatial);
+  model.u = RandomMatrix(4000, kRank, 32);
+  model.spatial_cols = kSpatial;
+  const Matrix x = RandomMatrix(kRows, kCols, 33);
+  Rng rng(34);
+  std::vector<std::vector<size_t>> outage(kPatterns);
+  for (auto& cols : outage) {
+    cols = rng.SampleWithoutReplacement(kCols - kSpatial, kOutageCols);
+  }
+  Mask observed(kRows, kCols, true);
+  for (Index i = 0; i < kRows; ++i) {
+    if (rng.Uniform() < 0.6) {
+      for (size_t j : outage[rng.UniformInt(kPatterns)]) {
+        observed.Set(i, kSpatial + static_cast<Index>(j), false);
+      }
+    } else {
+      for (Index j = kSpatial; j < kCols; ++j) {
+        if (rng.Uniform() < 0.2) observed.Set(i, j, false);
+      }
+    }
+  }
+  for (auto _ : state) {
+    auto folded = core::FoldIn(model, x, observed);
+    SMFL_CHECK(folded.ok());
+    benchmark::DoNotOptimize(folded->data());
+  }
+  state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK(BM_FoldInSolve)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // Guard on the telemetry disabled path: Arg(0) runs one counter add, one
 // histogram record, and one scoped span per iteration with collection OFF

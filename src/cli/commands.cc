@@ -487,6 +487,7 @@ Status RunFitCommand(const Flags& flags, std::string* output) {
                    core::FitSmfl(normalized, input.observed,
                                  input.spatial_cols, options));
   model.normalizer = std::move(normalizer);
+  model.column_names = input.table.column_names();
   RETURN_NOT_OK(core::SaveModel(model, model_path));
   *output += StrFormat(
       "fit SMFL (K=%lld, lambda=%g, p=%lld) on %lld rows in %d iterations; "
@@ -530,20 +531,36 @@ Status RunApplyCommand(const Flags& flags, std::string* output) {
         flags.GetString("in", "").c_str(),
         static_cast<long long>(input.table.NumCols())));
   }
+  // Columns are matched by position: a batch whose columns arrive in
+  // another order would be normalized with the wrong training ranges and
+  // folded against the wrong columns of V. Models that carry the training
+  // header (written by `smfl fit` since format v4) refuse it.
+  for (size_t j = 0; j < model.column_names.size(); ++j) {
+    const std::string& trained = model.column_names[j];
+    const std::string& fresh = input.table.column_names()[j];
+    if (trained != fresh) {
+      return Status::InvalidArgument(StrFormat(
+          "column %zu of '%s' is '%s' but the model was trained with '%s' "
+          "there; columns must arrive in the training order",
+          j + 1, flags.GetString("in", "").c_str(), fresh.c_str(),
+          trained.c_str()));
+    }
+  }
 
-  // Transform fresh rows into the model's normalization space. With a v2
-  // model the TRAINING ranges are used; observed values outside them are
-  // clamped into [0, 1] (fold-in would otherwise reject the negatives a
-  // shifted batch produces). v1 models carry no ranges — fall back to
-  // the old, deprecated per-batch re-fit with a loud warning.
+  // Transform fresh rows into the model's normalization space: the
+  // TRAINING ranges; observed values outside them are clamped into [0, 1]
+  // (fold-in would otherwise reject the negatives a shifted batch
+  // produces). A model saved without ranges (fit in process on
+  // pre-normalized data) falls back to a per-batch re-fit with a loud
+  // warning.
   data::MinMaxNormalizer normalizer;
   if (model.normalizer.has_value()) {
     normalizer = *model.normalizer;
   } else {
     *output +=
-        "WARNING: model file is v1 and stores no normalizer; re-fitting "
+        "WARNING: model file stores no normalizer; re-fitting "
         "normalization ranges on this batch. Reconstructions are only "
-        "correct when the batch spans the training ranges — re-save the "
+        "correct when the batch spans the training ranges — refit the "
         "model with `smfl fit` to fix this.\n";
     ASSIGN_OR_RETURN(
         normalizer,
@@ -573,10 +590,11 @@ Status RunApplyCommand(const Flags& flags, std::string* output) {
   }
   normalized = data::ApplyMask(normalized, input.observed);
 
+  const core::FoldInOptions fold_options;
   core::FoldInReport report;
   ASSIGN_OR_RETURN(Matrix folded,
                    core::FoldIn(model, normalized, input.observed,
-                                core::FoldInOptions{}, &report));
+                                fold_options, &report));
   Matrix restored = normalizer.InverseTransform(folded);
   restored = data::CombineByMask(input.table.values(), restored,
                                  input.observed);
@@ -588,7 +606,11 @@ Status RunApplyCommand(const Flags& flags, std::string* output) {
   *output += StrFormat("folded %lld rows against %s -> %s\n",
                        static_cast<long long>(input.table.NumRows()),
                        model_path.c_str(), out_path.c_str());
-  *output += "serving tiers: " + report.ToString() + "\n";
+  *output += StrFormat(
+      "serving tiers: %s; %lld solved row(s) ran the %d-iteration cap\n",
+      report.ToString().c_str(),
+      static_cast<long long>(report.CountAtCap(fold_options.max_iterations)),
+      fold_options.max_iterations);
   constexpr Index kMaxDegradedLines = 8;
   Index printed = 0;
   for (const core::FoldInRowOutcome& outcome : report.rows) {

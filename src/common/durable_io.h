@@ -17,7 +17,7 @@
 //     cosmic ray, an fsync the kernel only pretended to do) are detected
 //     at read time as a clean DataError instead of garbage being parsed.
 //
-// Model format v3 (src/core/model_io.*) and training checkpoints
+// Model files (src/core/model_io.*) and training checkpoints
 // (src/core/checkpoint.*) both persist through this layer; the smfl-lint
 // `raw-file-write` rule keeps other code from bypassing it.
 //

@@ -30,7 +30,9 @@ uint64_t Fnv1a64(std::string_view bytes, uint64_t h) {
 namespace {
 
 constexpr const char* kCheckpointMagic = "smfl-checkpoint";
-constexpr int kCheckpointVersion = 1;
+// v2 adds best_u: the best-so-far model's U, which model files no longer
+// carry. v1 checkpoints are refused (their best model was a v3 file).
+constexpr int kCheckpointVersion = 2;
 
 // Same hostile-header bounds as model_io: reject implausible dimensions
 // before any allocation.
@@ -40,8 +42,8 @@ constexpr long long kMaxTraceLen = 1LL << 24;
 
 // Section order of the checkpoint container.
 constexpr const char* kSectionOrder[] = {
-    "meta",  "u",       "v",       "landmarks",  "trace",
-    "guard", "guard_u", "guard_v", "normalizer", "best_model"};
+    "meta",    "u",       "v",          "landmarks",  "trace",  "guard",
+    "guard_u", "guard_v", "normalizer", "best_model", "best_u"};
 constexpr size_t kNumSections = sizeof(kSectionOrder) / sizeof(kSectionOrder[0]);
 
 // Doubles travel as the hex of their IEEE-754 bit pattern: exact by
@@ -288,6 +290,7 @@ std::string SerializeCheckpoint(const FitCheckpoint& checkpoint) {
   writer.Add("guard_v", EncodeMatrix(checkpoint.guard.checkpoint_v));
   writer.Add("normalizer", EncodeNormalizer(checkpoint.normalizer));
   writer.Add("best_model", checkpoint.best_model);
+  writer.Add("best_u", EncodeMatrix(checkpoint.best_u));
   return writer.Finish();
 }
 
@@ -319,6 +322,7 @@ Result<FitCheckpoint> DeserializeCheckpoint(const std::string& content) {
                    DecodeMatrix(sections[7].payload, "guard_v"));
   RETURN_NOT_OK(DecodeNormalizer(sections[8].payload, &cp.normalizer));
   cp.best_model = std::move(sections[9].payload);
+  ASSIGN_OR_RETURN(cp.best_u, DecodeMatrix(sections[10].payload, "best_u"));
   // Structural consistency (the CRCs already vouch for integrity; these
   // catch a logically inconsistent writer).
   if (cp.u.cols() != cp.v.rows()) {

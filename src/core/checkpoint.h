@@ -81,9 +81,11 @@ struct FitCheckpoint {
   TrainingGuard::State guard;
 
   // Best completed-restart model (model_io serialization; empty when the
-  // interrupted restart is the first). Lets a resumed num_restarts > 1
-  // fit keep the winner-so-far without refitting earlier restarts.
+  // interrupted restart is the first) and its U, which the model file
+  // leaves out. Lets a resumed num_restarts > 1 fit return the
+  // winner-so-far, U included, without refitting earlier restarts.
   std::string best_model;
+  la::Matrix best_u;
 
   // Training normalizer, stamped in by CheckpointManager::SetNormalizer
   // so `smfl fit --resume` serves the SAME normalization space without

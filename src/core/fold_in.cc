@@ -1,6 +1,7 @@
 #include "src/core/fold_in.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <limits>
@@ -12,6 +13,7 @@
 #include "src/common/telemetry.h"
 #include "src/data/observed_index.h"
 #include "src/la/ops.h"
+#include "src/la/simd.h"
 #include "src/mf/factorization.h"
 
 namespace smfl::core {
@@ -28,7 +30,7 @@ constexpr Index kRowGrain = 4;
 // coordinates. Returns false when the kernel does not apply (no landmark
 // columns, or every coordinate is missing), leaving u untouched.
 bool InitFromLandmarks(const SmflModel& model, const double* row,
-                       const uint8_t* usable, double sigma2, la::Vector& u) {
+                       const uint8_t* usable, double sigma2, double* u) {
   const Index k = model.v.rows();
   const Index l = std::min(model.spatial_cols, model.landmarks.cols());
   if (model.landmarks.size() == 0 || l <= 0) return false;
@@ -54,48 +56,8 @@ bool InitFromLandmarks(const SmflModel& model, const double* row,
   return true;
 }
 
-// Multiplicative updates of u restricted to the observed columns:
-//   u_c <- u_c * num_c / (Σ_t (uV)_t v_ct)
-// with the iteration-invariant numerator num_c = Σ_t x_t v_ct precomputed
-// by the caller (one MatMulABt gemm covers a whole batch group). Every
-// accumulation runs in the same ascending order as the gemm, so batched
-// and row-at-a-time serving agree bitwise. Returns iterations run.
-int SolveCoefficients(const Matrix& v_obs, const double* x_obs,
-                      const double* num, const FoldInOptions& options,
-                      la::Vector& u, std::vector<double>& recon) {
-  const Index k = v_obs.rows();
-  const Index nt = v_obs.cols();
-  recon.resize(static_cast<size_t>(nt));
-  double prev_err = std::numeric_limits<double>::infinity();
-  int iterations = 0;
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
-    // Current reconstruction on observed columns.
-    double err = 0.0;
-    for (Index t = 0; t < nt; ++t) {
-      double acc = 0.0;
-      for (Index c = 0; c < k; ++c) acc += u[c] * v_obs(c, t);
-      recon[static_cast<size_t>(t)] = acc;
-      const double d = x_obs[t] - acc;
-      err += d * d;
-    }
-    if (prev_err - err < options.tolerance * std::max(prev_err, 1e-300)) {
-      break;
-    }
-    prev_err = err;
-    ++iterations;
-    for (Index c = 0; c < k; ++c) {
-      double den = 0.0;
-      for (Index t = 0; t < nt; ++t) {
-        den += recon[static_cast<size_t>(t)] * v_obs(c, t);
-      }
-      u[c] *= num[c] / std::max(den, mf::kDivEps);
-    }
-  }
-  return iterations;
-}
-
 // Completed row: usable observed cells copied, everything else u·V.
-void ReconstructRow(const SmflModel& model, const la::Vector& u,
+void ReconstructRow(const SmflModel& model, const double* u,
                     const double* row, const uint8_t* usable, double* out) {
   const Index m = model.v.cols();
   const Index k = model.v.rows();
@@ -110,14 +72,55 @@ void ReconstructRow(const SmflModel& model, const la::Vector& u,
   }
 }
 
-// Rows sharing one observed-column pattern: their numerators are one gemm.
+// Rows sharing one observed-column pattern share V's observed columns,
+// packed once in the two layouts the solve kernel reads.
 struct ObsGroup {
-  std::vector<Index> obs;   // usable observed columns, ascending
-  std::vector<Index> rows;  // batch row indices with this pattern
-  Matrix v_obs;             // K x |obs| gather of V's columns
-  Matrix x_obs;             // |rows| x |obs| observed values
-  Matrix num;               // |rows| x K = MatMulABt(x_obs, v_obs)
+  std::vector<Index> obs;       // usable observed columns, ascending
+  std::vector<double> v_cols;   // K x PaddedWidth(|obs|)
+  std::vector<double> v_rows;   // |obs| x PaddedWidth(K)
+
+  void Pack(const Matrix& v) {
+    const Index k = v.rows(), nt = static_cast<Index>(obs.size());
+    const Index ntp = la::simd::PaddedWidth(nt);
+    const Index kp = la::simd::PaddedWidth(k);
+    v_cols.assign(static_cast<size_t>(k * ntp), 0.0);
+    v_rows.assign(static_cast<size_t>(nt * kp), 0.0);
+    for (Index c = 0; c < k; ++c) {
+      for (Index t = 0; t < nt; ++t) {
+        const double vct = v(c, obs[static_cast<size_t>(t)]);
+        v_cols[static_cast<size_t>(c * ntp + t)] = vct;
+        v_rows[static_cast<size_t>(t * kp + c)] = vct;
+      }
+    }
+  }
+
+  la::simd::FoldInRow Row(const double* x, double* u, double* work) const {
+    la::simd::FoldInRow row;
+    row.nt = static_cast<Index>(obs.size());
+    row.cols = obs.data();
+    row.x = x;
+    row.v_cols = v_cols.data();
+    row.v_rows = v_rows.data();
+    row.u = u;
+    row.work = work;
+    return row;
+  }
 };
+
+// A solved row that ran every update without meeting the tolerance.
+bool RanToCap(const FoldInRowOutcome& outcome, int max_iterations) {
+  return outcome.served_by != FoldInTier::kColumnMean &&
+         outcome.iterations == max_iterations;
+}
+
+la::simd::FoldInSolve SolveOptions(Index k, const FoldInOptions& options) {
+  la::simd::FoldInSolve solve;
+  solve.k = k;
+  solve.max_iterations = options.max_iterations;
+  solve.tolerance = options.tolerance;
+  solve.div_eps = mf::kDivEps;
+  return solve;
+}
 
 }  // namespace
 
@@ -137,6 +140,14 @@ Index FoldInReport::CountTier(FoldInTier tier) const {
   Index count = 0;
   for (const FoldInRowOutcome& outcome : rows) {
     if (outcome.served_by == tier) ++count;
+  }
+  return count;
+}
+
+Index FoldInReport::CountAtCap(int max_iterations) const {
+  Index count = 0;
+  for (const FoldInRowOutcome& outcome : rows) {
+    if (RanToCap(outcome, max_iterations)) ++count;
   }
   return count;
 }
@@ -219,28 +230,25 @@ Result<la::Vector> FoldInRow(const SmflModel& model, const la::Vector& row,
 
   SMFL_COUNTER_INC("foldin.single_row_calls");
 
-  // Same machinery as the batch path, on a group of one row, so the two
-  // entry points are bitwise identical for valid rows.
-  const Index nt = static_cast<Index>(obs.size());
-  Matrix v_obs(k, nt);
-  Matrix x_obs(1, nt);
-  for (Index t = 0; t < nt; ++t) {
-    for (Index c = 0; c < k; ++c) v_obs(c, t) = model.v(c, obs[t]);
-    x_obs(0, t) = row[obs[t]];
-  }
-  const Matrix num = la::MatMulABt(x_obs, v_obs);
-
-  la::Vector u(k, 1.0 / static_cast<double>(k));
+  // Same kernel as the batch path, on a group of one row, so the two entry
+  // points are bitwise identical for valid rows.
+  ObsGroup group;
+  group.obs = std::move(obs);
+  group.Pack(model.v);
+  const Index nt = static_cast<Index>(group.obs.size());
+  std::vector<double> u(static_cast<size_t>(k), 1.0 / static_cast<double>(k));
   if (model.landmarks.size() > 0) {
     const double sigma2 = FoldInKernelWidth(model.landmarks);
-    InitFromLandmarks(model, row.data(), usable.data(), sigma2, u);
+    InitFromLandmarks(model, row.data(), usable.data(), sigma2, u.data());
   }
-  std::vector<double> recon;
-  SolveCoefficients(v_obs, x_obs.Row(0).data(), num.Row(0).data(), options,
-                    u, recon);
+  std::vector<double> work(
+      static_cast<size_t>(la::simd::FoldInWorkSize(k, nt)));
+  la::simd::FoldInRow solve = group.Row(row.data(), u.data(), work.data());
+  la::simd::Active().fold_in_rows(SolveOptions(k, options), &solve, 1);
 
   la::Vector completed(m);
-  ReconstructRow(model, u, row.data(), usable.data(), completed.data());
+  ReconstructRow(model, u.data(), row.data(), usable.data(),
+                 completed.data());
   return completed;
 }
 
@@ -302,19 +310,18 @@ Result<Matrix> FoldIn(const SmflModel& model, const Matrix& x,
     }
   }
 
-  // Group solvable rows by usable-column pattern and fold each group's
-  // iteration-invariant numerators into one gemm against the frozen V.
-  // The CSR index over the usable cells serves both the grouping key (a
-  // row's observed-column span, byte-viewed) and each group's column list
-  // directly — no per-row rescans of the byte grid, and the key for a
-  // sparse row is proportional to its observed count, not to m.
+  // Group solvable rows by usable-column pattern; each group packs V's
+  // observed columns once for all of its rows. The CSR index over the
+  // usable cells serves both the grouping key (a row's observed-column
+  // span, byte-viewed) and each group's column list directly — no per-row
+  // rescans of the byte grid, and the key for a sparse row is proportional
+  // to its observed count, not to m.
   const data::ObservedIndex usable_index =
       data::ObservedIndex::FromRowMajorBytes(n, m, usable.data());
   constexpr size_t kColumnMeanGroup = static_cast<size_t>(-1);
   std::unordered_map<std::string, size_t> group_of_pattern;
   std::vector<ObsGroup> groups;
   std::vector<size_t> row_group(static_cast<size_t>(n), kColumnMeanGroup);
-  std::vector<Index> row_pos(static_cast<size_t>(n), 0);
   for (Index i = 0; i < n; ++i) {
     if (outcomes[static_cast<size_t>(i)].served_by ==
         FoldInTier::kColumnMean) {
@@ -327,55 +334,46 @@ Result<Matrix> FoldIn(const SmflModel& model, const Matrix& x,
         group_of_pattern.emplace(std::move(pattern), groups.size());
     if (inserted) {
       groups.emplace_back();
-      ObsGroup& g = groups.back();
-      g.obs.assign(row_cols.begin(), row_cols.end());
+      groups.back().obs.assign(row_cols.begin(), row_cols.end());
+      groups.back().Pack(model.v);
     }
-    ObsGroup& g = groups[it->second];
     row_group[static_cast<size_t>(i)] = it->second;
-    row_pos[static_cast<size_t>(i)] = static_cast<Index>(g.rows.size());
-    g.rows.push_back(i);
-  }
-  for (ObsGroup& g : groups) {
-    const Index nt = static_cast<Index>(g.obs.size());
-    const Index nr = static_cast<Index>(g.rows.size());
-    g.v_obs = Matrix(k, nt);
-    for (Index t = 0; t < nt; ++t) {
-      for (Index c = 0; c < k; ++c) g.v_obs(c, t) = model.v(c, g.obs[t]);
-    }
-    g.x_obs = Matrix(nr, nt);
-    for (Index r = 0; r < nr; ++r) {
-      for (Index t = 0; t < nt; ++t) {
-        g.x_obs(r, t) = x(g.rows[static_cast<size_t>(r)], g.obs[t]);
-      }
-    }
-    // num(r, c) = Σ_t x_obs(r, t) * v_obs(c, t), ascending t — the same
-    // accumulation order as the scalar single-row loop.
-    g.num = la::MatMulABt(g.x_obs, g.v_obs);
   }
 
   // Model-level precomputations shared by every row.
   const double sigma2 =
       model.landmarks.size() > 0 ? FoldInKernelWidth(model.landmarks) : 0.0;
-  la::Vector mean_u = model.u.rows() > 0
-                          ? la::ColMeans(model.u)
-                          : la::Vector(k, 1.0 / static_cast<double>(k));
+  const la::Vector mean_u = model.MeanU();
+  const la::simd::Kernels& kernels = la::simd::Active();
+  const la::simd::FoldInSolve solve_options = SolveOptions(k, options);
+  // Per row of a chunk: u (k doubles), then the kernel's work space,
+  // sized for the widest pattern.
+  Index max_nt = 0;
+  for (const ObsGroup& g : groups) {
+    max_nt = std::max(max_nt, static_cast<Index>(g.obs.size()));
+  }
+  const Index row_stride = k + la::simd::FoldInWorkSize(k, max_nt);
 
-  // Per-row solves: independent rows, disjoint output regions, static
-  // partition — bitwise identical at any thread count.
+  // Per-chunk solves: independent rows, disjoint output regions, static
+  // partition — bitwise identical at any thread count. The chunk's
+  // solvable rows go to the kernel together, which interleaves them.
   parallel::ParallelFor(0, n, kRowGrain, [&](Index r0, Index r1) {
-    std::vector<double> recon;
-    // One enabled-check per chunk; per-row clock reads only when telemetry
-    // is on, so the disabled serving path stays clock-free.
-    const bool row_telemetry = telemetry::Enabled();
+    // One enabled-check and at most two clock reads per chunk, so the
+    // disabled serving path stays clock-free.
+    const bool chunk_telemetry = telemetry::Enabled();
+    const int64_t chunk_t0 = chunk_telemetry ? telemetry::NowMicros() : 0;
+    std::vector<double> buffer(static_cast<size_t>(kRowGrain * row_stride));
+    std::array<la::simd::FoldInRow, kRowGrain> solves;
+    std::array<Index, kRowGrain> solved_rows{};
+    Index count = 0;
     for (Index i = r0; i < r1; ++i) {
-      const int64_t row_t0 = row_telemetry ? telemetry::NowMicros() : 0;
       const uint8_t* urow = &usable[static_cast<size_t>(i * m)];
       const double* xrow = x.Row(i).data();
-      double* orow = out.Row(i).data();
       FoldInRowOutcome& outcome = outcomes[static_cast<size_t>(i)];
       const size_t gi = row_group[static_cast<size_t>(i)];
       if (gi == kColumnMeanGroup) {
         // Column-mean tier: the model's average row, mean(U)·V.
+        double* orow = out.Row(i).data();
         for (Index j = 0; j < m; ++j) {
           double acc = 0.0;
           for (Index c = 0; c < k; ++c) acc += mean_u[c] * model.v(c, j);
@@ -383,24 +381,33 @@ Result<Matrix> FoldIn(const SmflModel& model, const Matrix& x,
         }
         continue;
       }
-      const ObsGroup& g = groups[gi];
-      la::Vector u(k, 1.0 / static_cast<double>(k));
+      double* u = buffer.data() + count * row_stride;
+      std::fill(u, u + k, 1.0 / static_cast<double>(k));
       const bool kernel_init =
           sigma2 > 0.0 && InitFromLandmarks(model, xrow, urow, sigma2, u);
       outcome.served_by = kernel_init ? FoldInTier::kLandmarkKernel
                                       : FoldInTier::kUniformU;
-      const Index pos = row_pos[static_cast<size_t>(i)];
-      outcome.iterations = SolveCoefficients(
-          g.v_obs, g.x_obs.Row(pos).data(), g.num.Row(pos).data(), options,
-          u, recon);
-      ReconstructRow(model, u, xrow, urow, orow);
-      if (row_telemetry) {
-        SMFL_HISTOGRAM_RECORD(
-            "foldin.row_solve_us",
-            static_cast<double>(telemetry::NowMicros() - row_t0));
+      solves[static_cast<size_t>(count)] = groups[gi].Row(xrow, u, u + k);
+      solved_rows[static_cast<size_t>(count)] = i;
+      ++count;
+    }
+    kernels.fold_in_rows(solve_options, solves.data(), count);
+    for (Index q = 0; q < count; ++q) {
+      const Index i = solved_rows[static_cast<size_t>(q)];
+      const la::simd::FoldInRow& solved = solves[static_cast<size_t>(q)];
+      FoldInRowOutcome& outcome = outcomes[static_cast<size_t>(i)];
+      outcome.iterations = solved.iterations;
+      ReconstructRow(model, solved.u, x.Row(i).data(),
+                     &usable[static_cast<size_t>(i * m)], out.Row(i).data());
+      if (chunk_telemetry) {
         SMFL_HISTOGRAM_RECORD("foldin.row_iterations",
                               static_cast<double>(outcome.iterations));
       }
+    }
+    if (chunk_telemetry) {
+      SMFL_HISTOGRAM_RECORD(
+          "foldin.chunk_solve_us",
+          static_cast<double>(telemetry::NowMicros() - chunk_t0));
     }
   });
 
@@ -408,7 +415,9 @@ Result<Matrix> FoldIn(const SmflModel& model, const Matrix& x,
   // answers "which tier served the traffic" without the in-process report.
   if (batch_telemetry) {
     Index landmark = 0, uniform = 0, column_mean = 0, degraded = 0;
+    Index at_cap = 0;
     for (const FoldInRowOutcome& outcome : outcomes) {
+      if (RanToCap(outcome, options.max_iterations)) ++at_cap;
       switch (outcome.served_by) {
         case FoldInTier::kLandmarkKernel:
           ++landmark;
@@ -434,6 +443,7 @@ Result<Matrix> FoldIn(const SmflModel& model, const Matrix& x,
     SMFL_COUNTER_ADD("foldin.tier.uniform_u", uniform);
     SMFL_COUNTER_ADD("foldin.tier.column_mean", column_mean);
     SMFL_COUNTER_ADD("foldin.degraded_rows", degraded);
+    SMFL_COUNTER_ADD("foldin.rows_at_cap", at_cap);
     const int64_t elapsed_us = telemetry::NowMicros() - batch_t0;
     if (elapsed_us > 0) {
       SMFL_GAUGE_SET("foldin.rows_per_sec",

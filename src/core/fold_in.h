@@ -13,14 +13,15 @@
 // The batch entry point is built for serving throughput and fault
 // isolation:
 //
-//  * Rows are grouped by observed-column pattern and each group's
-//    iteration-invariant numerator (Σ_j x_j v_cj for every row and latent
-//    factor) is computed with ONE MatMulABt gemm against the frozen V,
-//    instead of per-row scalar loops.
-//  * The per-row multiplicative solves are threaded with
-//    parallel::ParallelFor under the PR 2 determinism contract: batched
-//    output is bitwise identical to row-at-a-time FoldInRow at any thread
-//    count.
+//  * Rows are grouped by observed-column pattern, and each group packs the
+//    frozen V's observed columns once, in the two layouts the solve kernel
+//    reads.
+//  * The per-row multiplicative solves run in the la::simd kernel
+//    fold_in_rows, which keeps each row's u, numerator and denominators in
+//    registers and solves the rows of a 4-row chunk interleaved. Chunks
+//    are threaded with parallel::ParallelFor under the determinism
+//    contract: batched output is bitwise identical to row-at-a-time
+//    FoldInRow at any thread count and SIMD tier.
 //  * A bad row never aborts the batch. Per-row faults (no observed
 //    entries, non-finite or negative observed cells) degrade that row to
 //    a lower serving tier and are recorded in a FoldInReport:
@@ -53,7 +54,8 @@ enum class FoldInTier : int8_t {
   // in the model, or the row's coordinates are all missing).
   kUniformU = 1,
   // No usable observed entries: the row is served as the model's average
-  // row, mean(U)·V — the fold-in analogue of column-mean imputation.
+  // row, mean(U)·V — the fold-in analogue of column-mean imputation
+  // (SmflModel::MeanU: a served model file stores mean(U), not U).
   kColumnMean = 2,
 };
 
@@ -79,6 +81,9 @@ struct FoldInReport {
   // Rows with a non-OK status (served by a degraded tier or with invalid
   // observed cells dropped).
   Index DegradedCount() const;
+  // Solved rows that ran all `max_iterations` updates without meeting the
+  // tolerance (column-mean rows never solve).
+  Index CountAtCap(int max_iterations) const;
   // e.g. "5 rows: 3 landmark-kernel, 1 uniform-u, 1 column-mean
   //       (1 degraded)".
   std::string ToString() const;

@@ -29,6 +29,13 @@ using mf::kDivEps;
 
 Matrix SmflModel::Reconstruct() const { return la::MatMul(u, v); }
 
+la::Vector SmflModel::MeanU() const {
+  if (u.rows() > 0) return la::ColMeans(u);
+  const Index k = v.rows();
+  if (mean_u.size() == k) return mean_u;
+  return la::Vector(k, 1.0 / static_cast<double>(k));
+}
+
 // The lambda * LQF product is kept even at lambda == 0 so that, on a graph
 // with edges, a non-finite U still poisons the objective.
 double SmflObjective(const Matrix& x, const Mask& observed,
@@ -192,7 +199,8 @@ namespace {
 
 // Everything a mid-fit checkpoint must record beyond the solver state
 // itself: where this attempt sits in the restart/retry nest, the
-// fingerprints that gate resume, and the serialized best-so-far model.
+// fingerprints that gate resume, and the best-so-far model (serialized,
+// plus the U its model file leaves out).
 struct CheckpointContext {
   CheckpointManager* manager = nullptr;
   uint64_t seed = 0;  // the OUTER FitSmfl seed, not the derived one
@@ -202,6 +210,7 @@ struct CheckpointContext {
   int attempt = 0;
   int retries_used = 0;
   const std::string* best_model = nullptr;
+  const Matrix* best_u = nullptr;
 };
 
 // Single fit at a fixed seed; FitSmflWithGraph wraps it with restarts.
@@ -319,9 +328,10 @@ Result<SmflModel> FitSmflWithGraph(const Matrix& x, const Mask& observed,
   Status last_error = Status::OK();
   int retries_used = 0;
   int start_restart = 0;
-  // Serialized best-so-far, carried into checkpoints so a resumed
-  // num_restarts > 1 fit keeps the winner without refitting.
+  // Serialized best-so-far and its U, carried into checkpoints so a
+  // resumed num_restarts > 1 fit keeps the winner without refitting.
   std::string best_serialized;
+  Matrix best_u;
   if (resume != nullptr) {
     start_restart = resume->restart;
     retries_used = resume->retries_used;
@@ -332,8 +342,16 @@ Result<SmflModel> FitSmflWithGraph(const Matrix& x, const Mask& observed,
         st.WithContext("resume: stored best-so-far model");
         return st;
       }
+      if (resume->best_u.rows() != x.rows() ||
+          resume->best_u.cols() != prior->v.rows()) {
+        return Status::DataError(
+            "resume: stored best-so-far model has no matching U");
+      }
       best = std::move(prior).value();
+      best->u = resume->best_u;
+      best->mean_u = la::Vector();
       best_serialized = resume->best_model;
+      best_u = resume->best_u;
     }
   }
   for (int r = start_restart; r < options.num_restarts; ++r) {
@@ -356,6 +374,7 @@ Result<SmflModel> FitSmflWithGraph(const Matrix& x, const Mask& observed,
       ctx.attempt = attempt;
       ctx.retries_used = retries_used;
       ctx.best_model = &best_serialized;
+      ctx.best_u = &best_u;
       // Live-progress publication for /statusz (src/obs): where this
       // attempt sits in the restart/retry nest.
       GlobalFitProgress().restart.store(r, std::memory_order_relaxed);
@@ -389,6 +408,7 @@ Result<SmflModel> FitSmflWithGraph(const Matrix& x, const Mask& observed,
       best = std::move(model);
       if (options.checkpoint != nullptr && r + 1 < options.num_restarts) {
         best_serialized = SerializeModel(*best);
+        best_u = best->u;
       }
     }
   }
@@ -621,6 +641,7 @@ Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
     cp.objective_trace = report.objective_trace;
     cp.guard = guard.SaveState();
     if (ckpt->best_model != nullptr) cp.best_model = *ckpt->best_model;
+    if (ckpt->best_u != nullptr) cp.best_u = *ckpt->best_u;
     Status st = ckpt->manager->Save(cp);
     if (!st.ok()) {
       SMFL_LOG(Warning) << "checkpoint write failed: " << st.ToString();

@@ -27,6 +27,8 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "src/common/status.h"
 #include "src/core/training_guard.h"
@@ -125,7 +127,9 @@ struct SmflOptions {
 };
 
 struct SmflModel {
-  Matrix u;          // N x K coefficient matrix
+  // N x K coefficient matrix. Held by in-process fits and checkpoints; a
+  // model loaded from a file has none (the file stores mean(U) instead).
+  Matrix u;
   Matrix v;          // K x M feature matrix
   Matrix landmarks;  // K x L center matrix C (empty when use_landmarks off)
   Index spatial_cols = 0;
@@ -133,12 +137,23 @@ struct SmflModel {
   // The min-max normalizer the training data was transformed with. The
   // factors live in THIS normalization space; serving must transform
   // fresh rows with these training ranges, never re-fit them on the fresh
-  // batch. Persisted by model_io (format v2); absent on models loaded
-  // from v1 files or fit directly on pre-normalized matrices.
+  // batch. Persisted by model_io; absent on models fit directly on
+  // pre-normalized matrices.
   std::optional<data::MinMaxNormalizer> normalizer;
+  // mean(U) as read from a model file, the K values the column-mean
+  // fold-in tier serves; empty on in-process fits (see MeanU).
+  la::Vector mean_u;
+  // The training table's column names in column order (the CSV header
+  // `smfl fit` read); `smfl apply` refuses a batch whose header differs.
+  // Empty when unknown.
+  std::vector<std::string> column_names;
 
-  // X* = U V.
+  // X* = U V (needs U, i.e. an in-process fit).
   Matrix Reconstruct() const;
+
+  // mean(U), K values: la::ColMeans(u) while U is held, else the stored
+  // mean_u, else the uniform 1/K of a model that has neither.
+  la::Vector MeanU() const;
 
   // The learned feature locations: first L columns of V (rows of which are
   // the Fig 5 points).

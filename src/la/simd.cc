@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -252,6 +253,47 @@ void UvRowPairScalar(Index k, Index mp, const double* v, const double* u0,
   }
 }
 
+// The fold-in solve, one row after another: the plain per-row loop every
+// vector tier reproduces. v_cols serves both the numerator and the
+// denominator chains (v_c,cols[t] either way); work holds r_t.
+void FoldInRowsScalar(const FoldInSolve& s, FoldInRow* rows, Index count) {
+  const Index k = s.k;
+  for (Index q = 0; q < count; ++q) {
+    FoldInRow& row = rows[q];
+    const Index nt = row.nt, ntp = PaddedWidth(nt);
+    double* u = row.u;
+    double* num = row.work;
+    double* recon = num + PaddedWidth(k);
+    for (Index c = 0; c < k; ++c) {
+      const double* vc = row.v_cols + c * ntp;
+      double acc = 0.0;
+      for (Index t = 0; t < nt; ++t) acc += row.x[row.cols[t]] * vc[t];
+      num[c] = acc;
+    }
+    double prev_err = std::numeric_limits<double>::infinity();
+    row.iterations = 0;
+    for (int iter = 0; iter < s.max_iterations; ++iter) {
+      double err = 0.0;
+      for (Index t = 0; t < nt; ++t) {
+        double acc = 0.0;
+        for (Index c = 0; c < k; ++c) acc += u[c] * row.v_cols[c * ntp + t];
+        recon[t] = acc;
+        const double d = row.x[row.cols[t]] - acc;
+        err += d * d;
+      }
+      if (prev_err - err < s.tolerance * std::max(prev_err, 1e-300)) break;
+      prev_err = err;
+      ++row.iterations;
+      for (Index c = 0; c < k; ++c) {
+        const double* vc = row.v_cols + c * ntp;
+        double den = 0.0;
+        for (Index t = 0; t < nt; ++t) den += recon[t] * vc[t];
+        u[c] *= num[c] / std::max(den, s.div_eps);
+      }
+    }
+  }
+}
+
 // Dense/per-entry crossover of the scalar tier (Kernels::dense_crossover;
 // measured table in docs/performance.md "Sparse Ω").
 constexpr Index kScalarCrossover = 3;
@@ -260,7 +302,7 @@ constexpr Kernels kScalarTable{Tier::kScalar,     AxpyScalar,
                                DotPanelScalar,    MaskedDotColsScalar,
                                SqDiffScalar,      UStepRowsScalar,
                                VStepColsScalar,   UvRowPairScalar,
-                               kScalarCrossover};
+                               FoldInRowsScalar,  kScalarCrossover};
 
 // ---------------------------------------------------------------------------
 // AVX2 tier (x86). Per-function target attributes keep the rest of the
@@ -616,6 +658,184 @@ __attribute__((target("avx2"))) void SqDiffAvx2(Index n, const double* x,
   }
 }
 
+// The fold-in solve (FoldInRow). Row q's work area holds u, num, x_t,
+// r_t and (x_t − r_t)², each zero-padded to whole registers.
+struct FoldInWork {
+  double* u;
+  double* num;
+  double* x;
+  double* recon;
+  double* d2;
+};
+
+FoldInWork FoldInWorkOf(const FoldInRow& row, Index k) {
+  const Index kp = PaddedWidth(k), ntp = PaddedWidth(row.nt);
+  double* w = row.work;
+  return {w, w + kp, w + 2 * kp, w + 2 * kp + ntp, w + 2 * kp + 2 * ntp};
+}
+
+// s_c = Σ_t w_t v_c,cols[t] over rank lanes [c0, c0 + 4·NB) (`vr`, `num`
+// and `u` offset to c0): stored as num, or with kUpdate the denominator of
+// u ← u · (num / max(ε, s)). Every accumulator stays in a register across
+// t.
+template <int NB, bool kUpdate>
+__attribute__((target("avx2"))) void FoldInRankPassAvx2(
+    Index nt, Index kp, const double* vr, const double* w, double* num,
+    double* u, __m256d eps) {
+  __m256d acc[NB];
+  #pragma GCC unroll 8
+  for (int b = 0; b < NB; ++b) acc[b] = _mm256_setzero_pd();
+  for (Index t = 0; t < nt; ++t) {
+    const __m256d wt = _mm256_broadcast_sd(w + t);
+    const double* vt = vr + t * kp;
+    #pragma GCC unroll 8
+    for (int b = 0; b < NB; ++b) {
+      acc[b] = _mm256_add_pd(
+          acc[b], _mm256_mul_pd(wt, _mm256_loadu_pd(vt + b * kLaneWidth)));
+    }
+  }
+  #pragma GCC unroll 8
+  for (int b = 0; b < NB; ++b) {
+    if (kUpdate) {
+      const __m256d ub = _mm256_loadu_pd(u + b * kLaneWidth);
+      const __m256d nb = _mm256_loadu_pd(num + b * kLaneWidth);
+      // max(ε, den) is std::max(den, ε): den unless den < ε.
+      _mm256_storeu_pd(u + b * kLaneWidth,
+                       _mm256_mul_pd(ub, _mm256_div_pd(
+                                             nb, _mm256_max_pd(eps, acc[b]))));
+    } else {
+      _mm256_storeu_pd(num + b * kLaneWidth, acc[b]);
+    }
+  }
+}
+
+template <bool kUpdate>
+__attribute__((target("avx2"))) void FoldInRankAvx2(
+    Index k, const FoldInRow& row, const double* w,
+    const FoldInWork& work, __m256d eps) {
+  const Index kp = PaddedWidth(k);
+  // Passes of up to four registers (16 rank lanes).
+  for (Index c0 = 0; c0 < kp; c0 += 4 * kLaneWidth) {
+    const double* vr = row.v_rows + c0;
+    double* num = work.num + c0;
+    double* u = work.u + c0;
+    switch (std::min<Index>(4, (kp - c0) / kLaneWidth)) {
+      case 1: FoldInRankPassAvx2<1, kUpdate>(row.nt, kp, vr, w, num, u, eps); break;
+      case 2: FoldInRankPassAvx2<2, kUpdate>(row.nt, kp, vr, w, num, u, eps); break;
+      case 3: FoldInRankPassAvx2<3, kUpdate>(row.nt, kp, vr, w, num, u, eps); break;
+      default: FoldInRankPassAvx2<4, kUpdate>(row.nt, kp, vr, w, num, u, eps); break;
+    }
+  }
+}
+
+// r_t = Σ_c u_c v_c,cols[t] over column lanes [t0, t0 + 4·NB) (`vc` is
+// v_cols offset to t0), then (x_t − r_t)².
+template <int NB>
+__attribute__((target("avx2"))) void FoldInReconPassAvx2(
+    Index k, Index ntp, const double* vc, const double* u, const double* x,
+    double* recon, double* d2) {
+  __m256d acc[NB];
+  #pragma GCC unroll 8
+  for (int b = 0; b < NB; ++b) acc[b] = _mm256_setzero_pd();
+  for (Index c = 0; c < k; ++c) {
+    const __m256d uc = _mm256_broadcast_sd(u + c);
+    const double* vrow = vc + c * ntp;
+    #pragma GCC unroll 8
+    for (int b = 0; b < NB; ++b) {
+      acc[b] = _mm256_add_pd(
+          acc[b], _mm256_mul_pd(uc, _mm256_loadu_pd(vrow + b * kLaneWidth)));
+    }
+  }
+  #pragma GCC unroll 8
+  for (int b = 0; b < NB; ++b) {
+    _mm256_storeu_pd(recon + b * kLaneWidth, acc[b]);
+    const __m256d d =
+        _mm256_sub_pd(_mm256_loadu_pd(x + b * kLaneWidth), acc[b]);
+    _mm256_storeu_pd(d2 + b * kLaneWidth, _mm256_mul_pd(d, d));
+  }
+}
+
+__attribute__((target("avx2"))) void FoldInReconAvx2(Index k,
+                                                    const FoldInRow& row,
+                                                    const FoldInWork& w) {
+  const Index ntp = PaddedWidth(row.nt);
+  for (Index t0 = 0; t0 < ntp; t0 += 4 * kLaneWidth) {
+    const double* vc = row.v_cols + t0;
+    switch (std::min<Index>(4, (ntp - t0) / kLaneWidth)) {
+      case 1: FoldInReconPassAvx2<1>(k, ntp, vc, w.u, w.x + t0, w.recon + t0, w.d2 + t0); break;
+      case 2: FoldInReconPassAvx2<2>(k, ntp, vc, w.u, w.x + t0, w.recon + t0, w.d2 + t0); break;
+      case 3: FoldInReconPassAvx2<3>(k, ntp, vc, w.u, w.x + t0, w.recon + t0, w.d2 + t0); break;
+      default: FoldInReconPassAvx2<4>(k, ntp, vc, w.u, w.x + t0, w.recon + t0, w.d2 + t0); break;
+    }
+  }
+}
+
+// Rows solved together, interleaved.
+constexpr Index kFoldInGroup = 4;
+
+// Up to kFoldInGroup rows, interleaved pass by pass: every live row's r_t,
+// then every live row's err and stopping test, then every live row's
+// update, so the out-of-order core overlaps the rows' dependent chains.
+__attribute__((target("avx2"))) void FoldInGroupAvx2(const FoldInSolve& s,
+                                                    FoldInRow* rows,
+                                                    Index count) {
+  const Index k = s.k;
+  const __m256d eps = _mm256_set1_pd(s.div_eps);
+  FoldInWork work[kFoldInGroup] = {};
+  double prev_err[kFoldInGroup] = {};
+  bool live[kFoldInGroup] = {};
+  for (Index q = 0; q < count; ++q) {
+    FoldInRow& row = rows[q];
+    const FoldInWork w = FoldInWorkOf(row, k);
+    work[q] = w;
+    const Index kp = PaddedWidth(k), ntp = PaddedWidth(row.nt);
+    std::copy(row.u, row.u + k, w.u);
+    std::fill(w.u + k, w.u + kp, 0.0);
+    for (Index t = 0; t < row.nt; ++t) w.x[t] = row.x[row.cols[t]];
+    std::fill(w.x + row.nt, w.x + ntp, 0.0);
+    FoldInRankAvx2<false>(k, row, w.x, w, eps);
+    prev_err[q] = std::numeric_limits<double>::infinity();
+    live[q] = true;
+    row.iterations = 0;
+  }
+  for (int iter = 0; iter < s.max_iterations; ++iter) {
+    for (Index q = 0; q < count; ++q) {
+      if (live[q]) FoldInReconAvx2(k, rows[q], work[q]);
+    }
+    bool any = false;
+    for (Index q = 0; q < count; ++q) {
+      if (!live[q]) continue;
+      const double* d2 = work[q].d2;
+      double err = 0.0;
+      for (Index t = 0; t < rows[q].nt; ++t) err += d2[t];
+      if (prev_err[q] - err <
+          s.tolerance * std::max(prev_err[q], 1e-300)) {
+        live[q] = false;
+        continue;
+      }
+      prev_err[q] = err;
+      ++rows[q].iterations;
+      any = true;
+    }
+    if (!any) break;
+    for (Index q = 0; q < count; ++q) {
+      if (!live[q]) continue;
+      FoldInRankAvx2<true>(k, rows[q], work[q].recon, work[q], eps);
+    }
+  }
+  for (Index q = 0; q < count; ++q) {
+    std::copy(work[q].u, work[q].u + k, rows[q].u);
+  }
+}
+
+__attribute__((target("avx2"))) void FoldInRowsAvx2(const FoldInSolve& s,
+                                                   FoldInRow* rows,
+                                                   Index count) {
+  for (Index q0 = 0; q0 < count; q0 += kFoldInGroup) {
+    FoldInGroupAvx2(s, rows + q0, std::min(kFoldInGroup, count - q0));
+  }
+}
+
 // Dense/per-entry crossover of the AVX2 tier: its dense rows run the
 // register-blocked uv_row_pair, its sparse rows the scalar per-entry dots.
 constexpr Index kAvx2Crossover = 7;
@@ -624,7 +844,7 @@ constexpr Kernels kAvx2Table{Tier::kAvx2,         AxpyAvx2,
                              DotPanelAvx2,        MaskedDotColsScalar,
                              SqDiffAvx2,          UStepRowsAvx2,
                              VStepColsAvx2,       UvRowPairAvx2,
-                             kAvx2Crossover};
+                             FoldInRowsAvx2,      kAvx2Crossover};
 
 #endif  // SMFL_SIMD_X86
 
@@ -688,13 +908,13 @@ void SqDiffNeon(Index n, const double* x, const double* r, double* out) {
   }
 }
 
-// The fit kernels and their crossover are the scalar tier's: no NEON
-// version of them is built or tested here.
+// The fit and fold-in kernels and their crossover are the scalar tier's:
+// no NEON version of them is built or tested here.
 constexpr Kernels kNeonTable{Tier::kNeon,       AxpyNeon,
                              DotPanelNeon,      MaskedDotColsScalar,
                              SqDiffNeon,        UStepRowsScalar,
                              VStepColsScalar,   UvRowPairScalar,
-                             kScalarCrossover};
+                             FoldInRowsScalar,  kScalarCrossover};
 
 #endif  // SMFL_SIMD_NEON
 

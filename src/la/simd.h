@@ -1,11 +1,13 @@
 // Vectorized microkernels behind one-time runtime CPU dispatch — the raw
 // inner loops under la::MatMul / MatMulAtB / MatMulABt, the SMFL fit
-// loop's three per-iteration passes, and the data::MaskedReconstruct /
-// MaskedSquaredError paths. The table: axpy, dot_panel, masked_dot_cols,
-// sq_diff, and the register-resident fit kernels u_step_rows (Formula 13
-// or its gradient step over a range of rows), v_step_cols (Formula 14 or
-// its gradient step over a range of columns) and uv_row_pair (two rows of
-// U V with every accumulator in registers).
+// loop's three per-iteration passes, the data::MaskedReconstruct /
+// MaskedSquaredError paths and the fold-in solve. The table: axpy,
+// dot_panel, masked_dot_cols, sq_diff, the register-resident fit kernels
+// u_step_rows (Formula 13 or its gradient step over a range of rows),
+// v_step_cols (Formula 14 or its gradient step over a range of columns)
+// and uv_row_pair (two rows of U V with every accumulator in registers),
+// and the serving kernel fold_in_rows (the per-row fold-in solve of
+// core::FoldIn).
 //
 // DETERMINISM CONTRACT. Every tier (scalar, AVX2, NEON) computes every
 // output element with the IDENTICAL sequence of IEEE-754 operations: the
@@ -155,6 +157,40 @@ struct VStep {
   double* v = nullptr;            // V, k × m; column j is written
 };
 
+// One fresh row of the fold-in solve (core/fold_in.cc): the single-row
+// Formula 13 without graph terms against the frozen V restricted to the
+// row's usable observed columns cols[0 .. nt),
+//   num_c = Σ_t x_t v_ct, then per iteration r_t = Σ_c u_c v_ct,
+//   err = Σ_t (x_t − r_t)², a stop when prev − err < tol · max(prev,
+//   1e-300), else u_c ← u_c · (num_c / max(Σ_t r_t v_ct, ε)),
+// with x_t = x[cols[t]]. V's observed columns come packed in both layouts
+// (once per observed-column pattern, shared by the pattern's rows).
+struct FoldInRow {
+  Index nt = 0;                    // usable observed columns, >= 1
+  const Index* cols = nullptr;     // ascending
+  const double* x = nullptr;       // the batch row; only x[cols[t]] is read
+  // k × PaddedWidth(nt): v_cols[c · PaddedWidth(nt) + t] = v_c,cols[t].
+  const double* v_cols = nullptr;
+  // nt × PaddedWidth(k): v_rows[t · PaddedWidth(k) + c] = v_c,cols[t].
+  const double* v_rows = nullptr;  // both zero padded
+  double* u = nullptr;             // k entries: the start in, the solve out
+  double* work = nullptr;          // FoldInWorkSize(k, nt) doubles
+  int iterations = 0;              // out: multiplicative updates applied
+};
+
+// The options every row of one fold-in solve shares.
+struct FoldInSolve {
+  Index k = 0;                     // rank
+  int max_iterations = 0;
+  double tolerance = 0.0;
+  double div_eps = 0.0;            // the denominator floor ε
+};
+
+// Doubles of work space one FoldInRow needs.
+[[nodiscard]] constexpr Index FoldInWorkSize(Index k, Index nt) {
+  return 2 * PaddedWidth(k) + 3 * PaddedWidth(nt);
+}
+
 // One dispatch table. Every function preserves the exact scalar
 // per-element operation order (see the file comment).
 struct Kernels {
@@ -211,6 +247,15 @@ struct Kernels {
   void (*uv_row_pair)(Index k, Index mp, const double* v, const double* u0,
                       const double* u1, bool skip_zeros, double* r0,
                       double* r1);
+
+  // The fold-in solve of rows[0 .. count) (see FoldInRow), each row's
+  // chains those of the plain per-row loop: num_c, r_t and the
+  // denominators ascending in t or c from +0.0, err ascending in t,
+  // mul then add, and std::max(den, ε) before the divide. Vector lanes are
+  // the row's observed columns for r_t and its rank entries for num_c, the
+  // denominators and the update. Rows are solved four at a time,
+  // interleaved pass by pass, and each stops on its own.
+  void (*fold_in_rows)(const FoldInSolve& s, FoldInRow* rows, Index count);
 
   // Measured dense/per-entry crossover for the masked kernels' per-row
   // path choice: a row takes the dense path (the full row through

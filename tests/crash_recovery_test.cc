@@ -3,7 +3,10 @@
 //  * kill-mid-fit: forks the real `smfl` binary, SIGKILLs it right after a
 //    checkpoint write (SMFL_CRASH_AFTER_CHECKPOINTS), resumes with
 //    `--resume`, and asserts the final model file is byte-for-byte
-//    identical to an uninterrupted run — across seeds and thread counts,
+//    identical to an uninterrupted run — across seeds and thread counts —
+//    and that the killed run's checkpoint resumes in process to the
+//    uninterrupted U (the model file holds only mean(U)),
+//  * a two-restart fit resumes with its best-so-far model, U included,
 //  * corrupt-generation fallback: a flipped byte in the newest checkpoint
 //    falls back to the previous generation and still reaches the
 //    bitwise-identical model,
@@ -20,9 +23,12 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,8 +37,12 @@
 
 #include "src/common/durable_io.h"
 #include "src/common/fault.h"
+#include "src/common/fit_progress.h"
 #include "src/common/logging.h"
+#include "src/common/shutdown.h"
 #include "src/core/checkpoint.h"
+#include "src/core/model_io.h"
+#include "src/core/smfl.h"
 #include "src/data/csv.h"
 #include "src/data/generators.h"
 #include "src/data/inject.h"
@@ -93,6 +103,15 @@ RunResult RunSmfl(const std::vector<std::string>& args, int crash_after = 0) {
   return result;
 }
 
+// Same shape and the same bits in every entry.
+void ExpectSameMatrix(const Matrix& a, const Matrix& b, const char* what) {
+  ASSERT_EQ(a.rows(), b.rows()) << what;
+  ASSERT_EQ(a.cols(), b.cols()) << what;
+  EXPECT_EQ(0, std::memcmp(a.data(), b.data(),
+                           sizeof(double) * static_cast<size_t>(a.size())))
+      << what;
+}
+
 // ----------------------------------------------------------------- fixture
 
 class CrashRecoveryTest : public ::testing::Test {
@@ -137,6 +156,35 @@ class CrashRecoveryTest : public ::testing::Test {
             "--neighbors=3",
             "--seed=" + std::to_string(seed),
             "--threads=" + std::to_string(threads)};
+  }
+
+  // `smfl fit`'s fit of FitArgs(csv, ..., seed, threads), in process: the
+  // same CSV, normalization and options.
+  struct InProcessFit {
+    data::CsvTable csv;
+    std::optional<data::MinMaxNormalizer> normalizer;
+    Matrix x;
+    SmflOptions options;
+  };
+  static InProcessFit CliFit(const std::string& csv, uint64_t seed,
+                             int threads) {
+    InProcessFit fit;
+    data::CsvReadOptions read_options;
+    read_options.spatial_cols = 2;
+    auto table = data::ReadCsv(csv, read_options);
+    SMFL_CHECK(table.ok());
+    fit.csv = std::move(table).value();
+    auto normalizer = data::MinMaxNormalizer::Fit(fit.csv.table.values(),
+                                                  fit.csv.observed);
+    SMFL_CHECK(normalizer.ok());
+    fit.normalizer = std::move(normalizer).value();
+    fit.x = data::ApplyMask(fit.normalizer->Transform(fit.csv.table.values()),
+                            fit.csv.observed);
+    fit.options.rank = 4;
+    fit.options.num_neighbors = 3;
+    fit.options.seed = seed;
+    fit.options.threads = threads;
+    return fit;
   }
 
   static std::string FileBytes(const std::string& path) {
@@ -194,6 +242,28 @@ TEST_F(CrashRecoveryTest, ResumeIsBitwiseIdenticalAcrossSeedsAndThreads) {
       ASSERT_FALSE(fs::exists(crashed_model)) << tag;
       ASSERT_FALSE(CheckpointFiles(ckpt_dir).empty()) << tag;
 
+      // The model file holds mean(U), not U, so U is compared in process:
+      // the killed process's checkpoint resumes to the uninterrupted U,
+      // bit for bit. The in-process fit is the CLI's own (same bytes).
+      InProcessFit fit = CliFit(csv, seed, threads);
+      auto uninterrupted =
+          FitSmfl(fit.x, fit.csv.observed, 2, fit.options);
+      ASSERT_TRUE(uninterrupted.ok()) << tag;
+      SmflModel served = *uninterrupted;
+      served.normalizer = fit.normalizer;
+      served.column_names = fit.csv.table.column_names();
+      ASSERT_EQ(SerializeModel(served), FileBytes(baseline_model)) << tag;
+      CheckpointConfig config;
+      config.dir = ckpt_dir;
+      auto checkpoint = CheckpointManager(config).LoadLatest();
+      ASSERT_TRUE(checkpoint.ok()) << tag << checkpoint.status().ToString();
+      fit.options.resume_from = &*checkpoint;
+      auto resumed_in_process =
+          FitSmfl(fit.x, fit.csv.observed, 2, fit.options);
+      ASSERT_TRUE(resumed_in_process.ok()) << tag;
+      ExpectSameMatrix(resumed_in_process->u, uninterrupted->u, "U");
+      ExpectSameMatrix(resumed_in_process->v, uninterrupted->v, "V");
+
       // Resume replays the exact trajectory the uninterrupted run took.
       auto resume_args = crash_args;
       resume_args.push_back("--resume");
@@ -205,6 +275,57 @@ TEST_F(CrashRecoveryTest, ResumeIsBitwiseIdenticalAcrossSeedsAndThreads) {
           << ")";
     }
   }
+}
+
+// A two-restart fit interrupted in its second restart resumes with the
+// first restart's model as the best so far, restored from the checkpoint
+// — U included, though the model file inside the checkpoint has none.
+TEST_F(CrashRecoveryTest, ResumedBestSoFarModelKeepsItsU) {
+  const std::string csv = MakeTrainingCsv();
+  InProcessFit fit = CliFit(csv, 4, 1);
+  fit.options.num_restarts = 2;
+  fit.options.max_iterations = 60;
+  auto uninterrupted = FitSmfl(fit.x, fit.csv.observed, 2, fit.options);
+  ASSERT_TRUE(uninterrupted.ok()) << uninterrupted.status().ToString();
+  // The first restart must win, or the resumed fit would not return the
+  // restored model at all.
+  SmflOptions first = fit.options;
+  first.num_restarts = 1;
+  auto first_restart = FitSmfl(fit.x, fit.csv.observed, 2, first);
+  ASSERT_TRUE(first_restart.ok());
+  ASSERT_EQ(la::MaxAbsDiff(first_restart->u, uninterrupted->u), 0.0)
+      << "pick a seed whose first restart wins";
+
+  // Interrupt the second restart at its first checkpoint, as SIGINT would.
+  CheckpointConfig config;
+  config.dir = Path("ckpt");
+  config.every = 5;
+  {
+    CheckpointManager manager(config);
+    manager.SetPostWriteHook([](int) {
+      if (GlobalFitProgress().restart.load() == 1) RequestShutdown();
+    });
+    SmflOptions interrupted = fit.options;
+    interrupted.checkpoint = &manager;
+    auto stopped = FitSmfl(fit.x, fit.csv.observed, 2, interrupted);
+    ResetShutdownForTesting();
+    ASSERT_FALSE(stopped.ok());
+  }
+  auto checkpoint = CheckpointManager(config).LoadLatest();
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+  ASSERT_EQ(checkpoint->restart, 1);
+  ASSERT_FALSE(checkpoint->best_model.empty());
+  ExpectSameMatrix(checkpoint->best_u, uninterrupted->u, "checkpoint best_u");
+
+  SmflOptions resume = fit.options;
+  resume.resume_from = &*checkpoint;
+  auto resumed = FitSmfl(fit.x, fit.csv.observed, 2, resume);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  ExpectSameMatrix(resumed->u, uninterrupted->u, "U");
+  ExpectSameMatrix(resumed->v, uninterrupted->v, "V");
+  ExpectSameMatrix(resumed->landmarks, uninterrupted->landmarks, "C");
+  EXPECT_EQ(resumed->report.objective_trace,
+            uninterrupted->report.objective_trace);
 }
 
 TEST_F(CrashRecoveryTest, CorruptNewestGenerationFallsBackToPrevious) {
@@ -316,17 +437,13 @@ FitCheckpoint MakeSyntheticCheckpoint() {
   cp.guard.checkpoint_u = cp.u;
   cp.guard.checkpoint_v = cp.v;
   cp.best_model = "opaque best-model bytes\nwith newlines\n";
+  cp.best_u = cp.u;
+  cp.best_u(2, 1) = -0.0;
   auto normalizer = data::MinMaxNormalizer::FromBounds(
       {0.0, -1.5, 2.0, 3.0}, {1.0, 2.5, 7.0, 4.0});
   SMFL_CHECK(normalizer.ok());
   cp.normalizer = std::move(normalizer).value();
   return cp;
-}
-
-void ExpectSameMatrix(const Matrix& a, const Matrix& b, const char* what) {
-  ASSERT_EQ(a.rows(), b.rows()) << what;
-  ASSERT_EQ(a.cols(), b.cols()) << what;
-  EXPECT_EQ(la::MaxAbsDiff(a, b), 0.0) << what;
 }
 
 TEST(CheckpointSerializationTest, RoundTripIsExact) {
@@ -371,6 +488,8 @@ TEST(CheckpointSerializationTest, RoundTripIsExact) {
   ExpectSameMatrix(restored->guard.checkpoint_v, cp.guard.checkpoint_v,
                    "guard_v");
   EXPECT_EQ(restored->best_model, cp.best_model);
+  ExpectSameMatrix(restored->best_u, cp.best_u, "best_u");
+  EXPECT_TRUE(std::signbit(restored->best_u(2, 1)));
   ASSERT_TRUE(restored->normalizer.has_value());
   ASSERT_EQ(restored->normalizer->NumCols(), cp.normalizer->NumCols());
   for (Index j = 0; j < cp.normalizer->NumCols(); ++j) {
@@ -416,7 +535,7 @@ std::vector<SectionSpan> WalkSectionSpans(const std::string& content) {
 TEST(CheckpointSerializationTest, FlippedByteInEverySectionIsADataError) {
   const std::string bytes = SerializeCheckpoint(MakeSyntheticCheckpoint());
   const auto spans = WalkSectionSpans(bytes);
-  ASSERT_EQ(spans.size(), 10u);
+  ASSERT_EQ(spans.size(), 11u);
   for (const SectionSpan& span : spans) {
     ASSERT_GT(span.length, 0u) << span.name;
     std::string corrupt = bytes;

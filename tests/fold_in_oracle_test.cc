@@ -1,0 +1,394 @@
+// Reference oracle for batched fold-in serving (core::FoldIn, FoldInRow).
+//
+// The serving solve of docs/serving.md written out naively, one row at a
+// time, as plain loops:
+//
+//   usable cells     observed, finite and nonnegative; none → column-mean
+//                    tier, the row served as mean(U)·V
+//   initial u        1/K, or the landmark kernel over the row's usable
+//                    coordinates when the model has landmarks
+//   numerator        num_c = Σ_t x_t v_ct over the usable columns t
+//   iteration        r_t = Σ_c u_c v_ct, err = Σ_t (x_t − r_t)²; stop when
+//                    prev − err < tol · max(prev, 1e-300); otherwise
+//                    u_c ← u_c · num_c / max(Σ_t r_t v_ct, ε)
+//   completed row    usable cells copied, every other cell Σ_c u_c v_cj
+//
+// Every sum is one chain in ascending index order from +0.0. FoldIn and
+// FoldInRow must reproduce the oracle's outputs, per-row iteration counts
+// and serving tiers bit for bit at every thread count and SIMD tier. The
+// batch puts rows that stop on the tolerance at different iterations into
+// one 4-row solve chunk, and covers the column-mean and uniform-u tiers, a
+// denominator below ε, dropped cells, shared patterns and single-column
+// rows.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "src/common/parallel.h"
+#include "src/common/rng.h"
+#include "src/core/fold_in.h"
+#include "src/la/simd.h"
+#include "src/mf/factorization.h"
+
+namespace smfl::core {
+namespace {
+
+using data::Mask;
+
+constexpr Index kCols = 11;
+constexpr Index kSpatial = 2;
+constexpr Index kTrainRows = 30;
+// Ranks: a single lane (1), one partial 4-lane register (3), two full
+// registers plus a tail (10) and more than one 16-lane pass (17).
+constexpr Index kRanks[] = {1, 3, 10, 17};
+
+struct OracleRow {
+  std::vector<double> out;
+  FoldInTier tier = FoldInTier::kLandmarkKernel;
+  int iterations = 0;
+};
+
+// The landmark-kernel initialization, naively.
+bool OracleInit(const SmflModel& model, const std::vector<double>& row,
+                const std::vector<bool>& usable, std::vector<double>& u) {
+  const Index k = model.v.rows();
+  const Index l = std::min(model.spatial_cols, model.landmarks.cols());
+  if (model.landmarks.size() == 0 || l <= 0) return false;
+  std::vector<Index> si;
+  for (Index j = 0; j < l; ++j) {
+    if (usable[static_cast<size_t>(j)]) si.push_back(j);
+  }
+  if (si.empty()) return false;
+  const double sigma2 = FoldInKernelWidth(model.landmarks);
+  double sum = 0.0;
+  for (Index c = 0; c < k; ++c) {
+    double d2 = 0.0;
+    for (Index j : si) {
+      const double diff = row[static_cast<size_t>(j)] - model.landmarks(c, j);
+      d2 += diff * diff;
+    }
+    d2 *= static_cast<double>(l) / static_cast<double>(si.size());
+    u[static_cast<size_t>(c)] = std::exp(-d2 / (2.0 * sigma2)) + 1e-4;
+    sum += u[static_cast<size_t>(c)];
+  }
+  for (Index c = 0; c < k; ++c) u[static_cast<size_t>(c)] /= sum;
+  return true;
+}
+
+OracleRow OracleFoldRow(const SmflModel& model, const Matrix& x,
+                        const Mask& observed, Index i,
+                        const FoldInOptions& options) {
+  const Index k = model.v.rows(), m = model.v.cols();
+  OracleRow r;
+  r.out.assign(static_cast<size_t>(m), 0.0);
+  std::vector<double> row(static_cast<size_t>(m));
+  std::vector<bool> usable(static_cast<size_t>(m), false);
+  std::vector<Index> obs;
+  for (Index j = 0; j < m; ++j) {
+    row[static_cast<size_t>(j)] = x(i, j);
+    if (observed.Contains(i, j) && std::isfinite(x(i, j)) && x(i, j) >= 0.0) {
+      usable[static_cast<size_t>(j)] = true;
+      obs.push_back(j);
+    }
+  }
+  if (obs.empty()) {
+    r.tier = FoldInTier::kColumnMean;
+    std::vector<double> mean(static_cast<size_t>(k),
+                             1.0 / static_cast<double>(k));
+    if (model.u.rows() > 0) {
+      std::fill(mean.begin(), mean.end(), 0.0);
+      for (Index p = 0; p < model.u.rows(); ++p) {
+        for (Index c = 0; c < k; ++c) {
+          mean[static_cast<size_t>(c)] += model.u(p, c);
+        }
+      }
+      for (double& v : mean) v /= static_cast<double>(model.u.rows());
+    }
+    for (Index j = 0; j < m; ++j) {
+      double acc = 0.0;
+      for (Index c = 0; c < k; ++c) {
+        acc += mean[static_cast<size_t>(c)] * model.v(c, j);
+      }
+      r.out[static_cast<size_t>(j)] = acc;
+    }
+    return r;
+  }
+  std::vector<double> u(static_cast<size_t>(k), 1.0 / static_cast<double>(k));
+  r.tier = OracleInit(model, row, usable, u) ? FoldInTier::kLandmarkKernel
+                                             : FoldInTier::kUniformU;
+  const size_t nt = obs.size();
+  std::vector<double> num(static_cast<size_t>(k), 0.0);
+  for (Index c = 0; c < k; ++c) {
+    for (size_t t = 0; t < nt; ++t) {
+      num[static_cast<size_t>(c)] +=
+          row[static_cast<size_t>(obs[t])] * model.v(c, obs[t]);
+    }
+  }
+  std::vector<double> recon(nt);
+  double prev = std::numeric_limits<double>::infinity();
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
+    double err = 0.0;
+    for (size_t t = 0; t < nt; ++t) {
+      double acc = 0.0;
+      for (Index c = 0; c < k; ++c) {
+        acc += u[static_cast<size_t>(c)] * model.v(c, obs[t]);
+      }
+      recon[t] = acc;
+      const double d = row[static_cast<size_t>(obs[t])] - acc;
+      err += d * d;
+    }
+    if (prev - err < options.tolerance * std::max(prev, 1e-300)) break;
+    prev = err;
+    ++r.iterations;
+    for (Index c = 0; c < k; ++c) {
+      double den = 0.0;
+      for (size_t t = 0; t < nt; ++t) den += recon[t] * model.v(c, obs[t]);
+      u[static_cast<size_t>(c)] *=
+          num[static_cast<size_t>(c)] / std::max(den, mf::kDivEps);
+    }
+  }
+  for (Index j = 0; j < m; ++j) {
+    if (usable[static_cast<size_t>(j)]) {
+      r.out[static_cast<size_t>(j)] = row[static_cast<size_t>(j)];
+      continue;
+    }
+    double acc = 0.0;
+    for (Index c = 0; c < k; ++c) {
+      acc += u[static_cast<size_t>(c)] * model.v(c, j);
+    }
+    r.out[static_cast<size_t>(j)] = acc;
+  }
+  return r;
+}
+
+// A frozen model of rank k over kCols columns: V's first two columns are
+// the landmarks (as SMFL freezes them), rank entry 0 is zero on the last
+// two columns and tiny on the third-last, so a row observing only those
+// has a denominator below ε there.
+SmflModel MakeModel(Index k, uint64_t seed) {
+  Rng rng(seed);
+  SmflModel model;
+  model.spatial_cols = kSpatial;
+  model.landmarks = Matrix(k, kSpatial);
+  model.v = Matrix(k, kCols);
+  model.u = Matrix(kTrainRows, k);
+  for (Index c = 0; c < k; ++c) {
+    for (Index j = 0; j < kCols; ++j) model.v(c, j) = rng.Uniform(0.05, 1.0);
+    for (Index j = 0; j < kSpatial; ++j) {
+      model.landmarks(c, j) = model.v(c, j);
+    }
+  }
+  model.v(0, kCols - 1) = 0.0;
+  model.v(0, kCols - 2) = 0.0;
+  model.v(0, kCols - 3) = 1e-15;
+  for (Index i = 0; i < model.u.size(); ++i) {
+    model.u.data()[i] = rng.Uniform(0.0, 1.0);
+  }
+  return model;
+}
+
+// x_j = (s / K) Σ_c v_cj on the attribute columns, coordinates missing: a
+// row the uniform start reproduces exactly up to the scale s.
+void SetUniformRow(const SmflModel& model, double s, Index i, Matrix& x,
+                   Mask& observed) {
+  const Index k = model.v.rows();
+  for (Index j = kSpatial; j < kCols; ++j) {
+    double acc = 0.0;
+    for (Index c = 0; c < k; ++c) {
+      acc += (s / static_cast<double>(k)) * model.v(c, j);
+    }
+    x(i, j) = acc;
+    observed.Set(i, j, true);
+  }
+}
+
+// The serving batch (see the file comment). Rows 0–3 are the first 4-row
+// solve chunk: rows that stop on the tolerance at different iterations
+// next to one that keeps iterating.
+void MakeBatch(const SmflModel& model, uint64_t seed, Matrix& x,
+               Mask& observed) {
+  constexpr Index kRows = 38;
+  Rng rng(seed);
+  x = Matrix(kRows, kCols);
+  observed = Mask(kRows, kCols);
+  // Chunk 0: rows 0 and 1 are exact at the start (stop at iteration 1)
+  // and after one rescaling step (stop at 2); row 2 observes one column,
+  // which one step fits exactly; row 3 is a full row that runs on.
+  SetUniformRow(model, 1.0, 0, x, observed);
+  SetUniformRow(model, 2.0, 1, x, observed);
+  x(2, 3) = 0.4;
+  observed.Set(2, 3, true);
+  for (Index j = 0; j < kCols; ++j) {
+    x(3, j) = rng.Uniform(0.0, 1.0);
+    observed.Set(3, j, true);
+  }
+  // Chunk 1: row 4 has nothing observed (column-mean); row 5 misses its
+  // coordinates (uniform-u); row 6 observes only the columns where rank
+  // entry 0 vanishes (denominator below ε, uniform-u); row 7 has a NaN and
+  // a negative observed cell, dropped from its solve.
+  for (Index j = kSpatial; j < kCols; j += 2) {
+    x(5, j) = rng.Uniform(0.0, 1.0);
+    observed.Set(5, j, true);
+  }
+  for (Index j = kCols - 3; j < kCols; ++j) {
+    x(6, j) = rng.Uniform(0.1, 1.0);
+    observed.Set(6, j, true);
+  }
+  for (Index j = 0; j < kCols; ++j) {
+    x(7, j) = rng.Uniform(0.0, 1.0);
+    observed.Set(7, j, true);
+  }
+  x(7, 3) = std::nan("");
+  x(7, 5) = -0.25;
+  // Rows 8–15 share one pattern; 16–19 observe a single column each.
+  for (Index i = 8; i < 16; ++i) {
+    for (Index j = 0; j < kCols; ++j) {
+      x(i, j) = rng.Uniform(0.0, 1.0);
+      observed.Set(i, j, j != 4 && j != 8);
+    }
+  }
+  for (Index i = 16; i < 20; ++i) {
+    const Index j = i - 16 + (i % 2 == 0 ? 0 : kSpatial);
+    x(i, j) = rng.Uniform(0.0, 1.0);
+    observed.Set(i, j, true);
+  }
+  // Row 20: every observed cell non-finite (column-mean). The rest: random
+  // holes, coordinates mostly present, a ragged last chunk of two rows.
+  for (Index j = 0; j < kCols; ++j) {
+    x(20, j) = std::numeric_limits<double>::infinity();
+    observed.Set(20, j, j % 3 == 0);
+  }
+  for (Index i = 21; i < kRows; ++i) {
+    for (Index j = 0; j < kCols; ++j) {
+      const bool seen = j < kSpatial ? i % 5 != 0 : rng.Bernoulli(0.7);
+      x(i, j) = seen ? rng.Uniform(0.0, 1.0) : 0.0;
+      observed.Set(i, j, seen);
+    }
+  }
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+void ExpectMatchesOracle(const SmflModel& model, const Matrix& x,
+                         const Mask& observed, const FoldInOptions& options,
+                         const std::string& label) {
+  std::vector<OracleRow> oracle;
+  for (Index i = 0; i < x.rows(); ++i) {
+    oracle.push_back(OracleFoldRow(model, x, observed, i, options));
+  }
+  for (int threads : {1, 4}) {
+    for (int simd : {0, 1}) {
+      parallel::ScopedParallelism scoped_threads(threads);
+      la::simd::ScopedSimd scoped_simd(simd);
+      const std::string where = label + " threads " +
+                                std::to_string(threads) + " simd " +
+                                std::to_string(simd);
+      FoldInReport report;
+      auto folded = FoldIn(model, x, observed, options, &report);
+      ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+      ASSERT_EQ(report.rows.size(), oracle.size()) << where;
+      for (Index i = 0; i < x.rows(); ++i) {
+        const OracleRow& o = oracle[static_cast<size_t>(i)];
+        const FoldInRowOutcome& got = report.rows[static_cast<size_t>(i)];
+        ASSERT_EQ(got.served_by, o.tier) << where << " row " << i;
+        ASSERT_EQ(got.iterations, o.iterations) << where << " row " << i;
+        for (Index j = 0; j < x.cols(); ++j) {
+          ASSERT_EQ(Bits((*folded)(i, j)), Bits(o.out[static_cast<size_t>(j)]))
+              << where << " row " << i << " col " << j;
+        }
+        // The strict single-row path serves every row it accepts (all
+        // observed cells valid, at least one) with the same bits.
+        la::Vector row(x.cols());
+        std::vector<bool> seen(static_cast<size_t>(x.cols()));
+        bool valid = false;
+        for (Index j = 0; j < x.cols(); ++j) {
+          row[j] = x(i, j);
+          seen[static_cast<size_t>(j)] = observed.Contains(i, j);
+          if (!seen[static_cast<size_t>(j)]) continue;
+          valid = true;
+          if (!std::isfinite(x(i, j)) || x(i, j) < 0.0) {
+            valid = false;
+            break;
+          }
+        }
+        if (!valid) continue;
+        auto single = FoldInRow(model, row, seen, options);
+        ASSERT_TRUE(single.ok()) << where << " row " << i;
+        for (Index j = 0; j < x.cols(); ++j) {
+          ASSERT_EQ(Bits((*single)[j]), Bits(o.out[static_cast<size_t>(j)]))
+              << where << " FoldInRow row " << i << " col " << j;
+        }
+      }
+    }
+  }
+}
+
+TEST(FoldInOracleTest, BatchAndSingleRowMatchTheNaiveSolveBitwise) {
+  for (Index k : kRanks) {
+    const SmflModel model = MakeModel(k, 100 + static_cast<uint64_t>(k));
+    Matrix x;
+    Mask observed;
+    MakeBatch(model, 200 + static_cast<uint64_t>(k), x, observed);
+    const std::string rank = "K=" + std::to_string(k);
+    // The serving default, a loose tolerance (rows stop all over the
+    // iteration range), tolerance 0 (a row stops on the first iteration
+    // whose error does not fall, which turns on the last bits of the
+    // error sum) and a short cap.
+    ExpectMatchesOracle(model, x, observed, FoldInOptions{}, rank);
+    ExpectMatchesOracle(model, x, observed, FoldInOptions{200, 1e-3},
+                        rank + " tol 1e-3");
+    ExpectMatchesOracle(model, x, observed, FoldInOptions{200, 0.0},
+                        rank + " tol 0");
+    ExpectMatchesOracle(model, x, observed, FoldInOptions{7, 1e-8},
+                        rank + " cap 7");
+  }
+}
+
+// The cases the oracle comparison relies on are really in the batch.
+TEST(FoldInOracleTest, BatchCoversTheEdgeCases) {
+  for (Index k : kRanks) {
+    const SmflModel model = MakeModel(k, 100 + static_cast<uint64_t>(k));
+    Matrix x;
+    Mask observed;
+    MakeBatch(model, 200 + static_cast<uint64_t>(k), x, observed);
+    const FoldInOptions options;
+    std::vector<OracleRow> rows;
+    for (Index i = 0; i < x.rows(); ++i) {
+      rows.push_back(OracleFoldRow(model, x, observed, i, options));
+    }
+    // Rows 0–2 of the first chunk stop on the tolerance, not on the cap,
+    // and at different iterations.
+    std::set<int> stops;
+    for (Index i = 0; i < 3; ++i) {
+      EXPECT_LT(rows[static_cast<size_t>(i)].iterations, options.max_iterations)
+          << "K=" << k << " row " << i;
+      stops.insert(rows[static_cast<size_t>(i)].iterations);
+    }
+    EXPECT_GE(stops.size(), 2u) << "K=" << k;
+    EXPECT_EQ(rows[4].tier, FoldInTier::kColumnMean);
+    EXPECT_EQ(rows[5].tier, FoldInTier::kUniformU);
+    EXPECT_EQ(rows[6].tier, FoldInTier::kUniformU);
+    EXPECT_EQ(rows[20].tier, FoldInTier::kColumnMean);
+    EXPECT_EQ(rows[8].tier, FoldInTier::kLandmarkKernel);
+    // Row 6's denominator for rank entry 0 sits below ε.
+    std::vector<double> u(static_cast<size_t>(k), 1.0 / static_cast<double>(k));
+    double den = 0.0;
+    for (Index j = kCols - 3; j < kCols; ++j) {
+      double r = 0.0;
+      for (Index c = 0; c < k; ++c) r += u[static_cast<size_t>(c)] * model.v(c, j);
+      den += r * model.v(0, j);
+    }
+    EXPECT_LT(den, mf::kDivEps) << "K=" << k;
+  }
+}
+
+}  // namespace
+}  // namespace smfl::core

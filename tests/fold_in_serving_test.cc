@@ -4,17 +4,22 @@
 //    any thread count (the PR 2 determinism contract),
 //  * per-row faults degrade through the report tiers instead of aborting
 //    the batch,
-//  * fit -> save -> load -> serve round-trips bitwise through the v3
-//    model format (including the persisted normalizer),
-//  * v1/v2 bare-text model files still load,
+//  * fit -> save -> load -> serve round-trips bitwise through the v4
+//    model format (including the persisted normalizer and mean(U)),
+//  * v3 files still load and serve like their v4 re-save; bare-text
+//    v1/v2 files and hostile values are refused with a DataError,
+//  * `smfl apply` refuses a batch whose header differs from training,
 //  * `smfl apply` serves in the TRAINING normalization space — the old
 //    per-batch re-fit produced systematically different (wrong) values.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -235,63 +240,178 @@ TEST(FoldInServingTest, SaveLoadServeRoundTripIsBitwise) {
   }
 }
 
-// Reassembles the legacy text body from a v3 container: the concatenated
-// section payloads ARE the v1/v2-shaped body (with a v3 version header).
-std::string LegacyBody(const std::string& serialized) {
+// Re-frames a serialized model with `section`'s payload replaced: valid
+// checksums around hostile content, the way a buggy or malicious writer
+// would produce it.
+std::string WithSection(const std::string& serialized,
+                        const std::string& section,
+                        const std::string& payload) {
   auto sections = ParseSections(serialized);
   SMFL_CHECK(sections.ok());
-  std::string body;
-  for (const Section& s : *sections) body += s.payload;
-  return body;
+  SectionWriter writer;
+  bool found = false;
+  for (const Section& s : *sections) {
+    found = found || s.name == section;
+    writer.Add(s.name, s.name == section ? payload : s.payload);
+  }
+  SMFL_CHECK(found);
+  return writer.Finish();
 }
 
-TEST(FoldInServingTest, V1ModelFilesStillLoadWithoutNormalizer) {
-  Fitted f = TrainOnPrefix(160, 140, 9);
-  // Hand-build the v1 form: bare text body, old version header, no
-  // normalizer block.
-  std::string v1 = LegacyBody(SerializeModel(f.model));
-  const size_t norm_pos = v1.find("\nnormalizer ");
-  const size_t u_pos = v1.find("\nU ");
-  ASSERT_NE(norm_pos, std::string::npos);
-  ASSERT_NE(u_pos, std::string::npos);
-  v1.erase(norm_pos, u_pos - norm_pos);
-  const size_t ver_pos = v1.find("smfl-model 3");
-  ASSERT_EQ(ver_pos, 0u);
-  v1.replace(0, std::string("smfl-model 3").size(), "smfl-model 1");
+std::string SectionPayload(const std::string& serialized,
+                           const std::string& section) {
+  auto sections = ParseSections(serialized);
+  SMFL_CHECK(sections.ok());
+  for (const Section& s : *sections) {
+    if (s.name == section) return s.payload;
+  }
+  SMFL_CHECK(false);
+  return "";
+}
 
-  auto restored = DeserializeModel(v1);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_FALSE(restored->normalizer.has_value());
-  EXPECT_DOUBLE_EQ(la::MaxAbsDiff(restored->u, f.model.u), 0.0);
-  EXPECT_DOUBLE_EQ(la::MaxAbsDiff(restored->v, f.model.v), 0.0);
-  EXPECT_DOUBLE_EQ(la::MaxAbsDiff(restored->landmarks, f.model.landmarks),
-                   0.0);
+TEST(FoldInServingTest, V1AndV2ModelFilesAreRefusedWithARefitHint) {
+  Fitted f = TrainOnPrefix(160, 140, 9);
+  // The bare-text forms: the concatenated payloads under an old version
+  // header, no container and no checksums.
+  auto sections = ParseSections(SerializeModel(f.model));
+  ASSERT_TRUE(sections.ok());
+  std::string body;
+  for (const Section& s : *sections) body += s.payload;
+  ASSERT_EQ(body.rfind("smfl-model 4", 0), 0u);
+  for (int version : {1, 2}) {
+    std::string legacy = body;
+    legacy.replace(0, std::string("smfl-model 4").size(),
+                   "smfl-model " + std::to_string(version));
+    auto restored = DeserializeModel(legacy);
+    ASSERT_FALSE(restored.ok()) << version;
+    EXPECT_EQ(restored.status().code(), StatusCode::kDataError);
+    EXPECT_NE(restored.status().message().find(
+                  "format v" + std::to_string(version)),
+              std::string::npos)
+        << restored.status().ToString();
+    EXPECT_NE(restored.status().message().find("smfl fit"), std::string::npos)
+        << restored.status().ToString();
+  }
+  // Bare text that is no model at all.
+  auto garbage = DeserializeModel("hello\n");
+  ASSERT_FALSE(garbage.ok());
+  EXPECT_EQ(garbage.status().code(), StatusCode::kDataError);
 }
 
 TEST(FoldInServingTest, CorruptDimensionsRejectedBeforeAllocation) {
   Fitted f = TrainOnPrefix(120, 100, 11);
-  // Tamper with the bare text body (the v2-era attack surface: a hand-
-  // edited or bit-rotted legacy file with no CRC protection).
-  std::string good = LegacyBody(SerializeModel(f.model));
-  // A hostile U header claiming astronomically many elements must be a
+  const std::string good = SerializeModel(f.model);
+  // A hostile V header claiming astronomically many elements must be a
   // clean DataError, not an overflowed allocation.
-  const size_t pos = good.find("\nU ");
-  ASSERT_NE(pos, std::string::npos);
-  const size_t eol = good.find('\n', pos + 1);
-  std::string huge = good.substr(0, pos) + "\nU 88888888 88888888" +
-                     good.substr(eol);
-  auto result = DeserializeModel(huge);
+  std::string v = SectionPayload(good, "V");
+  v.replace(0, v.find('\n'), "V 88888888 88888888");
+  auto result = DeserializeModel(WithSection(good, "V", v));
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDataError);
   EXPECT_NE(result.status().message().find("implausible"),
             std::string::npos);
   // Same for a hostile trace header.
-  std::string huge_trace = good;
-  const size_t tpos = huge_trace.find("\ntrace ");
-  ASSERT_NE(tpos, std::string::npos);
-  const size_t teol = huge_trace.find('\n', tpos + 1);
-  huge_trace.replace(tpos, teol - tpos, "\ntrace 999999999999");
-  EXPECT_FALSE(DeserializeModel(huge_trace).ok());
+  auto huge_trace =
+      DeserializeModel(WithSection(good, "trace", "trace 999999999999\n"));
+  EXPECT_FALSE(huge_trace.ok());
+}
+
+TEST(FoldInServingTest, HostileValuesAreRefusedByName) {
+  Fitted f = TrainOnPrefix(120, 100, 13);
+  const std::string good = SerializeModel(f.model);
+  ASSERT_TRUE(DeserializeModel(good).ok());
+  // Replaces the first value after the section's header line.
+  auto poison = [&](const std::string& section, const std::string& value) {
+    std::string payload = SectionPayload(good, section);
+    const size_t start = payload.find('\n') + 1;
+    const size_t end = payload.find_first_of(" \n", start);
+    payload.replace(start, end - start, value);
+    return DeserializeModel(WithSection(good, section, payload));
+  };
+  for (const char* section : {"V", "C", "mean_u", "normalizer"}) {
+    for (const char* value : {"nan", "inf", "-inf"}) {
+      auto result = poison(section, value);
+      ASSERT_FALSE(result.ok()) << section << " " << value;
+      EXPECT_EQ(result.status().code(), StatusCode::kDataError);
+      EXPECT_NE(result.status().message().find(
+                    std::string("section '") + section + "'"),
+                std::string::npos)
+          << result.status().ToString();
+    }
+  }
+  // mean(U) must hold exactly K values.
+  const Index k = f.model.v.rows();
+  std::string short_mean = "mean_u 1 " + std::to_string(k - 1) + "\n";
+  for (Index c = 0; c + 1 < k; ++c) short_mean += "0.5 ";
+  auto result =
+      DeserializeModel(WithSection(good, "mean_u", short_mean + "\n"));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDataError);
+  EXPECT_NE(result.status().message().find("'mean_u'"), std::string::npos)
+      << result.status().ToString();
+}
+
+// tests/fixtures/model_v3.smfl was written by the v3 writer (the last one
+// that stored U): a rank-3 SMFL model with its normalizer, fit for 20
+// iterations on a 40-row table with 2 coordinate and 3 attribute columns.
+TEST(FoldInServingTest, V3FilesLoadAndServeLikeTheirV4Resave) {
+  const std::string path = std::string(SMFL_FIXTURE_DIR) + "/model_v3.smfl";
+  auto bytes = ReadFileToString(path);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  auto v3 = LoadModel(path);
+  ASSERT_TRUE(v3.ok()) << v3.status().ToString();
+  EXPECT_EQ(v3->u.rows(), 0);
+  ASSERT_TRUE(v3->normalizer.has_value());
+  EXPECT_TRUE(v3->column_names.empty());
+  const Index k = v3->v.rows(), m = v3->v.cols();
+  ASSERT_EQ(k, 3);
+  ASSERT_EQ(m, 5);
+
+  // mean(U) is the column mean of the file's U section, bit for bit.
+  std::istringstream u_text(SectionPayload(*bytes, "U"));
+  std::string tag;
+  Index rows = 0, cols = 0;
+  ASSERT_TRUE(static_cast<bool>(u_text >> tag >> rows >> cols));
+  Matrix u(rows, cols);
+  for (Index i = 0; i < u.size(); ++i) {
+    ASSERT_TRUE(static_cast<bool>(u_text >> u.data()[i]));
+  }
+  const la::Vector mean = la::ColMeans(u);
+  ASSERT_EQ(v3->mean_u.size(), k);
+  for (Index c = 0; c < k; ++c) EXPECT_EQ(v3->mean_u[c], mean[c]) << c;
+
+  // Its v4 re-save holds no U and serves every tier bit for bit alike.
+  const std::string resaved = SerializeModel(*v3);
+  EXPECT_EQ(resaved.find("section U "), std::string::npos);
+  auto v4 = DeserializeModel(resaved);
+  ASSERT_TRUE(v4.ok()) << v4.status().ToString();
+  Matrix x(24, m);
+  Mask observed(24, m);
+  for (Index i = 0; i < x.rows(); ++i) {
+    for (Index j = 0; j < m; ++j) {
+      const bool seen = i % 6 != 5 && (i + j) % 4 != 0;
+      observed.Set(i, j, seen);
+      x(i, j) = seen ? 0.05 + 0.9 * static_cast<double>((i * 7 + j * 3) % 11) /
+                                  10.0
+                     : 0.0;
+    }
+  }
+  FoldInReport v3_report, v4_report;
+  auto from_v3 = FoldIn(*v3, x, observed, FoldInOptions{}, &v3_report);
+  auto from_v4 = FoldIn(*v4, x, observed, FoldInOptions{}, &v4_report);
+  ASSERT_TRUE(from_v3.ok());
+  ASSERT_TRUE(from_v4.ok());
+  EXPECT_GT(v3_report.CountTier(FoldInTier::kColumnMean), 0);
+  EXPECT_GT(v3_report.CountTier(FoldInTier::kLandmarkKernel), 0);
+  for (Index i = 0; i < x.rows(); ++i) {
+    EXPECT_EQ(v3_report.rows[static_cast<size_t>(i)].iterations,
+              v4_report.rows[static_cast<size_t>(i)].iterations);
+    for (Index j = 0; j < m; ++j) {
+      EXPECT_EQ(std::bit_cast<uint64_t>((*from_v3)(i, j)),
+                std::bit_cast<uint64_t>((*from_v4)(i, j)))
+          << i << "," << j;
+    }
+  }
 }
 
 // ------------------------------------------------- CLI apply round-trip
@@ -339,6 +459,8 @@ TEST(FoldInServingTest, ApplyServesInTrainingNormalizationSpace) {
       &output);
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_NE(output.find("serving tiers:"), std::string::npos);
+  EXPECT_NE(output.find("ran the 200-iteration cap"), std::string::npos)
+      << output;
 
   data::CsvReadOptions read_options;
   read_options.spatial_cols = 2;
@@ -427,6 +549,63 @@ TEST(FoldInServingTest, ApplyValidatesSpatialAgainstModel) {
   std::remove(train_path.c_str());
   std::remove(model_path.c_str());
   std::remove(out_path.c_str());
+}
+
+TEST(FoldInServingTest, ApplyRefusesPermutedColumns) {
+  auto dataset = data::MakeLakeLike(120, 41);
+  ASSERT_TRUE(dataset.ok());
+  const std::string train_path = TempPath("smfl_permuted_train.csv");
+  ASSERT_TRUE(data::WriteCsv(train_path, dataset->table).ok());
+  const std::string model_path = TempPath("smfl_permuted_model.smfl");
+  std::string output;
+  ASSERT_TRUE(::smfl::cli::Run(MakeFlags({"fit", "--in=" + train_path,
+                                          "--model=" + model_path,
+                                          "--rank=4"}),
+                               &output)
+                  .ok());
+  auto model = LoadModel(model_path);
+  ASSERT_TRUE(model.ok());
+  EXPECT_EQ(model->column_names, dataset->table.column_names());
+
+  // The same rows with attribute columns 3 and 5 swapped, header and all:
+  // the count matches, so only the stored header can catch it.
+  std::vector<std::string> names = dataset->table.column_names();
+  Matrix values = dataset->table.values();
+  std::swap(names[3], names[5]);
+  for (Index i = 0; i < values.rows(); ++i) {
+    std::swap(values(i, 3), values(i, 5));
+  }
+  auto permuted = data::Table::Create(names, values, 2);
+  ASSERT_TRUE(permuted.ok());
+  const std::string batch_path = TempPath("smfl_permuted_batch.csv");
+  ASSERT_TRUE(data::WriteCsv(batch_path, *permuted).ok());
+  const std::string out_path = TempPath("smfl_permuted_out.csv");
+  output.clear();
+  Status status = ::smfl::cli::Run(
+      MakeFlags({"apply", "--in=" + batch_path, "--model=" + model_path,
+                 "--out=" + out_path}),
+      &output);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("column 4"), std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.message().find("'" + names[3] + "'"), std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.message().find("'" + names[5] + "'"), std::string::npos)
+      << status.ToString();
+  EXPECT_FALSE(std::filesystem::exists(out_path));
+
+  // The training order is still served.
+  output.clear();
+  status = ::smfl::cli::Run(
+      MakeFlags({"apply", "--in=" + train_path, "--model=" + model_path,
+                 "--out=" + out_path}),
+      &output);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  for (const std::string& path :
+       {train_path, model_path, batch_path, out_path}) {
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace

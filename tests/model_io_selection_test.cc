@@ -4,6 +4,7 @@
 #include <filesystem>
 
 #include "src/common/durable_io.h"
+#include "src/core/fold_in.h"
 #include "src/core/model_io.h"
 #include "src/core/model_selection.h"
 #include "src/data/generators.h"
@@ -55,12 +56,22 @@ SmflModel FitSmall(const Scenario& s) {
 TEST(ModelIoTest, SerializeRoundTripIsExact) {
   Scenario s = MakeScenario(60, 3);
   SmflModel model = FitSmall(s);
+  model.column_names = {"lat", "lon", "a b", "", "x,y", "t", "z"};
+  model.column_names.resize(static_cast<size_t>(model.v.cols()), "c");
   auto restored = DeserializeModel(SerializeModel(model));
-  ASSERT_TRUE(restored.ok());
-  // Bit-exact: the format writes round-trip precision.
-  EXPECT_DOUBLE_EQ(la::MaxAbsDiff(restored->u, model.u), 0.0);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  // Bit-exact: the format writes round-trip precision. The served model
+  // carries mean(U) instead of U.
+  EXPECT_EQ(restored->u.rows(), 0);
+  const la::Vector mean = la::ColMeans(model.u);
+  ASSERT_EQ(restored->mean_u.size(), mean.size());
+  for (Index c = 0; c < mean.size(); ++c) {
+    EXPECT_EQ(restored->mean_u[c], mean[c]) << c;
+    EXPECT_EQ(restored->MeanU()[c], model.MeanU()[c]) << c;
+  }
   EXPECT_DOUBLE_EQ(la::MaxAbsDiff(restored->v, model.v), 0.0);
   EXPECT_DOUBLE_EQ(la::MaxAbsDiff(restored->landmarks, model.landmarks), 0.0);
+  EXPECT_EQ(restored->column_names, model.column_names);
   EXPECT_EQ(restored->spatial_cols, model.spatial_cols);
   EXPECT_EQ(restored->report.iterations, model.report.iterations);
   EXPECT_EQ(restored->report.converged, model.report.converged);
@@ -70,6 +81,8 @@ TEST(ModelIoTest, SerializeRoundTripIsExact) {
     EXPECT_DOUBLE_EQ(restored->report.objective_trace[i],
                      model.report.objective_trace[i]);
   }
+  // Re-saving the loaded model writes the same bytes.
+  EXPECT_EQ(SerializeModel(*restored), SerializeModel(model));
 }
 
 TEST(ModelIoTest, FileRoundTrip) {
@@ -82,9 +95,15 @@ TEST(ModelIoTest, FileRoundTrip) {
   auto restored = LoadModel(path);
   std::remove(path.c_str());
   ASSERT_TRUE(restored.ok());
-  // The reconstruction — what a serving process uses — must match exactly.
-  EXPECT_DOUBLE_EQ(
-      la::MaxAbsDiff(restored->Reconstruct(), model.Reconstruct()), 0.0);
+  // What a serving process computes — fold-in of fresh rows, including
+  // the column-mean tier that reads mean(U) — must match exactly.
+  Mask observed = s.observed;
+  for (Index j = 0; j < observed.cols(); ++j) observed.Set(0, j, false);
+  auto served = FoldIn(*restored, s.input, observed);
+  auto in_process = FoldIn(model, s.input, observed);
+  ASSERT_TRUE(served.ok());
+  ASSERT_TRUE(in_process.ok());
+  EXPECT_DOUBLE_EQ(la::MaxAbsDiff(*served, *in_process), 0.0);
 }
 
 TEST(ModelIoTest, SmfModelWithoutLandmarks) {
@@ -100,10 +119,23 @@ TEST(ModelIoTest, SmfModelWithoutLandmarks) {
   EXPECT_EQ(restored->landmarks.size(), 0);
 }
 
+TEST(ModelIoTest, ModelWithoutUServesTheUniformMean) {
+  // A hand-built model with neither U nor a stored mean: the column-mean
+  // tier serves the uniform 1/K, before and after a save.
+  SmflModel model;
+  model.v = Matrix(2, 3, 0.5);
+  model.spatial_cols = 1;
+  auto restored = DeserializeModel(SerializeModel(model));
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ASSERT_EQ(restored->mean_u.size(), 2);
+  EXPECT_EQ(restored->mean_u[0], 0.5);
+  EXPECT_EQ(restored->MeanU()[1], model.MeanU()[1]);
+}
+
 TEST(ModelIoTest, RejectsCorruptInput) {
   EXPECT_FALSE(DeserializeModel("").ok());
   EXPECT_FALSE(DeserializeModel("not-a-model 1").ok());
-  EXPECT_FALSE(DeserializeModel("smfl-model 999\n").ok());  // bad version
+  EXPECT_FALSE(DeserializeModel("smfl-model 999\n").ok());  // bare text
   Scenario s = MakeScenario(30, 9);
   std::string good = SerializeModel(FitSmall(s));
   // Truncation anywhere must be caught by the section framing.
@@ -116,41 +148,48 @@ TEST(ModelIoTest, RejectsCorruptInput) {
   auto bitrot = DeserializeModel(flipped);
   ASSERT_FALSE(bitrot.ok());
   EXPECT_EQ(bitrot.status().code(), StatusCode::kDataError);
-  // Tampered rank consistency on the bare text body (the legacy v1/v2
-  // surface, which carries no checksums).
+  // Consistent checksums around inconsistent content: a mean(U) of the
+  // wrong rank, and an unknown version.
   auto sections = ParseSections(good);
   ASSERT_TRUE(sections.ok());
-  std::string tampered;
-  for (const Section& sec : *sections) tampered += sec.payload;
-  const size_t pos = tampered.find("U ");
-  ASSERT_NE(pos, std::string::npos);
-  tampered.replace(pos, 3, "U 9");
-  EXPECT_FALSE(DeserializeModel(tampered).ok());
+  SectionWriter wrong_rank, wrong_version;
+  for (const Section& sec : *sections) {
+    wrong_rank.Add(sec.name, sec.name == "mean_u"
+                                 ? "mean_u 1 9\n0 0 0 0 0 0 0 0 0\n"
+                                 : sec.payload);
+    std::string payload = sec.payload;
+    if (sec.name == "meta") payload.replace(0, 12, "smfl-model 5");
+    wrong_version.Add(sec.name, payload);
+  }
+  EXPECT_FALSE(DeserializeModel(wrong_rank.Finish()).ok());
+  auto future = DeserializeModel(wrong_version.Finish());
+  ASSERT_FALSE(future.ok());
+  EXPECT_NE(future.status().message().find("unsupported model version 5"),
+            std::string::npos)
+      << future.status().ToString();
 }
 
-TEST(ModelIoTest, V3ContainerShapeAndLegacyBodyEquivalence) {
+TEST(ModelIoTest, V4ContainerShapeHoldsNoU) {
   Scenario s = MakeScenario(40, 13);
   SmflModel model = FitSmall(s);
   const std::string serialized = SerializeModel(model);
   ASSERT_TRUE(LooksLikeDurableContainer(serialized));
   auto sections = ParseSections(serialized);
   ASSERT_TRUE(sections.ok());
-  ASSERT_EQ(sections->size(), 6u);
-  const char* expected[] = {"meta", "normalizer", "U", "V", "C", "trace"};
+  ASSERT_EQ(sections->size(), 7u);
+  const char* expected[] = {"meta", "columns", "normalizer", "V",
+                            "C",    "mean_u",  "trace"};
   std::string body;
   for (size_t i = 0; i < sections->size(); ++i) {
     EXPECT_EQ((*sections)[i].name, expected[i]);
     body += (*sections)[i].payload;
   }
-  // The concatenated payloads are themselves a loadable text body, and
-  // parse to the same model as the container.
-  EXPECT_EQ(body.rfind("smfl-model 3", 0), 0u);
-  auto from_body = DeserializeModel(body);
-  ASSERT_TRUE(from_body.ok());
-  auto from_container = DeserializeModel(serialized);
-  ASSERT_TRUE(from_container.ok());
-  EXPECT_DOUBLE_EQ(la::MaxAbsDiff(from_body->u, from_container->u), 0.0);
-  EXPECT_DOUBLE_EQ(la::MaxAbsDiff(from_body->v, from_container->v), 0.0);
+  EXPECT_EQ(body.rfind("smfl-model 4", 0), 0u);
+  // The bare body outside its container (no checksums) is not a model
+  // file.
+  auto bare = DeserializeModel(body);
+  ASSERT_FALSE(bare.ok());
+  EXPECT_EQ(bare.status().code(), StatusCode::kDataError);
 }
 
 TEST(ModelIoTest, LoadMissingFileFails) {

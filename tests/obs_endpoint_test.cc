@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -250,6 +251,14 @@ TEST_F(ObsEndpointTest, ConcurrentScrapesDoNotPerturbTheFit) {
   ASSERT_TRUE(scraped.ok()) << scraped.status().ToString();
   EXPECT_EQ(core::SerializeModel(*scraped), baseline_bytes)
       << "concurrent scrapes changed the fitted model bytes";
+  // The model file holds mean(U), not U: U must match bit for bit too.
+  ASSERT_EQ(scraped->u.rows(), baseline->u.rows());
+  ASSERT_EQ(scraped->u.cols(), baseline->u.cols());
+  for (la::Index i = 0; i < baseline->u.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint64_t>(scraped->u.data()[i]),
+              std::bit_cast<uint64_t>(baseline->u.data()[i]))
+        << "concurrent scrapes changed U at flat index " << i;
+  }
 }
 
 // --------------------------------------------------------------------------

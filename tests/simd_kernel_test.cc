@@ -3,9 +3,9 @@
 // byte-identical results with vector kernels forced on vs pinned to the
 // scalar tier, at any thread count — including remainder lanes (n % 4,
 // n % 8), empty inputs, and 1x1 shapes. Full SMFL/SMF/NMF fits, under
-// both update rules, must serialize to byte-identical model files under
-// SMFL_SIMD=0/1 x threads {1, 4} x multiple seeds (the acceptance bar of
-// the dispatch layer). On hosts
+// both update rules, must serialize to byte-identical model files and
+// bit-identical U under SMFL_SIMD=0/1 x threads {1, 4} x multiple seeds
+// (the acceptance bar of the dispatch layer). On hosts
 // whose probe resolves to the scalar tier these tests still run — both
 // sides execute the same table, so they degrade to self-consistency.
 
@@ -292,6 +292,106 @@ TEST(SimdKernelTest, UStepRowsMatchesScalarTier) {
   }
 }
 
+// The fold-in solve on both tiers: five rows per call (a group of four
+// plus one), each with its own pattern of nt observed columns out of
+// nt + 2, so every row has its own packed V. Row 0 is exact at its start
+// (it stops on the tolerance at once), row 2's rank entry 0 vanishes on
+// its columns (a denominator below ε), and a loose tolerance makes the
+// rows stop at different iterations.
+TEST(SimdKernelTest, FoldInRowsMatchesScalarTier) {
+  constexpr Index kRows = 5;
+  for (Index k = 1; k <= 17; ++k) {
+    for (Index nt = 1; nt <= 33; ++nt) {
+      const auto seed = static_cast<uint64_t>(k * 100 + nt);
+      Rng rng(seed);
+      const Index m = nt + 2;
+      Matrix v = RandomMatrix(k, m, seed + 1);
+      for (Index i = 0; i < v.size(); ++i) {
+        v.data()[i] = std::fabs(v.data()[i]) + 0.01;
+      }
+      Matrix start = RandomMatrix(kRows, k, seed + 2);
+      for (Index i = 0; i < start.size(); ++i) {
+        start.data()[i] = std::fabs(start.data()[i]) + 1e-3;
+      }
+      Matrix x(kRows, m);
+      std::vector<std::vector<Index>> cols(kRows);
+      std::vector<std::vector<double>> v_cols(kRows), v_rows(kRows);
+      const Index kp = simd::PaddedWidth(k), ntp = simd::PaddedWidth(nt);
+      for (Index q = 0; q < kRows; ++q) {
+        for (Index j = 0; j < m; ++j) {
+          if (j != q % m && j != (q + 2) % m) cols[q].push_back(j);
+        }
+        cols[q].resize(static_cast<size_t>(nt));
+        if (q == 2) {
+          for (Index j : cols[q]) v(0, j) = 0.0;
+        }
+        for (Index j = 0; j < m; ++j) x(q, j) = rng.Uniform(0.0, 1.0);
+      }
+      for (Index q = 0; q < kRows; ++q) {
+        v_cols[q].assign(static_cast<size_t>(k * ntp), 0.0);
+        v_rows[q].assign(static_cast<size_t>(nt * kp), 0.0);
+        for (Index c = 0; c < k; ++c) {
+          for (Index t = 0; t < nt; ++t) {
+            const double vct = v(c, cols[q][static_cast<size_t>(t)]);
+            v_cols[q][static_cast<size_t>(c * ntp + t)] = vct;
+            v_rows[q][static_cast<size_t>(t * kp + c)] = vct;
+          }
+        }
+      }
+      // Row 0 reproduced exactly by its (positive) start.
+      for (Index j = 0; j < m; ++j) {
+        double acc = 0.0;
+        for (Index c = 0; c < k; ++c) acc += start(0, c) * v(c, j);
+        x(0, j) = acc;
+      }
+      // At tolerance 0 a row stops on the first iteration whose error does
+      // not fall, which turns on the last bits of err: a check on its
+      // summation order.
+      for (const double tolerance : {1e-8, 1e-3, 0.0}) {
+        auto run = [&](int tier, std::vector<int>* iterations) {
+          std::vector<double> u(start.data(), start.data() + start.size());
+          std::vector<double> work(static_cast<size_t>(
+              kRows * simd::FoldInWorkSize(k, nt)));
+          std::vector<simd::FoldInRow> rows(kRows);
+          for (Index q = 0; q < kRows; ++q) {
+            simd::FoldInRow& row = rows[static_cast<size_t>(q)];
+            row.nt = nt;
+            row.cols = cols[q].data();
+            row.x = x.Row(q).data();
+            row.v_cols = v_cols[q].data();
+            row.v_rows = v_rows[q].data();
+            row.u = u.data() + q * k;
+            row.work = work.data() + q * simd::FoldInWorkSize(k, nt);
+          }
+          simd::FoldInSolve solve;
+          solve.k = k;
+          solve.max_iterations = 40;
+          solve.tolerance = tolerance;
+          solve.div_eps = 1e-12;
+          simd::ScopedSimd scoped(tier);
+          simd::Active().fold_in_rows(solve, rows.data(), kRows);
+          iterations->clear();
+          for (const simd::FoldInRow& row : rows) {
+            iterations->push_back(row.iterations);
+          }
+          return u;
+        };
+        std::vector<int> it_vec, it_sca;
+        const std::vector<double> u_vec = run(1, &it_vec);
+        const std::vector<double> u_sca = run(0, &it_sca);
+        const std::string label = "fold_in_rows k=" + std::to_string(k) +
+                                  " nt=" + std::to_string(nt) +
+                                  " tol=" + std::to_string(tolerance);
+        ASSERT_EQ(it_vec, it_sca) << label;
+        if (tolerance > 0.0) {
+          ASSERT_LT(it_sca[0], 40) << label;
+        }
+        ExpectSameBits(u_vec, u_sca, label);
+      }
+    }
+  }
+}
+
 // One V step on both tiers over the free columns [1, m): n = 9 rows, U
 // with exact zeros and (for some shapes) an infinite entry, so the
 // reconstruction of its cells is not finite; V with an infinite entry in
@@ -563,7 +663,7 @@ TEST(SimdKernelTest, SimdAndThreadingComposeBitwise) {
 // --------------------------------------------------------------------------
 // Full fits: the acceptance bar. SMFL, SMF and NMF models serialized after
 // fitting with vector kernels on vs scalar pinned must be byte-identical
-// files, at 1 and 4 threads, across seeds.
+// files with bit-identical U, at 1 and 4 threads, across seeds.
 
 TEST(SimdKernelTest, FitModelsByteIdenticalSimdOnVsOff) {
   for (uint64_t seed = 0; seed < 3; ++seed) {
@@ -595,6 +695,7 @@ TEST(SimdKernelTest, FitModelsByteIdenticalSimdOnVsOff) {
         options.update = rule;
 
         std::string reference;
+        Matrix reference_u;
         for (int threads : {1, 4}) {
           options.threads = threads;
           options.simd = 1;
@@ -610,11 +711,15 @@ TEST(SimdKernelTest, FitModelsByteIdenticalSimdOnVsOff) {
                                     " @ " + std::to_string(threads) +
                                     " threads";
           ASSERT_EQ(serialized_on, serialized_off) << label;
+          // The model file holds mean(U), not U: compare U itself too.
+          ExpectBitwiseEqual(on->u, off->u, label + " U");
           // And across thread counts too: one model per (seed, method).
           if (reference.empty()) {
             reference = serialized_on;
+            reference_u = on->u;
           } else {
             ASSERT_EQ(serialized_on, reference) << label << " vs 1 thread";
+            ExpectBitwiseEqual(on->u, reference_u, label + " U vs 1 thread");
           }
         }
       }

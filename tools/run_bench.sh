@@ -2,8 +2,8 @@
 # Benchmark baseline: measures the SIMD microkernel layer, the
 # deterministic parallel execution layer, the fused masked-reconstruction
 # kernel over the observed index (against the unfused baseline, down to 1%
-# observed), fold-in serving throughput, and the telemetry disabled-path
-# overhead, and writes the results to BENCH_KERNELS.json at the repository
+# observed), fold-in serving throughput and its SIMD solve, and the
+# telemetry disabled-path overhead, and writes the results to BENCH_KERNELS.json at the repository
 # root (BENCH_PR8.json is the committed historical baseline, in an older
 # schema).
 #
@@ -78,7 +78,7 @@ trap 'rm -rf "$scratch"' EXIT
 # repetition by repetition, so drift in host speed lands on both sides of
 # each ratio instead of between two processes run one after the other.
 if [[ "$mode" == "gate" ]]; then
-  gate_filter='BM_MaskedReconstruct(Unfused|Indexed)/10/[01]$|BM_MatMulABt/1000/[01]$|BM_SmflFit/(10|90)/1$|BM_FitUStep/10/[01]$'
+  gate_filter='BM_MaskedReconstruct(Unfused|Indexed)/10/[01]$|BM_MatMulABt/1000/[01]$|BM_SmflFit/(10|90)/1$|BM_FitUStep/10/[01]$|BM_FoldInSolve/[01]$'
   echo "==> bench gate: scalar and dispatched tiers @ 1 thread, interleaved"
   SMFL_THREADS=1 "$build_dir/bench/bench_kernels" \
       --benchmark_filter="$gate_filter" --benchmark_repetitions=7 \
@@ -131,6 +131,13 @@ OMEGA_FIT_MIN_RATIO = 1.2
 # threshold is ~55% of the median, and a table that points the vector
 # tier back at the scalar kernels reads ~1.0.
 FIT_KERNEL_MIN_SPEEDUP = 1.9
+# The register-resident fold-in solve (skipped on scalar hosts): one
+# core::FoldIn batch at perfbench's apply-batches shape (1000 x 20, rank
+# 10, its outage patterns), scalar tier over dispatched tier. It measured
+# 3.15-4.72 (median ~3.55) over 10 gate runs on a shared 4-vCPU AVX2 Xeon
+# (RelWithDebInfo, 1 thread); the threshold is ~55% of the median, and a
+# table that points the vector tier at the scalar solve reads ~1.0.
+FOLDIN_MIN_SPEEDUP = 1.9
 
 scratch = os.environ["SCRATCH"]
 with open(f"{scratch}/gate.json") as f:
@@ -177,6 +184,10 @@ else:
           paired("BM_FitUStep/10/0", "BM_FitUStep/10/1"),
           FIT_KERNEL_MIN_SPEEDUP,
           f"{tier} fit kernels lost their dispatch")
+    check(f"fold-in solve @ apply-batches shape, {tier} vs scalar tier",
+          paired("BM_FoldInSolve/0", "BM_FoldInSolve/1"),
+          FOLDIN_MIN_SPEEDUP,
+          f"{tier} fold-in solve lost its dispatch")
 
 check(f"Ω-sparse fit, 90% vs 10% observed ({tier} tier)",
       paired("BM_SmflFit/90/1", "BM_SmflFit/10/1"),

@@ -23,10 +23,10 @@
 #                     then its self-tests: a library API change that would
 #                     break the benchmark fails here
 #   8. bench          perf-regression gate (tools/run_bench.sh --gate):
-#                     masked-reconstruct fusion, SIMD gemm and Ω-sparse fit
-#                     speedups must stay above the committed thresholds; a
-#                     regression fails the gate exactly like a lint finding
-#                     would
+#                     masked-reconstruct fusion, SIMD gemm, fit-kernel,
+#                     fold-in solve and Ω-sparse fit speedups must stay
+#                     above the committed thresholds; a regression fails
+#                     the gate exactly like a lint finding would
 #   9. asan           tier-1 suite under AddressSanitizer (+ leak check)
 #  10. ubsan          tier-1 suite under UndefinedBehaviorSanitizer
 #  11. tsan           threading-sensitive subset under ThreadSanitizer;
@@ -238,7 +238,7 @@ fi
 
 if [[ $fast -eq 0 ]]; then
   if [[ "${step_statuses[0]}" == pass ]]; then
-    run_step bench "fusion + SIMD + sparse masked-path + fit-kernel + Ω-sparse fit thresholds, tiers interleaved in one process (run_bench.sh --gate)" \
+    run_step bench "fusion + SIMD + sparse masked-path + fit-kernel + fold-in solve + Ω-sparse fit thresholds, tiers interleaved in one process (run_bench.sh --gate)" \
       "$repo_root/tools/run_bench.sh" --gate --build-dir="$build_dir"
   else
     echo "==> skipping bench gate: the gate build failed"
