@@ -21,9 +21,9 @@
 //   * SmflFit: a whole 20-iteration SMFL fit at observed rates 10/30/90%,
 //     the end-to-end view of the Ω-sparse iteration (its time falls with
 //     |Ω|).
-//   * FitUStep / FitVStep / FitReconstruct: the fit loop's three passes one
-//     at a time at perfbench's impute shape (4000 × 20, rank 10, p = 3) at
-//     10% and 90% observed attribute cells, and LaplacianQuadraticForm
+//   * FitRowPass / FitVStep: the fit loop's two passes one at a time at
+//     perfbench's impute shape (4000 × 20, rank 10, p = 3) at 10% and 90%
+//     observed attribute cells, at one thread, and LaplacianQuadraticForm
 //     over the same graph.
 //   * Batched fold-in serving throughput (rows/sec) against a frozen model
 //     at the process thread count: per-pattern packing of V plus the
@@ -37,6 +37,7 @@
 
 #include <limits>
 
+#include "src/common/parallel.h"
 #include "src/common/rng.h"
 #include "src/common/telemetry.h"
 #include "src/core/fold_in.h"
@@ -201,8 +202,9 @@ BENCHMARK(BM_SmflFit)->ArgsProduct({{10, 30, 90}, {0, 1}})
 
 // The fit loop's inputs at perfbench's impute shape: 4000 × 20 with the 2
 // spatial columns always observed and each attribute cell observed at
-// `percent`, rank 10, the p = 3 graph over the spatial columns, and the
-// packed operands one iteration reads (Vᵀ K-padded, R_Ω(UV)).
+// `percent`, rank 10, the p = 3 graph over the spatial columns, and V
+// packed in the two layouts one iteration reads (Vᵀ K-padded, V with zero
+// padding columns).
 struct FitPassInputs {
   static constexpr Index kN = 4000, kM = 20, kSpatial = 2, kRank = 10;
 
@@ -211,7 +213,8 @@ struct FitPassInputs {
         u(RandomMatrix(kN, kRank, 23)),
         v(RandomMatrix(kRank, kM, 24)),
         u_next(kN, kRank),
-        vt(static_cast<size_t>(kM * la::simd::PaddedWidth(kRank))) {
+        vt(static_cast<size_t>(kM * la::simd::PaddedWidth(kRank))),
+        vp(static_cast<size_t>(kRank * la::simd::PaddedWidth(kM))) {
     Mask observed =
         RandomMask(kN, kM, 22, static_cast<double>(percent) / 100.0);
     for (Index i = 0; i < kN; ++i) {
@@ -223,28 +226,31 @@ struct FitPassInputs {
     SMFL_CHECK(built.ok());
     graph = std::move(built).value();
     la::simd::PackTransposed(v.data(), kRank, kM, vt.data());
-    uv.resize(static_cast<size_t>(omega.Count()));
-    (void)data::MaskedReconstructPacked(u, v, omega, uv);
+    la::simd::PackRowsPadded(v.data(), kRank, kM, vp.data());
   }
 
   Matrix x, u, v, u_next;
   data::ObservedIndex omega;
   spatial::NeighborGraph graph;
-  std::vector<double> vt, uv;
+  std::vector<double> vt, vp;
 };
 
-// One U step (Formula 13, λ = 0.5) over every row, as the fit runs it at
-// one thread. Args: observed percent, tier.
-void BM_FitUStep(benchmark::State& state) {
+// One row pass (the observed cells of U V, their squared error, and the
+// Formula 13 step at λ = 0.5) over every row, as the fit runs it: 64-row
+// chunks through ParallelReduce, pinned to one thread. Args: observed
+// percent, tier.
+void BM_FitRowPass(benchmark::State& state) {
   const la::simd::ScopedSimd tier(static_cast<int>(state.range(1)));
+  const parallel::ScopedParallelism threads(1);
   FitPassInputs in(state.range(0));
   la::simd::UStep step;
   step.k = FitPassInputs::kRank;
+  step.m = FitPassInputs::kM;
   step.vt = in.vt.data();
+  step.vp = in.vp.data();
   step.row_ptr = in.omega.CsrRowPtr().data();
   step.cols = in.omega.CsrColIdx().data();
   step.x = in.omega.CsrValues().data();
-  step.uv = in.uv.data();
   step.u = in.u.data();
   step.nbr_ptr = in.graph.Offsets().data();
   step.nbr = in.graph.Targets().data();
@@ -255,12 +261,15 @@ void BM_FitUStep(benchmark::State& state) {
   step.u_next = in.u_next.data();
   const la::simd::Kernels& ker = la::simd::Active();
   for (auto _ : state) {
-    ker.u_step_rows(step, 0, FitPassInputs::kN);
+    const double err = parallel::ParallelReduce(
+        0, FitPassInputs::kN, 64,
+        [&](Index r0, Index r1) { return ker.u_step_rows(step, r0, r1); });
+    benchmark::DoNotOptimize(err);
     benchmark::DoNotOptimize(in.u_next.data());
     benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_FitUStep)->ArgsProduct({{10, 90}, {0, 1}})
+BENCHMARK(BM_FitRowPass)->ArgsProduct({{10, 90}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
 // One V step (Formula 14) over the free columns. It reads V from the
@@ -287,20 +296,6 @@ void BM_FitVStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FitVStep)->ArgsProduct({{10, 90}, {0, 1}})
-    ->Unit(benchmark::kMicrosecond);
-
-// The reconstruction + squared error pass (data::MaskedReconstructPacked).
-void BM_FitReconstruct(benchmark::State& state) {
-  const la::simd::ScopedSimd tier(static_cast<int>(state.range(1)));
-  FitPassInputs in(state.range(0));
-  for (auto _ : state) {
-    const double err =
-        data::MaskedReconstructPacked(in.u, in.v, in.omega, in.uv);
-    benchmark::DoNotOptimize(err);
-    benchmark::DoNotOptimize(in.uv.data());
-  }
-}
-BENCHMARK(BM_FitReconstruct)->ArgsProduct({{10, 90}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
 // Tr(UᵀLU) over the p = 3 graph of the same shape (scalar code on every

@@ -1136,6 +1136,64 @@ TEST_F(LintTest, RaceParallelReduceLocalAccumulatorIsSafe) {
   EXPECT_TRUE(r.violations.empty()) << ResultToJson(r);
 }
 
+// Arrays declared inside the body — `T name[N]`, `T name[N] = {...}`, a
+// multi-declarator chain of them and `const T* name[N]` — are chunk-local.
+TEST_F(LintTest, RaceBodyLocalArraysAreSafe) {
+  WriteFile("src/core/lanes.cc",
+            "namespace smfl::core {\n"
+            "double Lanes(const la::Vector& x, const double* const* rows) {\n"
+            "  return parallel::ParallelReduce(0, x.size(), 64,\n"
+            "      [&](la::Index b, la::Index e) {\n"
+            "    double r[4];\n"
+            "    double num[4] = {}, den[4] = {0.0, 1.0};\n"
+            "    const double* ur[2];\n"
+            "    double grid[2][2] = {};\n"
+            "    double acc = 0.0;\n"
+            "    for (la::Index i = b; i < e; ++i) {\n"
+            "      r[0] = x[i];\n"
+            "      num[1] += r[0];\n"
+            "      den[2] = num[1];\n"
+            "      ur[0] = rows[0];\n"
+            "      grid[1][0] = ur[0][0];\n"
+            "      acc += den[2] + grid[1][0];\n"
+            "    }\n"
+            "    return acc;\n"
+            "  });\n"
+            "}\n"
+            "}  // namespace smfl::core\n");
+  LintOptions options;
+  options.race_pass = true;
+  const LintResult r = Run(options);
+  EXPECT_TRUE(r.violations.empty()) << ResultToJson(r);
+}
+
+// A captured array is still shared state: writing it from the body is
+// flagged, and a product `w * totals[1]` is not mistaken for a
+// declaration of `totals`.
+TEST_F(LintTest, RaceCapturedArrayWriteIsViolation) {
+  WriteFile("src/core/totals.cc",
+            "namespace smfl::core {\n"
+            "void Totals(const la::Vector& x, double w) {\n"
+            "  double totals[4] = {};\n"
+            "  parallel::ParallelFor(0, x.size(), 64,\n"
+            "      [&](la::Index b, la::Index e) {\n"
+            "    for (la::Index i = b; i < e; ++i) {\n"
+            "      const double y = w * totals[1];\n"
+            "      totals[0] += x[i] + y;\n"
+            "    }\n"
+            "  });\n"
+            "}\n"
+            "}  // namespace smfl::core\n");
+  LintOptions options;
+  options.race_pass = true;
+  const LintResult r = Run(options);
+  ASSERT_EQ(r.violations.size(), 1u) << ResultToJson(r);
+  EXPECT_EQ(r.violations[0].rule, "race");
+  EXPECT_EQ(r.violations[0].line, 8);
+  EXPECT_NE(r.violations[0].message.find("'totals'"), std::string::npos)
+      << r.violations[0].message;
+}
+
 // Every declarator of a multi-declarator local is chunk-local, whatever
 // its initializer form: `name(...)` and `name{...}` chain to the next
 // declarator just like `name = init`.

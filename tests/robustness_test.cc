@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "src/common/fault.h"
 #include "src/core/smfl.h"
@@ -87,6 +88,51 @@ TEST_F(RobustnessTest, GuardRecoversFromInjectedNanMidTraining) {
   // The violating objective never entered the trace.
   const auto& trace = model->report.objective_trace;
   for (double obj : trace) EXPECT_TRUE(std::isfinite(obj));
+}
+
+// A rollback is as deterministic as the healthy path: the fresh row pass
+// on the restored state (under the widened denominator floor) yields the
+// same U, V, objective trace and rollback count at threads {1, 4} × SIMD
+// {0, 1}.
+TEST_F(RobustnessTest, RolledBackFitIsIdenticalAcrossThreadsAndSimd) {
+  Scenario s = MakeScenario(150, 0.2, 45);
+  SmflOptions options;
+  options.rank = 6;
+  options.max_iterations = 60;
+  options.guard.checkpoint_interval = 5;
+  SmflModel reference;
+  for (int threads : {1, 4}) {
+    for (int simd : {0, 1}) {
+      FaultSpec spec;
+      spec.skip = 12;  // poison the 13th iteration
+      spec.count = 1;
+      ScopedFault fault("smfl.update.nan", spec);
+      options.threads = threads;
+      options.simd = simd;
+      auto model = FitSmfl(s.input, s.observed, 2, options);
+      ASSERT_TRUE(model.ok()) << model.status().ToString();
+      const std::string label = "threads " + std::to_string(threads) +
+                                ", simd " + std::to_string(simd);
+      ASSERT_EQ(model->report.rollbacks, 1) << label;
+      if (threads == 1 && simd == 0) {
+        reference = *model;
+        continue;
+      }
+      EXPECT_EQ(model->report.recovery_attempts,
+                reference.report.recovery_attempts)
+          << label;
+      ASSERT_EQ(model->report.objective_trace, reference.report.objective_trace)
+          << label;
+      ASSERT_EQ(model->u.size(), reference.u.size()) << label;
+      for (Index i = 0; i < model->u.size(); ++i) {
+        ASSERT_EQ(model->u.data()[i], reference.u.data()[i]) << label;
+      }
+      ASSERT_EQ(model->v.size(), reference.v.size()) << label;
+      for (Index i = 0; i < model->v.size(); ++i) {
+        ASSERT_EQ(model->v.data()[i], reference.v.data()[i]) << label;
+      }
+    }
+  }
 }
 
 // An objective *increase* (monotonicity-invariant violation, Propositions

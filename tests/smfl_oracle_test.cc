@@ -30,9 +30,11 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "src/common/fault.h"
 #include "src/common/rng.h"
 #include "src/core/smfl.h"
 #include "src/data/mask.h"
@@ -117,6 +119,7 @@ struct Oracle {
   UpdateMethod update = UpdateMethod::kMultiplicative;
   double theta = 0.0;
   Index v_begin = 0;
+  double eps = mf::kDivEps;  // the denominator floor
 
   double Objective(const Matrix& u, const Matrix& v) const {
     const Matrix uv = NaiveMaskedProduct(u, v, observed);
@@ -150,7 +153,6 @@ struct Oracle {
   }
 
   void Step(Matrix& u, Matrix& v) const {
-    const double eps = mf::kDivEps;
     // U step from (U, V).
     {
       const Matrix uv = NaiveMaskedProduct(u, v, observed);
@@ -326,6 +328,175 @@ TEST(SmflOracleTest, FitMatchesNaiveDenseUpdatesBitwise) {
       }
     }
   }
+}
+
+// The oracle's setup for one problem under `options` (rule, λ, θ, the
+// landmark choice), started from the fit's own initialization.
+Oracle MakeOracle(const Problem& p, const SmflOptions& options) {
+  Oracle oracle;
+  oracle.xm = data::ApplyMask(p.x, p.observed);
+  oracle.observed = p.observed;
+  oracle.d = p.graph.DenseD();
+  oracle.w = p.graph.DenseW();
+  oracle.lambda = options.lambda;
+  oracle.update = options.update;
+  oracle.theta = options.learning_rate;
+  oracle.v_begin = options.use_landmarks ? kSpatial : 0;
+  return oracle;
+}
+
+// Fits under `options` at threads {1, 4} × SIMD {0, 1} and requires the
+// oracle's trace, U and V bit for bit and `rollbacks` guard rollbacks.
+// With nan_at >= 0 the smfl.update.nan fault poisons that iteration.
+void ExpectFitMatches(const Problem& p, SmflOptions options,
+                      const std::vector<double>& trace, const Matrix& u,
+                      const Matrix& v, const std::string& label,
+                      int rollbacks = 0, int nan_at = -1) {
+  for (int threads : {1, 4}) {
+    for (int simd : {0, 1}) {
+      options.threads = threads;
+      options.simd = simd;
+      const std::string run = label + " @ " + std::to_string(threads) +
+                              " threads, simd " + std::to_string(simd);
+      FaultSpec spec;
+      spec.skip = nan_at;
+      spec.count = 1;
+      std::optional<ScopedFault> fault;
+      if (nan_at >= 0) fault.emplace("smfl.update.nan", spec);
+      auto fit =
+          core::FitSmflWithGraph(p.x, p.observed, kSpatial, p.graph, options);
+      ASSERT_TRUE(fit.ok()) << run << ": " << fit.status().ToString();
+      ASSERT_EQ(fit->report.objective_trace.size(), trace.size()) << run;
+      for (size_t t = 0; t < trace.size(); ++t) {
+        ASSERT_EQ(fit->report.objective_trace[t], trace[t])
+            << run << " trace index " << t;
+      }
+      EXPECT_EQ(fit->report.rollbacks, rollbacks) << run;
+      ExpectBitwiseEqual(fit->u, u, run + " U");
+      ExpectBitwiseEqual(fit->v, v, run + " V");
+    }
+  }
+}
+
+// A tolerance that stops the fit mid-run: every iteration's row pass has
+// already taken the next U step when the stop fires, and the fit must
+// discard it — U, V and the trace are the oracle's at the stopping
+// iteration.
+TEST(SmflOracleTest, ToleranceStopMidRunMatchesOracleBitwise) {
+  const Problem p = MakeProblem(150, 0.3, 15);
+  for (UpdateMethod rule :
+       {UpdateMethod::kMultiplicative, UpdateMethod::kGradientDescent}) {
+    SmflOptions options;
+    options.rank = 10;
+    options.update = rule;
+    options.learning_rate = 0.05;
+    options.seed = 31;
+    options.guard.enabled = false;
+    options.max_iterations = 0;
+    auto init =
+        core::FitSmflWithGraph(p.x, p.observed, kSpatial, p.graph, options);
+    ASSERT_TRUE(init.ok()) << init.status().ToString();
+    const Oracle oracle = MakeOracle(p, options);
+
+    // Run the oracle to 60 iterations, then pick the tolerance that stops
+    // it at iteration 12: the relative improvement there, nudged up.
+    constexpr int kCap = 60, kStop = 12;
+    Matrix u = init->u, v = init->v;
+    std::vector<double> trace = {oracle.Objective(u, v)};
+    std::vector<Matrix> us = {u}, vs = {v};
+    for (int t = 0; t < kCap; ++t) {
+      oracle.Step(u, v);
+      trace.push_back(oracle.Objective(u, v));
+      us.push_back(u);
+      vs.push_back(v);
+    }
+    const auto improvement = [&](size_t t) {
+      return (trace[t - 1] - trace[t]) / trace[t - 1];
+    };
+    options.tolerance = improvement(kStop) * (1.0 + 1e-9);
+    size_t stop = 1;
+    while (stop < trace.size() &&
+           !mf::RelativeImprovementBelow(
+               std::vector<double>(trace.begin(), trace.begin() + stop + 1),
+               options.tolerance)) {
+      ++stop;
+    }
+    const std::string label =
+        std::string("tolerance stop ") +
+        (rule == UpdateMethod::kMultiplicative ? "multiplicative"
+                                               : "gradient");
+    ASSERT_LT(stop, static_cast<size_t>(kCap)) << label;
+    options.max_iterations = kCap;
+    ExpectFitMatches(p, options,
+                     std::vector<double>(trace.begin(),
+                                         trace.begin() + stop + 1),
+                     us[stop], vs[stop], label);
+  }
+}
+
+// The guard on, refreshing its checkpoint every 25 iterations over a
+// healthy 60-iteration fit: it observes every objective and never rolls
+// back, so the trajectory is the oracle's bit for bit.
+TEST(SmflOracleTest, GuardedFitMatchesOracleBitwise) {
+  const Problem p = MakeProblem(150, 0.5, 16);
+  for (const char* method : {"SMFL", "NMF"}) {
+    SmflOptions options;
+    options.rank = 10;
+    options.use_landmarks = std::string(method) == "SMFL";
+    options.lambda = std::string(method) == "NMF" ? 0.0 : 0.5;
+    options.tolerance = -std::numeric_limits<double>::infinity();
+    options.seed = 37;
+    options.guard.enabled = true;
+    options.guard.checkpoint_interval = 25;
+    options.max_iterations = 0;
+    auto init =
+        core::FitSmflWithGraph(p.x, p.observed, kSpatial, p.graph, options);
+    ASSERT_TRUE(init.ok()) << init.status().ToString();
+    const Oracle oracle = MakeOracle(p, options);
+    Matrix u = init->u, v = init->v;
+    std::vector<double> trace = {oracle.Objective(u, v)};
+    for (int t = 0; t < 60; ++t) {
+      oracle.Step(u, v);
+      trace.push_back(oracle.Objective(u, v));
+    }
+    options.max_iterations = 60;
+    ExpectFitMatches(p, options, trace, u, v,
+                     std::string("guarded ") + method);
+  }
+}
+
+// A rollback: the smfl.update.nan fault poisons iteration 12, the guard
+// restores the checkpoint it took after iteration 10 and widens ε by
+// eps_bump, and the fit continues from there — the restored state's U
+// step comes from a fresh row pass, not from the poisoned one. The oracle
+// replays it: iterations 0..10 at ε, then the remaining 17 at the widened
+// ε from the same state; the trace keeps the accepted entries only.
+TEST(SmflOracleTest, RolledBackFitMatchesOracleBitwise) {
+  const Problem p = MakeProblem(150, 0.5, 17);
+  SmflOptions options;
+  options.rank = 10;
+  options.tolerance = -std::numeric_limits<double>::infinity();
+  options.seed = 41;
+  options.guard.checkpoint_interval = 5;
+  options.max_iterations = 0;
+  auto init =
+      core::FitSmflWithGraph(p.x, p.observed, kSpatial, p.graph, options);
+  ASSERT_TRUE(init.ok()) << init.status().ToString();
+  Oracle oracle = MakeOracle(p, options);
+  constexpr int kCap = 30, kNanAt = 12, kCheckpoint = 10;
+  Matrix u = init->u, v = init->v;
+  std::vector<double> trace = {oracle.Objective(u, v)};
+  for (int t = 0; t <= kCheckpoint; ++t) {
+    oracle.Step(u, v);
+    trace.push_back(oracle.Objective(u, v));
+  }
+  oracle.eps = mf::kDivEps * options.guard.eps_bump;
+  for (int t = kNanAt + 1; t < kCap; ++t) {
+    oracle.Step(u, v);
+    trace.push_back(oracle.Objective(u, v));
+  }
+  options.max_iterations = kCap;
+  ExpectFitMatches(p, options, trace, u, v, "rolled back", 1, kNanAt);
 }
 
 }  // namespace

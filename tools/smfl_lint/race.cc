@@ -96,6 +96,43 @@ bool InSkipRange(const BodyScope& scope, size_t idx) {
   return false;
 }
 
+// Index one past the array bounds `[N][M]...` starting at i (i itself when
+// toks[i] is not "["), or `end` when a bound is unbalanced.
+size_t SkipArrayBounds(const std::vector<Token>& toks, size_t i, size_t end) {
+  while (i < end && TokIsPunct(toks[i], "[")) {
+    const size_t close = MatchingBracket(toks, i);
+    if (close >= end) return end;
+    i = close + 1;
+  }
+  return i;
+}
+
+// True when the identifier at j, followed by "[", declares an array:
+// `T name[N]` or `T* name[N]` (a statement-leading `const T* name[N]`
+// included), with its bounds followed by ";", "=", "{" or ",". The
+// element-access expressions `a * r[i];` and `return r[i];` stay writes.
+bool IsArrayDeclarator(const std::vector<Token>& toks, size_t j, size_t lo,
+                       size_t end) {
+  const auto type_ident = [&](size_t k) {
+    return toks[k].kind == Kind::kIdent &&
+           !NonTypePrevKeywords().count(toks[k].text);
+  };
+  bool typed = j > lo && type_ident(j - 1);
+  if (!typed && j >= lo + 2 && TokIsPunct(toks[j - 1], "*") &&
+      type_ident(j - 2)) {
+    // `T* name[N]`: what precedes T must start a statement (or be another
+    // type word), else `a * r[i]` is a product.
+    typed = j < lo + 3 || type_ident(j - 3) || TokIsPunct(toks[j - 3], ";") ||
+            TokIsPunct(toks[j - 3], "{") || TokIsPunct(toks[j - 3], "}");
+  }
+  if (!typed) return false;
+  const size_t after = SkipArrayBounds(toks, j + 1, end);
+  if (after >= end) return false;
+  const Token& t = toks[after];
+  return TokIsPunct(t, ";") || TokIsPunct(t, "=") || TokIsPunct(t, "{") ||
+         TokIsPunct(t, ",");
+}
+
 // Forward pass over the body: record declarations, propagate
 // induction-derived-ness through initializers, and absorb nested lambdas'
 // parameters as locals.
@@ -125,25 +162,31 @@ BodyScope CollectLocals(const std::vector<Token>& toks,
         TokIsPunct(prev, ">") || TokIsPunct(prev, ">>");
     if (!type_prev) continue;
     const Token& next = toks[j + 1];
-    const bool is_decl = TokIsPunct(next, "=") || TokIsPunct(next, ";") ||
-                         TokIsPunct(next, "{") || TokIsPunct(next, "(") ||
-                         TokIsPunct(next, ":") || TokIsPunct(next, ",");
+    const bool is_decl =
+        TokIsPunct(next, "=") || TokIsPunct(next, ";") ||
+        TokIsPunct(next, "{") || TokIsPunct(next, "(") ||
+        TokIsPunct(next, ":") || TokIsPunct(next, ",") ||
+        (TokIsPunct(next, "[") &&
+         IsArrayDeclarator(toks, j, lam.body_begin, lam.body_end));
     if (!is_decl) continue;
 
     // Walk the whole declarator chain (`Index a = 0, b = 0;` declares
-    // both). Each declarator's own initializer decides whether it is
-    // induction-derived (loop variables `for (Index i = begin; ...`, row
-    // handles `auto& row = outcomes[i]`).
+    // both, `double num[4] = {}, den[4] = {};` too). Each declarator's own
+    // initializer decides whether it is induction-derived (loop variables
+    // `for (Index i = begin; ...`, row handles `auto& row = outcomes[i]`).
     size_t name_idx = j;
     while (name_idx < lam.body_end &&
            toks[name_idx].kind == Kind::kIdent) {
       scope.locals.insert(toks[name_idx].text);
-      if (name_idx + 1 >= lam.body_end) break;
-      const Token& after = toks[name_idx + 1];
+      // An array declarator's bounds sit between its name and the rest.
+      const size_t after_idx =
+          SkipArrayBounds(toks, name_idx + 1, lam.body_end);
+      if (after_idx >= lam.body_end) break;
+      const Token& after = toks[after_idx];
       if (TokIsPunct(after, ";")) break;
       if (TokIsPunct(after, ",")) {
         // `Index a, b;` — skip optional &/* before the next name.
-        size_t k = name_idx + 2;
+        size_t k = after_idx + 1;
         while (k < lam.body_end &&
                (TokIsPunct(toks[k], "&") || TokIsPunct(toks[k], "*"))) {
           ++k;
@@ -162,8 +205,8 @@ BodyScope CollectLocals(const std::vector<Token>& toks,
       // The paren/brace forms scan from their opener, so commas inside the
       // initializer stay nested and `stop` lands on the matching closer.
       const bool grouped = TokIsPunct(after, "(") || TokIsPunct(after, "{");
-      for (size_t k = grouped ? name_idx + 1 : name_idx + 2;
-           k < lam.body_end; ++k) {
+      for (size_t k = grouped ? after_idx : after_idx + 1; k < lam.body_end;
+           ++k) {
         const Token& u = toks[k];
         if (u.kind == Kind::kPunct) {
           if (u.text == "(" || u.text == "[" || u.text == "{") {
