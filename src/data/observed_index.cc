@@ -95,49 +95,56 @@ void ObservedIndex::BuildColumns(Index col_begin) {
 
 namespace {
 
-// V in the layout uv_row_pair reads (k × PaddedWidth(m), zero padding
-// columns), packed once per reconstruction call, and whether the u == 0
-// skip can change a chain: only against a non-finite entry of V.
-struct PaddedV {
-  explicit PaddedV(const Matrix& v)
+// V packed once per reconstruction call in the two layouts the row
+// kernels read — with zero padding columns for uv_row_pair (k ×
+// PaddedWidth(m)), transposed for masked_dot_cols (m × PaddedWidth(k)) —
+// and whether the u == 0 skip can change a chain: only against a
+// non-finite entry of V.
+struct PackedV {
+  explicit PackedV(const Matrix& v)
       : mp(la::simd::PaddedWidth(v.cols())),
-        data(static_cast<size_t>(std::max<Index>(v.rows() * mp, 1))),
+        rows(static_cast<size_t>(std::max<Index>(v.rows() * mp, 1))),
+        cols(static_cast<size_t>(
+            std::max<Index>(v.cols() * la::simd::PaddedWidth(v.rows()), 1))),
         skip_zeros(v.HasNonFinite()) {
-    la::simd::PackRowsPadded(v.data(), v.rows(), v.cols(), data.data());
+    la::simd::PackRowsPadded(v.data(), v.rows(), v.cols(), rows.data());
+    la::simd::PackTransposed(v.data(), v.rows(), v.cols(), cols.data());
   }
   Index mp;
-  std::vector<double> data;
+  std::vector<double> rows;
+  std::vector<double> cols;
   bool skip_zeros;
 };
 
-// Reconstructs U V at the observed cells of rows [r0, r1) and hands each
-// row to sink(i, row), where row[j] holds (U V)_ij at every observed
-// column j of row i. Dense rows (past the tier's measured crossover —
-// simd.h) run uv_row_pair two at a time over the whole padded row; sparse
-// rows run the per-entry dots of masked_dot_cols. Both paths build every
-// observed entry with the identical ascending-k chain from +0.0 (zero-skip
-// included), so the crossover choice and the pairing never change a bit
-// of the output. A dense row may reach the sink after a later sparse row;
-// rows with no observed cell never do.
-template <typename Sink>
+// Reconstructs U V at the observed cells of rows [r0, r1). Dense rows
+// (past the tier's measured crossover — simd.h) run uv_row_pair two at a
+// time over the whole padded row and go to dense(i, row), with row[j] for
+// every column j; sparse rows run masked_dot_cols and go to
+// sparse(i, cells), with cells[c] at the row's c-th observed column. Both
+// paths build every observed entry with the identical ascending-k chain
+// from +0.0 (zero-skip included), so the crossover choice and the pairing
+// never change a bit of the output. A dense row may reach its sink after a
+// later sparse row; rows with no observed cell never do.
+template <typename DenseSink, typename SparseSink>
 void ReconstructRows(const la::simd::Kernels& ker, const Matrix& u,
-                     const PaddedV& v, const ObservedIndex& omega, Index r0,
-                     Index r1, const Sink& sink) {
+                     const PackedV& v, const ObservedIndex& omega, Index r0,
+                     Index r1, const DenseSink& dense,
+                     const SparseSink& sparse) {
   const Index k = u.cols(), m = omega.cols(), mp = v.mp;
   const double* ud = u.data();
-  const double* vd = v.data.data();
   std::vector<double> buffers(static_cast<size_t>(3 * mp));
   double* pair0 = buffers.data();
   double* pair1 = pair0 + mp;
-  double* single = pair1 + mp;
+  double* cells = pair1 + mp;
   Index pending = -1, dense_rows = 0, gather_rows = 0;
   for (Index i = r0; i < r1; ++i) {
     const std::span<const Index> cols = omega.RowCols(i);
     const auto observed = static_cast<Index>(cols.size());
     if (observed == 0) continue;
     if (observed * ker.dense_crossover < m) {
-      ker.masked_dot_cols(k, mp, ud + i * k, vd, cols.data(), observed, single);
-      sink(i, single);
+      ker.masked_dot_cols(k, v.cols.data(), ud + i * k, cols.data(), observed,
+                          v.skip_zeros, cells);
+      sparse(i, cells);
       ++gather_rows;
       continue;
     }
@@ -146,16 +153,16 @@ void ReconstructRows(const la::simd::Kernels& ker, const Matrix& u,
       pending = i;
       continue;
     }
-    ker.uv_row_pair(k, mp, vd, ud + pending * k, ud + i * k, v.skip_zeros,
-                    pair0, pair1);
-    sink(pending, pair0);
-    sink(i, pair1);
+    ker.uv_row_pair(k, mp, v.rows.data(), ud + pending * k, ud + i * k,
+                    v.skip_zeros, pair0, pair1);
+    dense(pending, pair0);
+    dense(i, pair1);
     pending = -1;
   }
   if (pending >= 0) {
     const double* up = ud + pending * k;
-    ker.uv_row_pair(k, mp, vd, up, up, v.skip_zeros, pair0, pair1);
-    sink(pending, pair0);
+    ker.uv_row_pair(k, mp, v.rows.data(), up, up, v.skip_zeros, pair0, pair1);
+    dense(pending, pair0);
   }
   SMFL_COUNTER_ADD("la.simd.dispatch.masked_rows_dense", dense_rows);
   SMFL_COUNTER_ADD("la.simd.dispatch.masked_rows_gather", gather_rows);
@@ -171,7 +178,7 @@ Matrix MaskedReconstruct(const Matrix& u, const Matrix& v,
   const Index n = u.rows(), m = v.cols();
   Matrix out(n, m);
   double* od = out.data();
-  const PaddedV padded(v);
+  const PackedV packed(v);
   constexpr Index kRowGrain = 16;
   const la::simd::Kernels& ker = la::simd::Active();
   if (ker.tier != la::simd::Tier::kScalar) {
@@ -180,11 +187,17 @@ Matrix MaskedReconstruct(const Matrix& u, const Matrix& v,
   parallel::ParallelFor(0, n, kRowGrain, [&](Index r0, Index r1) {
     // The precomputed index hands each row its column list for free — no
     // mask-row scan, no per-call rebuild.
-    ReconstructRows(ker, u, padded, omega, r0, r1,
-                    [&](Index i, const double* row) {
-                      double* orow = od + i * m;
-                      for (const Index j : omega.RowCols(i)) orow[j] = row[j];
-                    });
+    ReconstructRows(
+        ker, u, packed, omega, r0, r1,
+        [&](Index i, const double* row) {
+          double* orow = od + i * m;
+          for (const Index j : omega.RowCols(i)) orow[j] = row[j];
+        },
+        [&](Index i, const double* cells) {
+          double* orow = od + i * m;
+          const std::span<const Index> cols = omega.RowCols(i);
+          for (size_t c = 0; c < cols.size(); ++c) orow[cols[c]] = cells[c];
+        });
   });
   return out;
 }
@@ -264,7 +277,7 @@ double MaskedReconstructPacked(const Matrix& u, const Matrix& v,
   SMFL_CHECK_EQ(v.cols(), omega.cols());
   SMFL_CHECK_EQ(static_cast<Index>(packed_uv.size()), omega.Count());
   SMFL_CHECK(omega.HasValues() || omega.Count() == 0);
-  const PaddedV padded(v);
+  const PackedV packed(v);
   // MaskedSquaredError's grain: the chunking fixes the summation grouping.
   constexpr Index kRowGrain = 64;
   const la::simd::Kernels& ker = la::simd::Active();
@@ -274,14 +287,17 @@ double MaskedReconstructPacked(const Matrix& u, const Matrix& v,
   return parallel::ParallelReduce(
       0, u.rows(), kRowGrain, [&](Index r0, Index r1) {
         // Each reconstructed row is gathered to its packed slots...
-        ReconstructRows(ker, u, padded, omega, r0, r1,
-                        [&](Index i, const double* row) {
-                          double* out = packed_uv.data() + omega.RowOffset(i);
-                          const std::span<const Index> cols = omega.RowCols(i);
-                          for (size_t c = 0; c < cols.size(); ++c) {
-                            out[c] = row[cols[c]];
-                          }
-                        });
+        ReconstructRows(
+            ker, u, packed, omega, r0, r1,
+            [&](Index i, const double* row) {
+              double* out = packed_uv.data() + omega.RowOffset(i);
+              const std::span<const Index> cols = omega.RowCols(i);
+              for (size_t c = 0; c < cols.size(); ++c) out[c] = row[cols[c]];
+            },
+            [&](Index i, const double* cells) {
+              std::copy_n(cells, omega.RowCols(i).size(),
+                          packed_uv.data() + omega.RowOffset(i));
+            });
         // ...then the squared error sums each row in ascending column
         // order and the row sums in row order. Four rows' chains run
         // interleaved (they are independent); an empty row adds +0.0,
