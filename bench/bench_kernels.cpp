@@ -29,19 +29,25 @@
 //     at the process thread count: per-pattern packing of V plus the
 //     threaded per-row multiplicative solves of core::FoldIn.
 //   * FoldInSolve: one core::FoldIn batch at perfbench's apply-batches
-//     shape on each tier (the fold_in_rows kernel's end-to-end view).
+//     shape on each tier at one thread (the fold_in_rows kernel's
+//     end-to-end view).
+//   * ParseCsv: CSV ingest at perfbench's apply-batch and impute-sparse
+//     table shapes.
 //
 // tools/run_bench.sh aggregates this into BENCH_KERNELS.json.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <limits>
+#include <string>
 
 #include "src/common/parallel.h"
 #include "src/common/rng.h"
 #include "src/common/telemetry.h"
 #include "src/core/fold_in.h"
 #include "src/core/smfl.h"
+#include "src/data/csv.h"
 #include "src/data/mask.h"
 #include "src/data/observed_index.h"
 #include "src/la/ops.h"
@@ -340,9 +346,11 @@ BENCHMARK(BM_FoldInBatch)->Arg(64)->Arg(512)->Arg(2048)
 // of 20 columns (2 coordinates) against a rank-10 model, with that
 // workload's outage patterns — 60% of rows lose one of 4 fixed sets of 6
 // attribute columns, the rest lose each attribute cell with probability
-// 0.2. Nearly every row runs the full 200 iterations. Arg: tier.
+// 0.2. Nearly every row runs the full 200 iterations. Pinned to one thread,
+// perfbench's serving shape, as BM_FitRowPass is. Arg: tier.
 void BM_FoldInSolve(benchmark::State& state) {
   const la::simd::ScopedSimd tier(static_cast<int>(state.range(0)));
+  const parallel::ScopedParallelism threads(1);
   constexpr Index kRows = 1000, kCols = 20, kSpatial = 2, kRank = 10;
   constexpr size_t kPatterns = 4, kOutageCols = 6;
   core::SmflModel model;
@@ -376,6 +384,60 @@ void BM_FoldInSolve(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kRows);
 }
 BENCHMARK(BM_FoldInSolve)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// CSV ingest (data::ParseCsv from memory) at perfbench's two table shapes,
+// cells written "%.6f" as perfbench writes them: Arg(0) an apply batch —
+// 1000 x 20 with BM_FoldInSolve's outage patterns — and Arg(1) the
+// impute-sparse table, 4000 x 20 with 90% of the attribute cells empty.
+void BM_ParseCsv(benchmark::State& state) {
+  const bool sparse = state.range(0) == 1;
+  const Index rows = sparse ? 4000 : 1000;
+  constexpr Index kCols = 20, kSpatial = 2;
+  Rng rng(41);
+  std::vector<std::vector<size_t>> outage(4);
+  for (auto& cols : outage) {
+    cols = rng.SampleWithoutReplacement(kCols - kSpatial, 6);
+  }
+  std::string csv = "lat,lon";
+  for (Index j = kSpatial; j < kCols; ++j) {
+    csv += ",a" + std::to_string(j - kSpatial + 1);
+  }
+  csv += '\n';
+  std::vector<bool> seen(static_cast<size_t>(kCols));
+  char cell[32];
+  for (Index i = 0; i < rows; ++i) {
+    std::fill(seen.begin(), seen.end(), true);
+    if (sparse) {
+      for (Index j = kSpatial; j < kCols; ++j) {
+        seen[static_cast<size_t>(j)] = rng.Uniform() >= 0.9;
+      }
+    } else if (rng.Uniform() < 0.6) {
+      for (size_t j : outage[rng.UniformInt(outage.size())]) {
+        seen[kSpatial + j] = false;
+      }
+    } else {
+      for (Index j = kSpatial; j < kCols; ++j) {
+        seen[static_cast<size_t>(j)] = rng.Uniform() >= 0.2;
+      }
+    }
+    for (Index j = 0; j < kCols; ++j) {
+      if (j > 0) csv += ',';
+      if (!seen[static_cast<size_t>(j)]) continue;
+      std::snprintf(cell, sizeof(cell), "%.6f", rng.Uniform(0.0, 100.0));
+      csv += cell;
+    }
+    csv += '\n';
+  }
+  for (auto _ : state) {
+    auto parsed = data::ParseCsv(csv);
+    SMFL_CHECK(parsed.ok());
+    benchmark::DoNotOptimize(parsed->table.values().data());
+  }
+  state.SetItemsProcessed(state.iterations() * rows);
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(csv.size()));
+}
+BENCHMARK(BM_ParseCsv)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 // Guard on the telemetry disabled path: Arg(0) runs one counter add, one
 // histogram record, and one scoped span per iteration with collection OFF

@@ -101,6 +101,29 @@ Status RequireObservedCellInEveryColumn(const LoadedCsv& input) {
   return Status::OK();
 }
 
+// Normalizes the input from its observed cells, imputes, and maps the
+// completed matrix back to the input's units, the observed cells keeping
+// their exact original values — the cli.normalize and cli.reconstruct
+// trace stages around the imputer's own.
+template <typename Normalizer, typename Impute>
+Result<Matrix> NormalizeImputeRestore(const LoadedCsv& input,
+                                      const Impute& impute) {
+  std::optional<Normalizer> normalizer;
+  Matrix normalized;
+  {
+    SMFL_TRACE_SPAN("cli.normalize");
+    ASSIGN_OR_RETURN(normalizer, Normalizer::Fit(input.table.values(),
+                                                 input.observed));
+    normalized = data::ApplyMask(normalizer->Transform(input.table.values()),
+                                 input.observed);
+  }
+  ASSIGN_OR_RETURN(Matrix completed, impute(normalized));
+  SMFL_TRACE_SPAN("cli.reconstruct");
+  return data::CombineByMask(input.table.values(),
+                             normalizer->InverseTransform(completed),
+                             input.observed);
+}
+
 // Parses --fallback=a,b,c into a degradation chain (empty flag = absent).
 std::vector<std::string> FallbackChainFromFlags(const Flags& flags,
                                                 std::vector<std::string> dflt) {
@@ -233,7 +256,12 @@ std::string UsageText() {
       MethodList(repair::RegisteredRepairers()) + "\n";
 }
 
+// Trace stages of `smfl impute` (docs/observability.md): under the root
+// cli.impute, data.read_csv, cli.normalize, the fit's smfl.graph,
+// smfl.fit (with smfl.fit.init and the iterations) and smfl.reconstruct,
+// then cli.reconstruct and data.write_csv.
 Status RunImputeCommand(const Flags& flags, std::string* output) {
+  SMFL_TRACE_SPAN("cli.impute");
   ASSIGN_OR_RETURN(LoadedCsv input, LoadInput(flags, output));
   RETURN_NOT_OK(RequireObservedCellInEveryColumn(input));
   const std::string out_path = flags.GetString("out", "");
@@ -243,7 +271,7 @@ Status RunImputeCommand(const Flags& flags, std::string* output) {
   const Index missing = input.observed.Complement().Count();
   if (missing == 0) {
     *output += "input has no missing cells; writing it back unchanged\n";
-    return data::WriteCsv(out_path, input.table);
+    return data::WriteCompletedCsv(out_path, input.table, input.observed);
   }
   ASSIGN_OR_RETURN(auto imputer, MakeTunedImputer(flags));
   // Degradation chains report which tier actually served the result.
@@ -262,36 +290,21 @@ Status RunImputeCommand(const Flags& flags, std::string* output) {
   // normalizer is the robust choice when columns carry outliers.
   const std::string normalizer_name =
       ToLower(flags.GetString("normalizer", "minmax"));
-  Matrix normalized;
-  Matrix restored;
+  Result<Matrix> restored = Status::InvalidArgument(
+      "--normalizer must be 'minmax' or 'quantile'");
   if (normalizer_name == "quantile") {
-    ASSIGN_OR_RETURN(data::QuantileNormalizer normalizer,
-                     data::QuantileNormalizer::Fit(input.table.values(),
-                                                   input.observed));
-    normalized = data::ApplyMask(normalizer.Transform(input.table.values()),
-                                 input.observed);
-    ASSIGN_OR_RETURN(Matrix completed, run_imputer(normalized));
-    restored = normalizer.InverseTransform(completed);
+    restored =
+        NormalizeImputeRestore<data::QuantileNormalizer>(input, run_imputer);
   } else if (normalizer_name == "minmax") {
-    ASSIGN_OR_RETURN(
-        data::MinMaxNormalizer normalizer,
-        data::MinMaxNormalizer::Fit(input.table.values(), input.observed));
-    normalized = data::ApplyMask(normalizer.Transform(input.table.values()),
-                                 input.observed);
-    ASSIGN_OR_RETURN(Matrix completed, run_imputer(normalized));
-    restored = normalizer.InverseTransform(completed);
-  } else {
-    return Status::InvalidArgument(
-        "--normalizer must be 'minmax' or 'quantile'");
+    restored =
+        NormalizeImputeRestore<data::MinMaxNormalizer>(input, run_imputer);
   }
-  // Observed cells keep their exact original values.
-  restored = data::CombineByMask(input.table.values(), restored,
-                                 input.observed);
+  if (!restored.ok()) return restored.status();
   ASSIGN_OR_RETURN(
       data::Table out_table,
-      data::Table::Create(input.table.column_names(), std::move(restored),
-                          input.spatial_cols));
-  RETURN_NOT_OK(data::WriteCsv(out_path, out_table));
+      data::Table::Create(input.table.column_names(),
+                          std::move(restored).value(), input.spatial_cols));
+  RETURN_NOT_OK(data::WriteCompletedCsv(out_path, out_table, input.observed));
   AppendDegradation(degradation, output);
   *output += StrFormat("imputed %lld cells with %s -> %s\n",
                        static_cast<long long>(missing),
@@ -326,7 +339,7 @@ Status RunRepairCommand(const Flags& flags, std::string* output) {
                    repair::DetectErrors(normalized, input.spatial_cols));
   if (detection.flagged.Count() == 0) {
     *output += "no suspicious cells detected; writing input unchanged\n";
-    return data::WriteCsv(out_path, input.table);
+    return data::WriteCompletedCsv(out_path, input.table, input.observed);
   }
   mf::DegradationReport degradation;
   const auto* fallback =
@@ -342,14 +355,15 @@ Status RunRepairCommand(const Flags& flags, std::string* output) {
                                       input.spatial_cols));
   }
   AppendDegradation(degradation, output);
+  // Clean cells keep their exact original values.
+  const Mask clean = detection.flagged.Complement();
   Matrix restored = normalizer.InverseTransform(repaired);
-  restored = data::CombineByMask(input.table.values(), restored,
-                                 detection.flagged.Complement());
+  restored = data::CombineByMask(input.table.values(), restored, clean);
   ASSIGN_OR_RETURN(
       data::Table out_table,
       data::Table::Create(input.table.column_names(), std::move(restored),
                           input.spatial_cols));
-  RETURN_NOT_OK(data::WriteCsv(out_path, out_table));
+  RETURN_NOT_OK(data::WriteCompletedCsv(out_path, out_table, clean));
   *output += StrFormat(
       "flagged %lld suspicious cells (outlier %lld / cross-column %lld / "
       "spatial %lld signals); repaired with %s -> %s\n",
@@ -499,7 +513,11 @@ Status RunFitCommand(const Flags& flags, std::string* output) {
   return Status::OK();
 }
 
+// Trace stages of `smfl apply` (docs/observability.md): under the root
+// cli.apply, core.load_model, data.read_csv, cli.normalize (the training
+// ranges and the clamp), foldin.batch, cli.reconstruct and data.write_csv.
 Status RunApplyCommand(const Flags& flags, std::string* output) {
+  SMFL_TRACE_SPAN("cli.apply");
   const std::string model_path = flags.GetString("model", "");
   const std::string out_path = flags.GetString("out", "");
   if (model_path.empty() || out_path.empty()) {
@@ -554,55 +572,64 @@ Status RunApplyCommand(const Flags& flags, std::string* output) {
   // pre-normalized data) falls back to a per-batch re-fit with a loud
   // warning.
   data::MinMaxNormalizer normalizer;
-  if (model.normalizer.has_value()) {
-    normalizer = *model.normalizer;
-  } else {
-    *output +=
-        "WARNING: model file stores no normalizer; re-fitting "
-        "normalization ranges on this batch. Reconstructions are only "
-        "correct when the batch spans the training ranges — refit the "
-        "model with `smfl fit` to fix this.\n";
-    ASSIGN_OR_RETURN(
-        normalizer,
-        data::MinMaxNormalizer::Fit(input.table.values(), input.observed));
-  }
-  Matrix normalized = normalizer.Transform(input.table.values());
-  long long clamped = 0;
-  for (Index i = 0; i < normalized.rows(); ++i) {
-    for (Index j = 0; j < normalized.cols(); ++j) {
-      if (!input.observed.Contains(i, j)) continue;
-      double& v = normalized(i, j);
-      if (v < 0.0) {
-        v = 0.0;
-        ++clamped;
-      } else if (v > 1.0) {
-        v = 1.0;
-        ++clamped;
+  Matrix normalized;
+  {
+    SMFL_TRACE_SPAN("cli.normalize");
+    if (model.normalizer.has_value()) {
+      normalizer = *model.normalizer;
+    } else {
+      *output +=
+          "WARNING: model file stores no normalizer; re-fitting "
+          "normalization ranges on this batch. Reconstructions are only "
+          "correct when the batch spans the training ranges — refit the "
+          "model with `smfl fit` to fix this.\n";
+      ASSIGN_OR_RETURN(
+          normalizer,
+          data::MinMaxNormalizer::Fit(input.table.values(), input.observed));
+    }
+    normalized = normalizer.Transform(input.table.values());
+    long long clamped = 0;
+    for (Index i = 0; i < normalized.rows(); ++i) {
+      for (Index j = 0; j < normalized.cols(); ++j) {
+        if (!input.observed.Contains(i, j)) continue;
+        double& v = normalized(i, j);
+        if (v < 0.0) {
+          v = 0.0;
+          ++clamped;
+        } else if (v > 1.0) {
+          v = 1.0;
+          ++clamped;
+        }
       }
     }
+    if (clamped > 0) {
+      SMFL_COUNTER_ADD("serving.clamped_cells", clamped);
+      *output += StrFormat(
+          "clamped %lld observed cell(s) outside the training ranges into "
+          "[0, 1]\n",
+          clamped);
+    }
+    normalized = data::ApplyMask(normalized, input.observed);
   }
-  if (clamped > 0) {
-    SMFL_COUNTER_ADD("serving.clamped_cells", clamped);
-    *output += StrFormat(
-        "clamped %lld observed cell(s) outside the training ranges into "
-        "[0, 1]\n",
-        clamped);
-  }
-  normalized = data::ApplyMask(normalized, input.observed);
 
   const core::FoldInOptions fold_options;
   core::FoldInReport report;
   ASSIGN_OR_RETURN(Matrix folded,
                    core::FoldIn(model, normalized, input.observed,
                                 fold_options, &report));
-  Matrix restored = normalizer.InverseTransform(folded);
-  restored = data::CombineByMask(input.table.values(), restored,
-                                 input.observed);
+  Matrix restored;
+  {
+    SMFL_TRACE_SPAN("cli.reconstruct");
+    // Observed cells keep their exact original values.
+    restored = data::CombineByMask(input.table.values(),
+                                   normalizer.InverseTransform(folded),
+                                   input.observed);
+  }
   ASSIGN_OR_RETURN(
       data::Table out_table,
       data::Table::Create(input.table.column_names(), std::move(restored),
                           input.spatial_cols));
-  RETURN_NOT_OK(data::WriteCsv(out_path, out_table));
+  RETURN_NOT_OK(data::WriteCompletedCsv(out_path, out_table, input.observed));
   *output += StrFormat("folded %lld rows against %s -> %s\n",
                        static_cast<long long>(input.table.NumRows()),
                        model_path.c_str(), out_path.c_str());

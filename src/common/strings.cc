@@ -2,10 +2,13 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 namespace smfl {
 
@@ -32,9 +35,30 @@ std::string_view Trim(std::string_view s) {
   return s.substr(b, e - b);
 }
 
+bool ParseDoubleFast(std::string_view s, double* out) {
+  // Everything else — hex floats, a leading '+', inf/nan, subnormal
+  // results (from_chars accepts them, strtod reports ERANGE) and errors —
+  // is for strtod to decide.
+  double v = 0.0;
+  const std::from_chars_result r =
+      std::from_chars(s.data(), s.data() + s.size(), v);
+  const double magnitude = std::fabs(v);
+  // smfl-lint: allow(float-eq) an exact zero is one of the accepted cases
+  const bool zero = magnitude == 0.0;
+  if (r.ec != std::errc() || r.ptr != s.data() + s.size() ||
+      !(zero || (magnitude > std::numeric_limits<double>::min() &&
+                 magnitude <= std::numeric_limits<double>::max()))) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
 Result<double> ParseDouble(std::string_view s) {
   std::string_view t = Trim(s);
   if (t.empty()) return Status::DataError("empty numeric field");
+  double fast = 0.0;
+  if (ParseDoubleFast(t, &fast)) return fast;
   std::string buf(t);
   errno = 0;
   char* end = nullptr;

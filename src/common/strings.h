@@ -20,6 +20,12 @@ std::string_view Trim(std::string_view s);
 // Strict double parse: the whole (trimmed) string must be consumed.
 Result<double> ParseDouble(std::string_view s);
 
+// The allocation-free half of ParseDouble, for an already trimmed field:
+// true, with *out set, when std::from_chars parses all of `s` to an exact
+// zero or a finite normal value — exactly where its result is strtod's.
+// False leaves the verdict (a strtod value or an error) to ParseDouble.
+bool ParseDoubleFast(std::string_view s, double* out);
+
 // Strict integer parse.
 Result<int64_t> ParseInt(std::string_view s);
 

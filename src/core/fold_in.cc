@@ -73,36 +73,30 @@ void ReconstructRow(const SmflModel& model, const double* u,
 }
 
 // Rows sharing one observed-column pattern share V's observed columns,
-// packed once in the two layouts the solve kernel reads.
+// packed once in the layout the solve kernel reads.
 struct ObsGroup {
   std::vector<Index> obs;       // usable observed columns, ascending
   std::vector<double> v_cols;   // K x PaddedWidth(|obs|)
-  std::vector<double> v_rows;   // |obs| x PaddedWidth(K)
 
   void Pack(const Matrix& v) {
     const Index k = v.rows(), nt = static_cast<Index>(obs.size());
     const Index ntp = la::simd::PaddedWidth(nt);
-    const Index kp = la::simd::PaddedWidth(k);
     v_cols.assign(static_cast<size_t>(k * ntp), 0.0);
-    v_rows.assign(static_cast<size_t>(nt * kp), 0.0);
     for (Index c = 0; c < k; ++c) {
       for (Index t = 0; t < nt; ++t) {
-        const double vct = v(c, obs[static_cast<size_t>(t)]);
-        v_cols[static_cast<size_t>(c * ntp + t)] = vct;
-        v_rows[static_cast<size_t>(t * kp + c)] = vct;
+        v_cols[static_cast<size_t>(c * ntp + t)] =
+            v(c, obs[static_cast<size_t>(t)]);
       }
     }
   }
 
-  la::simd::FoldInRow Row(const double* x, double* u, double* work) const {
+  la::simd::FoldInRow Row(const double* x, double* u) const {
     la::simd::FoldInRow row;
     row.nt = static_cast<Index>(obs.size());
     row.cols = obs.data();
     row.x = x;
     row.v_cols = v_cols.data();
-    row.v_rows = v_rows.data();
     row.u = u;
-    row.work = work;
     return row;
   }
 };
@@ -243,8 +237,9 @@ Result<la::Vector> FoldInRow(const SmflModel& model, const la::Vector& row,
   }
   std::vector<double> work(
       static_cast<size_t>(la::simd::FoldInWorkSize(k, nt)));
-  la::simd::FoldInRow solve = group.Row(row.data(), u.data(), work.data());
-  la::simd::Active().fold_in_rows(SolveOptions(k, options), &solve, 1);
+  la::simd::FoldInRow solve = group.Row(row.data(), u.data());
+  la::simd::Active().fold_in_rows(SolveOptions(k, options), &solve, 1,
+                                  work.data());
 
   la::Vector completed(m);
   ReconstructRow(model, u.data(), row.data(), usable.data(),
@@ -346,58 +341,73 @@ Result<Matrix> FoldIn(const SmflModel& model, const Matrix& x,
   const la::Vector mean_u = model.MeanU();
   const la::simd::Kernels& kernels = la::simd::Active();
   const la::simd::FoldInSolve solve_options = SolveOptions(k, options);
-  // Per row of a chunk: u (k doubles), then the kernel's work space,
+  // Per chunk: u of each row (k doubles), then the kernel's work space,
   // sized for the widest pattern.
   Index max_nt = 0;
   for (const ObsGroup& g : groups) {
     max_nt = std::max(max_nt, static_cast<Index>(g.obs.size()));
   }
-  const Index row_stride = k + la::simd::FoldInWorkSize(k, max_nt);
+  const Index work_size = la::simd::FoldInWorkSize(k, max_nt);
+
+  // Column-mean tier: the model's average row, mean(U)·V. The other rows
+  // are solved in pattern order — narrowest first, then by pattern, then by
+  // row — so the rows a solve call takes side by side, a vector lane each,
+  // mostly share their width and few lanes run padded terms (a row's result
+  // does not depend on its lane mates).
+  std::vector<Index> solved;
+  for (Index i = 0; i < n; ++i) {
+    if (row_group[static_cast<size_t>(i)] != kColumnMeanGroup) {
+      solved.push_back(i);
+      continue;
+    }
+    double* orow = out.Row(i).data();
+    for (Index j = 0; j < m; ++j) {
+      double acc = 0.0;
+      for (Index c = 0; c < k; ++c) acc += mean_u[c] * model.v(c, j);
+      orow[j] = acc;
+    }
+  }
+  std::stable_sort(solved.begin(), solved.end(), [&](Index a, Index b) {
+    const size_t ga = row_group[static_cast<size_t>(a)];
+    const size_t gb = row_group[static_cast<size_t>(b)];
+    const size_t wa = groups[ga].obs.size(), wb = groups[gb].obs.size();
+    return wa != wb ? wa < wb : ga < gb;
+  });
 
   // Per-chunk solves: independent rows, disjoint output regions, static
-  // partition — bitwise identical at any thread count. The chunk's
-  // solvable rows go to the kernel together, which interleaves them.
-  parallel::ParallelFor(0, n, kRowGrain, [&](Index r0, Index r1) {
+  // partition — bitwise identical at any thread count. A chunk's rows go
+  // to the kernel together.
+  const auto n_solved = static_cast<Index>(solved.size());
+  parallel::ParallelFor(0, n_solved, kRowGrain, [&](Index p0, Index p1) {
     // One enabled-check and at most two clock reads per chunk, so the
     // disabled serving path stays clock-free.
     const bool chunk_telemetry = telemetry::Enabled();
     const int64_t chunk_t0 = chunk_telemetry ? telemetry::NowMicros() : 0;
-    std::vector<double> buffer(static_cast<size_t>(kRowGrain * row_stride));
+    std::vector<double> buffer(
+        static_cast<size_t>(kRowGrain * k + work_size));
     std::array<la::simd::FoldInRow, kRowGrain> solves;
-    std::array<Index, kRowGrain> solved_rows{};
-    Index count = 0;
-    for (Index i = r0; i < r1; ++i) {
+    const Index count = p1 - p0;
+    for (Index q = 0; q < count; ++q) {
+      const Index i = solved[static_cast<size_t>(p0 + q)];
       const uint8_t* urow = &usable[static_cast<size_t>(i * m)];
       const double* xrow = x.Row(i).data();
-      FoldInRowOutcome& outcome = outcomes[static_cast<size_t>(i)];
-      const size_t gi = row_group[static_cast<size_t>(i)];
-      if (gi == kColumnMeanGroup) {
-        // Column-mean tier: the model's average row, mean(U)·V.
-        double* orow = out.Row(i).data();
-        for (Index j = 0; j < m; ++j) {
-          double acc = 0.0;
-          for (Index c = 0; c < k; ++c) acc += mean_u[c] * model.v(c, j);
-          orow[j] = acc;
-        }
-        continue;
-      }
-      double* u = buffer.data() + count * row_stride;
+      double* u = buffer.data() + q * k;
       std::fill(u, u + k, 1.0 / static_cast<double>(k));
       const bool kernel_init =
           sigma2 > 0.0 && InitFromLandmarks(model, xrow, urow, sigma2, u);
-      outcome.served_by = kernel_init ? FoldInTier::kLandmarkKernel
-                                      : FoldInTier::kUniformU;
-      solves[static_cast<size_t>(count)] = groups[gi].Row(xrow, u, u + k);
-      solved_rows[static_cast<size_t>(count)] = i;
-      ++count;
+      outcomes[static_cast<size_t>(i)].served_by =
+          kernel_init ? FoldInTier::kLandmarkKernel : FoldInTier::kUniformU;
+      solves[static_cast<size_t>(q)] =
+          groups[row_group[static_cast<size_t>(i)]].Row(xrow, u);
     }
-    kernels.fold_in_rows(solve_options, solves.data(), count);
+    kernels.fold_in_rows(solve_options, solves.data(), count,
+                         buffer.data() + kRowGrain * k);
     for (Index q = 0; q < count; ++q) {
-      const Index i = solved_rows[static_cast<size_t>(q)];
-      const la::simd::FoldInRow& solved = solves[static_cast<size_t>(q)];
+      const Index i = solved[static_cast<size_t>(p0 + q)];
+      const la::simd::FoldInRow& row = solves[static_cast<size_t>(q)];
       FoldInRowOutcome& outcome = outcomes[static_cast<size_t>(i)];
-      outcome.iterations = solved.iterations;
-      ReconstructRow(model, solved.u, x.Row(i).data(),
+      outcome.iterations = row.iterations;
+      ReconstructRow(model, row.u, x.Row(i).data(),
                      &usable[static_cast<size_t>(i * m)], out.Row(i).data());
       if (chunk_telemetry) {
         SMFL_HISTOGRAM_RECORD("foldin.row_iterations",

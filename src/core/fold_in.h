@@ -14,14 +14,14 @@
 // isolation:
 //
 //  * Rows are grouped by observed-column pattern, and each group packs the
-//    frozen V's observed columns once, in the two layouts the solve kernel
-//    reads.
+//    frozen V's observed columns once.
 //  * The per-row multiplicative solves run in the la::simd kernel
-//    fold_in_rows, which keeps each row's u, numerator and denominators in
-//    registers and solves the rows of a 4-row chunk interleaved. Chunks
-//    are threaded with parallel::ParallelFor under the determinism
-//    contract: batched output is bitwise identical to row-at-a-time
-//    FoldInRow at any thread count and SIMD tier.
+//    fold_in_rows, which solves the rows of a 4-row chunk side by side, a
+//    row per vector lane. Rows are taken in pattern order (narrowest
+//    first), so a chunk's rows share their width. Chunks are threaded with
+//    parallel::ParallelFor under the determinism contract: batched output
+//    is bitwise identical to row-at-a-time FoldInRow at any thread count
+//    and SIMD tier.
 //  * A bad row never aborts the batch. Per-row faults (no observed
 //    entries, non-finite or negative observed cells) degrade that row to
 //    a lower serving tier and are recorded in a FoldInReport:

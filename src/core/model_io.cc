@@ -9,6 +9,7 @@
 
 #include "src/common/durable_io.h"
 #include "src/common/strings.h"
+#include "src/common/telemetry.h"
 #include "src/la/ops.h"
 
 namespace smfl::core {
@@ -366,6 +367,7 @@ Result<SmflModel> DeserializeModel(const std::string& content) {
 }
 
 Result<SmflModel> LoadModel(const std::string& path) {
+  SMFL_TRACE_SPAN("core.load_model");
   auto content = ReadFileToString(path);
   if (!content.ok()) {
     Status st = content.status();

@@ -486,6 +486,8 @@ Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
     model.v = resume->v;
     model.landmarks = resume->landmarks;
   } else {
+  // Landmarks and the starting U and V.
+  SMFL_TRACE_SPAN("smfl.fit.init");
   Rng rng(options.seed);
   model.u = Matrix(n, k);
   model.v = Matrix(k, m);
@@ -896,16 +898,29 @@ Result<SmflModel> FitSmfl(const Matrix& x, const Mask& observed,
                           Index spatial_cols, const SmflOptions& options) {
   // Covers graph construction too; FitOnce re-enters the same override.
   parallel::ScopedParallelism scoped_threads(options.threads);
-  ASSIGN_OR_RETURN(NeighborGraph graph,
-                   BuildSmflGraph(x, observed, spatial_cols, options));
-  return FitSmflWithGraph(x, observed, spatial_cols, graph, options);
+  Result<NeighborGraph> graph = [&] {
+    SMFL_TRACE_SPAN("smfl.graph");
+    return BuildSmflGraph(x, observed, spatial_cols, options);
+  }();
+  if (!graph.ok()) return graph.status();
+  return FitSmflWithGraph(x, observed, spatial_cols, *graph, options);
 }
+
+namespace {
+
+// R_Ω(X) + R_Ψ(U V): the fitted model's completion of x.
+Matrix Complete(const Matrix& x, const SmflModel& model, const Mask& kept) {
+  SMFL_TRACE_SPAN("smfl.reconstruct");
+  return data::CombineByMask(x, model.Reconstruct(), kept);
+}
+
+}  // namespace
 
 Result<Matrix> SmflImpute(const Matrix& x, const Mask& observed,
                           Index spatial_cols, const SmflOptions& options) {
   ASSIGN_OR_RETURN(SmflModel model,
                    FitSmfl(x, observed, spatial_cols, options));
-  return data::CombineByMask(x, model.Reconstruct(), observed);
+  return Complete(x, model, observed);
 }
 
 Result<Matrix> SmflRepair(const Matrix& dirty, const Mask& dirty_cells,
@@ -914,7 +929,7 @@ Result<Matrix> SmflRepair(const Matrix& dirty, const Mask& dirty_cells,
   Mask clean = dirty_cells.Complement();
   ASSIGN_OR_RETURN(SmflModel model,
                    FitSmfl(dirty, clean, spatial_cols, options));
-  return data::CombineByMask(dirty, model.Reconstruct(), clean);
+  return Complete(dirty, model, clean);
 }
 
 }  // namespace smfl::core

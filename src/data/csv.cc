@@ -1,161 +1,251 @@
 #include "src/data/csv.h"
 
+#include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <fstream>
-#include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "src/common/durable_io.h"
 #include "src/common/fault.h"
 #include "src/common/strings.h"
+#include "src/common/telemetry.h"
 
 namespace smfl::data {
 
 namespace {
 
-// A data line with its 1-based position in the original file.
-struct NumberedLine {
-  size_t line_no;
-  std::string text;
-};
+// Parses a CsvTable one line at a time, straight into the final row-major
+// value buffer and the mask bytes: no per-line strings, no field vectors,
+// no per-row containers. A row is appended (zero-filled) before its cells
+// are parsed in place, and truncated away again when it is malformed.
+class CsvParser {
+ public:
+  explicit CsvParser(const CsvReadOptions& options) : options_(options) {}
 
-// Parses one data row into `row` / `row_observed`. Returns a row-local
-// error (no file context) when the row is malformed.
-Status ParseRow(const std::string& text, char delimiter, size_t n_cols,
-                Index spatial_cols, std::vector<double>* row,
-                std::vector<bool>* row_observed) {
-  auto fields = Split(text, delimiter);
-  if (fields.size() != n_cols) {
-    return Status::DataError(StrFormat("row has %zu fields, expected %zu",
-                                       fields.size(), n_cols));
-  }
-  row->assign(n_cols, 0.0);
-  row_observed->assign(n_cols, false);
-  for (size_t j = 0; j < n_cols; ++j) {
-    std::string_view cell = Trim(fields[j]);
-    if (cell.empty()) continue;  // unobserved
-    auto parsed = ParseDouble(cell);
-    if (!parsed.ok()) {
-      Status st = parsed.status();
-      return st.WithContext(StrFormat("column %zu", j));
+  // One line of the file, its '\n' excluded, with its 1-based number.
+  // Returns the error that ends a strict read; lenient reads quarantine.
+  Status AddLine(std::string_view line, size_t line_no) {
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    if (Trim(line).empty()) return Status::OK();
+    if (!seen_first_) {
+      seen_first_ = true;
+      if (options_.has_header) {
+        ForEachField(line, [&](std::string_view f) {
+          names_.emplace_back(Trim(f));
+        });
+        n_cols_ = names_.size();
+        return Status::OK();
+      }
     }
-    if (!std::isfinite(*parsed)) {
-      return Status::DataError(StrFormat(
-          static_cast<size_t>(spatial_cols) > j
-              ? "non-finite spatial coordinate in column %zu"
-              : "non-finite value in column %zu",
-          j));
+    if (n_cols_ == 0) n_cols_ = FieldCount(line);
+    Status st = ParseRow(line);
+    if (st.ok()) {
+      ++rows_;
+      return st;
     }
-    (*row)[j] = *parsed;
-    (*row_observed)[j] = true;
+    if (options_.mode != CsvMode::kLenient) {
+      return st.WithContext(StrFormat("CSV line %zu", line_no));
+    }
+    row_errors_.push_back(CsvRowError{line_no, st.message()});
+    return Status::OK();
   }
-  return Status::OK();
-}
 
-Result<CsvTable> ParseLines(const std::vector<NumberedLine>& lines,
-                            const CsvReadOptions& options) {
-  size_t first_data = 0;
-  std::vector<std::string> names;
-  if (options.has_header) {
-    if (lines.empty()) return Status::DataError("CSV has no header row");
-    for (auto& f : Split(lines[0].text, options.delimiter)) {
-      names.emplace_back(Trim(f));
+  Result<CsvTable> Finish() {
+    if (!seen_first_) {
+      return Status::DataError(options_.has_header ? "CSV has no header row"
+                                                   : "CSV has no rows");
     }
-    first_data = 1;
-  } else if (lines.empty()) {
-    return Status::DataError("CSV has no rows");
+    if (rows_ == 0) {
+      return Status::DataError(
+          row_errors_.empty()
+              ? std::string("CSV has no data rows")
+              : StrFormat("CSV has no valid data rows (%zu quarantined)",
+                          row_errors_.size()));
+    }
+    if (!options_.has_header) {
+      for (size_t j = 0; j < n_cols_; ++j) {
+        names_.push_back(StrFormat("col%zu", j));
+      }
+    }
+    const auto rows = static_cast<Index>(rows_);
+    const auto cols = static_cast<Index>(n_cols_);
+    Mask observed = Mask::FromRowMajorBytes(rows, cols, std::move(observed_));
+    ASSIGN_OR_RETURN(
+        Table table,
+        Table::Create(std::move(names_),
+                      Matrix::FromRowMajor(rows, cols, std::move(values_)),
+                      options_.spatial_cols));
+    return CsvTable{std::move(table), std::move(observed),
+                    std::move(row_errors_)};
   }
-  const bool lenient = options.mode == CsvMode::kLenient;
-  size_t n_cols = names.size();
-  std::vector<std::vector<double>> rows;
-  std::vector<std::vector<bool>> rows_observed;
-  std::vector<CsvRowError> row_errors;
-  rows.reserve(lines.size() - first_data);
-  std::vector<double> row;
-  std::vector<bool> row_observed;
-  for (size_t r = first_data; r < lines.size(); ++r) {
-    if (n_cols == 0) {
-      n_cols = Split(lines[r].text, options.delimiter).size();
+
+ private:
+  // Calls fn on each delimiter-separated field of `line`, in order (one
+  // more field than delimiters, as Split cuts them).
+  template <typename Fn>
+  void ForEachField(std::string_view line, Fn&& fn) const {
+    size_t start = 0;
+    while (true) {
+      const size_t pos = line.find(options_.delimiter, start);
+      if (pos == std::string_view::npos) {
+        fn(line.substr(start));
+        return;
+      }
+      fn(line.substr(start, pos - start));
+      start = pos + 1;
     }
-    Status st = ParseRow(lines[r].text, options.delimiter, n_cols,
-                         options.spatial_cols, &row, &row_observed);
+  }
+
+  size_t FieldCount(std::string_view line) const {
+    return static_cast<size_t>(
+               std::count(line.begin(), line.end(), options_.delimiter)) +
+           1;
+  }
+
+  // Parses one data row into a new last row of the buffers. Returns a
+  // row-local error (no file context), with the row removed again, when
+  // the row is malformed: a wrong field count first, else the first bad
+  // cell, else an injected `csv.row.corrupt` fault.
+  Status ParseRow(std::string_view line) {
+    const size_t base = values_.size();
+    values_.resize(base + n_cols_, 0.0);
+    observed_.resize(base + n_cols_, 0);
+    Status st;
+    size_t fields = 0;
+    ForEachField(line, [&](std::string_view field) {
+      const size_t col = fields++;
+      if (col >= n_cols_ || !st.ok()) return;
+      const std::string_view cell = Trim(field);
+      if (cell.empty()) return;  // unobserved
+      double value = 0.0;
+      if (!ParseDoubleFast(cell, &value)) {
+        Result<double> parsed = ParseDouble(cell);
+        if (!parsed.ok()) {
+          st = parsed.status();
+          st.WithContext(StrFormat("column %zu", col));
+          return;
+        }
+        value = *parsed;
+      }
+      if (!std::isfinite(value)) {
+        st = Status::DataError(StrFormat(
+            static_cast<size_t>(options_.spatial_cols) > col
+                ? "non-finite spatial coordinate in column %zu"
+                : "non-finite value in column %zu",
+            col));
+        return;
+      }
+      values_[base + col] = value;
+      observed_[base + col] = 1;
+    });
+    if (fields != n_cols_) {
+      st = Status::DataError(
+          StrFormat("row has %zu fields, expected %zu", fields, n_cols_));
+    }
     if (st.ok() && SMFL_FAULT_FIRED("csv.row.corrupt")) {
       st = Status::DataError("injected row corruption");
     }
     if (!st.ok()) {
-      if (!lenient) {
-        return st.WithContext(StrFormat("CSV line %zu", lines[r].line_no));
-      }
-      row_errors.push_back(CsvRowError{lines[r].line_no, st.message()});
-      continue;
+      values_.resize(base);
+      observed_.resize(base);
     }
-    rows.push_back(row);
-    rows_observed.push_back(row_observed);
+    return st;
   }
-  if (rows.empty()) {
-    return Status::DataError(
-        row_errors.empty()
-            ? std::string("CSV has no data rows")
-            : StrFormat("CSV has no valid data rows (%zu quarantined)",
-                        row_errors.size()));
+
+  const CsvReadOptions& options_;
+  bool seen_first_ = false;
+  std::vector<std::string> names_;
+  size_t n_cols_ = 0;
+  size_t rows_ = 0;
+  std::vector<double> values_;
+  std::vector<uint8_t> observed_;
+  std::vector<CsvRowError> row_errors_;
+};
+
+// Feeds the lines of `text` to the parser as std::getline cuts them: at
+// every '\n', with a last line after the final '\n' only when it is not
+// empty. Without `last`, the text after the final '\n' is left unconsumed
+// (the next chunk of a streamed file continues it). Sets `consumed` to the
+// bytes fed; stops at the parser's first error.
+Status FeedLines(std::string_view text, bool last, CsvParser& parser,
+                 size_t& line_no, size_t& consumed) {
+  consumed = 0;
+  while (consumed < text.size()) {
+    const size_t nl = text.find('\n', consumed);
+    if (nl == std::string_view::npos && !last) break;
+    const size_t end = nl == std::string_view::npos ? text.size() : nl;
+    RETURN_NOT_OK(
+        parser.AddLine(text.substr(consumed, end - consumed), ++line_no));
+    consumed = nl == std::string_view::npos ? text.size() : nl + 1;
   }
-  if (!options.has_header) {
-    for (size_t j = 0; j < n_cols; ++j) {
-      names.push_back(StrFormat("col%zu", j));
-    }
-  }
-  Matrix values(static_cast<Index>(rows.size()), static_cast<Index>(n_cols));
-  Mask observed(static_cast<Index>(rows.size()), static_cast<Index>(n_cols));
-  for (size_t i = 0; i < rows.size(); ++i) {
-    for (size_t j = 0; j < n_cols; ++j) {
-      values(static_cast<Index>(i), static_cast<Index>(j)) = rows[i][j];
-      if (rows_observed[i][j]) {
-        observed.Set(static_cast<Index>(i), static_cast<Index>(j));
-      }
-    }
-  }
-  ASSIGN_OR_RETURN(
-      Table table,
-      Table::Create(std::move(names), std::move(values), options.spatial_cols));
-  return CsvTable{std::move(table), std::move(observed),
-                  std::move(row_errors)};
+  return Status::OK();
 }
 
 }  // namespace
 
 Result<CsvTable> ParseCsv(const std::string& content,
                           const CsvReadOptions& options) {
-  std::vector<NumberedLine> lines;
-  std::istringstream is(content);
-  std::string line;
-  size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (!Trim(line).empty()) lines.push_back(NumberedLine{line_no, line});
-  }
-  return ParseLines(lines, options);
+  CsvParser parser(options);
+  size_t line_no = 0, consumed = 0;
+  RETURN_NOT_OK(FeedLines(content, true, parser, line_no, consumed));
+  return parser.Finish();
 }
 
 Result<CsvTable> ReadCsv(const std::string& path,
                          const CsvReadOptions& options) {
-  std::ifstream in(path);
+  SMFL_TRACE_SPAN("data.read_csv");
+  std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IoError("cannot open '" + path + "'");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  auto result = ParseCsv(buf.str(), options);
+  // The file is streamed through one chunk buffer, never held whole: the
+  // parsed rows are the only copy of the table in memory.
+  constexpr size_t kChunkBytes = size_t{1} << 16;
+  CsvParser parser(options);
+  std::string chunk;
+  size_t line_no = 0, pending = 0;
+  Status st;
+  while (st.ok()) {
+    // Keep the unfinished last line, then top the buffer up.
+    if (chunk.size() < pending + kChunkBytes) {
+      chunk.resize(pending + kChunkBytes);
+    }
+    in.read(chunk.data() + pending, static_cast<std::streamsize>(kChunkBytes));
+    const auto got = static_cast<size_t>(in.gcount());
+    const bool last = got < kChunkBytes;
+    const std::string_view text(chunk.data(), pending + got);
+    size_t consumed = 0;
+    st = FeedLines(text, last, parser, line_no, consumed);
+    if (last) break;
+    pending = text.size() - consumed;
+    std::memmove(chunk.data(), chunk.data() + consumed, pending);
+  }
+  Result<CsvTable> result =
+      st.ok() ? parser.Finish() : Result<CsvTable>(std::move(st));
   if (!result.ok()) {
-    Status st = result.status();
-    return st.WithContext("while reading '" + path + "'");
+    Status error = result.status();
+    return error.WithContext("while reading '" + path + "'");
   }
   return result;
 }
 
-Status WriteCsv(const std::string& path, const Table& table,
-                const Mask& observed, char delimiter) {
-  if (observed.rows() != table.NumRows() ||
-      observed.cols() != table.NumCols()) {
+namespace {
+
+// Writes the cells in `emitted` (the rest as empty cells). Cells go through
+// std::to_chars in general format at precision 12, which the standard
+// defines as printf's %.12g: the same bytes an ostream at precision(12)
+// writes, without its per-cell overhead. A cell in `kept` whose %.12g text
+// reads back as another double is written in the shortest form that reads
+// back as its own (std::to_chars without a precision) instead.
+Status WriteCells(const std::string& path, const Table& table,
+                  const Mask& emitted, const Mask* kept, char delimiter) {
+  SMFL_TRACE_SPAN("data.write_csv");
+  if (emitted.rows() != table.NumRows() ||
+      emitted.cols() != table.NumCols() ||
+      (kept != nullptr && !kept->SameShape(emitted))) {
     return Status::InvalidArgument("WriteCsv: mask shape mismatch");
   }
   if (SMFL_FAULT_FIRED("io.write.fail")) {
@@ -163,9 +253,6 @@ Status WriteCsv(const std::string& path, const Table& table,
   }
   // Rendered in memory, then atomically replaced on disk (temp + fsync +
   // rename): a crash mid-write can never leave a truncated CSV behind.
-  // Cells go through std::to_chars in general format at precision 12,
-  // which the standard defines as printf's %.12g: the same bytes an
-  // ostream at precision(12) writes, without its per-cell overhead.
   std::string out;
   const auto& names = table.column_names();
   for (size_t j = 0; j < names.size(); ++j) {
@@ -180,10 +267,19 @@ Status WriteCsv(const std::string& path, const Table& table,
   for (Index i = 0; i < table.NumRows(); ++i) {
     for (Index j = 0; j < table.NumCols(); ++j) {
       if (j > 0) out += delimiter;
-      if (!observed.Contains(i, j)) continue;
-      const std::to_chars_result r =
-          std::to_chars(cell, cell + sizeof(cell), table.values()(i, j),
-                        std::chars_format::general, 12);
+      if (!emitted.Contains(i, j)) continue;
+      const double v = table.values()(i, j);
+      std::to_chars_result r = std::to_chars(
+          cell, cell + sizeof(cell), v, std::chars_format::general, 12);
+      if (kept != nullptr && kept->Contains(i, j)) {
+        double back = 0.0;
+        const std::from_chars_result parsed =
+            std::from_chars(cell, r.ptr, back);
+        if (parsed.ec != std::errc() ||
+            std::bit_cast<uint64_t>(back) != std::bit_cast<uint64_t>(v)) {
+          r = std::to_chars(cell, cell + sizeof(cell), v);
+        }
+      }
       out.append(cell, r.ptr);
     }
     out += '\n';
@@ -191,9 +287,23 @@ Status WriteCsv(const std::string& path, const Table& table,
   return WriteFileDurable(path, out);
 }
 
+}  // namespace
+
+Status WriteCsv(const std::string& path, const Table& table,
+                const Mask& observed, char delimiter) {
+  return WriteCells(path, table, observed, nullptr, delimiter);
+}
+
 Status WriteCsv(const std::string& path, const Table& table, char delimiter) {
   return WriteCsv(path, table,
                   Mask::AllSet(table.NumRows(), table.NumCols()), delimiter);
+}
+
+Status WriteCompletedCsv(const std::string& path, const Table& table,
+                         const Mask& kept, char delimiter) {
+  return WriteCells(path, table,
+                    Mask::AllSet(table.NumRows(), table.NumCols()), &kept,
+                    delimiter);
 }
 
 std::string FormatRowErrors(const std::vector<CsvRowError>& errors) {

@@ -61,13 +61,21 @@ Result<CsvTable> ReadCsv(const std::string& path,
 Result<CsvTable> ParseCsv(const std::string& content,
                           const CsvReadOptions& options = {});
 
-// Writes a table; entries not in `observed` are emitted as empty cells.
+// Writes a table at %.12g per cell; entries not in `observed` are emitted
+// as empty cells.
 Status WriteCsv(const std::string& path, const Table& table,
                 const Mask& observed, char delimiter = ',');
 
 // Convenience overload: all entries observed.
 Status WriteCsv(const std::string& path, const Table& table,
                 char delimiter = ',');
+
+// Writes every cell of a completed table — the output of a command that
+// fills cells in. The cells in `kept`, carried over from its input, read
+// back as the identical double: at %.12g when that text does, else in the
+// shortest form that does. The filled-in cells are written at %.12g.
+Status WriteCompletedCsv(const std::string& path, const Table& table,
+                         const Mask& kept, char delimiter = ',');
 
 // One line per quarantined row: "line 7: row has 3 fields, expected 4".
 std::string FormatRowErrors(const std::vector<CsvRowError>& errors);

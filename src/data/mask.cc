@@ -4,6 +4,16 @@
 
 namespace smfl::data {
 
+Mask Mask::FromRowMajorBytes(Index rows, Index cols,
+                             std::vector<uint8_t> bits) {
+  SMFL_CHECK_EQ(static_cast<Index>(bits.size()), rows * cols);
+  Mask m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  m.bits_ = std::move(bits);
+  return m;
+}
+
 Index Mask::Count() const {
   Index n = 0;
   for (uint8_t b : bits_) n += b;

@@ -45,6 +45,10 @@ class Mask {
 
   static Mask AllSet(Index rows, Index cols) { return Mask(rows, cols, true); }
 
+  // Adopts row-major membership bytes (each 0 or 1), rows × cols of them.
+  [[nodiscard]] static Mask FromRowMajorBytes(Index rows, Index cols,
+                                              std::vector<uint8_t> bits);
+
   Index rows() const { return rows_; }
   Index cols() const { return cols_; }
 

@@ -335,15 +335,16 @@ double RowPass(const RowPassTier& tier, const UStep& s, Index r0, Index r1) {
 
 // The fold-in solve, one row after another: the plain per-row loop every
 // vector tier reproduces. v_cols serves both the numerator and the
-// denominator chains (v_c,cols[t] either way); work holds r_t.
-void FoldInRowsScalar(const FoldInSolve& s, FoldInRow* rows, Index count) {
+// denominator chains (v_c,cols[t] either way); work holds num and r_t.
+void FoldInRowsScalar(const FoldInSolve& s, FoldInRow* rows, Index count,
+                      double* work) {
   const Index k = s.k;
+  double* num = work;
+  double* recon = work + k;
   for (Index q = 0; q < count; ++q) {
     FoldInRow& row = rows[q];
     const Index nt = row.nt, ntp = PaddedWidth(nt);
     double* u = row.u;
-    double* num = row.work;
-    double* recon = num + PaddedWidth(k);
     for (Index c = 0; c < k; ++c) {
       const double* vc = row.v_cols + c * ntp;
       double acc = 0.0;
@@ -870,36 +871,47 @@ __attribute__((target("avx2"))) void SqDiffAvx2(Index n, const double* x,
   }
 }
 
-// The fold-in solve (FoldInRow). Row q's work area holds u, num, x_t,
-// r_t and (x_t − r_t)², each zero-padded to whole registers.
-struct FoldInWork {
-  double* u;
-  double* num;
-  double* x;
-  double* recon;
-  double* d2;
+// The fold-in solve (FoldInRow), a row per vector lane: a group of up to
+// kLaneWidth rows packed lane-interleaved in the call's work space — entry
+// e of lane q at [kLaneWidth · e + q] — as V's observed columns t-major
+// (v_c,cols[t] at entry t·k + c), x_t, r_t, u and num. Every lane is zero
+// past its own nt, and a lane without a row is zero throughout.
+struct FoldInLanes {
+  double* v;    // nt × k entries, nt the group's widest row
+  double* x;    // nt
+  double* r;    // nt
+  double* u;    // k
+  double* num;  // k
 };
 
-FoldInWork FoldInWorkOf(const FoldInRow& row, Index k) {
-  const Index kp = PaddedWidth(k), ntp = PaddedWidth(row.nt);
-  double* w = row.work;
-  return {w, w + kp, w + 2 * kp, w + 2 * kp + ntp, w + 2 * kp + 2 * ntp};
+FoldInLanes FoldInLanesOf(double* work, Index k, Index nt) {
+  double* v = work;
+  double* x = v + kLaneWidth * nt * k;
+  double* r = x + kLaneWidth * nt;
+  double* u = r + kLaneWidth * nt;
+  return {v, x, r, u, u + kLaneWidth * k};
 }
 
-// s_c = Σ_t w_t v_c,cols[t] over rank lanes [c0, c0 + 4·NB) (`vr`, `num`
-// and `u` offset to c0): stored as num, or with kUpdate the denominator of
-// u ← u · (num / max(ε, s)). Every accumulator stays in a register across
-// t.
+// Rank entries whose denominator (or numerator) chains one pass over t
+// holds in registers; a larger rank is split into near-equal blocks of at
+// most this many, so no block is too narrow to hide the add latency.
+constexpr Index kFoldInRankBlock = 8;
+
+// s_c = Σ_t w_t v_c,t for rank entries [c0, c0 + NB) of every lane, each
+// chain in a register across t (w is x for the numerator, r for the
+// denominators): stored as num, or with kUpdate the denominator of
+// u_c ← u_c · (num_c / max(ε, s_c)), blended into the live lanes only.
 template <int NB, bool kUpdate>
-__attribute__((target("avx2"))) void FoldInRankPassAvx2(
-    Index nt, Index kp, const double* vr, const double* w, double* num,
-    double* u, __m256d eps) {
+__attribute__((target("avx2"))) void FoldInRankLanesAvx2(
+    Index nt, Index k, Index c0, const FoldInLanes& w, const double* wl,
+    __m256d eps, __m256d live) {
   __m256d acc[NB];
   #pragma GCC unroll 8
   for (int b = 0; b < NB; ++b) acc[b] = _mm256_setzero_pd();
+  const double* v = w.v + kLaneWidth * c0;
   for (Index t = 0; t < nt; ++t) {
-    const __m256d wt = _mm256_broadcast_sd(w + t);
-    const double* vt = vr + t * kp;
+    const __m256d wt = _mm256_loadu_pd(wl + kLaneWidth * t);
+    const double* vt = v + kLaneWidth * t * k;
     #pragma GCC unroll 8
     for (int b = 0; b < NB; ++b) {
       acc[b] = _mm256_add_pd(
@@ -908,143 +920,179 @@ __attribute__((target("avx2"))) void FoldInRankPassAvx2(
   }
   #pragma GCC unroll 8
   for (int b = 0; b < NB; ++b) {
+    double* u = w.u + kLaneWidth * (c0 + b);
+    double* num = w.num + kLaneWidth * (c0 + b);
     if (kUpdate) {
-      const __m256d ub = _mm256_loadu_pd(u + b * kLaneWidth);
-      const __m256d nb = _mm256_loadu_pd(num + b * kLaneWidth);
+      const __m256d ub = _mm256_loadu_pd(u);
       // max(ε, den) is std::max(den, ε): den unless den < ε.
-      _mm256_storeu_pd(u + b * kLaneWidth,
-                       _mm256_mul_pd(ub, _mm256_div_pd(
-                                             nb, _mm256_max_pd(eps, acc[b]))));
+      const __m256d next = _mm256_mul_pd(
+          ub, _mm256_div_pd(_mm256_loadu_pd(num), _mm256_max_pd(eps, acc[b])));
+      _mm256_storeu_pd(u, _mm256_blendv_pd(ub, next, live));
     } else {
-      _mm256_storeu_pd(num + b * kLaneWidth, acc[b]);
+      _mm256_storeu_pd(num, acc[b]);
     }
   }
 }
 
 template <bool kUpdate>
-__attribute__((target("avx2"))) void FoldInRankAvx2(
-    Index k, const FoldInRow& row, const double* w,
-    const FoldInWork& work, __m256d eps) {
-  const Index kp = PaddedWidth(k);
-  // Passes of up to four registers (16 rank lanes).
-  for (Index c0 = 0; c0 < kp; c0 += 4 * kLaneWidth) {
-    const double* vr = row.v_rows + c0;
-    double* num = work.num + c0;
-    double* u = work.u + c0;
-    switch (std::min<Index>(4, (kp - c0) / kLaneWidth)) {
-      case 1: FoldInRankPassAvx2<1, kUpdate>(row.nt, kp, vr, w, num, u, eps); break;
-      case 2: FoldInRankPassAvx2<2, kUpdate>(row.nt, kp, vr, w, num, u, eps); break;
-      case 3: FoldInRankPassAvx2<3, kUpdate>(row.nt, kp, vr, w, num, u, eps); break;
-      default: FoldInRankPassAvx2<4, kUpdate>(row.nt, kp, vr, w, num, u, eps); break;
+__attribute__((target("avx2"))) void FoldInRankAvx2(Index nt, Index k,
+                                                   const FoldInLanes& w,
+                                                   const double* wl,
+                                                   __m256d eps,
+                                                   __m256d live) {
+  const Index blocks = (k + kFoldInRankBlock - 1) / kFoldInRankBlock;
+  Index c0 = 0;
+  for (Index b = 0; b < blocks; ++b) {
+    const Index nb = (k - c0) / (blocks - b);
+    switch (nb) {
+      case 1: FoldInRankLanesAvx2<1, kUpdate>(nt, k, c0, w, wl, eps, live); break;
+      case 2: FoldInRankLanesAvx2<2, kUpdate>(nt, k, c0, w, wl, eps, live); break;
+      case 3: FoldInRankLanesAvx2<3, kUpdate>(nt, k, c0, w, wl, eps, live); break;
+      case 4: FoldInRankLanesAvx2<4, kUpdate>(nt, k, c0, w, wl, eps, live); break;
+      case 5: FoldInRankLanesAvx2<5, kUpdate>(nt, k, c0, w, wl, eps, live); break;
+      case 6: FoldInRankLanesAvx2<6, kUpdate>(nt, k, c0, w, wl, eps, live); break;
+      case 7: FoldInRankLanesAvx2<7, kUpdate>(nt, k, c0, w, wl, eps, live); break;
+      default: FoldInRankLanesAvx2<8, kUpdate>(nt, k, c0, w, wl, eps, live); break;
     }
+    c0 += nb;
   }
 }
 
-// r_t = Σ_c u_c v_c,cols[t] over column lanes [t0, t0 + 4·NB) (`vc` is
-// v_cols offset to t0), then (x_t − r_t)².
-template <int NB>
-__attribute__((target("avx2"))) void FoldInReconPassAvx2(
-    Index k, Index ntp, const double* vc, const double* u, const double* x,
-    double* recon, double* d2) {
-  __m256d acc[NB];
-  #pragma GCC unroll 8
-  for (int b = 0; b < NB; ++b) acc[b] = _mm256_setzero_pd();
-  for (Index c = 0; c < k; ++c) {
-    const __m256d uc = _mm256_broadcast_sd(u + c);
-    const double* vrow = vc + c * ntp;
-    #pragma GCC unroll 8
-    for (int b = 0; b < NB; ++b) {
-      acc[b] = _mm256_add_pd(
-          acc[b], _mm256_mul_pd(uc, _mm256_loadu_pd(vrow + b * kLaneWidth)));
-    }
-  }
-  #pragma GCC unroll 8
-  for (int b = 0; b < NB; ++b) {
-    _mm256_storeu_pd(recon + b * kLaneWidth, acc[b]);
-    const __m256d d =
-        _mm256_sub_pd(_mm256_loadu_pd(x + b * kLaneWidth), acc[b]);
-    _mm256_storeu_pd(d2 + b * kLaneWidth, _mm256_mul_pd(d, d));
-  }
+// Lanes whose row has more than t observed columns.
+__attribute__((target("avx2"))) inline __m256d LanesBelow(__m256i nt_lanes,
+                                                         Index t) {
+  return _mm256_castsi256_pd(_mm256_cmpgt_epi64(
+      nt_lanes, _mm256_set1_epi64x(static_cast<long long>(t))));
 }
 
-__attribute__((target("avx2"))) void FoldInReconAvx2(Index k,
-                                                    const FoldInRow& row,
-                                                    const FoldInWork& w) {
-  const Index ntp = PaddedWidth(row.nt);
-  for (Index t0 = 0; t0 < ntp; t0 += 4 * kLaneWidth) {
-    const double* vc = row.v_cols + t0;
-    switch (std::min<Index>(4, (ntp - t0) / kLaneWidth)) {
-      case 1: FoldInReconPassAvx2<1>(k, ntp, vc, w.u, w.x + t0, w.recon + t0, w.d2 + t0); break;
-      case 2: FoldInReconPassAvx2<2>(k, ntp, vc, w.u, w.x + t0, w.recon + t0, w.d2 + t0); break;
-      case 3: FoldInReconPassAvx2<3>(k, ntp, vc, w.u, w.x + t0, w.recon + t0, w.d2 + t0); break;
-      default: FoldInReconPassAvx2<4>(k, ntp, vc, w.u, w.x + t0, w.recon + t0, w.d2 + t0); break;
+// r_t = Σ_c u_c v_c,t of every lane, stored, and err = Σ_t (x_t − r_t)²
+// ascending in t from +0.0. Four t run at a time, their chains
+// interleaved. From t = nt_min on some lane is past its own nt: there r_t
+// is masked to +0.0, so its (x_t − r_t)² = +0.0 and r_t v_c,t = +0.0 add
+// nothing to err or to a denominator whatever u holds.
+__attribute__((target("avx2"))) __m256d FoldInReconLanesAvx2(
+    Index nt_min, Index nt, Index k, const FoldInLanes& w,
+    __m256i nt_lanes) {
+  const Index row = kLaneWidth * k;  // one t of the packed V
+  __m256d err = _mm256_setzero_pd();
+  Index t = 0;
+  for (; t + 4 <= nt; t += 4) {
+    const double* v = w.v + t * row;
+    __m256d r0 = _mm256_setzero_pd(), r1 = _mm256_setzero_pd();
+    __m256d r2 = _mm256_setzero_pd(), r3 = _mm256_setzero_pd();
+    for (Index c = 0; c < k; ++c) {
+      const __m256d uc = _mm256_loadu_pd(w.u + kLaneWidth * c);
+      const double* vc = v + kLaneWidth * c;
+      r0 = _mm256_add_pd(r0, _mm256_mul_pd(uc, _mm256_loadu_pd(vc)));
+      r1 = _mm256_add_pd(r1, _mm256_mul_pd(uc, _mm256_loadu_pd(vc + row)));
+      r2 = _mm256_add_pd(r2,
+                         _mm256_mul_pd(uc, _mm256_loadu_pd(vc + 2 * row)));
+      r3 = _mm256_add_pd(r3,
+                         _mm256_mul_pd(uc, _mm256_loadu_pd(vc + 3 * row)));
     }
+    if (t + 4 > nt_min) {
+      r0 = _mm256_and_pd(r0, LanesBelow(nt_lanes, t));
+      r1 = _mm256_and_pd(r1, LanesBelow(nt_lanes, t + 1));
+      r2 = _mm256_and_pd(r2, LanesBelow(nt_lanes, t + 2));
+      r3 = _mm256_and_pd(r3, LanesBelow(nt_lanes, t + 3));
+    }
+    double* r = w.r + kLaneWidth * t;
+    const double* x = w.x + kLaneWidth * t;
+    _mm256_storeu_pd(r, r0);
+    _mm256_storeu_pd(r + 4, r1);
+    _mm256_storeu_pd(r + 8, r2);
+    _mm256_storeu_pd(r + 12, r3);
+    const __m256d d0 = _mm256_sub_pd(_mm256_loadu_pd(x), r0);
+    const __m256d d1 = _mm256_sub_pd(_mm256_loadu_pd(x + 4), r1);
+    const __m256d d2 = _mm256_sub_pd(_mm256_loadu_pd(x + 8), r2);
+    const __m256d d3 = _mm256_sub_pd(_mm256_loadu_pd(x + 12), r3);
+    err = _mm256_add_pd(err, _mm256_mul_pd(d0, d0));
+    err = _mm256_add_pd(err, _mm256_mul_pd(d1, d1));
+    err = _mm256_add_pd(err, _mm256_mul_pd(d2, d2));
+    err = _mm256_add_pd(err, _mm256_mul_pd(d3, d3));
   }
+  for (; t < nt; ++t) {
+    const double* v = w.v + t * row;
+    __m256d r0 = _mm256_setzero_pd();
+    for (Index c = 0; c < k; ++c) {
+      r0 = _mm256_add_pd(
+          r0, _mm256_mul_pd(_mm256_loadu_pd(w.u + kLaneWidth * c),
+                            _mm256_loadu_pd(v + kLaneWidth * c)));
+    }
+    if (t >= nt_min) r0 = _mm256_and_pd(r0, LanesBelow(nt_lanes, t));
+    _mm256_storeu_pd(w.r + kLaneWidth * t, r0);
+    const __m256d d0 =
+        _mm256_sub_pd(_mm256_loadu_pd(w.x + kLaneWidth * t), r0);
+    err = _mm256_add_pd(err, _mm256_mul_pd(d0, d0));
+  }
+  return err;
 }
 
-// Rows solved together, interleaved.
-constexpr Index kFoldInGroup = 4;
-
-// Up to kFoldInGroup rows, interleaved pass by pass: every live row's r_t,
-// then every live row's err and stopping test, then every live row's
-// update, so the out-of-order core overlaps the rows' dependent chains.
+// Up to kLaneWidth rows, a row per lane: packed once, then every iteration
+// runs r_t and err, the stop test, the denominators and the blended update
+// for all of them as one instruction stream until no lane is live.
 __attribute__((target("avx2"))) void FoldInGroupAvx2(const FoldInSolve& s,
                                                     FoldInRow* rows,
-                                                    Index count) {
+                                                    Index count,
+                                                    double* work) {
   const Index k = s.k;
-  const __m256d eps = _mm256_set1_pd(s.div_eps);
-  FoldInWork work[kFoldInGroup] = {};
-  double prev_err[kFoldInGroup] = {};
-  bool live[kFoldInGroup] = {};
+  Index nt = 0, nt_min = 0;
+  long long nts[kLaneWidth] = {};
   for (Index q = 0; q < count; ++q) {
-    FoldInRow& row = rows[q];
-    const FoldInWork w = FoldInWorkOf(row, k);
-    work[q] = w;
-    const Index kp = PaddedWidth(k), ntp = PaddedWidth(row.nt);
-    std::copy(row.u, row.u + k, w.u);
-    std::fill(w.u + k, w.u + kp, 0.0);
-    for (Index t = 0; t < row.nt; ++t) w.x[t] = row.x[row.cols[t]];
-    std::fill(w.x + row.nt, w.x + ntp, 0.0);
-    FoldInRankAvx2<false>(k, row, w.x, w, eps);
-    prev_err[q] = std::numeric_limits<double>::infinity();
-    live[q] = true;
-    row.iterations = 0;
+    nts[q] = rows[q].nt;
+    nt = std::max(nt, rows[q].nt);
+    nt_min = q == 0 ? rows[q].nt : std::min(nt_min, rows[q].nt);
   }
-  for (int iter = 0; iter < s.max_iterations; ++iter) {
-    for (Index q = 0; q < count; ++q) {
-      if (live[q]) FoldInReconAvx2(k, rows[q], work[q]);
-    }
-    bool any = false;
-    for (Index q = 0; q < count; ++q) {
-      if (!live[q]) continue;
-      const double* d2 = work[q].d2;
-      double err = 0.0;
-      for (Index t = 0; t < rows[q].nt; ++t) err += d2[t];
-      if (prev_err[q] - err <
-          s.tolerance * std::max(prev_err[q], 1e-300)) {
-        live[q] = false;
-        continue;
+  const FoldInLanes w = FoldInLanesOf(work, k, nt);
+  std::fill(w.v, w.num + kLaneWidth * k, 0.0);
+  for (Index q = 0; q < count; ++q) {
+    const FoldInRow& row = rows[q];
+    const Index ntp = PaddedWidth(row.nt);
+    for (Index t = 0; t < row.nt; ++t) {
+      w.x[kLaneWidth * t + q] = row.x[row.cols[t]];
+      for (Index c = 0; c < k; ++c) {
+        w.v[kLaneWidth * (t * k + c) + q] = row.v_cols[c * ntp + t];
       }
-      prev_err[q] = err;
-      ++rows[q].iterations;
-      any = true;
     }
-    if (!any) break;
-    for (Index q = 0; q < count; ++q) {
-      if (!live[q]) continue;
-      FoldInRankAvx2<true>(k, rows[q], work[q].recon, work[q], eps);
-    }
+    for (Index c = 0; c < k; ++c) w.u[kLaneWidth * c + q] = row.u[c];
   }
+  const __m256i nt_lanes = _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(nts));
+  const __m256d eps = _mm256_set1_pd(s.div_eps);
+  __m256d live =
+      _mm256_castsi256_pd(FirstLanes(static_cast<Index>(count)));
+  FoldInRankAvx2<false>(nt, k, w, w.x, eps, live);
+  const __m256d tol = _mm256_set1_pd(s.tolerance);
+  const __m256d tiny = _mm256_set1_pd(1e-300);
+  __m256d prev = _mm256_set1_pd(std::numeric_limits<double>::infinity());
+  __m256i iterations = _mm256_setzero_si256();
+  for (int iter = 0; iter < s.max_iterations; ++iter) {
+    const __m256d err = FoldInReconLanesAvx2(nt_min, nt, k, w, nt_lanes);
+    // prev − err < tol · max(prev, 1e-300), std::max's operand order.
+    const __m256d stop = _mm256_cmp_pd(
+        _mm256_sub_pd(prev, err),
+        _mm256_mul_pd(tol, _mm256_max_pd(tiny, prev)), _CMP_LT_OQ);
+    live = _mm256_andnot_pd(stop, live);
+    if (_mm256_movemask_pd(live) == 0) break;
+    prev = _mm256_blendv_pd(prev, err, live);
+    // A live lane's mask is all ones: −1 as an integer.
+    iterations = _mm256_sub_epi64(iterations, _mm256_castpd_si256(live));
+    FoldInRankAvx2<true>(nt, k, w, w.r, eps, live);
+  }
+  long long counts[kLaneWidth];
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(counts), iterations);
   for (Index q = 0; q < count; ++q) {
-    std::copy(work[q].u, work[q].u + k, rows[q].u);
+    for (Index c = 0; c < k; ++c) rows[q].u[c] = w.u[kLaneWidth * c + q];
+    rows[q].iterations = static_cast<int>(counts[q]);
   }
 }
 
 __attribute__((target("avx2"))) void FoldInRowsAvx2(const FoldInSolve& s,
                                                    FoldInRow* rows,
-                                                   Index count) {
-  for (Index q0 = 0; q0 < count; q0 += kFoldInGroup) {
-    FoldInGroupAvx2(s, rows + q0, std::min(kFoldInGroup, count - q0));
+                                                   Index count,
+                                                   double* work) {
+  for (Index q0 = 0; q0 < count; q0 += kLaneWidth) {
+    FoldInGroupAvx2(s, rows + q0, std::min(kLaneWidth, count - q0), work);
   }
 }
 

@@ -7,15 +7,16 @@
 // or its gradient step over a range of rows), v_step_cols (Formula 14 or
 // its gradient step over a range of columns) and uv_row_pair (two rows of
 // U V with every accumulator in registers), and the serving kernel
-// fold_in_rows (the per-row fold-in solve of core::FoldIn).
+// fold_in_rows (the fold-in solve of core::FoldIn, a row per vector lane).
 //
 // DETERMINISM CONTRACT. Every tier (scalar, AVX2, NEON) computes every
 // output element with the IDENTICAL sequence of IEEE-754 operations: the
 // same ascending-k mul-then-add chain the serial code has always used.
 // Vectorization happens ONLY across independent output elements (a vector
-// lane per output column, per rank entry of an output row or column, or
-// per cell), never within one element's reduction — no horizontal sums,
-// no FMA contraction (the build pins -ffp-contract=off), no reassociation.
+// lane per output column, per rank entry of an output row or column, per
+// cell, or per fresh row of a fold-in solve), never within one element's
+// reduction — no horizontal sums, no FMA contraction (the build pins
+// -ffp-contract=off), no reassociation.
 // SIMD-on, SIMD-off, and any thread count therefore produce byte-identical
 // results; tests/simd_kernel_test.cc and tests/kernel_equivalence_test.cc
 // enforce this bit for bit.
@@ -169,18 +170,16 @@ struct VStep {
 //   num_c = Σ_t x_t v_ct, then per iteration r_t = Σ_c u_c v_ct,
 //   err = Σ_t (x_t − r_t)², a stop when prev − err < tol · max(prev,
 //   1e-300), else u_c ← u_c · (num_c / max(Σ_t r_t v_ct, ε)),
-// with x_t = x[cols[t]]. V's observed columns come packed in both layouts
-// (once per observed-column pattern, shared by the pattern's rows).
+// with x_t = x[cols[t]]. V's observed columns come packed (once per
+// observed-column pattern, shared by the pattern's rows).
 struct FoldInRow {
   Index nt = 0;                    // usable observed columns, >= 1
   const Index* cols = nullptr;     // ascending
   const double* x = nullptr;       // the batch row; only x[cols[t]] is read
-  // k × PaddedWidth(nt): v_cols[c · PaddedWidth(nt) + t] = v_c,cols[t].
+  // k × PaddedWidth(nt), zero padded: v_cols[c · PaddedWidth(nt) + t] =
+  // v_c,cols[t].
   const double* v_cols = nullptr;
-  // nt × PaddedWidth(k): v_rows[t · PaddedWidth(k) + c] = v_c,cols[t].
-  const double* v_rows = nullptr;  // both zero padded
   double* u = nullptr;             // k entries: the start in, the solve out
-  double* work = nullptr;          // FoldInWorkSize(k, nt) doubles
   int iterations = 0;              // out: multiplicative updates applied
 };
 
@@ -192,9 +191,11 @@ struct FoldInSolve {
   double div_eps = 0.0;            // the denominator floor ε
 };
 
-// Doubles of work space one FoldInRow needs.
+// Doubles of work space one fold_in_rows call needs when its widest row
+// has nt observed columns: the rows of a lane group (kLaneWidth of them)
+// packed lane-interleaved — their V columns, x_t, r_t, u and num.
 [[nodiscard]] constexpr Index FoldInWorkSize(Index k, Index nt) {
-  return 2 * PaddedWidth(k) + 3 * PaddedWidth(nt);
+  return kLaneWidth * (nt * k + 2 * nt + 2 * k);
 }
 
 // One dispatch table. Every function preserves the exact scalar
@@ -275,14 +276,21 @@ struct Kernels {
                       const double* u1, bool skip_zeros, double* r0,
                       double* r1);
 
-  // The fold-in solve of rows[0 .. count) (see FoldInRow), each row's
-  // chains those of the plain per-row loop: num_c, r_t and the
-  // denominators ascending in t or c from +0.0, err ascending in t,
-  // mul then add, and std::max(den, ε) before the divide. Vector lanes are
-  // the row's observed columns for r_t and its rank entries for num_c, the
-  // denominators and the update. Rows are solved four at a time,
-  // interleaved pass by pass, and each stops on its own.
-  void (*fold_in_rows)(const FoldInSolve& s, FoldInRow* rows, Index count);
+  // The fold-in solve of rows[0 .. count) (see FoldInRow), with `work`
+  // holding FoldInWorkSize(k, the widest row's nt) doubles. Each row's
+  // chains are those of the plain per-row loop: num_c, r_t and the
+  // denominators ascending in t or c from +0.0, err ascending in t, mul
+  // then add, and std::max(den, ε) before the divide. On AVX2 the vector
+  // lanes are ROWS: each group of four rows is packed lane-interleaved
+  // once (V's observed columns, x_t and u, zero past each row's own nt),
+  // and one instruction stream runs r_t, err, the stop test, the
+  // denominators and the update for all four, the update blended by a
+  // live-lane mask and the iterations counted per lane. A lane's padded
+  // t comes last in each of its chains and adds an exact +0.0 (its r_t
+  // is masked to +0.0) to a sum that starts at +0.0 and so never holds
+  // −0.0: every lane keeps its row's scalar bits and stopping iteration.
+  void (*fold_in_rows)(const FoldInSolve& s, FoldInRow* rows, Index count,
+                       double* work);
 
   // Measured dense/per-cell crossover of every masked reconstruction —
   // the row pass and data::MaskedReconstruct* — and of

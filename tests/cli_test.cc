@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include "src/cli/commands.h"
+#include "src/common/rng.h"
+#include "src/common/telemetry.h"
 #include "src/data/csv.h"
 #include "src/data/generators.h"
 #include "src/data/inject.h"
@@ -376,6 +381,176 @@ TEST(CliTest, UsageListsAllMethods) {
   EXPECT_NE(usage.find("fit"), std::string::npos);
   EXPECT_NE(usage.find("HoloClean"), std::string::npos);
   EXPECT_NE(usage.find("kNNE"), std::string::npos);
+}
+
+// Writes `table` with every value at %.17g (and the cells outside
+// `observed` empty): full-precision input no writer of the library rounds.
+void WriteFullPrecisionCsv(const std::string& path, const data::Table& table,
+                           const Mask& observed) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  const auto& names = table.column_names();
+  for (size_t j = 0; j < names.size(); ++j) out << (j ? "," : "") << names[j];
+  out << "\n";
+  char cell[40];
+  for (Index i = 0; i < table.NumRows(); ++i) {
+    for (Index j = 0; j < table.NumCols(); ++j) {
+      if (j > 0) out << ",";
+      if (!observed.Contains(i, j)) continue;
+      std::snprintf(cell, sizeof(cell), "%.17g", table.values()(i, j));
+      out << cell;
+    }
+    out << "\n";
+  }
+}
+
+// A Lake-like table whose every value carries 16–17 significant digits.
+data::Table FullPrecisionTable(Index rows, uint64_t seed) {
+  auto dataset = data::MakeLakeLike(rows, seed);
+  SMFL_CHECK(dataset.ok());
+  Matrix values = dataset->table.values();
+  Rng rng(seed + 1);
+  for (Index i = 0; i < values.size(); ++i) {
+    values.data()[i] *= 1.0 + 1e-9 * rng.Uniform(0.1, 1.0);
+  }
+  auto table = data::Table::Create(dataset->table.column_names(), values, 2);
+  SMFL_CHECK(table.ok());
+  return std::move(table).value();
+}
+
+// Counts the cells in `cells` whose value in the CSV at `out_path` is the
+// identical double of `in`'s.
+Index ExactCells(const std::string& out_path, const data::Table& in,
+                 const Mask& cells) {
+  data::CsvReadOptions read_options;
+  auto out = data::ReadCsv(out_path, read_options);
+  SMFL_CHECK(out.ok());
+  SMFL_CHECK(out->table.NumRows() == in.NumRows());
+  Index exact = 0;
+  for (Index i = 0; i < in.NumRows(); ++i) {
+    for (Index j = 0; j < in.NumCols(); ++j) {
+      if (!cells.Contains(i, j)) continue;
+      if (std::bit_cast<uint64_t>(out->table.values()(i, j)) ==
+          std::bit_cast<uint64_t>(in.values()(i, j))) {
+        ++exact;
+      }
+    }
+  }
+  return exact;
+}
+
+// impute, apply and repair write the cells they keep from their input —
+// observed cells, clean cells — back as the identical double, even when it
+// needs 17 significant digits (the %.12g the filled-in cells get would
+// round them).
+TEST(CliTest, KeptCellsRoundTripExactly) {
+  const data::Table table = FullPrecisionTable(120, 41);
+  Mask observed = Mask::AllSet(table.NumRows(), table.NumCols());
+  Rng rng(43);
+  for (Index i = 0; i < table.NumRows(); ++i) {
+    for (Index j = 2; j < table.NumCols(); ++j) {
+      if (i >= 10 && rng.Bernoulli(0.15)) observed.Set(i, j, false);
+    }
+  }
+  const std::string in_path = TempPath("smfl_cli_exact_in.csv");
+  const std::string out_path = TempPath("smfl_cli_exact_out.csv");
+  const std::string model_path = TempPath("smfl_cli_exact_model.txt");
+  WriteFullPrecisionCsv(in_path, table, observed);
+  const Index kept = observed.Count();
+
+  std::string output;
+  Status status = ::smfl::cli::Run(
+      MakeFlags({"impute", "--in=" + in_path, "--out=" + out_path}), &output);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(ExactCells(out_path, table, observed), kept);
+
+  const std::string train_path = TempPath("smfl_cli_exact_train.csv");
+  WriteFullPrecisionCsv(train_path, FullPrecisionTable(150, 47),
+                        Mask::AllSet(150, table.NumCols()));
+  status = ::smfl::cli::Run(
+      MakeFlags({"fit", "--in=" + train_path, "--model=" + model_path,
+                 "--rank=5"}),
+      &output);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  status = ::smfl::cli::Run(
+      MakeFlags({"apply", "--in=" + in_path, "--model=" + model_path,
+                 "--out=" + out_path}),
+      &output);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(ExactCells(out_path, table, observed), kept);
+
+  // repair: a complete table; every cell it does not flag is clean.
+  const Mask all = Mask::AllSet(table.NumRows(), table.NumCols());
+  WriteFullPrecisionCsv(in_path, table, all);
+  output.clear();
+  status = ::smfl::cli::Run(
+      MakeFlags({"repair", "--in=" + in_path, "--out=" + out_path}), &output);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  long long flagged = 0;
+  const size_t at = output.find("flagged ");
+  if (at != std::string::npos) flagged = std::atoll(output.c_str() + at + 8);
+  EXPECT_GE(ExactCells(out_path, table, all), all.Count() - flagged)
+      << output;
+  EXPECT_LT(flagged, all.Count() / 2) << output;
+
+  // A complete table written back unchanged keeps every cell.
+  status = ::smfl::cli::Run(
+      MakeFlags({"impute", "--in=" + in_path, "--out=" + out_path}), &output);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(ExactCells(out_path, table, all), all.Count());
+  for (const std::string& p : {in_path, out_path, model_path, train_path}) {
+    std::remove(p.c_str());
+  }
+}
+
+std::string ReadFileText(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// `--trace-out` of smfl impute and smfl apply holds a span for every stage
+// of the command under its root span (docs/observability.md).
+TEST(CliTest, TraceHoldsEveryStageSpan) {
+  Fixture f = WriteIncompleteCsv("smfl_cli_trace_in.csv", 100, 0.15, 51);
+  const std::string out_path = TempPath("smfl_cli_trace_out.csv");
+  const std::string trace_path = TempPath("smfl_cli_trace.json");
+  const std::string model_path = TempPath("smfl_cli_trace_model.txt");
+  const auto expect_spans = [&](const std::vector<std::string>& args,
+                                const std::vector<std::string>& spans) {
+    telemetry::TraceRecorder::Global().Clear();
+    std::vector<std::string> all = args;
+    all.push_back("--trace-out=" + trace_path);
+    std::string output;
+    Status status = ::smfl::cli::Run(MakeFlags(all), &output);
+    telemetry::SetEnabled(false);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    const std::string trace = ReadFileText(trace_path);
+    for (const std::string& span : spans) {
+      EXPECT_NE(trace.find("\"name\":\"" + span + "\",\"cat\":\"smfl\",\"ph\":\"X\""),
+                std::string::npos)
+          << args[0] << " trace lacks " << span;
+    }
+  };
+  expect_spans({"impute", "--in=" + f.path, "--out=" + out_path},
+               {"cli.impute", "data.read_csv", "cli.normalize", "smfl.graph",
+                "smfl.fit", "smfl.fit.init", "smfl.fit.iter",
+                "smfl.reconstruct", "cli.reconstruct", "data.write_csv"});
+  std::string output;
+  ASSERT_TRUE(::smfl::cli::Run(MakeFlags({"fit", "--in=" + f.path,
+                                          "--model=" + model_path,
+                                          "--rank=5"}),
+                               &output)
+                  .ok());
+  expect_spans({"apply", "--in=" + f.path, "--model=" + model_path,
+                "--out=" + out_path},
+               {"cli.apply", "core.load_model", "data.read_csv",
+                "cli.normalize", "foldin.batch", "cli.reconstruct",
+                "data.write_csv"});
+  telemetry::TraceRecorder::Global().Clear();
+  for (const std::string& p : {f.path, out_path, trace_path, model_path}) {
+    std::remove(p.c_str());
+  }
 }
 
 }  // namespace

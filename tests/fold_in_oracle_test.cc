@@ -17,9 +17,12 @@
 // FoldInRow must reproduce the oracle's outputs, per-row iteration counts
 // and serving tiers bit for bit at every thread count and SIMD tier. The
 // batch puts rows that stop on the tolerance at different iterations into
-// one 4-row solve chunk, and covers the column-mean and uniform-u tiers, a
-// denominator below ε, dropped cells, shared patterns and single-column
-// rows.
+// one solve call (FoldIn solves rows four at a time in pattern order), and
+// covers the column-mean and uniform-u tiers, a denominator below ε,
+// dropped cells, shared patterns and single-column rows. A second batch
+// holds patterns of many widths, a few rows each, among column-mean rows,
+// so most of its solve calls mix widths and the vector tier's lanes (a row
+// each) run padded terms past the narrower rows' last column.
 
 #include <gtest/gtest.h>
 
@@ -46,9 +49,9 @@ using data::Mask;
 constexpr Index kCols = 11;
 constexpr Index kSpatial = 2;
 constexpr Index kTrainRows = 30;
-// Ranks: a single lane (1), one partial 4-lane register (3), two full
-// registers plus a tail (10) and more than one 16-lane pass (17).
-constexpr Index kRanks[] = {1, 3, 10, 17};
+// Ranks: 1, 3, 10 and 17, and 33 — beyond one block of denominators the
+// vector tier holds in registers.
+constexpr Index kRanks[] = {1, 3, 10, 17, 33};
 
 struct OracleRow {
   std::vector<double> out;
@@ -210,16 +213,15 @@ void SetUniformRow(const SmflModel& model, double s, Index i, Matrix& x,
   }
 }
 
-// The serving batch (see the file comment). Rows 0–3 are the first 4-row
-// solve chunk: rows that stop on the tolerance at different iterations
-// next to one that keeps iterating.
+// The serving batch (see the file comment). Rows 0 and 1 share a pattern
+// and so a solve call, beside rows that keep iterating.
 void MakeBatch(const SmflModel& model, uint64_t seed, Matrix& x,
                Mask& observed) {
   constexpr Index kRows = 38;
   Rng rng(seed);
   x = Matrix(kRows, kCols);
   observed = Mask(kRows, kCols);
-  // Chunk 0: rows 0 and 1 are exact at the start (stop at iteration 1)
+  // Rows 0–3: rows 0 and 1 are exact at the start (stop at iteration 1)
   // and after one rescaling step (stop at 2); row 2 observes one column,
   // which one step fits exactly; row 3 is a full row that runs on.
   SetUniformRow(model, 1.0, 0, x, observed);
@@ -230,7 +232,7 @@ void MakeBatch(const SmflModel& model, uint64_t seed, Matrix& x,
     x(3, j) = rng.Uniform(0.0, 1.0);
     observed.Set(3, j, true);
   }
-  // Chunk 1: row 4 has nothing observed (column-mean); row 5 misses its
+  // Rows 4–7: row 4 has nothing observed (column-mean); row 5 misses its
   // coordinates (uniform-u); row 6 observes only the columns where rank
   // entry 0 vanishes (denominator below ε, uniform-u); row 7 has a NaN and
   // a negative observed cell, dropped from its solve.
@@ -271,6 +273,30 @@ void MakeBatch(const SmflModel& model, uint64_t seed, Matrix& x,
       const bool seen = j < kSpatial ? i % 5 != 0 : rng.Bernoulli(0.7);
       x(i, j) = seen ? rng.Uniform(0.0, 1.0) : 0.0;
       observed.Set(i, j, seen);
+    }
+  }
+}
+
+// Observed-column widths of the mixed batch, cycled row by row.
+constexpr Index kMixedWidths[] = {11, 1, 6, 3, 9, 2, 11, 5};
+
+// A batch of patterns of many widths (see kMixedWidths), a few rows each;
+// every eighth row observes nothing (the column-mean tier), and every
+// third row misses its coordinates.
+void MakeMixedWidthBatch(uint64_t seed, Matrix& x, Mask& observed) {
+  constexpr Index kRows = 26;
+  Rng rng(seed);
+  x = Matrix(kRows, kCols);
+  observed = Mask(kRows, kCols);
+  for (Index i = 0; i < kRows; ++i) {
+    if (i % 8 == 5) continue;
+    const Index width = kMixedWidths[i % 8];
+    // `width` columns, starting at a row-dependent offset.
+    for (Index w = 0; w < width; ++w) {
+      const Index j = (i + w * 3) % kCols;
+      if (i % 3 == 2 && j < kSpatial) continue;
+      x(i, j) = rng.Uniform(0.0, 1.0);
+      observed.Set(i, j, true);
     }
   }
 }
@@ -352,6 +378,23 @@ TEST(FoldInOracleTest, BatchAndSingleRowMatchTheNaiveSolveBitwise) {
   }
 }
 
+TEST(FoldInOracleTest, MixedWidthBatchMatchesTheNaiveSolveBitwise) {
+  for (Index k : kRanks) {
+    const SmflModel model = MakeModel(k, 300 + static_cast<uint64_t>(k));
+    Matrix x;
+    Mask observed;
+    MakeMixedWidthBatch(400 + static_cast<uint64_t>(k), x, observed);
+    const std::string rank = "mixed K=" + std::to_string(k);
+    ExpectMatchesOracle(model, x, observed, FoldInOptions{}, rank);
+    ExpectMatchesOracle(model, x, observed, FoldInOptions{200, 1e-3},
+                        rank + " tol 1e-3");
+    ExpectMatchesOracle(model, x, observed, FoldInOptions{200, 0.0},
+                        rank + " tol 0");
+    ExpectMatchesOracle(model, x, observed, FoldInOptions{7, 1e-8},
+                        rank + " cap 7");
+  }
+}
+
 // The cases the oracle comparison relies on are really in the batch.
 TEST(FoldInOracleTest, BatchCoversTheEdgeCases) {
   for (Index k : kRanks) {
@@ -388,6 +431,43 @@ TEST(FoldInOracleTest, BatchCoversTheEdgeCases) {
     }
     EXPECT_LT(den, mf::kDivEps) << "K=" << k;
   }
+}
+
+// FoldIn's solve order (by width, then pattern in order of first
+// appearance, then row) cuts the mixed batch into 4-row calls most of
+// which mix widths, and the batch holds column-mean rows besides.
+TEST(FoldInOracleTest, MixedBatchSolveCallsMixWidths) {
+  Matrix x;
+  Mask observed;
+  MakeMixedWidthBatch(410, x, observed);
+  std::vector<std::vector<Index>> patterns;
+  std::vector<std::pair<size_t, size_t>> order;  // (width, pattern)
+  Index column_mean = 0;
+  for (Index i = 0; i < x.rows(); ++i) {
+    std::vector<Index> cols;
+    for (Index j = 0; j < x.cols(); ++j) {
+      if (observed.Contains(i, j)) cols.push_back(j);
+    }
+    if (cols.empty()) {
+      ++column_mean;
+      continue;
+    }
+    const auto it = std::find(patterns.begin(), patterns.end(), cols);
+    const auto pattern = static_cast<size_t>(it - patterns.begin());
+    if (it == patterns.end()) patterns.push_back(cols);
+    order.emplace_back(cols.size(), pattern);
+  }
+  std::stable_sort(order.begin(), order.end());
+  Index mixed_calls = 0, calls = 0;
+  for (size_t p0 = 0; p0 < order.size(); p0 += 4, ++calls) {
+    std::set<size_t> widths;
+    for (size_t p = p0; p < std::min(p0 + 4, order.size()); ++p) {
+      widths.insert(order[p].first);
+    }
+    if (widths.size() >= 2) ++mixed_calls;
+  }
+  EXPECT_GE(column_mean, 3);
+  EXPECT_GE(2 * mixed_calls, calls) << mixed_calls << " of " << calls;
 }
 
 }  // namespace

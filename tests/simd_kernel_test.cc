@@ -369,14 +369,80 @@ TEST(SimdKernelTest, RowPassSquaredErrorMatchesMaskedReconstructPacked) {
   }
 }
 
+// One fold_in_rows call on the given tier: row q folds x.Row(q) over V's
+// columns cols[q], starting from start.Row(q). Returns the solved u (row
+// after row) and fills the per-row iteration counts.
+std::vector<double> SolveFoldIn(int tier, const Matrix& v, const Matrix& x,
+                                const Matrix& start,
+                                const std::vector<std::vector<Index>>& cols,
+                                double tolerance, int max_iterations,
+                                std::vector<int>* iterations) {
+  const Index k = v.rows();
+  const auto count = static_cast<Index>(cols.size());
+  std::vector<std::vector<double>> v_cols(cols.size());
+  Index max_nt = 0;
+  for (Index q = 0; q < count; ++q) {
+    const auto& cq = cols[static_cast<size_t>(q)];
+    const auto nt = static_cast<Index>(cq.size());
+    const Index ntp = simd::PaddedWidth(nt);
+    max_nt = std::max(max_nt, nt);
+    v_cols[static_cast<size_t>(q)].assign(static_cast<size_t>(k * ntp), 0.0);
+    for (Index c = 0; c < k; ++c) {
+      for (Index t = 0; t < nt; ++t) {
+        v_cols[static_cast<size_t>(q)][static_cast<size_t>(c * ntp + t)] =
+            v(c, cq[static_cast<size_t>(t)]);
+      }
+    }
+  }
+  std::vector<double> u(start.data(), start.data() + count * k);
+  std::vector<double> work(
+      static_cast<size_t>(simd::FoldInWorkSize(k, max_nt)));
+  std::vector<simd::FoldInRow> rows(static_cast<size_t>(count));
+  for (Index q = 0; q < count; ++q) {
+    simd::FoldInRow& row = rows[static_cast<size_t>(q)];
+    row.nt = static_cast<Index>(cols[static_cast<size_t>(q)].size());
+    row.cols = cols[static_cast<size_t>(q)].data();
+    row.x = x.Row(q).data();
+    row.v_cols = v_cols[static_cast<size_t>(q)].data();
+    row.u = u.data() + q * k;
+  }
+  simd::FoldInSolve solve;
+  solve.k = k;
+  solve.max_iterations = max_iterations;
+  solve.tolerance = tolerance;
+  solve.div_eps = 1e-12;
+  simd::ScopedSimd scoped(tier);
+  simd::Active().fold_in_rows(solve, rows.data(), count, work.data());
+  iterations->clear();
+  for (const simd::FoldInRow& row : rows) iterations->push_back(row.iterations);
+  return u;
+}
+
+// x_j = Σ_c start_c v_cj at every column j of row q: a row its start
+// reproduces exactly, so its first update leaves u unchanged and, at a
+// positive tolerance, it stops on the first test after that update.
+void MakeExactRow(const Matrix& v, const Matrix& start, Index q, Matrix& x) {
+  for (Index j = 0; j < v.cols(); ++j) {
+    double acc = 0.0;
+    for (Index c = 0; c < v.rows(); ++c) acc += start(q, c) * v(c, j);
+    x(q, j) = acc;
+  }
+}
+
 // The fold-in solve on both tiers: five rows per call (a group of four
 // plus one), each with its own pattern of nt observed columns out of
 // nt + 2, so every row has its own packed V. Row 0 is exact at its start
 // (it stops on the tolerance at once), row 2's rank entry 0 vanishes on
 // its columns (a denominator below ε), and a loose tolerance makes the
-// rows stop at different iterations.
+// rows stop at different iterations. Then calls of 1–4 rows of different
+// widths (nt 1, 7, 16, 33 and 70): the vector tier solves a call's rows a
+// lane each, so its narrower rows run padded terms past their own nt,
+// next to lanes that stop after one update and lanes that run to the cap,
+// at ranks up to 33 (beyond one register block of denominators), and once
+// with an infinite start entry in the first row.
 TEST(SimdKernelTest, FoldInRowsMatchesScalarTier) {
   constexpr Index kRows = 5;
+  constexpr int kCap = 40;
   for (Index k = 1; k <= 17; ++k) {
     for (Index nt = 1; nt <= 33; ++nt) {
       const auto seed = static_cast<uint64_t>(k * 100 + nt);
@@ -392,8 +458,6 @@ TEST(SimdKernelTest, FoldInRowsMatchesScalarTier) {
       }
       Matrix x(kRows, m);
       std::vector<std::vector<Index>> cols(kRows);
-      std::vector<std::vector<double>> v_cols(kRows), v_rows(kRows);
-      const Index kp = simd::PaddedWidth(k), ntp = simd::PaddedWidth(nt);
       for (Index q = 0; q < kRows; ++q) {
         for (Index j = 0; j < m; ++j) {
           if (j != q % m && j != (q + 2) % m) cols[q].push_back(j);
@@ -404,69 +468,108 @@ TEST(SimdKernelTest, FoldInRowsMatchesScalarTier) {
         }
         for (Index j = 0; j < m; ++j) x(q, j) = rng.Uniform(0.0, 1.0);
       }
-      for (Index q = 0; q < kRows; ++q) {
-        v_cols[q].assign(static_cast<size_t>(k * ntp), 0.0);
-        v_rows[q].assign(static_cast<size_t>(nt * kp), 0.0);
-        for (Index c = 0; c < k; ++c) {
-          for (Index t = 0; t < nt; ++t) {
-            const double vct = v(c, cols[q][static_cast<size_t>(t)]);
-            v_cols[q][static_cast<size_t>(c * ntp + t)] = vct;
-            v_rows[q][static_cast<size_t>(t * kp + c)] = vct;
-          }
-        }
-      }
       // Row 0 reproduced exactly by its (positive) start.
-      for (Index j = 0; j < m; ++j) {
-        double acc = 0.0;
-        for (Index c = 0; c < k; ++c) acc += start(0, c) * v(c, j);
-        x(0, j) = acc;
-      }
+      MakeExactRow(v, start, 0, x);
       // At tolerance 0 a row stops on the first iteration whose error does
       // not fall, which turns on the last bits of err: a check on its
       // summation order.
       for (const double tolerance : {1e-8, 1e-3, 0.0}) {
-        auto run = [&](int tier, std::vector<int>* iterations) {
-          std::vector<double> u(start.data(), start.data() + start.size());
-          std::vector<double> work(static_cast<size_t>(
-              kRows * simd::FoldInWorkSize(k, nt)));
-          std::vector<simd::FoldInRow> rows(kRows);
-          for (Index q = 0; q < kRows; ++q) {
-            simd::FoldInRow& row = rows[static_cast<size_t>(q)];
-            row.nt = nt;
-            row.cols = cols[q].data();
-            row.x = x.Row(q).data();
-            row.v_cols = v_cols[q].data();
-            row.v_rows = v_rows[q].data();
-            row.u = u.data() + q * k;
-            row.work = work.data() + q * simd::FoldInWorkSize(k, nt);
-          }
-          simd::FoldInSolve solve;
-          solve.k = k;
-          solve.max_iterations = 40;
-          solve.tolerance = tolerance;
-          solve.div_eps = 1e-12;
-          simd::ScopedSimd scoped(tier);
-          simd::Active().fold_in_rows(solve, rows.data(), kRows);
-          iterations->clear();
-          for (const simd::FoldInRow& row : rows) {
-            iterations->push_back(row.iterations);
-          }
-          return u;
-        };
         std::vector<int> it_vec, it_sca;
-        const std::vector<double> u_vec = run(1, &it_vec);
-        const std::vector<double> u_sca = run(0, &it_sca);
+        const std::vector<double> u_vec =
+            SolveFoldIn(1, v, x, start, cols, tolerance, kCap, &it_vec);
+        const std::vector<double> u_sca =
+            SolveFoldIn(0, v, x, start, cols, tolerance, kCap, &it_sca);
         const std::string label = "fold_in_rows k=" + std::to_string(k) +
                                   " nt=" + std::to_string(nt) +
                                   " tol=" + std::to_string(tolerance);
         ASSERT_EQ(it_vec, it_sca) << label;
         if (tolerance > 0.0) {
-          ASSERT_LT(it_sca[0], 40) << label;
+          ASSERT_LT(it_sca[0], kCap) << label;
         }
         ExpectSameBits(u_vec, u_sca, label);
       }
     }
   }
+
+  // Calls whose rows have different widths, as index lists into kWidths.
+  constexpr Index kM = 80;
+  const Index kWidths[] = {1, 7, 16, 33, 70};
+  const std::vector<std::vector<int>> kCalls = {
+      {0, 1, 2, 3}, {4, 0, 3}, {2, 4}, {1}, {3, 2, 1, 0, 4}, {4, 4, 0, 1}};
+  bool saw_one_update_beside_cap = false;
+  for (Index k : {1, 2, 3, 4, 5, 8, 9, 10, 16, 17, 33}) {
+    for (size_t call = 0; call < kCalls.size(); ++call) {
+      const auto seed = static_cast<uint64_t>(k * 1000 + call);
+      Rng rng(seed);
+      Matrix v = RandomMatrix(k, kM, seed + 1);
+      for (Index i = 0; i < v.size(); ++i) {
+        v.data()[i] = std::fabs(v.data()[i]) + 0.01;
+      }
+      const auto count = static_cast<Index>(kCalls[call].size());
+      Matrix start = RandomMatrix(count, k, seed + 2);
+      for (Index i = 0; i < start.size(); ++i) {
+        start.data()[i] = std::fabs(start.data()[i]) + 1e-3;
+      }
+      Matrix x(count, kM);
+      std::vector<std::vector<Index>> cols(static_cast<size_t>(count));
+      for (Index q = 0; q < count; ++q) {
+        for (Index j = 0; j < kM; ++j) x(q, j) = rng.Uniform(0.0, 1.0);
+        // nt distinct ascending columns, a different subset per row.
+        std::vector<Index>& cq = cols[static_cast<size_t>(q)];
+        const Index nt = kWidths[kCalls[call][static_cast<size_t>(q)]];
+        for (Index j = 0; j < kM && static_cast<Index>(cq.size()) < nt; ++j) {
+          if (rng.Uniform() < static_cast<double>(nt) / kM ||
+              kM - j <= nt - static_cast<Index>(cq.size())) {
+            cq.push_back(j);
+          }
+        }
+      }
+      // The second row of every call is exact at its start: it stops on
+      // the first test after one update while the others run on.
+      if (count > 1) MakeExactRow(v, start, 1, x);
+      for (const double tolerance : {1e-8, 1e-3, 0.0}) {
+        for (const int cap : {kCap, 1}) {
+          std::vector<int> it_vec, it_sca;
+          const std::vector<double> u_vec =
+              SolveFoldIn(1, v, x, start, cols, tolerance, cap, &it_vec);
+          const std::vector<double> u_sca =
+              SolveFoldIn(0, v, x, start, cols, tolerance, cap, &it_sca);
+          const std::string label =
+              "fold_in_rows mixed widths k=" + std::to_string(k) + " call " +
+              std::to_string(call) + " tol=" + std::to_string(tolerance) +
+              " cap=" + std::to_string(cap);
+          ASSERT_EQ(it_vec, it_sca) << label;
+          ExpectSameBits(u_vec, u_sca, label);
+          if (count > 1 && tolerance > 0.0 && cap == kCap) {
+            ASSERT_EQ(it_sca[1], 1) << label;
+            for (int it : it_sca) {
+              if (it == kCap) saw_one_update_beside_cap = true;
+            }
+          }
+        }
+      }
+      // The first row starts from an infinite entry: past its own nt its
+      // r_t would be ∞ · 0 = NaN, so only the mask to +0.0 keeps its
+      // error and denominators those of the scalar tier.
+      // One update shows it before the NaN spreads through the row.
+      Matrix inf_start = start;
+      inf_start(0, 0) = std::numeric_limits<double>::infinity();
+      for (const int cap : {1, kCap}) {
+        std::vector<int> it_vec, it_sca;
+        const std::vector<double> u_vec =
+            SolveFoldIn(1, v, x, inf_start, cols, 1e-8, cap, &it_vec);
+        const std::vector<double> u_sca =
+            SolveFoldIn(0, v, x, inf_start, cols, 1e-8, cap, &it_sca);
+        const std::string label = "fold_in_rows infinite start k=" +
+                                  std::to_string(k) + " call " +
+                                  std::to_string(call) +
+                                  " cap=" + std::to_string(cap);
+        ASSERT_EQ(it_vec, it_sca) << label;
+        ExpectSameBits(u_vec, u_sca, label);
+      }
+    }
+  }
+  EXPECT_TRUE(saw_one_update_beside_cap);
 }
 
 // One V step on both tiers over the free columns [1, m): n = 9 rows, U
