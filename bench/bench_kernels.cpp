@@ -31,25 +31,31 @@
 //   * FoldInSolve: one core::FoldIn batch at perfbench's apply-batches
 //     shape on each tier at one thread (the fold_in_rows kernel's
 //     end-to-end view).
-//   * ParseCsv: CSV ingest at perfbench's apply-batch and impute-sparse
-//     table shapes.
+//   * ParseCsv / WriteCsv: CSV ingest and the completed-table write at
+//     perfbench's apply-batch and impute-sparse table shapes.
 //
 // tools/run_bench.sh aggregates this into BENCH_KERNELS.json.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "src/common/parallel.h"
 #include "src/common/rng.h"
+#include "src/common/strings.h"
 #include "src/common/telemetry.h"
 #include "src/core/fold_in.h"
 #include "src/core/smfl.h"
 #include "src/data/csv.h"
 #include "src/data/mask.h"
 #include "src/data/observed_index.h"
+#include "src/data/table.h"
 #include "src/la/ops.h"
 #include "src/la/simd.h"
 #include "src/spatial/graph.h"
@@ -389,20 +395,24 @@ BENCHMARK(BM_FoldInSolve)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 // cells written "%.6f" as perfbench writes them: Arg(0) an apply batch —
 // 1000 x 20 with BM_FoldInSolve's outage patterns — and Arg(1) the
 // impute-sparse table, 4000 x 20 with 90% of the attribute cells empty.
-void BM_ParseCsv(benchmark::State& state) {
-  const bool sparse = state.range(0) == 1;
+// A table of perfbench's serving shapes, values in [0, 100) written at
+// %.6f and read back where observed: the apply batch (1000 x 20; 60% of
+// rows lose one of four outage patterns of 6 attribute columns, the rest
+// each attribute cell with probability 0.2) or impute-sparse's (4000 x 20,
+// 10% of attribute cells observed).
+struct ServingTable {
+  Matrix values;
+  Mask observed;
+};
+
+ServingTable MakeServingTable(bool sparse, Rng& rng) {
   const Index rows = sparse ? 4000 : 1000;
   constexpr Index kCols = 20, kSpatial = 2;
-  Rng rng(41);
   std::vector<std::vector<size_t>> outage(4);
   for (auto& cols : outage) {
     cols = rng.SampleWithoutReplacement(kCols - kSpatial, 6);
   }
-  std::string csv = "lat,lon";
-  for (Index j = kSpatial; j < kCols; ++j) {
-    csv += ",a" + std::to_string(j - kSpatial + 1);
-  }
-  csv += '\n';
+  ServingTable t{Matrix(rows, kCols), Mask(rows, kCols)};
   std::vector<bool> seen(static_cast<size_t>(kCols));
   char cell[32];
   for (Index i = 0; i < rows; ++i) {
@@ -421,9 +431,31 @@ void BM_ParseCsv(benchmark::State& state) {
       }
     }
     for (Index j = 0; j < kCols; ++j) {
-      if (j > 0) csv += ',';
       if (!seen[static_cast<size_t>(j)]) continue;
       std::snprintf(cell, sizeof(cell), "%.6f", rng.Uniform(0.0, 100.0));
+      t.values(i, j) = std::strtod(cell, nullptr);
+      t.observed.Set(i, j);
+    }
+  }
+  return t;
+}
+
+std::vector<std::string> ServingHeader(Index cols) {
+  std::vector<std::string> names = {"lat", "lon"};
+  for (Index j = 2; j < cols; ++j) names.push_back("a" + std::to_string(j - 1));
+  return names;
+}
+
+void BM_ParseCsv(benchmark::State& state) {
+  Rng rng(41);
+  const ServingTable t = MakeServingTable(state.range(0) == 1, rng);
+  std::string csv = Join(ServingHeader(t.values.cols()), ",") + "\n";
+  char cell[32];
+  for (Index i = 0; i < t.values.rows(); ++i) {
+    for (Index j = 0; j < t.values.cols(); ++j) {
+      if (j > 0) csv += ',';
+      if (!t.observed.Contains(i, j)) continue;
+      std::snprintf(cell, sizeof(cell), "%.6f", t.values(i, j));
       csv += cell;
     }
     csv += '\n';
@@ -433,11 +465,37 @@ void BM_ParseCsv(benchmark::State& state) {
     SMFL_CHECK(parsed.ok());
     benchmark::DoNotOptimize(parsed->table.values().data());
   }
-  state.SetItemsProcessed(state.iterations() * rows);
+  state.SetItemsProcessed(state.iterations() * t.values.rows());
   state.SetBytesProcessed(state.iterations() *
                           static_cast<int64_t>(csv.size()));
 }
 BENCHMARK(BM_ParseCsv)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+// The completed-table write of `smfl apply` (Arg 0) and `smfl impute`
+// (Arg 1) at perfbench's shapes: data::WriteCompletedCsv to a file in the
+// temp directory, the durable write (fsync, rename) included. Kept cells
+// are the %.6f inputs, which read back at %.12g; filled cells are full
+// precision. Single-threaded code; ungated.
+void BM_WriteCsv(benchmark::State& state) {
+  Rng rng(41);
+  ServingTable t = MakeServingTable(state.range(0) == 1, rng);
+  for (Index i = 0; i < t.values.rows(); ++i) {
+    for (Index j = 0; j < t.values.cols(); ++j) {
+      if (!t.observed.Contains(i, j)) t.values(i, j) = rng.Uniform(0.0, 100.0);
+    }
+  }
+  auto table = data::Table::Create(ServingHeader(t.values.cols()), t.values, 2);
+  SMFL_CHECK(table.ok());
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "smfl_bench_write.csv")
+          .string();
+  for (auto _ : state) {
+    SMFL_CHECK(data::WriteCompletedCsv(path, *table, t.observed).ok());
+  }
+  std::remove(path.c_str());
+  state.SetItemsProcessed(state.iterations() * t.values.rows());
+}
+BENCHMARK(BM_WriteCsv)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 // Guard on the telemetry disabled path: Arg(0) runs one counter add, one
 // histogram record, and one scoped span per iteration with collection OFF

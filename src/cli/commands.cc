@@ -313,6 +313,7 @@ Status RunImputeCommand(const Flags& flags, std::string* output) {
 }
 
 Status RunRepairCommand(const Flags& flags, std::string* output) {
+  SMFL_TRACE_SPAN("cli.repair");
   ASSIGN_OR_RETURN(LoadedCsv input, LoadInput(flags, output));
   const std::string out_path = flags.GetString("out", "");
   if (out_path.empty()) {
@@ -332,9 +333,14 @@ Status RunRepairCommand(const Flags& flags, std::string* output) {
     ASSIGN_OR_RETURN(repairer, repair::MakeRepairer(method));
   }
 
-  ASSIGN_OR_RETURN(data::MinMaxNormalizer normalizer,
-                   data::MinMaxNormalizer::Fit(input.table.values()));
-  Matrix normalized = normalizer.Transform(input.table.values());
+  data::MinMaxNormalizer normalizer;
+  Matrix normalized;
+  {
+    SMFL_TRACE_SPAN("cli.normalize");
+    ASSIGN_OR_RETURN(normalizer,
+                     data::MinMaxNormalizer::Fit(input.table.values()));
+    normalized = normalizer.Transform(input.table.values());
+  }
   ASSIGN_OR_RETURN(repair::DetectionResult detection,
                    repair::DetectErrors(normalized, input.spatial_cols));
   if (detection.flagged.Count() == 0) {
@@ -357,8 +363,13 @@ Status RunRepairCommand(const Flags& flags, std::string* output) {
   AppendDegradation(degradation, output);
   // Clean cells keep their exact original values.
   const Mask clean = detection.flagged.Complement();
-  Matrix restored = normalizer.InverseTransform(repaired);
-  restored = data::CombineByMask(input.table.values(), restored, clean);
+  Matrix restored;
+  {
+    SMFL_TRACE_SPAN("cli.reconstruct");
+    restored = data::CombineByMask(input.table.values(),
+                                   normalizer.InverseTransform(repaired),
+                                   clean);
+  }
   ASSIGN_OR_RETURN(
       data::Table out_table,
       data::Table::Create(input.table.column_names(), std::move(restored),
@@ -376,6 +387,7 @@ Status RunRepairCommand(const Flags& flags, std::string* output) {
 }
 
 Status RunStatsCommand(const Flags& flags, std::string* output) {
+  SMFL_TRACE_SPAN("cli.stats");
   ASSIGN_OR_RETURN(LoadedCsv input, LoadInput(flags, output));
   const Index total = input.table.NumRows() * input.table.NumCols();
   *output += StrFormat(
@@ -394,6 +406,7 @@ Status RunStatsCommand(const Flags& flags, std::string* output) {
 }
 
 Status RunFitCommand(const Flags& flags, std::string* output) {
+  SMFL_TRACE_SPAN("cli.fit");
   ASSIGN_OR_RETURN(LoadedCsv input, LoadInput(flags, output));
   RETURN_NOT_OK(RequireObservedCellInEveryColumn(input));
   const std::string model_path = flags.GetString("model", "");
@@ -438,9 +451,12 @@ Status RunFitCommand(const Flags& flags, std::string* output) {
   // normalizer is persisted inside the model (format v2+) so `apply`
   // transforms fresh rows with the TRAINING ranges — re-fitting the
   // ranges on a fresh batch would silently shift every reconstruction.
-  ASSIGN_OR_RETURN(
-      data::MinMaxNormalizer normalizer,
-      data::MinMaxNormalizer::Fit(input.table.values(), input.observed));
+  data::MinMaxNormalizer normalizer;
+  {
+    SMFL_TRACE_SPAN("cli.normalize");
+    ASSIGN_OR_RETURN(normalizer, data::MinMaxNormalizer::Fit(
+                                     input.table.values(), input.observed));
+  }
 
   std::optional<core::CheckpointManager> manager;
   std::optional<core::FitCheckpoint> resume_state;
@@ -495,8 +511,12 @@ Status RunFitCommand(const Flags& flags, std::string* output) {
     }
   }
 
-  Matrix normalized = data::ApplyMask(
-      normalizer.Transform(input.table.values()), input.observed);
+  Matrix normalized;
+  {
+    SMFL_TRACE_SPAN("cli.normalize");
+    normalized = data::ApplyMask(normalizer.Transform(input.table.values()),
+                                 input.observed);
+  }
   ASSIGN_OR_RETURN(core::SmflModel model,
                    core::FitSmfl(normalized, input.observed,
                                  input.spatial_cols, options));
@@ -656,13 +676,18 @@ Status RunApplyCommand(const Flags& flags, std::string* output) {
 }
 
 Status RunSelectCommand(const Flags& flags, std::string* output) {
+  SMFL_TRACE_SPAN("cli.select");
   ASSIGN_OR_RETURN(LoadedCsv input, LoadInput(flags, output));
   RETURN_NOT_OK(RequireObservedCellInEveryColumn(input));
-  ASSIGN_OR_RETURN(
-      data::MinMaxNormalizer normalizer,
-      data::MinMaxNormalizer::Fit(input.table.values(), input.observed));
-  Matrix normalized = data::ApplyMask(
-      normalizer.Transform(input.table.values()), input.observed);
+  Matrix normalized;
+  {
+    SMFL_TRACE_SPAN("cli.normalize");
+    ASSIGN_OR_RETURN(
+        data::MinMaxNormalizer normalizer,
+        data::MinMaxNormalizer::Fit(input.table.values(), input.observed));
+    normalized = data::ApplyMask(normalizer.Transform(input.table.values()),
+                                 input.observed);
+  }
   core::SelectionGrid grid;
   auto selection = core::SelectSmflOptions(normalized, input.observed,
                                            input.spatial_cols, grid);

@@ -3,6 +3,7 @@
 #ifndef SMFL_COMMON_STRINGS_H_
 #define SMFL_COMMON_STRINGS_H_
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,6 +26,21 @@ Result<double> ParseDouble(std::string_view s);
 // zero or a finite normal value — exactly where its result is strtod's.
 // False leaves the verdict (a strtod value or an error) to ParseDouble.
 bool ParseDoubleFast(std::string_view s, double* out);
+
+// Room FormatDoubleG12 needs at `out`. The longest text it writes is a
+// shortest round-trip form such as "-2.2250738585072014e-308" (24 bytes);
+// its fixed-width copies may touch up to 27 bytes past `out`.
+inline constexpr size_t kFormatDoubleBytes = 32;
+
+// Writes `v` as printf's %.12g does (std::to_chars general format at
+// precision 12) and returns the end of the text. With `round_trip`, when
+// that text would read back as a double other than `v`, writes the
+// shortest text that reads back as `v` (std::to_chars without a precision)
+// instead. Finite values with 1e-4 <= |v| < 1e12 are rounded and checked
+// in exact integer arithmetic; every other value takes std::to_chars (and
+// std::from_chars for the read-back), so the bytes are those calls' bytes
+// for every double.
+char* FormatDoubleG12(char* out, double v, bool round_trip);
 
 // Strict integer parse.
 Result<int64_t> ParseInt(std::string_view s);

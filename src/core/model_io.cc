@@ -334,6 +334,7 @@ std::string SerializeModel(const SmflModel& model) {
 }
 
 Status SaveModel(const SmflModel& model, const std::string& path) {
+  SMFL_TRACE_SPAN("core.save_model");
   return WriteFileDurable(path, SerializeModel(model));
 }
 

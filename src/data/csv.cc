@@ -1,8 +1,6 @@
 #include "src/data/csv.h"
 
 #include <algorithm>
-#include <bit>
-#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -234,12 +232,11 @@ Result<CsvTable> ReadCsv(const std::string& path,
 
 namespace {
 
-// Writes the cells in `emitted` (the rest as empty cells). Cells go through
-// std::to_chars in general format at precision 12, which the standard
-// defines as printf's %.12g: the same bytes an ostream at precision(12)
-// writes, without its per-cell overhead. A cell in `kept` whose %.12g text
-// reads back as another double is written in the shortest form that reads
-// back as its own (std::to_chars without a precision) instead.
+// Writes the cells in `emitted` (the rest as empty cells), each through
+// FormatDoubleG12: at %.12g, the bytes an ostream at precision(12) writes,
+// without its per-cell overhead. A cell in `kept` whose %.12g text would
+// read back as another double is written in the shortest form that reads
+// back as its own instead.
 Status WriteCells(const std::string& path, const Table& table,
                   const Mask& emitted, const Mask* kept, char delimiter) {
   SMFL_TRACE_SPAN("data.write_csv");
@@ -260,29 +257,24 @@ Status WriteCells(const std::string& path, const Table& table,
     out += names[j];
   }
   out += '\n';
-  // %.12g needs at most 19 bytes ("-1.23456789012e-308"), plus a delimiter.
+  // A %.12g cell takes at most 19 bytes ("-1.23456789012e-308"), plus a
+  // delimiter; each row is formatted in place into room for its widest.
+  const auto cols = static_cast<size_t>(table.NumCols());
+  const size_t row_room = cols * (kFormatDoubleBytes + 1) + 1;
   out.reserve(out.size() + static_cast<size_t>(table.NumRows()) *
-                               (static_cast<size_t>(table.NumCols()) * 20 + 1));
-  char cell[32];
+                               (cols * 20 + 1) + row_room);
   for (Index i = 0; i < table.NumRows(); ++i) {
+    const size_t row_start = out.size();
+    out.resize(row_start + row_room);
+    char* p = out.data() + row_start;
     for (Index j = 0; j < table.NumCols(); ++j) {
-      if (j > 0) out += delimiter;
+      if (j > 0) *p++ = delimiter;
       if (!emitted.Contains(i, j)) continue;
-      const double v = table.values()(i, j);
-      std::to_chars_result r = std::to_chars(
-          cell, cell + sizeof(cell), v, std::chars_format::general, 12);
-      if (kept != nullptr && kept->Contains(i, j)) {
-        double back = 0.0;
-        const std::from_chars_result parsed =
-            std::from_chars(cell, r.ptr, back);
-        if (parsed.ec != std::errc() ||
-            std::bit_cast<uint64_t>(back) != std::bit_cast<uint64_t>(v)) {
-          r = std::to_chars(cell, cell + sizeof(cell), v);
-        }
-      }
-      out.append(cell, r.ptr);
+      p = FormatDoubleG12(p, table.values()(i, j),
+                          kept != nullptr && kept->Contains(i, j));
     }
-    out += '\n';
+    *p++ = '\n';
+    out.resize(static_cast<size_t>(p - out.data()));
   }
   return WriteFileDurable(path, out);
 }

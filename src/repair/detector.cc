@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "src/common/telemetry.h"
 #include "src/spatial/knn.h"
 
 namespace smfl::repair {
@@ -49,41 +50,11 @@ struct Histogram {
   }
 };
 
-}  // namespace
-
-Result<DetectionResult> DetectErrors(const Matrix& x, Index spatial_cols,
-                                     const DetectorOptions& options) {
+// Signal 2: adds a vote to every cell whose bin the tuple's other
+// attributes' bins (nearly) never accompany, counting them in `flags`.
+void VoteSurprisingCells(const Matrix& x, const DetectorOptions& options,
+                         Matrix& votes, Index& flags) {
   const Index n = x.rows(), m = x.cols();
-  if (n == 0 || m == 0) {
-    return Status::InvalidArgument("DetectErrors: empty matrix");
-  }
-  if (spatial_cols < 0 || spatial_cols > m) {
-    return Status::InvalidArgument("DetectErrors: bad spatial_cols");
-  }
-  if (options.min_votes < 1 || options.min_votes > 3) {
-    return Status::InvalidArgument("DetectErrors: min_votes must be 1..3");
-  }
-
-  DetectionResult result;
-  result.flagged = Mask(n, m);
-  Matrix votes(n, m);
-
-  // --- Signal 1: robust column outliers.
-  std::vector<RobustScale> scales(static_cast<size_t>(m));
-  for (Index j = 0; j < m; ++j) {
-    scales[static_cast<size_t>(j)] = ColumnScale(x, j);
-    const RobustScale& s = scales[static_cast<size_t>(j)];
-    for (Index i = 0; i < n; ++i) {
-      // 1.4826 converts MAD to a Gaussian-comparable sigma.
-      const double z = std::fabs(x(i, j) - s.median) / (1.4826 * s.mad);
-      if (z > options.z_threshold) {
-        votes(i, j) += 1.0;
-        ++result.outlier_flags;
-      }
-    }
-  }
-
-  // --- Signal 2: pairwise co-occurrence surprise.
   std::vector<Histogram> hist(static_cast<size_t>(m));
   Matrix binned(n, m);
   for (Index j = 0; j < m; ++j) {
@@ -135,9 +106,51 @@ Result<DetectionResult> DetectErrors(const Matrix& x, Index spatial_cols,
                            options.surprise_fraction *
                                static_cast<double>(total)) {
         votes(i, j) += 1.0;
-        ++result.surprise_flags;
+        ++flags;
       }
     }
+  }
+}
+
+}  // namespace
+
+Result<DetectionResult> DetectErrors(const Matrix& x, Index spatial_cols,
+                                     const DetectorOptions& options) {
+  SMFL_TRACE_SPAN("repair.detect");
+  const Index n = x.rows(), m = x.cols();
+  if (n == 0 || m == 0) {
+    return Status::InvalidArgument("DetectErrors: empty matrix");
+  }
+  if (spatial_cols < 0 || spatial_cols > m) {
+    return Status::InvalidArgument("DetectErrors: bad spatial_cols");
+  }
+  if (options.min_votes < 1 || options.min_votes > 3) {
+    return Status::InvalidArgument("DetectErrors: min_votes must be 1..3");
+  }
+
+  DetectionResult result;
+  result.flagged = Mask(n, m);
+  Matrix votes(n, m);
+
+  // --- Signal 1: robust column outliers.
+  std::vector<RobustScale> scales(static_cast<size_t>(m));
+  for (Index j = 0; j < m; ++j) {
+    scales[static_cast<size_t>(j)] = ColumnScale(x, j);
+    const RobustScale& s = scales[static_cast<size_t>(j)];
+    for (Index i = 0; i < n; ++i) {
+      // 1.4826 converts MAD to a Gaussian-comparable sigma.
+      const double z = std::fabs(x(i, j) - s.median) / (1.4826 * s.mad);
+      if (z > options.z_threshold) {
+        votes(i, j) += 1.0;
+        ++result.outlier_flags;
+      }
+    }
+  }
+
+  // --- Signal 2: pairwise co-occurrence surprise, on tables large enough
+  // for a low joint count to be rare (detector.h).
+  if (n >= 4 * options.bins * options.bins) {
+    VoteSurprisingCells(x, options, votes, result.surprise_flags);
   }
 
   // --- Signal 3: spatial discordance (non-spatial columns only).

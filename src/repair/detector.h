@@ -4,7 +4,11 @@
 // Combines three signals per cell, each voting "suspicious":
 //   1. Column outlier: robust z-score (median / MAD) beyond a threshold.
 //   2. Pairwise surprise: the cell's bin is (nearly) never seen together
-//      with the bins of the tuple's other attributes.
+//      with the bins of the tuple's other attributes. It abstains on
+//      tables of fewer than 4 * bins^2 rows: a column pair then has bins^2
+//      joint bins holding fewer than four rows each on average, so a joint
+//      count <= surprise_count is what independent columns produce by
+//      chance, not a sign of error.
 //   3. Spatial discordance: the value is far from the values of the
 //      tuple's spatial nearest neighbors, in robust units of the local
 //      spread (only meaningful for spatially smooth columns).
@@ -28,7 +32,8 @@ using la::Matrix;
 struct DetectorOptions {
   // Robust z-score threshold for the column-outlier signal.
   double z_threshold = 3.0;
-  // Histogram resolution of the pairwise-surprise signal.
+  // Histogram resolution of the pairwise-surprise signal, which needs at
+  // least 4 * bins^2 rows (256 at 8 bins) to vote.
   Index bins = 8;
   // A (bin_j, bin_k) pair with joint count <= this is "surprising".
   double surprise_count = 2.0;

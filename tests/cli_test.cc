@@ -509,8 +509,8 @@ std::string ReadFileText(const std::string& path) {
   return text.str();
 }
 
-// `--trace-out` of smfl impute and smfl apply holds a span for every stage
-// of the command under its root span (docs/observability.md).
+// `--trace-out` of every smfl command holds its root span and a span for
+// every stage of the command under it (docs/observability.md).
 TEST(CliTest, TraceHoldsEveryStageSpan) {
   Fixture f = WriteIncompleteCsv("smfl_cli_trace_in.csv", 100, 0.15, 51);
   const std::string out_path = TempPath("smfl_cli_trace_out.csv");
@@ -547,8 +547,22 @@ TEST(CliTest, TraceHoldsEveryStageSpan) {
                {"cli.apply", "core.load_model", "data.read_csv",
                 "cli.normalize", "foldin.batch", "cli.reconstruct",
                 "data.write_csv"});
+  expect_spans({"fit", "--in=" + f.path, "--model=" + model_path,
+                "--rank=5"},
+               {"cli.fit", "data.read_csv", "cli.normalize", "smfl.graph",
+                "smfl.fit", "smfl.fit.init", "smfl.fit.iter",
+                "core.save_model"});
+  // The completed table from apply is repair's complete input.
+  const std::string repaired_path = TempPath("smfl_cli_trace_repaired.csv");
+  expect_spans({"repair", "--in=" + out_path, "--out=" + repaired_path},
+               {"cli.repair", "data.read_csv", "cli.normalize",
+                "repair.detect", "data.write_csv"});
+  expect_spans({"select", "--in=" + f.path},
+               {"cli.select", "data.read_csv", "cli.normalize", "smfl.fit"});
+  expect_spans({"stats", "--in=" + f.path}, {"cli.stats", "data.read_csv"});
   telemetry::TraceRecorder::Global().Clear();
-  for (const std::string& p : {f.path, out_path, trace_path, model_path}) {
+  for (const std::string& p :
+       {f.path, out_path, trace_path, model_path, repaired_path}) {
     std::remove(p.c_str());
   }
 }

@@ -1,8 +1,9 @@
-// Reference oracle for CSV ingest (data::ParseCsv, data::ReadCsv) and for
-// ParseDouble.
+// Reference oracle for CSV ingest (data::ParseCsv, data::ReadCsv), for
+// ParseDouble, and for the cell text of the writers (data::WriteCsv,
+// data::WriteCompletedCsv, FormatDoubleG12).
 //
-// The reference below is the line-at-a-time parser the one-pass reader
-// replaced, kept verbatim in spirit: std::getline over the whole text,
+// The ingest reference below is the line-at-a-time parser the one-pass
+// reader replaced, kept verbatim in spirit: std::getline over the whole text,
 // strip one trailing '\r', skip whitespace-only lines, Split every line on
 // the delimiter into strings, parse each trimmed cell with strtod (ERANGE
 // and a partial parse are errors), collect vector<vector<...>> rows, then
@@ -14,16 +15,28 @@
 // valid files, a fixed list of delicate cells and structural edge cases,
 // and files larger than the streaming reader's chunk (one of them with a
 // single line longer than a chunk).
+//
+// The writer reference is the cell rule the integer formatter replaced:
+// std::to_chars in general format at precision 12 (printf's %.12g); for a
+// kept cell, std::from_chars of that text, and when it does not read back
+// as the same double, std::to_chars without a precision (the shortest
+// round-trip form). Written bytes must match it on random and mutated
+// tables with kept masks, and the formatter must match it on a seeded
+// sweep of the values where decimal rounding is delicate.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -441,6 +454,267 @@ TEST(CsvOracleTest, FaultPointOrderMatches) {
       EXPECT_EQ(FaultRegistry::Global().hits("csv.row.corrupt"), want_hits);
     }
   }
+}
+
+// ------------------------------------------------------------ writer
+
+// The cell rule FormatDoubleG12 replaced.
+std::string RefCell(double v, bool kept) {
+  char cell[kFormatDoubleBytes];
+  std::to_chars_result r = std::to_chars(cell, cell + sizeof(cell), v,
+                                         std::chars_format::general, 12);
+  if (kept) {
+    double back = 0.0;
+    const std::from_chars_result parsed = std::from_chars(cell, r.ptr, back);
+    if (parsed.ec != std::errc() ||
+        std::bit_cast<uint64_t>(back) != std::bit_cast<uint64_t>(v)) {
+      r = std::to_chars(cell, cell + sizeof(cell), v);
+    }
+  }
+  return std::string(cell, r.ptr);
+}
+
+std::string Cell(double v, bool round_trip) {
+  char cell[kFormatDoubleBytes];
+  return std::string(cell, FormatDoubleG12(cell, v, round_trip));
+}
+
+// Checks FormatDoubleG12 against the reference with and without the
+// read-back, counting mismatches and reporting the first few.
+class FormatSweep {
+ public:
+  void Check(double v) {
+    for (const bool round_trip : {false, true}) {
+      ++checked_;
+      const std::string want = RefCell(v, round_trip);
+      const std::string got = Cell(v, round_trip);
+      if (got == want) continue;
+      if (++mismatches_ <= 10) {
+        ADD_FAILURE() << "value " << std::hexfloat << v << std::defaultfloat
+                      << (round_trip ? " (kept)" : "") << ": got '" << got
+                      << "', want '" << want << "'";
+      }
+    }
+  }
+  // v and `ulps` doubles on each side of it, both signs.
+  void CheckAround(double v, int ulps) {
+    double below = v, above = v;
+    Check(v);
+    Check(-v);
+    for (int u = 0; u < ulps; ++u) {
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, std::numeric_limits<double>::infinity());
+      for (const double w : {below, above}) {
+        Check(w);
+        Check(-w);
+      }
+    }
+  }
+  long checked() const { return checked_; }
+  long mismatches() const { return mismatches_; }
+
+ private:
+  long checked_ = 0;
+  long mismatches_ = 0;
+};
+
+double ParseText(const char* text) { return std::strtod(text, nullptr); }
+
+TEST(CsvOracleTest, FormatDoubleG12MatchesTheReferenceOnASweep) {
+  FormatSweep sweep;
+  Rng rng(20261019);
+  char text[64];
+  // Random bit patterns: every class of double, mostly outside the
+  // integer path's range.
+  for (int i = 0; i < 20000; ++i) {
+    sweep.Check(std::bit_cast<double>(rng.NextU64()));
+  }
+  // Log-uniform magnitudes over [1e-6, 1e14), and the same values as cells
+  // written at %.6f, %.3f, %.11e and %.15g read them back.
+  for (int i = 0; i < 20000; ++i) {
+    const double v = (rng.Bernoulli(0.5) ? -1.0 : 1.0) *
+                     std::pow(10.0, rng.Uniform(-6.0, 14.0));
+    sweep.Check(v);
+    for (const char* format : {"%.6f", "%.3f", "%.11e", "%.15g"}) {
+      std::snprintf(text, sizeof(text), format, v);
+      sweep.Check(ParseText(text));
+    }
+  }
+  // Every power of ten from 1e-6 to 1e13: the decade boundaries.
+  for (int e = -6; e <= 13; ++e) {
+    std::snprintf(text, sizeof(text), "1e%d", e);
+    sweep.CheckAround(ParseText(text), 300);
+  }
+  // Twelve-digit halfway points n.5 10^(X-11) in every decade of the
+  // range: the rounding ties and their neighbors.
+  for (int x = -4; x <= 11; ++x) {
+    for (int i = 0; i < 8; ++i) {
+      const auto n = 100000000000ull + rng.UniformInt(900000000000ull);
+      std::snprintf(text, sizeof(text), "%llu5e%d",
+                    static_cast<unsigned long long>(n), x - 12);
+      sweep.CheckAround(ParseText(text), 300);
+    }
+  }
+  // Exact ties: odd j / 2^(12-X) in decade X is a 12-digit significand
+  // plus one half.
+  for (int x = -4; x <= 11; ++x) {
+    for (int i = 0; i < 400; ++i) {
+      const double j = static_cast<double>(2 * rng.UniformInt(1u << 20) + 1);
+      const double v = std::ldexp(j, x - 12) *
+                       std::ldexp(1.0, static_cast<int>(rng.UniformInt(40)));
+      sweep.Check(v);
+    }
+    for (uint64_t j = 1; j < 4000; j += 2) {
+      sweep.Check(std::ldexp(static_cast<double>(j), x - 12));
+    }
+  }
+  // Powers of two, whose lower neighbor is half as far as the upper one.
+  for (int e = -20; e <= 45; ++e) sweep.CheckAround(std::ldexp(1.0, e), 50);
+  // Values that round up to 1e12 (%g's exponent form) and up to 1e-4 (the
+  // fixed form of a value below the range): the last few thousand doubles
+  // under each.
+  sweep.CheckAround(1e12, 4500);
+  sweep.CheckAround(1e-4, 4500);
+  sweep.Check(999999999999.5);
+  sweep.Check(999999999998.5);
+  sweep.Check(9.99999999999995e-5);
+  sweep.Check(9.999999999995e-5);
+  // Zeros, subnormals, the extremes and the non-finite values.
+  for (const double v :
+       {0.0, std::numeric_limits<double>::denorm_min(), 4e-320,
+        std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    sweep.Check(v);
+    sweep.Check(-v);
+  }
+  EXPECT_EQ(sweep.mismatches(), 0) << "of " << sweep.checked() << " checks";
+  EXPECT_GT(sweep.checked(), 400000);
+}
+
+// Every power of two in the integer path's range has at most 12
+// significant digits, so its %.12g text is exact (the formatter's read-back
+// test relies on it).
+TEST(CsvOracleTest, PowersOfTwoInRangeFormatExactly) {
+  for (int e = -13; e <= 39; ++e) {
+    const double v = std::ldexp(1.0, e);
+    ASSERT_GE(v, 1e-4);
+    ASSERT_LT(v, 1e12);
+    const std::string text = Cell(v, false);
+    EXPECT_EQ(ParseText(text.c_str()), v) << text;
+    EXPECT_EQ(Cell(v, true), text);
+  }
+}
+
+// The reference writer: the header, then each row's cells by the old rule.
+std::string RefWrite(const Table& table, const Mask& emitted, const Mask* kept,
+                     char delimiter) {
+  std::string out = Join(table.column_names(), std::string(1, delimiter));
+  out += '\n';
+  for (Index i = 0; i < table.NumRows(); ++i) {
+    for (Index j = 0; j < table.NumCols(); ++j) {
+      if (j > 0) out += delimiter;
+      if (!emitted.Contains(i, j)) continue;
+      out += RefCell(table.values()(i, j),
+                     kept != nullptr && kept->Contains(i, j));
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// WriteCsv (the cells of `mask`) and WriteCompletedCsv (every cell, those of
+// `mask` kept) against the reference writer.
+void CheckWriters(const Table& table, const Mask& mask, char delimiter,
+                  const std::string& label) {
+  const std::string path = TempPath();
+  ASSERT_TRUE(WriteCsv(path, table, mask, delimiter).ok()) << label;
+  EXPECT_EQ(ReadBytes(path), RefWrite(table, mask, nullptr, delimiter))
+      << label << " WriteCsv";
+  ASSERT_TRUE(WriteCompletedCsv(path, table, mask, delimiter).ok()) << label;
+  EXPECT_EQ(ReadBytes(path),
+            RefWrite(table, Mask::AllSet(table.NumRows(), table.NumCols()),
+                     &mask, delimiter))
+      << label << " WriteCompletedCsv";
+  std::remove(path.c_str());
+}
+
+// A random value of one of the shapes a table holds: a parsed text cell,
+// full precision, a small integer, or a random bit pattern.
+double RandomCellValue(Rng& rng) {
+  const double v = rng.Uniform(-1e3, 1e3) *
+                   std::pow(10.0, static_cast<double>(rng.UniformInt(21)) - 10);
+  char text[64];
+  switch (rng.UniformInt(6)) {
+    case 0: return v;
+    case 1: std::snprintf(text, sizeof(text), "%.6f", v); break;
+    case 2: std::snprintf(text, sizeof(text), "%.3e", v); break;
+    case 3: std::snprintf(text, sizeof(text), "%.12g", v); break;
+    case 4: return std::round(v);
+    default: return std::bit_cast<double>(rng.NextU64());
+  }
+  return ParseText(text);
+}
+
+TEST(CsvOracleTest, WritersMatchTheReferenceOnRandomTables) {
+  Rng rng(20261020);
+  for (int trial = 0; trial < 120; ++trial) {
+    const auto rows = static_cast<Index>(1 + rng.UniformInt(60));
+    const auto cols = static_cast<Index>(1 + rng.UniformInt(30));
+    Matrix values(rows, cols);
+    Mask mask(rows, cols);
+    const double share = rng.Uniform();
+    for (Index i = 0; i < rows; ++i) {
+      for (Index j = 0; j < cols; ++j) {
+        values(i, j) = RandomCellValue(rng);
+        if (rng.Uniform() < share) mask.Set(i, j);
+      }
+    }
+    std::vector<std::string> names;
+    for (Index j = 0; j < cols; ++j) {
+      names.push_back(StrFormat("c%lld", static_cast<long long>(j)));
+    }
+    auto table = Table::Create(names, values, std::min<Index>(cols, 2));
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    CheckWriters(*table, mask, trial % 4 == 3 ? ';' : ',',
+                 "random table " + std::to_string(trial));
+  }
+}
+
+// Tables read from random CSV text, then changed bit by bit: flipped
+// significand, exponent and sign bits.
+TEST(CsvOracleTest, WritersMatchTheReferenceOnMutatedTables) {
+  Rng rng(20261021);
+  int written = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    CsvReadOptions options;
+    options.mode = CsvMode::kLenient;
+    Result<CsvTable> parsed = ParseCsv(RandomTable(rng, ','), options);
+    if (!parsed.ok()) continue;
+    Matrix values = parsed->table.values();
+    const auto flips = static_cast<int>(rng.UniformInt(
+        static_cast<uint64_t>(values.size()) + 1));
+    for (int f = 0; f < flips; ++f) {
+      double& cell = values.data()[rng.UniformInt(
+          static_cast<uint64_t>(values.size()))];
+      cell = std::bit_cast<double>(std::bit_cast<uint64_t>(cell) ^
+                                   (uint64_t{1} << rng.UniformInt(64)));
+    }
+    auto table = Table::Create(parsed->table.column_names(), values,
+                               parsed->table.SpatialCols());
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    CheckWriters(*table, parsed->observed, ',',
+                 "mutated table " + std::to_string(trial));
+    ++written;
+  }
+  EXPECT_GT(written, 100);
 }
 
 }  // namespace

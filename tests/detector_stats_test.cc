@@ -126,6 +126,25 @@ TEST(DetectorTest, CleanDataMostlyUnflagged) {
   EXPECT_LT(flag_rate, 0.05);
 }
 
+// Below 4 * bins^2 rows a column pair's joint bins hold too few rows for a
+// low count to be rare: the pairwise-surprise signal abstains instead of
+// flagging clean cells (at 120 rows it used to flag 132 of 840).
+TEST(DetectorTest, SurpriseSignalAbstainsOnSmallTables) {
+  for (const Index rows : {120, 200}) {
+    DetectorScenario s = MakeScenario(rows, /*error_rate=*/0.0, 13);
+    auto detection = repair::DetectErrors(s.dirty, 2);
+    ASSERT_TRUE(detection.ok());
+    EXPECT_EQ(detection->surprise_flags, 0) << rows << " rows";
+  }
+  // From 4 * bins^2 rows on, the signal votes again.
+  repair::DetectorOptions coarse;
+  coarse.bins = 4;
+  DetectorScenario s = MakeScenario(200, /*error_rate=*/0.1, 13);
+  auto detection = repair::DetectErrors(s.dirty, 2, coarse);
+  ASSERT_TRUE(detection.ok());
+  EXPECT_GT(detection->surprise_flags, 0);
+}
+
 TEST(DetectorTest, FindsInjectedErrorsBetterThanChance) {
   DetectorScenario s = MakeScenario(500, 0.1, 5);
   auto detection = repair::DetectErrors(s.dirty, 2);

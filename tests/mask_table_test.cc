@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -260,10 +261,13 @@ TEST(CsvTest, WriteReadRoundTrip) {
   std::remove(path.c_str());
 }
 
-// The writer renders cells with std::to_chars at precision 12; it must
-// emit exactly the bytes an ostream at precision(12) does (%.12g) on the
-// values where formatting is delicate: signed zeros, subnormals, the
-// extremes, round-half cases, non-finite values, and random bit patterns.
+// The writer renders cells at %.12g; it must emit exactly the bytes an
+// ostream at precision(12) does on the values where formatting is delicate:
+// signed zeros, subnormals, the extremes, round-half cases, non-finite
+// values, and random bit patterns; and at the edges of the formatter's
+// integer path: exact twelve-digit ties, the doubles next to powers of ten
+// and of two, values that round up to 1e12 or to 1e-4, and cells that
+// carry trailing zeros.
 TEST(CsvTest, WriterBytesMatchOstreamPrecision12) {
   std::vector<double> values = {
       0.0, -0.0, 1.0, -1.0, 0.1, 1.0 / 3.0, 2.0 / 3.0, 123456789012.0,
@@ -276,9 +280,29 @@ TEST(CsvTest, WriterBytesMatchOstreamPrecision12) {
       std::numeric_limits<double>::infinity(),
       -std::numeric_limits<double>::infinity(),
       std::numeric_limits<double>::quiet_NaN(),
-      -std::numeric_limits<double>::quiet_NaN()};
+      -std::numeric_limits<double>::quiet_NaN(),
+      // Exact ties: n + 1/2 in the last of the twelve digits.
+      100000000000.5, 100000000001.5, -274877906944.5, 4097.0 / 4096.0,
+      4099.0 / 4096.0, 7.0 / 65536.0, 0.1234567890125,
+      // Rounding up into the next decade, 1e12 and 1e-4 among them.
+      999999999999.5, 999999999999.75, 999999999998.5, 9.99999999999995,
+      99999999999.99995, 9.99999999999995e-5, 9.999999999995e-5, 1e-4,
+      0.00010000000000000001, 1e12, 1e11, 99999999999.9,
+      // Trailing zeros to drop, a bare point to drop.
+      40.237965, 40.5, 120.0, 0.25, 0.000125, 123.456, -55.0};
+  for (int e = -6; e <= 13; ++e) {
+    const double ten = std::pow(10.0, e);
+    values.push_back(std::nextafter(ten, 0.0));
+    values.push_back(std::nextafter(ten, 1e300));
+  }
+  for (int e = -20; e <= 45; e += 5) {
+    const double two = std::ldexp(1.0, e);
+    values.push_back(two);
+    values.push_back(std::nextafter(two, 0.0));
+    values.push_back(std::nextafter(two, 1e300));
+  }
   Rng rng(77);
-  while (values.size() < 600) {
+  while (values.size() < 900) {
     const uint64_t bits = rng.NextU64();
     double d;
     std::memcpy(&d, &bits, sizeof(d));

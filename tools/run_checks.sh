@@ -18,24 +18,29 @@
 #                     /statusz over loopback with bash's /dev/tcp (no curl
 #                     dependency), and validates the Prometheus exposition
 #                     line grammar (docs/observability.md)
-#   7. perfbench-build the repository benchmark (perfbench/) configured and
+#   7. trace-coverage end-to-end span coverage: runs `smfl impute`, `fit`
+#                     and `apply` with --trace-out on a generated table and
+#                     fails when the child spans of a command's root span
+#                     (cli.impute, cli.fit, cli.apply) cover less than
+#                     TRACE_COVERAGE_MIN_PCT of it (docs/observability.md)
+#   8. perfbench-build the repository benchmark (perfbench/) configured and
 #                     built the way perfbench/run.py builds it (Release),
 #                     then its self-tests: a library API change that would
 #                     break the benchmark fails here
-#   8. bench          perf-regression gate (tools/run_bench.sh --gate):
+#   9. bench          perf-regression gate (tools/run_bench.sh --gate):
 #                     masked-reconstruct fusion, SIMD gemm, fit-kernel,
 #                     fold-in solve and Ω-sparse fit speedups must stay
 #                     above the committed thresholds; a regression fails
 #                     the gate exactly like a lint finding would
-#   9. asan           tier-1 suite under AddressSanitizer (+ leak check)
-#  10. ubsan          tier-1 suite under UndefinedBehaviorSanitizer
-#  11. tsan           threading-sensitive subset under ThreadSanitizer;
+#  10. asan           tier-1 suite under AddressSanitizer (+ leak check)
+#  11. ubsan          tier-1 suite under UndefinedBehaviorSanitizer
+#  12. tsan           threading-sensitive subset under ThreadSanitizer;
 #                     auto-skipped (and recorded as such) when the toolchain
 #                     lacks TSan support
 #
 # Every step's outcome lands in CHECKS.json ({"steps": [{name, status,
 # seconds, detail}...], "ok": bool}); the script exits nonzero if any step
-# fails. Skips are not failures. `--fast` runs only steps 1-7 (the bench
+# fails. Skips are not failures. `--fast` runs only steps 1-8 (the bench
 # gate wants an unloaded machine and the sanitizer suites are three extra
 # full builds).
 #
@@ -209,6 +214,86 @@ obs_scrape() {
   echo "obs-scrape: all endpoints healthy on port $port"
 }
 
+# Ten runs of the step on a 4-vCPU Xeon (RelWithDebInfo) measured impute
+# 99.60-99.86%, fit 99.68-99.89% and apply 97.58-99.04% (apply's root lasts
+# 31-83 ms there, ~0.7 ms of it unspanned). Every stage but cli.reconstruct
+# and cli.normalize takes more than the margin, so losing its span fails.
+TRACE_COVERAGE_MIN_PCT=94
+
+# The share of a root span that its child spans cover: the union of the
+# spans on the root's thread that lie inside it, over its duration.
+trace_coverage_check() {  # trace_coverage_check ROOT_NAME TRACE_JSON...
+  python3 - "$TRACE_COVERAGE_MIN_PCT" "$@" <<'PY'
+import json
+import sys
+
+threshold = float(sys.argv[1])
+failed = False
+for arg in sys.argv[2:]:
+    root_name, path = arg.split("=", 1)
+    with open(path) as f:
+        events = [e for e in json.load(f)["traceEvents"] if e.get("ph") == "X"]
+    roots = [e for e in events if e["name"] == root_name]
+    if len(roots) != 1:
+        print("trace-coverage: %d '%s' spans in %s, expected one"
+              % (len(roots), root_name, path))
+        failed = True
+        continue
+    root = roots[0]
+    start, end = root["ts"], root["ts"] + root["dur"]
+    spans = sorted((e["ts"], e["ts"] + e["dur"]) for e in events
+                   if e is not root and e["tid"] == root["tid"]
+                   and start <= e["ts"] and e["ts"] + e["dur"] <= end)
+    covered, reach = 0, start
+    for s, t in spans:
+        s = max(s, reach)
+        if t > s:
+            covered += t - s
+            reach = t
+    pct = 100.0 * covered / max(root["dur"], 1)
+    print("trace-coverage: %s children cover %.2f%% of %.1f ms (minimum %g%%)"
+          % (root_name, pct, root["dur"] / 1e3, threshold))
+    failed = failed or pct < threshold
+sys.exit(1 if failed else 0)
+PY
+}
+
+# Runs impute, fit and apply with --trace-out on generated tables (2 spatial
+# and 8 smooth attribute columns, ~20% of attribute cells empty: 2000 rows
+# to fit, a second draw of 8000 rows to apply, so that apply's root lasts
+# long enough for a scheduling hiccup to stay small beside it) and checks
+# each command's span coverage.
+trace_coverage() {
+  local dir="$build_dir/trace-coverage"
+  rm -rf "$dir" && mkdir -p "$dir" || return 1
+  local seed
+  for seed in 3 4; do
+    awk -v seed="$seed" -v rows=$((seed == 3 ? 2000 : 8000)) 'BEGIN {
+      srand(seed);
+      print "lat,lon,a1,a2,a3,a4,a5,a6,a7,a8";
+      for (i = 0; i < rows; i++) {
+        lat = rand(); lon = rand();
+        line = sprintf("%.6f,%.6f", lat, lon);
+        for (j = 1; j <= 8; j++) {
+          v = 10 * j + 5 * sin(3 * lat * j) + 3 * cos(2 * lon + j);
+          if (rand() < 0.2) line = line ",";
+          else line = line sprintf(",%.6f", v + 0.1 * rand());
+        }
+        print line;
+      }
+    }' > "$dir/table$seed.csv" || return 1
+  done
+  local smfl="$build_dir/tools/smfl"
+  "$smfl" impute --in="$dir/table3.csv" --out="$dir/imputed.csv" \
+      --trace-out="$dir/impute.json" &&
+    "$smfl" fit --in="$dir/table3.csv" --model="$dir/model.smfl" \
+      --trace-out="$dir/fit.json" &&
+    "$smfl" apply --in="$dir/table4.csv" --model="$dir/model.smfl" \
+      --out="$dir/applied.csv" --trace-out="$dir/apply.json" || return 1
+  trace_coverage_check "cli.impute=$dir/impute.json" "cli.fit=$dir/fit.json" \
+    "cli.apply=$dir/apply.json"
+}
+
 run_step werror-build "warning-clean under -Wconversion -Wshadow -Werror" \
   configure_and_build
 
@@ -230,6 +315,8 @@ if [[ "${step_statuses[0]}" == pass ]]; then
     -R '^crash_recovery_test$'
   run_step obs-scrape "live /metrics + /healthz + /statusz scrape of a real fit" \
     obs_scrape
+  run_step trace-coverage "impute, fit and apply child spans cover >= ${TRACE_COVERAGE_MIN_PCT}% of their root span" \
+    trace_coverage
   run_step perfbench-build "perfbench harness + smfl built (Release) and self-tests pass" \
     perfbench_build
 else
