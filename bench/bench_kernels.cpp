@@ -23,8 +23,8 @@
 //     |Ω|).
 //   * FitRowPass / FitVStep: the fit loop's two passes one at a time at
 //     perfbench's impute shape (4000 × 20, rank 10, p = 3) at 10% and 90%
-//     observed attribute cells, at one thread, and LaplacianQuadraticForm
-//     over the same graph.
+//     observed attribute cells, at one thread (the row pass also at 7
+//     columns), and LaplacianQuadraticForm over the same graph.
 //   * Batched fold-in serving throughput (rows/sec) against a frozen model
 //     at the process thread count: per-pattern packing of V plus the
 //     threaded per-row multiplicative solves of core::FoldIn.
@@ -212,23 +212,23 @@ void BM_SmflFit(benchmark::State& state) {
 BENCHMARK(BM_SmflFit)->ArgsProduct({{10, 30, 90}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
-// The fit loop's inputs at perfbench's impute shape: 4000 × 20 with the 2
-// spatial columns always observed and each attribute cell observed at
-// `percent`, rank 10, the p = 3 graph over the spatial columns, and V
-// packed in the two layouts one iteration reads (Vᵀ K-padded, V with zero
-// padding columns).
+// The fit loop's inputs at perfbench's impute shape: 4000 × m (20 unless
+// given) with the 2 spatial columns always observed and each attribute
+// cell observed at `percent`, rank 10, the p = 3 graph over the spatial
+// columns, and V packed in the two layouts one iteration reads (Vᵀ
+// K-padded, V with zero padding columns).
 struct FitPassInputs {
   static constexpr Index kN = 4000, kM = 20, kSpatial = 2, kRank = 10;
 
-  explicit FitPassInputs(int64_t percent)
-      : x(RandomMatrix(kN, kM, 21)),
+  explicit FitPassInputs(int64_t percent, Index m = kM)
+      : x(RandomMatrix(kN, m, 21)),
         u(RandomMatrix(kN, kRank, 23)),
-        v(RandomMatrix(kRank, kM, 24)),
+        v(RandomMatrix(kRank, m, 24)),
         u_next(kN, kRank),
-        vt(static_cast<size_t>(kM * la::simd::PaddedWidth(kRank))),
-        vp(static_cast<size_t>(kRank * la::simd::PaddedWidth(kM))) {
+        vt(static_cast<size_t>(m * la::simd::PaddedWidth(kRank))),
+        vp(static_cast<size_t>(kRank * la::simd::PaddedWidth(m))) {
     Mask observed =
-        RandomMask(kN, kM, 22, static_cast<double>(percent) / 100.0);
+        RandomMask(kN, m, 22, static_cast<double>(percent) / 100.0);
     for (Index i = 0; i < kN; ++i) {
       for (Index j = 0; j < kSpatial; ++j) observed.Set(i, j, true);
     }
@@ -237,8 +237,8 @@ struct FitPassInputs {
     auto built = spatial::NeighborGraph::Build(x.Block(0, 0, kN, kSpatial), 3);
     SMFL_CHECK(built.ok());
     graph = std::move(built).value();
-    la::simd::PackTransposed(v.data(), kRank, kM, vt.data());
-    la::simd::PackRowsPadded(v.data(), kRank, kM, vp.data());
+    la::simd::PackTransposed(v.data(), kRank, m, vt.data());
+    la::simd::PackRowsPadded(v.data(), kRank, m, vp.data());
   }
 
   Matrix x, u, v, u_next;
@@ -250,14 +250,15 @@ struct FitPassInputs {
 // One row pass (the observed cells of U V, their squared error, and the
 // Formula 13 step at λ = 0.5) over every row, as the fit runs it: 64-row
 // chunks through ParallelReduce, pinned to one thread. Args: observed
-// percent, tier.
+// percent, columns (20, perfbench's width, or 7, the width of the paper's
+// Lake and Vehicle data), tier.
 void BM_FitRowPass(benchmark::State& state) {
-  const la::simd::ScopedSimd tier(static_cast<int>(state.range(1)));
+  const la::simd::ScopedSimd tier(static_cast<int>(state.range(2)));
   const parallel::ScopedParallelism threads(1);
-  FitPassInputs in(state.range(0));
+  FitPassInputs in(state.range(0), state.range(1));
   la::simd::UStep step;
   step.k = FitPassInputs::kRank;
-  step.m = FitPassInputs::kM;
+  step.m = state.range(1);
   step.vt = in.vt.data();
   step.vp = in.vp.data();
   step.row_ptr = in.omega.CsrRowPtr().data();
@@ -281,7 +282,7 @@ void BM_FitRowPass(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_FitRowPass)->ArgsProduct({{10, 90}, {0, 1}})
+BENCHMARK(BM_FitRowPass)->ArgsProduct({{10, 90}, {20, 7}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
 // One V step (Formula 14) over the free columns. It reads V from the
@@ -310,16 +311,20 @@ void BM_FitVStep(benchmark::State& state) {
 BENCHMARK(BM_FitVStep)->ArgsProduct({{10, 90}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
-// Tr(UᵀLU) over the p = 3 graph of the same shape (scalar code on every
-// tier; the observed rate does not enter).
+// Tr(UᵀLU) over the p = 3 graph of the same shape (the observed rate does
+// not enter): 64-vertex chunks of the laplacian_edges kernel through
+// ParallelReduce, pinned to one thread. Arg: tier.
 void BM_LaplacianQuadraticForm(benchmark::State& state) {
+  const la::simd::ScopedSimd tier(static_cast<int>(state.range(0)));
+  const parallel::ScopedParallelism threads(1);
   FitPassInputs in(10);
   for (auto _ : state) {
     const double lqf = in.graph.LaplacianQuadraticForm(in.u);
     benchmark::DoNotOptimize(lqf);
   }
 }
-BENCHMARK(BM_LaplacianQuadraticForm)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_LaplacianQuadraticForm)->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
 
 // Batched fold-in serving: Arg(0) fresh rows against a synthetic frozen
 // model (rank 12, 16 columns, 2 spatial). ~80% observed with coordinates

@@ -650,6 +650,8 @@ Status RunApplyCommand(const Flags& flags, std::string* output) {
       data::Table::Create(input.table.column_names(), std::move(restored),
                           input.spatial_cols));
   RETURN_NOT_OK(data::WriteCompletedCsv(out_path, out_table, input.observed));
+  // The tier report walks every row's outcome.
+  SMFL_TRACE_SPAN("cli.report");
   *output += StrFormat("folded %lld rows against %s -> %s\n",
                        static_cast<long long>(input.table.NumRows()),
                        model_path.c_str(), out_path.c_str());

@@ -126,10 +126,11 @@ constexpr Index kUpdateColGrain = 1;
 //   U ← max(0, U + 2θ ((R_Ω(X) − R_Ω(UV))Vᵀ − λ (W U − D U))).
 // It packs V into `vt` (Vᵀ K-padded, which the next V step reads too) and
 // `vp` (V with zero padding columns). Row-parallel over the CSR spans,
-// each 64-row chunk one call of the la::simd u_step_rows kernel: the
-// chunk's observed cells of UV, their squared error, then each row's step
-// from x and those cells, V, and its neighbours' rows of U through the
-// graph's CSR arrays — which is why U_new goes to a second buffer.
+// each 64-row chunk one call of the la::simd u_step_rows kernel, which
+// walks it one row at a time: the row's observed cells of UV and their
+// squared error, then its step from x and those cells, V, and its
+// neighbours' rows of U through the graph's CSR arrays — which is why
+// U_new goes to a second buffer.
 // `div_eps` is the denominator floor the TrainingGuard widens after a
 // rollback.
 double RowPass(const data::ObservedIndex& omega, const NeighborGraph& graph,
@@ -542,10 +543,12 @@ Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
       sigma2 += best;
     }
     sigma2 = std::max(sigma2 / static_cast<double>(n), 1e-8);
+    std::vector<Index> obs_cols;
+    obs_cols.reserve(static_cast<size_t>(spatial_cols));
     for (Index i = 0; i < n; ++i) {
       // Kernel over the observed SI coordinates only; a fully unobserved
       // location degrades to uniform weights.
-      std::vector<Index> obs_cols;
+      obs_cols.clear();
       for (Index j = 0; j < spatial_cols; ++j) {
         if (observed.Contains(i, j)) obs_cols.push_back(j);
       }
@@ -572,19 +575,28 @@ Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
       }
       for (Index c = 0; c < k; ++c) model.u(i, c) /= sum;
     }
+    // The cluster means of the free columns in one pass over the rows:
+    // each (cluster, column) sum adds its rows in ascending order from
+    // +0.0. A column a cluster never observes keeps its random start, drawn
+    // in cluster-then-column order.
+    const Index free = m - spatial_cols;
+    std::vector<double> sums(static_cast<size_t>(k * free), 0.0);
+    std::vector<Index> counts(static_cast<size_t>(k * free), 0);
+    for (Index i = 0; i < n; ++i) {
+      const Index base = nearest[static_cast<size_t>(i)] * free - spatial_cols;
+      for (Index j = spatial_cols; j < m; ++j) {
+        if (!observed.Contains(i, j)) continue;
+        sums[static_cast<size_t>(base + j)] += x(i, j);
+        ++counts[static_cast<size_t>(base + j)];
+      }
+    }
     for (Index c = 0; c < k; ++c) {
       for (Index j = spatial_cols; j < m; ++j) {
-        double sum = 0.0;
-        Index count = 0;
-        for (Index i = 0; i < n; ++i) {
-          if (nearest[static_cast<size_t>(i)] != c) continue;
-          if (!observed.Contains(i, j)) continue;
-          sum += x(i, j);
-          ++count;
-        }
-        model.v(c, j) = count > 0
-                            ? std::max(sum / static_cast<double>(count), 1e-4)
-                            : rng.Uniform(0.01, 1.0);
+        const auto at = static_cast<size_t>(c * free + j - spatial_cols);
+        model.v(c, j) =
+            counts[at] > 0
+                ? std::max(sums[at] / static_cast<double>(counts[at]), 1e-4)
+                : rng.Uniform(0.01, 1.0);
       }
     }
   }

@@ -14,7 +14,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <memory>
+#include <vector>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -93,75 +93,107 @@ void SqDiffScalar(Index n, const double* x, const double* r, double* out) {
 // arrays); a larger rank takes several passes over the column's rows.
 constexpr Index kScalarBlock = 16;
 
-// The U step over rows [r0, r1), reading R_Ω(UV) of packed position c at
-// uv[c − base]. Returns the rows' squared error: each row's
-// (x − (U V)_ij)² over its cells in ascending order from +0.0, then the
-// rows in order from +0.0.
-double UStepBlockScalar(const UStep& s, const double* uv, Index base,
-                        Index r0, Index r1) {
+// Rows per squared-error block of the row pass: each row's error joins its
+// block's sum in row order from +0.0, and the block sums join in order —
+// data::MaskedReconstructPacked's grouping. The fit's U pass hands the
+// kernel 64-row chunks, one block each.
+constexpr Index kRowPassBlock = 64;
+
+// The calling thread's row-sized scratch for the row pass's reconstructed
+// cells, grown on demand and kept, so a call allocates nothing once the
+// thread has seen the widest row.
+double* RowScratch(Index n) {
+  thread_local std::vector<double> scratch;
+  if (static_cast<Index>(scratch.size()) < n) {
+    scratch.resize(static_cast<size_t>(n));
+  }
+  return scratch.data();
+}
+
+// One row of U V over the padded columns [0, mp): r[j] = Σ_p u[p] v[p·mp + j],
+// each the ascending-p chain from +0.0 (the u[p] == 0 terms skipped under
+// skip_zeros), four columns interleaved.
+void UvRowScalar(Index k, Index mp, const double* v, const double* u,
+                 bool skip_zeros, double* r) {
+  for (Index j0 = 0; j0 < mp; j0 += kLaneWidth) {
+    double a[kLaneWidth] = {};
+    for (Index p = 0; p < k; ++p) {
+      const double up = u[p];
+      // smfl-lint: allow(float-eq) exact zero-skip: 0.0 adds nothing
+      if (skip_zeros && up == 0.0) continue;
+      const double* vr = v + p * mp + j0;
+      for (Index l = 0; l < kLaneWidth; ++l) a[l] += up * vr[l];
+    }
+    for (Index l = 0; l < kLaneWidth; ++l) r[j0 + l] = a[l];
+  }
+}
+
+// Row i's U step (see UStep), reading (U V)_ij of its observed cell c at
+// uv[cols[c]] (kDense: the row's whole padded row) or at uv[c − row_ptr[i]]
+// (its cells, packed). Returns the row's squared error: (x − (U V)_ij)²
+// over its cells in ascending order from +0.0.
+template <bool kDense>
+double UStepRowScalar(const UStep& s, Index i, const double* uv) {
   const Index k = s.k, kp = PaddedWidth(k);
   const bool graph = s.lambda > 0.0;
-  double err = 0.0;
-  for (Index i = r0; i < r1; ++i) {
-    const Index c0 = s.row_ptr[i], c1 = s.row_ptr[i + 1];
-    const double* urow = s.u + i * k;
-    double row_err = 0.0;
+  const Index c0 = s.row_ptr[i], c1 = s.row_ptr[i + 1];
+  const auto at = [&](Index c) { return kDense ? uv[s.cols[c]] : uv[c - c0]; };
+  const double* urow = s.u + i * k;
+  double row_err = 0.0;
+  for (Index c = c0; c < c1; ++c) {
+    const double d = s.x[c] - at(c);
+    row_err += d * d;
+  }
+  // Passes of kLaneWidth lanes, so the accumulators are fixed-size arrays
+  // the compiler keeps in registers; U's rows are read only up to their
+  // true width w.
+  for (Index l0 = 0; l0 < k; l0 += kLaneWidth) {
+    const Index w = std::min(kLaneWidth, k - l0);
+    // Multiplicative: num = R_Ω(X)_i Vᵀ and den = R_Ω(UV)_i Vᵀ. Gradient:
+    // the single chain (R_Ω(X) − R_Ω(UV))_i Vᵀ, into num.
+    double num[kLaneWidth] = {}, den[kLaneWidth] = {};
     for (Index c = c0; c < c1; ++c) {
-      const double d = s.x[c] - uv[c - base];
-      row_err += d * d;
+      const double* vp = s.vt + s.cols[c] * kp + l0;
+      if (s.multiplicative) {
+        const double xc = s.x[c], uc = at(c);
+        for (Index l = 0; l < kLaneWidth; ++l) {
+          num[l] += xc * vp[l];
+          den[l] += uc * vp[l];
+        }
+      } else {
+        const double a = s.x[c] - at(c);
+        for (Index l = 0; l < kLaneWidth; ++l) num[l] += a * vp[l];
+      }
     }
-    err += row_err;
-    // Passes of kLaneWidth lanes, so the accumulators are fixed-size
-    // arrays the compiler keeps in registers; U's rows are read only up to
-    // their true width w.
-    for (Index l0 = 0; l0 < k; l0 += kLaneWidth) {
-      const Index w = std::min(kLaneWidth, k - l0);
-      // Multiplicative: num = R_Ω(X)_i Vᵀ and den = R_Ω(UV)_i Vᵀ. Gradient:
-      // the single chain (R_Ω(X) − R_Ω(UV))_i Vᵀ, into num.
-      double num[kLaneWidth] = {}, den[kLaneWidth] = {};
-      for (Index c = c0; c < c1; ++c) {
-        const double* vp = s.vt + s.cols[c] * kp + l0;
-        if (s.multiplicative) {
-          const double xc = s.x[c], uc = uv[c - base];
-          for (Index l = 0; l < kLaneWidth; ++l) {
-            num[l] += xc * vp[l];
-            den[l] += uc * vp[l];
-          }
-        } else {
-          const double a = s.x[c] - uv[c - base];
-          for (Index l = 0; l < kLaneWidth; ++l) num[l] += a * vp[l];
-        }
+    // (D U)_i: neighbour rows summed from zero in adjacency order.
+    double du[kLaneWidth] = {};
+    double degree = 0.0;
+    if (graph) {
+      for (Index e = s.nbr_ptr[i]; e < s.nbr_ptr[i + 1]; ++e) {
+        const double we = s.nbr_w[e];
+        const double* nrow = s.u + s.nbr[e] * k + l0;
+        for (Index l = 0; l < w; ++l) du[l] += we * nrow[l];
       }
-      // (D U)_i: neighbour rows summed from zero in adjacency order.
-      double du[kLaneWidth] = {};
-      double degree = 0.0;
-      if (graph) {
-        for (Index e = s.nbr_ptr[i]; e < s.nbr_ptr[i + 1]; ++e) {
-          const double we = s.nbr_w[e];
-          const double* nrow = s.u + s.nbr[e] * k + l0;
-          for (Index l = 0; l < w; ++l) du[l] += we * nrow[l];
+      degree = s.degree[i];
+    }
+    double* out = s.u_next + i * k + l0;
+    for (Index l = 0; l < w; ++l) {
+      const double ul = urow[l0 + l];
+      if (s.multiplicative) {
+        double nl = num[l], dl = den[l];
+        if (graph) {
+          nl += du[l] * s.lambda;
+          dl += degree * ul * s.lambda;
         }
-        degree = s.degree[i];
-      }
-      double* out = s.u_next + i * k + l0;
-      for (Index l = 0; l < w; ++l) {
-        const double ul = urow[l0 + l];
-        if (s.multiplicative) {
-          double nl = num[l], dl = den[l];
-          if (graph) {
-            nl += du[l] * s.lambda;
-            dl += degree * ul * s.lambda;
-          }
-          out[l] = ul * (nl / std::max(dl, s.div_eps));
-        } else {
-          double g = num[l];
-          if (graph) g -= (degree * ul - du[l]) * s.lambda;
-          out[l] = std::max(ul + g * s.step, 0.0);
-        }
+        out[l] = ul * (nl / std::max(dl, s.div_eps));
+      } else {
+        double g = num[l];
+        if (graph) g -= (degree * ul - du[l]) * s.lambda;
+        out[l] = std::max(ul + g * s.step, 0.0);
       }
     }
   }
-  return err;
+  return row_err;
 }
 
 // (U V)_pj for up to four observed rows p = rows[0 .. block) of one column
@@ -241,96 +273,12 @@ void VStepColsScalar(const VStep& s, Index c0, Index c1) {
   }
 }
 
+// Two rows of U V: each row's chains are UvRowScalar's.
 void UvRowPairScalar(Index k, Index mp, const double* v, const double* u0,
                      const double* u1, bool skip_zeros, double* r0,
                      double* r1) {
-  for (Index j0 = 0; j0 < mp; j0 += kLaneWidth) {
-    double a0[kLaneWidth] = {}, a1[kLaneWidth] = {};
-    for (Index p = 0; p < k; ++p) {
-      const double* vr = v + p * mp + j0;
-      const double x0 = u0[p], x1 = u1[p];
-      // smfl-lint: allow(float-eq) exact zero-skip: 0.0 adds nothing
-      if (!(skip_zeros && x0 == 0.0)) {
-        for (Index l = 0; l < kLaneWidth; ++l) a0[l] += x0 * vr[l];
-      }
-      // smfl-lint: allow(float-eq) exact zero-skip: 0.0 adds nothing
-      if (!(skip_zeros && x1 == 0.0)) {
-        for (Index l = 0; l < kLaneWidth; ++l) a1[l] += x1 * vr[l];
-      }
-    }
-    for (Index l = 0; l < kLaneWidth; ++l) {
-      r0[j0 + l] = a0[l];
-      r1[j0 + l] = a1[l];
-    }
-  }
-}
-
-// Rows per block of the row pass: a block's reconstructed cells are held
-// together from its reconstruction to its U step. The fit's U pass hands
-// the kernel 64-row chunks, one block each.
-constexpr Index kRowPassBlock = 64;
-
-// A tier's pieces of the row pass.
-struct RowPassTier {
-  decltype(&UvRowPairScalar) pair;      // two dense rows of U V
-  decltype(&MaskedDotColsScalar) cells;  // the observed cells of a sparse row
-  decltype(&UStepBlockScalar) step;     // a block's U step and error
-  Index crossover;                      // Kernels::dense_crossover
-};
-
-// The row pass (Kernels::u_step_rows), one block of rows at a time: the
-// block's observed cells of U V, then its U step, which also sums their
-// squared error. Dense rows pair up through `pair` and reach their packed
-// slots from the whole padded row, sparse rows write theirs through
-// `cells`; the pairing and the crossover never change a bit. The block
-// sums join in block order, which for 64-row blocks is
-// data::MaskedReconstructPacked's order; a row without cells adds +0.0,
-// which leaves a sum unchanged.
-double RowPass(const RowPassTier& tier, const UStep& s, Index r0, Index r1) {
-  if (r1 <= r0) return 0.0;
-  const Index k = s.k, m = s.m, mp = PaddedWidth(m);
-  const Index rows = std::min(kRowPassBlock, r1 - r0);
-  const auto work = std::make_unique_for_overwrite<double[]>(
-      static_cast<size_t>(2 * mp + rows * m));
-  double* pair0 = work.get();
-  double* pair1 = pair0 + mp;
-  double* uv = pair1 + mp;  // the block's cells, from packed position base
-  double err = 0.0;
-  for (Index b0 = r0; b0 < r1; b0 += kRowPassBlock) {
-    const Index b1 = std::min(b0 + kRowPassBlock, r1);
-    const Index base = s.row_ptr[b0];
-    const auto gather = [&](Index i, const double* row) {
-      for (Index c = s.row_ptr[i]; c < s.row_ptr[i + 1]; ++c) {
-        uv[c - base] = row[s.cols[c]];
-      }
-    };
-    Index pending = -1;
-    for (Index i = b0; i < b1; ++i) {
-      const Index c0 = s.row_ptr[i], nc = s.row_ptr[i + 1] - c0;
-      if (nc == 0) continue;
-      if (nc * tier.crossover < m) {
-        tier.cells(k, s.vt, s.u + i * k, s.cols + c0, nc, s.skip_zeros,
-                   uv + (c0 - base));
-        continue;
-      }
-      if (pending < 0) {
-        pending = i;
-        continue;
-      }
-      tier.pair(k, mp, s.vp, s.u + pending * k, s.u + i * k, s.skip_zeros,
-                pair0, pair1);
-      gather(pending, pair0);
-      gather(i, pair1);
-      pending = -1;
-    }
-    if (pending >= 0) {
-      const double* up = s.u + pending * k;
-      tier.pair(k, mp, s.vp, up, up, s.skip_zeros, pair0, pair1);
-      gather(pending, pair0);
-    }
-    err += tier.step(s, uv, base, b0, b1);
-  }
-  return err;
+  UvRowScalar(k, mp, v, u0, skip_zeros, r0);
+  UvRowScalar(k, mp, v, u1, skip_zeros, r1);
 }
 
 // The fold-in solve, one row after another: the plain per-row loop every
@@ -379,17 +327,79 @@ void FoldInRowsScalar(const FoldInSolve& s, FoldInRow* rows, Index count,
 // measured table in docs/performance.md "Two passes per iteration").
 constexpr Index kScalarCrossover = 2;
 
+// The row pass (Kernels::u_step_rows), one row at a time: the row's
+// observed cells of U V in the row scratch — its whole padded row, or its
+// cells through masked_dot_cols — then its U step from them. Which path a
+// row takes never changes a bit. A row without cells adds +0.0 to its
+// block's error, which leaves the sum unchanged.
 double UStepRowsScalar(const UStep& s, Index r0, Index r1) {
-  constexpr RowPassTier kTier{UvRowPairScalar, MaskedDotColsScalar,
-                              UStepBlockScalar, kScalarCrossover};
-  return RowPass(kTier, s, r0, r1);
+  const Index k = s.k, m = s.m, mp = PaddedWidth(m);
+  double* row = RowScratch(mp);
+  double err = 0.0;
+  for (Index b0 = r0; b0 < r1; b0 += kRowPassBlock) {
+    const Index b1 = std::min(b0 + kRowPassBlock, r1);
+    double block_err = 0.0;
+    for (Index i = b0; i < b1; ++i) {
+      const Index c0 = s.row_ptr[i], nc = s.row_ptr[i + 1] - c0;
+      const double* ui = s.u + i * k;
+      if (nc * kScalarCrossover >= m) {
+        UvRowScalar(k, mp, s.vp, ui, s.skip_zeros, row);
+        block_err += UStepRowScalar<true>(s, i, row);
+      } else {
+        MaskedDotColsScalar(k, s.vt, ui, s.cols + c0, nc, s.skip_zeros, row);
+        block_err += UStepRowScalar<false>(s, i, row);
+      }
+    }
+    err += block_err;
+  }
+  return err;
+}
+
+// ||u_from − u_to||² of upper-triangle edge e: the ascending-column chain
+// from +0.0.
+double EdgeSquaredDistance(const LaplacianEdges& g, Index e) {
+  const double* ui = g.u + g.from[e] * g.k;
+  const double* uj = g.u + g.targets[g.edge[e]] * g.k;
+  double acc = 0.0;
+  for (Index c = 0; c < g.k; ++c) {
+    const double diff = ui[c] - uj[c];
+    acc += diff * diff;
+  }
+  return acc;
+}
+
+// The Laplacian term over edges [e0, e1): groups of four edges whose four
+// chains interleave, each weighted term joining the sum in edge order,
+// then the 0–3 edges after the last group one at a time.
+double LaplacianEdgesScalar(const LaplacianEdges& g, Index e0, Index e1) {
+  const Index k = g.k;
+  double acc = 0.0;
+  Index e = e0;
+  for (; e + 4 <= e1; e += 4) {
+    const double* a[4];
+    const double* b[4];
+    for (Index q = 0; q < 4; ++q) {
+      a[q] = g.u + g.from[e + q] * k;
+      b[q] = g.u + g.targets[g.edge[e + q]] * k;
+    }
+    double s[4] = {};
+    for (Index c = 0; c < k; ++c) {
+      for (Index q = 0; q < 4; ++q) {
+        const double diff = a[q][c] - b[q][c];
+        s[q] += diff * diff;
+      }
+    }
+    for (Index q = 0; q < 4; ++q) acc += g.weights[g.edge[e + q]] * s[q];
+  }
+  for (; e < e1; ++e) acc += g.weights[g.edge[e]] * EdgeSquaredDistance(g, e);
+  return acc;
 }
 
 constexpr Kernels kScalarTable{
-    Tier::kScalar,       AxpyScalar,      DotPanelScalar,
-    MaskedDotColsScalar, SqDiffScalar,    UStepRowsScalar,
-    VStepColsScalar,     UvRowPairScalar, FoldInRowsScalar,
-    kScalarCrossover};
+    Tier::kScalar,        AxpyScalar,      DotPanelScalar,
+    MaskedDotColsScalar,  SqDiffScalar,    UStepRowsScalar,
+    VStepColsScalar,      UvRowPairScalar, FoldInRowsScalar,
+    LaplacianEdgesScalar, kScalarCrossover};
 
 // ---------------------------------------------------------------------------
 // AVX2 tier (x86). Per-function target attributes keep the rest of the
@@ -454,136 +464,6 @@ __attribute__((target("avx2"))) inline __m256d LoadBlock(const double* p,
                                                         __m256i tail) {
   return b + 1 < NB ? _mm256_loadu_pd(p + b * kLaneWidth)
                     : _mm256_maskload_pd(p + b * kLaneWidth, tail);
-}
-
-// One pass of the U step over lanes [l0, l0 + 4·NB) of rows [r0, r1),
-// reading R_Ω(UV) of packed position c at uv[c − base]: the scalar tier's
-// chains, a vector lane per rank entry, every accumulator in registers
-// from the row's first cell to its store. Returns the rows' squared error
-// in UStepBlockScalar's order, each row's chain running beside its sums
-// over the same cells.
-template <int NB>
-__attribute__((target("avx2"))) double UStepPassAvx2(const UStep& s,
-                                                    const double* uv,
-                                                    Index base, Index r0,
-                                                    Index r1, Index l0) {
-  const Index k = s.k, kp = PaddedWidth(k);
-  const __m256i tail =
-      FirstLanes(std::min(kLaneWidth, k - l0 - (NB - 1) * kLaneWidth));
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d lambda = _mm256_set1_pd(s.lambda);
-  const __m256d step = _mm256_set1_pd(s.step);
-  const __m256d eps = _mm256_set1_pd(s.div_eps);
-  const bool graph = s.lambda > 0.0;
-  double err = 0.0;
-  for (Index i = r0; i < r1; ++i) {
-    __m256d num[NB], den[NB];
-    #pragma GCC unroll 8
-    for (int b = 0; b < NB; ++b) num[b] = den[b] = zero;
-    const Index c1 = s.row_ptr[i + 1];
-    double row_err = 0.0;
-    if (s.multiplicative) {
-      for (Index c = s.row_ptr[i]; c < c1; ++c) {
-        const double* vp = s.vt + s.cols[c] * kp + l0;
-        const double d = s.x[c] - uv[c - base];
-        row_err += d * d;
-        const __m256d xc = _mm256_set1_pd(s.x[c]);
-        const __m256d uc = _mm256_set1_pd(uv[c - base]);
-        #pragma GCC unroll 8
-        for (int b = 0; b < NB; ++b) {
-          const __m256d vv = _mm256_loadu_pd(vp + b * kLaneWidth);
-          num[b] = _mm256_add_pd(num[b], _mm256_mul_pd(xc, vv));
-          den[b] = _mm256_add_pd(den[b], _mm256_mul_pd(uc, vv));
-        }
-      }
-    } else {
-      for (Index c = s.row_ptr[i]; c < c1; ++c) {
-        const double* vp = s.vt + s.cols[c] * kp + l0;
-        const double d = s.x[c] - uv[c - base];
-        row_err += d * d;
-        const __m256d a = _mm256_set1_pd(d);
-        #pragma GCC unroll 8
-        for (int b = 0; b < NB; ++b) {
-          num[b] = _mm256_add_pd(
-              num[b], _mm256_mul_pd(a, _mm256_loadu_pd(vp + b * kLaneWidth)));
-        }
-      }
-    }
-    const double* urow = s.u + i * k + l0;
-    __m256d out[NB];
-    if (graph) {
-      __m256d du[NB];
-      #pragma GCC unroll 8
-      for (int b = 0; b < NB; ++b) du[b] = zero;
-      for (Index e = s.nbr_ptr[i]; e < s.nbr_ptr[i + 1]; ++e) {
-        const __m256d we = _mm256_set1_pd(s.nbr_w[e]);
-        const double* nrow = s.u + s.nbr[e] * k + l0;
-        #pragma GCC unroll 8
-        for (int b = 0; b < NB; ++b) {
-          du[b] = _mm256_add_pd(du[b],
-                                _mm256_mul_pd(we, LoadBlock<NB>(nrow, b, tail)));
-        }
-      }
-      const __m256d degree = _mm256_set1_pd(s.degree[i]);
-      #pragma GCC unroll 8
-      for (int b = 0; b < NB; ++b) {
-        const __m256d ul = LoadBlock<NB>(urow, b, tail);
-        const __m256d wu = _mm256_mul_pd(degree, ul);
-        if (s.multiplicative) {
-          const __m256d nl =
-              _mm256_add_pd(num[b], _mm256_mul_pd(du[b], lambda));
-          const __m256d dl = _mm256_add_pd(den[b], _mm256_mul_pd(wu, lambda));
-          // max(eps, dl) is std::max(dl, eps): dl unless dl < eps.
-          out[b] = _mm256_mul_pd(ul, _mm256_div_pd(nl, _mm256_max_pd(eps, dl)));
-        } else {
-          const __m256d g = _mm256_sub_pd(
-              num[b], _mm256_mul_pd(_mm256_sub_pd(wu, du[b]), lambda));
-          // max(0, a) is std::max(a, 0.0): a unless a < 0 (keeps −0, NaN).
-          out[b] = _mm256_max_pd(zero,
-                                 _mm256_add_pd(ul, _mm256_mul_pd(g, step)));
-        }
-      }
-    } else {
-      #pragma GCC unroll 8
-      for (int b = 0; b < NB; ++b) {
-        const __m256d ul = LoadBlock<NB>(urow, b, tail);
-        out[b] = s.multiplicative
-                     ? _mm256_mul_pd(
-                           ul, _mm256_div_pd(num[b], _mm256_max_pd(eps, den[b])))
-                     : _mm256_max_pd(
-                           zero, _mm256_add_pd(ul, _mm256_mul_pd(num[b], step)));
-      }
-    }
-    double* orow = s.u_next + i * k + l0;
-    #pragma GCC unroll 8
-    for (int b = 0; b + 1 < NB; ++b) {
-      _mm256_storeu_pd(orow + b * kLaneWidth, out[b]);
-    }
-    _mm256_maskstore_pd(orow + (NB - 1) * kLaneWidth, tail, out[NB - 1]);
-    err += row_err;
-  }
-  return err;
-}
-
-__attribute__((target("avx2"))) double UStepBlockAvx2(const UStep& s,
-                                                     const double* uv,
-                                                     Index base, Index r0,
-                                                     Index r1) {
-  // Passes of up to four registers (16 lanes) over the rank; the first
-  // pass's squared error is the block's (a rank above 16 recomputes it in
-  // its later passes).
-  double err = 0.0;
-  for (Index l0 = 0; l0 < s.k; l0 += 4 * kLaneWidth) {
-    double pass_err = 0.0;
-    switch (std::min<Index>(4, (s.k - l0 + kLaneWidth - 1) / kLaneWidth)) {
-      case 1: pass_err = UStepPassAvx2<1>(s, uv, base, r0, r1, l0); break;
-      case 2: pass_err = UStepPassAvx2<2>(s, uv, base, r0, r1, l0); break;
-      case 3: pass_err = UStepPassAvx2<3>(s, uv, base, r0, r1, l0); break;
-      default: pass_err = UStepPassAvx2<4>(s, uv, base, r0, r1, l0); break;
-    }
-    if (l0 == 0) err = pass_err;
-  }
-  return err;
 }
 
 // The 4×4 transpose of rows a0..a3: t[l] = (a0[l], a1[l], a2[l], a3[l]).
@@ -674,22 +554,31 @@ ColumnCellsAvx2(const __m256d (*ub)[NB], Index k, const double* vj) {
 }
 
 // Row p's terms of column j's sums over a pass's lanes, `up` its NB
-// registers: num += u_p·x_pj and den += u_p·(U V)_pj. A non-finite
-// (U V)_pj masks the u_pl == 0 terms to +0.0, which leaves a sum that
-// never holds −0.0 unchanged — the scalar skip, per lane.
+// registers and rv its finite (U V)_pj in every lane: num += u_p·x_pj and
+// den += u_p·(U V)_pj.
+template <int NB>
+__attribute__((target("avx2"), always_inline)) inline void VStepRowFiniteAvx2(
+    const __m256d* up, double x, __m256d rv, __m256d* num, __m256d* den) {
+  const __m256d xv = _mm256_set1_pd(x);
+  #pragma GCC unroll 8
+  for (int b = 0; b < NB; ++b) {
+    num[b] = _mm256_add_pd(num[b], _mm256_mul_pd(up[b], xv));
+    den[b] = _mm256_add_pd(den[b], _mm256_mul_pd(up[b], rv));
+  }
+}
+
+// VStepRowFiniteAvx2 for any (U V)_pj = r: a non-finite r masks the
+// u_pl == 0 terms to +0.0, which leaves a sum that never holds −0.0
+// unchanged — the scalar skip, per lane.
 template <int NB>
 __attribute__((target("avx2"), always_inline)) inline void VStepRowAvx2(
     const __m256d* up, double x, double r, __m256d* num, __m256d* den) {
-  const __m256d xv = _mm256_set1_pd(x);
   const __m256d rv = _mm256_set1_pd(r);
   if (std::isfinite(r)) {
-    #pragma GCC unroll 8
-    for (int b = 0; b < NB; ++b) {
-      num[b] = _mm256_add_pd(num[b], _mm256_mul_pd(up[b], xv));
-      den[b] = _mm256_add_pd(den[b], _mm256_mul_pd(up[b], rv));
-    }
+    VStepRowFiniteAvx2<NB>(up, x, rv, num, den);
     return;
   }
+  const __m256d xv = _mm256_set1_pd(x);
   const __m256d zero = _mm256_setzero_pd();
   #pragma GCC unroll 8
   for (int b = 0; b < NB; ++b) {
@@ -733,7 +622,30 @@ __attribute__((target("avx2"))) void VStepPassAvx2(const VStep& s, Index j,
     }
     double r[4];
     if (vector_cells) {
-      _mm256_storeu_pd(r, ColumnCellsAvx2<NB>(ub, k, vj));
+      const __m256d rv = ColumnCellsAvx2<NB>(ub, k, vj);
+      // rv − rv is +0.0 in every lane only when all four (U V)_pj are
+      // finite (a short group's spare lanes repeat its last row): then each
+      // row's lane is broadcast in registers, with no zero masking.
+      if (_mm256_movemask_pd(_mm256_cmp_pd(_mm256_sub_pd(rv, rv), zero,
+                                           _CMP_EQ_OQ)) == 0xF) {
+        const double* x = s.x + c;
+        VStepRowFiniteAvx2<NB>(ub[0], x[0], _mm256_permute4x64_pd(rv, 0x00),
+                               num, den);
+        if (block > 1) {
+          VStepRowFiniteAvx2<NB>(ub[1], x[1],
+                                 _mm256_permute4x64_pd(rv, 0x55), num, den);
+        }
+        if (block > 2) {
+          VStepRowFiniteAvx2<NB>(ub[2], x[2],
+                                 _mm256_permute4x64_pd(rv, 0xAA), num, den);
+        }
+        if (block > 3) {
+          VStepRowFiniteAvx2<NB>(ub[3], x[3],
+                                 _mm256_permute4x64_pd(rv, 0xFF), num, den);
+        }
+        continue;
+      }
+      _mm256_storeu_pd(r, rv);
     } else {
       ColumnCells(k, s.u, s.rows + c, block, vj, finite_column, r);
     }
@@ -776,84 +688,6 @@ __attribute__((target("avx2"))) void VStepColsAvx2(const VStep& s, Index c0,
         default: VStepPassAvx2<4>(s, j, finite_column, l0); break;
       }
     }
-  }
-}
-
-// One column block (NB registers) of two rows of U V: 2·NB accumulators
-// live across the whole p loop and share each load of v. kSkip adds the
-// u[p] == 0 skip, per row and uniform across the row's lanes.
-template <int NB, bool kSkip>
-__attribute__((target("avx2"))) void UvRowPairBlockAvx2(
-    Index k, Index mp, const double* v, const double* u0, const double* u1,
-    double* r0, double* r1) {
-  __m256d a0[NB], a1[NB];
-  #pragma GCC unroll 8
-  for (int b = 0; b < NB; ++b) a0[b] = a1[b] = _mm256_setzero_pd();
-  for (Index p = 0; p < k; ++p) {
-    const double* vr = v + p * mp;
-    const __m256d x0 = _mm256_set1_pd(u0[p]);
-    const __m256d x1 = _mm256_set1_pd(u1[p]);
-    if (!kSkip) {
-      #pragma GCC unroll 8
-      for (int b = 0; b < NB; ++b) {
-        const __m256d vv = _mm256_loadu_pd(vr + b * kLaneWidth);
-        a0[b] = _mm256_add_pd(a0[b], _mm256_mul_pd(x0, vv));
-        a1[b] = _mm256_add_pd(a1[b], _mm256_mul_pd(x1, vv));
-      }
-      continue;
-    }
-    // smfl-lint: allow(float-eq) exact zero-skip: 0.0 adds nothing
-    if (u0[p] != 0.0) {
-      #pragma GCC unroll 8
-      for (int b = 0; b < NB; ++b) {
-        a0[b] = _mm256_add_pd(
-            a0[b], _mm256_mul_pd(x0, _mm256_loadu_pd(vr + b * kLaneWidth)));
-      }
-    }
-    // smfl-lint: allow(float-eq) exact zero-skip: 0.0 adds nothing
-    if (u1[p] != 0.0) {
-      #pragma GCC unroll 8
-      for (int b = 0; b < NB; ++b) {
-        a1[b] = _mm256_add_pd(
-            a1[b], _mm256_mul_pd(x1, _mm256_loadu_pd(vr + b * kLaneWidth)));
-      }
-    }
-  }
-  #pragma GCC unroll 8
-  for (int b = 0; b < NB; ++b) {
-    _mm256_storeu_pd(r0 + b * kLaneWidth, a0[b]);
-    _mm256_storeu_pd(r1 + b * kLaneWidth, a1[b]);
-  }
-}
-
-template <bool kSkip>
-__attribute__((target("avx2"))) void UvRowPairBlocksAvx2(
-    Index k, Index mp, const double* v, const double* u0, const double* u1,
-    double* r0, double* r1) {
-  // Column blocks of up to six registers (24 columns): 12 accumulators plus
-  // the shared load and the two broadcasts fit the 16 ymm registers.
-  for (Index j0 = 0; j0 < mp; j0 += 6 * kLaneWidth) {
-    const double* vb = v + j0;
-    double* o0 = r0 + j0;
-    double* o1 = r1 + j0;
-    switch (std::min<Index>(6, (mp - j0) / kLaneWidth)) {
-      case 1: UvRowPairBlockAvx2<1, kSkip>(k, mp, vb, u0, u1, o0, o1); break;
-      case 2: UvRowPairBlockAvx2<2, kSkip>(k, mp, vb, u0, u1, o0, o1); break;
-      case 3: UvRowPairBlockAvx2<3, kSkip>(k, mp, vb, u0, u1, o0, o1); break;
-      case 4: UvRowPairBlockAvx2<4, kSkip>(k, mp, vb, u0, u1, o0, o1); break;
-      case 5: UvRowPairBlockAvx2<5, kSkip>(k, mp, vb, u0, u1, o0, o1); break;
-      default: UvRowPairBlockAvx2<6, kSkip>(k, mp, vb, u0, u1, o0, o1); break;
-    }
-  }
-}
-
-__attribute__((target("avx2"))) void UvRowPairAvx2(
-    Index k, Index mp, const double* v, const double* u0, const double* u1,
-    bool skip_zeros, double* r0, double* r1) {
-  if (skip_zeros) {
-    UvRowPairBlocksAvx2<true>(k, mp, v, u0, u1, r0, r1);
-  } else {
-    UvRowPairBlocksAvx2<false>(k, mp, v, u0, u1, r0, r1);
   }
 }
 
@@ -1096,22 +930,326 @@ __attribute__((target("avx2"))) void FoldInRowsAvx2(const FoldInSolve& s,
   }
 }
 
+// One row of U V over padded columns [0, 4·NC) of `v` (k × mp): register b
+// holds columns [4b, 4b + 4), each lane its column's ascending-p chain from
+// +0.0 (kSkip: the u[p] == 0 terms skipped, uniformly across the lanes),
+// every accumulator in registers across the whole rank loop.
+template <int NC, bool kSkip>
+__attribute__((target("avx2"), always_inline)) inline void UvRowBlockAvx2(
+    Index k, Index mp, const double* v, const double* u, double* r) {
+  __m256d a[NC];
+  #pragma GCC unroll 8
+  for (int b = 0; b < NC; ++b) a[b] = _mm256_setzero_pd();
+  for (Index p = 0; p < k; ++p) {
+    // smfl-lint: allow(float-eq) exact zero-skip: 0.0 adds nothing
+    if (kSkip && u[p] == 0.0) continue;
+    const __m256d x = _mm256_set1_pd(u[p]);
+    const double* vr = v + p * mp;
+    #pragma GCC unroll 8
+    for (int b = 0; b < NC; ++b) {
+      a[b] = _mm256_add_pd(
+          a[b], _mm256_mul_pd(x, _mm256_loadu_pd(vr + b * kLaneWidth)));
+    }
+  }
+  #pragma GCC unroll 8
+  for (int b = 0; b < NC; ++b) _mm256_storeu_pd(r + b * kLaneWidth, a[b]);
+}
+
+// UvRowScalar on AVX2: column blocks of up to eight registers (32
+// columns), so the eight accumulators, the broadcast and a load fit the
+// 16 ymm registers.
+template <bool kSkip>
+__attribute__((target("avx2"))) void UvRowAvx2(Index k, Index mp,
+                                               const double* v,
+                                               const double* u, double* r) {
+  for (Index j0 = 0; j0 < mp; j0 += 8 * kLaneWidth) {
+    const double* vb = v + j0;
+    double* rb = r + j0;
+    switch (std::min<Index>(8, (mp - j0) / kLaneWidth)) {
+      case 1: UvRowBlockAvx2<1, kSkip>(k, mp, vb, u, rb); break;
+      case 2: UvRowBlockAvx2<2, kSkip>(k, mp, vb, u, rb); break;
+      case 3: UvRowBlockAvx2<3, kSkip>(k, mp, vb, u, rb); break;
+      case 4: UvRowBlockAvx2<4, kSkip>(k, mp, vb, u, rb); break;
+      case 5: UvRowBlockAvx2<5, kSkip>(k, mp, vb, u, rb); break;
+      case 6: UvRowBlockAvx2<6, kSkip>(k, mp, vb, u, rb); break;
+      case 7: UvRowBlockAvx2<7, kSkip>(k, mp, vb, u, rb); break;
+      default: UvRowBlockAvx2<8, kSkip>(k, mp, vb, u, rb); break;
+    }
+  }
+}
+
+// Two rows of U V: each row's chains are UvRowAvx2's.
+__attribute__((target("avx2"))) void UvRowPairAvx2(
+    Index k, Index mp, const double* v, const double* u0, const double* u1,
+    bool skip_zeros, double* r0, double* r1) {
+  if (skip_zeros) {
+    UvRowAvx2<true>(k, mp, v, u0, r0);
+    UvRowAvx2<true>(k, mp, v, u1, r1);
+  } else {
+    UvRowAvx2<false>(k, mp, v, u0, r0);
+    UvRowAvx2<false>(k, mp, v, u1, r1);
+  }
+}
+
+// Row i's sums over its observed cells for lanes [l0, l0 + 4·NB) — num
+// and den, or the gradient's single chain in num — with every accumulator
+// in registers from the first cell to the last, reading (U V)_ij of cell c
+// at uv[cols[c]] (kDense) or uv[c − row_ptr[i]] (packed). Returns the
+// row's squared error, its chain running beside the sums over the same
+// cells.
+template <int NB, bool kDense>
+__attribute__((target("avx2"), always_inline)) inline double UStepCellsAvx2(
+    const UStep& s, Index i, const double* uv, Index l0, __m256d* num,
+    __m256d* den) {
+  const Index kp = PaddedWidth(s.k);
+  const Index c0 = s.row_ptr[i], c1 = s.row_ptr[i + 1];
+  double row_err = 0.0;
+  if (s.multiplicative) {
+    for (Index c = c0; c < c1; ++c) {
+      const Index j = s.cols[c];
+      const double* vp = s.vt + j * kp + l0;
+      const double uc = kDense ? uv[j] : uv[c - c0];
+      const double d = s.x[c] - uc;
+      row_err += d * d;
+      const __m256d xv = _mm256_set1_pd(s.x[c]);
+      const __m256d uv_c = _mm256_set1_pd(uc);
+      #pragma GCC unroll 8
+      for (int b = 0; b < NB; ++b) {
+        const __m256d vv = _mm256_loadu_pd(vp + b * kLaneWidth);
+        num[b] = _mm256_add_pd(num[b], _mm256_mul_pd(xv, vv));
+        den[b] = _mm256_add_pd(den[b], _mm256_mul_pd(uv_c, vv));
+      }
+    }
+    return row_err;
+  }
+  for (Index c = c0; c < c1; ++c) {
+    const Index j = s.cols[c];
+    const double* vp = s.vt + j * kp + l0;
+    const double d = s.x[c] - (kDense ? uv[j] : uv[c - c0]);
+    row_err += d * d;
+    const __m256d a = _mm256_set1_pd(d);
+    #pragma GCC unroll 8
+    for (int b = 0; b < NB; ++b) {
+      num[b] = _mm256_add_pd(
+          num[b], _mm256_mul_pd(a, _mm256_loadu_pd(vp + b * kLaneWidth)));
+    }
+  }
+  return row_err;
+}
+
+// One pass of row i's U step over lanes [l0, l0 + 4·NB): UStepRowScalar's
+// chains, a vector lane per rank entry, from the row's cells in `uv` (see
+// UStepCellsAvx2) to its store. Returns the row's squared error.
+template <int NB>
+__attribute__((target("avx2"), always_inline)) inline double UStepRowPassAvx2(
+    const UStep& s, Index i, const double* uv, bool dense, Index l0) {
+  const Index k = s.k;
+  const __m256i tail =
+      FirstLanes(std::min(kLaneWidth, k - l0 - (NB - 1) * kLaneWidth));
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d lambda = _mm256_set1_pd(s.lambda);
+  const __m256d step = _mm256_set1_pd(s.step);
+  const __m256d eps = _mm256_set1_pd(s.div_eps);
+  __m256d num[NB], den[NB];
+  #pragma GCC unroll 8
+  for (int b = 0; b < NB; ++b) num[b] = den[b] = zero;
+  const double row_err =
+      dense ? UStepCellsAvx2<NB, true>(s, i, uv, l0, num, den)
+            : UStepCellsAvx2<NB, false>(s, i, uv, l0, num, den);
+  const double* urow = s.u + i * k + l0;
+  __m256d out[NB];
+  if (s.lambda > 0.0) {
+    __m256d du[NB];
+    #pragma GCC unroll 8
+    for (int b = 0; b < NB; ++b) du[b] = zero;
+    for (Index e = s.nbr_ptr[i]; e < s.nbr_ptr[i + 1]; ++e) {
+      const __m256d we = _mm256_set1_pd(s.nbr_w[e]);
+      const double* nrow = s.u + s.nbr[e] * k + l0;
+      #pragma GCC unroll 8
+      for (int b = 0; b < NB; ++b) {
+        du[b] = _mm256_add_pd(du[b],
+                              _mm256_mul_pd(we, LoadBlock<NB>(nrow, b, tail)));
+      }
+    }
+    const __m256d degree = _mm256_set1_pd(s.degree[i]);
+    #pragma GCC unroll 8
+    for (int b = 0; b < NB; ++b) {
+      const __m256d ul = LoadBlock<NB>(urow, b, tail);
+      const __m256d wu = _mm256_mul_pd(degree, ul);
+      if (s.multiplicative) {
+        const __m256d nl =
+            _mm256_add_pd(num[b], _mm256_mul_pd(du[b], lambda));
+        const __m256d dl = _mm256_add_pd(den[b], _mm256_mul_pd(wu, lambda));
+        // max(eps, dl) is std::max(dl, eps): dl unless dl < eps.
+        out[b] = _mm256_mul_pd(ul, _mm256_div_pd(nl, _mm256_max_pd(eps, dl)));
+      } else {
+        const __m256d g = _mm256_sub_pd(
+            num[b], _mm256_mul_pd(_mm256_sub_pd(wu, du[b]), lambda));
+        // max(0, a) is std::max(a, 0.0): a unless a < 0 (keeps −0, NaN).
+        out[b] = _mm256_max_pd(zero,
+                               _mm256_add_pd(ul, _mm256_mul_pd(g, step)));
+      }
+    }
+  } else {
+    #pragma GCC unroll 8
+    for (int b = 0; b < NB; ++b) {
+      const __m256d ul = LoadBlock<NB>(urow, b, tail);
+      out[b] = s.multiplicative
+                   ? _mm256_mul_pd(
+                         ul, _mm256_div_pd(num[b], _mm256_max_pd(eps, den[b])))
+                   : _mm256_max_pd(
+                         zero, _mm256_add_pd(ul, _mm256_mul_pd(num[b], step)));
+    }
+  }
+  double* orow = s.u_next + i * k + l0;
+  #pragma GCC unroll 8
+  for (int b = 0; b + 1 < NB; ++b) {
+    _mm256_storeu_pd(orow + b * kLaneWidth, out[b]);
+  }
+  _mm256_maskstore_pd(orow + (NB - 1) * kLaneWidth, tail, out[NB - 1]);
+  return row_err;
+}
+
+// A later pass of a rank above 16 (its squared error is the first pass's).
+template <int NB>
+__attribute__((target("avx2"), noinline)) void UStepLaterPassAvx2(
+    const UStep& s, Index i, const double* uv, bool dense, Index l0) {
+  UStepRowPassAvx2<NB>(s, i, uv, dense, l0);
+}
+
 // Dense/per-cell crossover of the AVX2 tier (Kernels::dense_crossover):
-// its dense rows run the register-blocked uv_row_pair, its sparse rows
-// four cells per vector.
+// its dense rows run UvRowAvx2's register blocks, its sparse rows
+// masked_dot_cols four cells per vector.
 constexpr Index kAvx2Crossover = 4;
 
-double UStepRowsAvx2(const UStep& s, Index r0, Index r1) {
-  constexpr RowPassTier kTier{UvRowPairAvx2, MaskedDotColsAvx2,
-                              UStepBlockAvx2, kAvx2Crossover};
-  return RowPass(kTier, s, r0, r1);
+// UStepRowsScalar on AVX2, the first lane pass of each row holding NB
+// registers (a rank of at most 4·NB, or the first 16 lanes of a larger
+// one): the row's cells into the row scratch, then its step at once.
+template <int NB>
+__attribute__((target("avx2"))) double UStepRowsPassAvx2(const UStep& s,
+                                                        Index r0, Index r1) {
+  const Index k = s.k, m = s.m, mp = PaddedWidth(m);
+  double* row = RowScratch(mp);
+  double err = 0.0;
+  for (Index b0 = r0; b0 < r1; b0 += kRowPassBlock) {
+    const Index b1 = std::min(b0 + kRowPassBlock, r1);
+    double block_err = 0.0;
+    for (Index i = b0; i < b1; ++i) {
+      const Index c0 = s.row_ptr[i], nc = s.row_ptr[i + 1] - c0;
+      const double* ui = s.u + i * k;
+      const bool dense = nc * kAvx2Crossover >= m;
+      if (dense) {
+        if (s.skip_zeros) {
+          UvRowAvx2<true>(k, mp, s.vp, ui, row);
+        } else {
+          UvRowAvx2<false>(k, mp, s.vp, ui, row);
+        }
+      } else {
+        MaskedDotColsAvx2(k, s.vt, ui, s.cols + c0, nc, s.skip_zeros, row);
+      }
+      block_err += UStepRowPassAvx2<NB>(s, i, row, dense, 0);
+      for (Index l0 = NB * kLaneWidth; l0 < k; l0 += 4 * kLaneWidth) {
+        switch (std::min<Index>(4, (k - l0 + kLaneWidth - 1) / kLaneWidth)) {
+          case 1: UStepLaterPassAvx2<1>(s, i, row, dense, l0); break;
+          case 2: UStepLaterPassAvx2<2>(s, i, row, dense, l0); break;
+          case 3: UStepLaterPassAvx2<3>(s, i, row, dense, l0); break;
+          default: UStepLaterPassAvx2<4>(s, i, row, dense, l0); break;
+        }
+      }
+    }
+    err += block_err;
+  }
+  return err;
+}
+
+__attribute__((target("avx2"))) double UStepRowsAvx2(const UStep& s,
+                                                    Index r0, Index r1) {
+  switch (std::min<Index>(4, (s.k + kLaneWidth - 1) / kLaneWidth)) {
+    case 1: return UStepRowsPassAvx2<1>(s, r0, r1);
+    case 2: return UStepRowsPassAvx2<2>(s, r0, r1);
+    case 3: return UStepRowsPassAvx2<3>(s, r0, r1);
+    default: return UStepRowsPassAvx2<4>(s, r0, r1);
+  }
+}
+
+// Edge q's squared differences over columns [c, c + 4) of its rows a[q]
+// and b[q], the four edges transposed 4×4 into t: t[l] lane q is edge q's
+// at column c + l. kTail: columns past the rows' width w read as +0.0
+// instead of being loaded.
+template <bool kTail>
+__attribute__((target("avx2"), always_inline)) inline void EdgeSquaresAvx2(
+    const double* const* a, const double* const* b, Index c, Index w,
+    __m256d t[4]) {
+  const __m256i live = FirstLanes(w);
+  __m256d sq[4];
+  #pragma GCC unroll 4
+  for (int q = 0; q < 4; ++q) {
+    const __m256d d =
+        kTail ? _mm256_sub_pd(_mm256_maskload_pd(a[q] + c, live),
+                              _mm256_maskload_pd(b[q] + c, live))
+              : _mm256_sub_pd(_mm256_loadu_pd(a[q] + c),
+                              _mm256_loadu_pd(b[q] + c));
+    sq[q] = _mm256_mul_pd(d, d);
+  }
+  Transpose4(sq[0], sq[1], sq[2], sq[3], t);
+}
+
+// LaplacianEdgesScalar on AVX2, a vector lane per edge of each group of
+// four: four columns at a time, each edge's squared differences come out of
+// one sub and one mul with its columns in the lanes, are transposed 4×4 so
+// lane q holds edge q's, and join lane q's chain in ascending column order
+// from +0.0. The four weighted terms then join the sum in edge order.
+__attribute__((target("avx2"))) double LaplacianEdgesAvx2(
+    const LaplacianEdges& g, Index e0, Index e1) {
+  const Index k = g.k;
+  double acc = 0.0;
+  Index e = e0;
+  for (; e + 4 <= e1; e += 4) {
+    const double* a[4];
+    const double* b[4];
+    #pragma GCC unroll 4
+    for (int q = 0; q < 4; ++q) {
+      a[q] = g.u + g.from[e + q] * k;
+      b[q] = g.u + g.targets[g.edge[e + q]] * k;
+    }
+    __m256d s = _mm256_setzero_pd();
+    __m256d t[4];
+    Index c = 0;
+    for (; c + kLaneWidth <= k; c += kLaneWidth) {
+      EdgeSquaresAvx2<false>(a, b, c, kLaneWidth, t);
+      s = _mm256_add_pd(s, t[0]);
+      s = _mm256_add_pd(s, t[1]);
+      s = _mm256_add_pd(s, t[2]);
+      s = _mm256_add_pd(s, t[3]);
+    }
+    if (c < k) {
+      // Rows of U are read only up to their true width.
+      const Index w = k - c;
+      EdgeSquaresAvx2<true>(a, b, c, w, t);
+      s = _mm256_add_pd(s, t[0]);
+      if (w > 1) s = _mm256_add_pd(s, t[1]);
+      if (w > 2) s = _mm256_add_pd(s, t[2]);
+    }
+    const __m256d terms = _mm256_mul_pd(
+        _mm256_setr_pd(g.weights[g.edge[e]], g.weights[g.edge[e + 1]],
+                       g.weights[g.edge[e + 2]], g.weights[g.edge[e + 3]]),
+        s);
+    const __m128d lo = _mm256_castpd256_pd128(terms);
+    const __m128d hi = _mm256_extractf128_pd(terms, 1);
+    acc += _mm_cvtsd_f64(lo);
+    acc += _mm_cvtsd_f64(_mm_unpackhi_pd(lo, lo));
+    acc += _mm_cvtsd_f64(hi);
+    acc += _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi));
+  }
+  for (; e < e1; ++e) acc += g.weights[g.edge[e]] * EdgeSquaredDistance(g, e);
+  return acc;
 }
 
 constexpr Kernels kAvx2Table{
-    Tier::kAvx2,       AxpyAvx2,      DotPanelAvx2,
-    MaskedDotColsAvx2, SqDiffAvx2,    UStepRowsAvx2,
-    VStepColsAvx2,     UvRowPairAvx2, FoldInRowsAvx2,
-    kAvx2Crossover};
+    Tier::kAvx2,        AxpyAvx2,      DotPanelAvx2,
+    MaskedDotColsAvx2,  SqDiffAvx2,    UStepRowsAvx2,
+    VStepColsAvx2,      UvRowPairAvx2, FoldInRowsAvx2,
+    LaplacianEdgesAvx2, kAvx2Crossover};
 
 #endif  // SMFL_SIMD_X86
 
@@ -1177,10 +1315,10 @@ void SqDiffNeon(Index n, const double* x, const double* r, double* out) {
 // The fit and fold-in kernels and their crossovers are the scalar tier's:
 // no NEON version of them is built or tested here.
 constexpr Kernels kNeonTable{
-    Tier::kNeon,         AxpyNeon,        DotPanelNeon,
-    MaskedDotColsScalar, SqDiffNeon,      UStepRowsScalar,
-    VStepColsScalar,     UvRowPairScalar, FoldInRowsScalar,
-    kScalarCrossover};
+    Tier::kNeon,          AxpyNeon,        DotPanelNeon,
+    MaskedDotColsScalar,  SqDiffNeon,      UStepRowsScalar,
+    VStepColsScalar,      UvRowPairScalar, FoldInRowsScalar,
+    LaplacianEdgesScalar, kScalarCrossover};
 
 #endif  // SMFL_SIMD_NEON
 

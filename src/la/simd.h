@@ -4,18 +4,20 @@
 // MaskedSquaredError paths and the fold-in solve. The table: axpy,
 // dot_panel, masked_dot_cols, sq_diff, the register-resident fit kernels
 // u_step_rows (the row pass: R_Ω(UV), its squared error, and Formula 13
-// or its gradient step over a range of rows), v_step_cols (Formula 14 or
-// its gradient step over a range of columns) and uv_row_pair (two rows of
-// U V with every accumulator in registers), and the serving kernel
-// fold_in_rows (the fold-in solve of core::FoldIn, a row per vector lane).
+// or its gradient step, one row at a time), v_step_cols (Formula 14 or
+// its gradient step over a range of columns), uv_row_pair (two rows of
+// U V with every accumulator in registers) and laplacian_edges (the
+// objective's Tr(UᵀLU) over a range of graph edges), and the serving
+// kernel fold_in_rows (the fold-in solve of core::FoldIn, a row per
+// vector lane).
 //
 // DETERMINISM CONTRACT. Every tier (scalar, AVX2, NEON) computes every
 // output element with the IDENTICAL sequence of IEEE-754 operations: the
 // same ascending-k mul-then-add chain the serial code has always used.
 // Vectorization happens ONLY across independent output elements (a vector
 // lane per output column, per rank entry of an output row or column, per
-// cell, or per fresh row of a fold-in solve), never within one element's
-// reduction — no horizontal sums, no FMA contraction (the build pins
+// cell, per edge, or per fresh row of a fold-in solve), never within one
+// element's reduction — no horizontal sums, no FMA contraction (the build pins
 // -ffp-contract=off), no reassociation.
 // SIMD-on, SIMD-off, and any thread count therefore produce byte-identical
 // results; tests/simd_kernel_test.cc and tests/kernel_equivalence_test.cc
@@ -164,6 +166,19 @@ struct VStep {
   double* v = nullptr;            // V, k × m; column j is written
 };
 
+// The edges of the spatial regularizer Tr(UᵀLU) = Σ_{i<j} d_ij ||u_i − u_j||²
+// (spatial::NeighborGraph::LaplacianQuadraticForm): upper-triangle edge e
+// joins rows from[e] and targets[edge[e]] with weight weights[edge[e]],
+// edge[e] being its position in the graph's CSR arrays.
+struct LaplacianEdges {
+  Index k = 0;                     // rank
+  const double* u = nullptr;       // U, n × k
+  const Index* from = nullptr;
+  const Index* edge = nullptr;
+  const Index* targets = nullptr;  // the CSR targets
+  const double* weights = nullptr;  // the CSR weights
+};
+
 // One fresh row of the fold-in solve (core/fold_in.cc): the single-row
 // Formula 13 without graph terms against the frozen V restricted to the
 // row's usable observed columns cols[0 .. nt),
@@ -232,22 +247,25 @@ struct Kernels {
   void (*sq_diff)(Index n, const double* x, const double* r, double* out);
 
   // The row pass over rows [r0, r1) (see UStep); returns their squared
-  // error. Each reconstructed (U V)_ij is the ascending-l chain from +0.0
-  // (skipping u_il == 0 under skip_zeros): a row with `observed` cells
-  // reconstructs its whole padded row on uv_row_pair's chains (paired with
-  // the next such row) when `observed * dense_crossover >= m`, else its
-  // cells through masked_dot_cols. Per output entry u_il the step's
-  // chains are those of the dense formula restricted to Ω: num and den sum
-  // the row's observed cells in ascending column order from +0.0, (D U)_il
-  // sums the neighbour rows from +0.0 in adjacency order, then
-  // num + (D U)_il·λ, den + (d_i·u_il)·λ and the epilogue. Rows go in
-  // blocks of 64: a block's reconstructed cells sit in a per-call buffer
-  // from its reconstruction to its step, whose vector lanes are the K
-  // entries of a row, every accumulator in registers across the row's
-  // cells and edges. The squared error is data::MaskedReconstructPacked's:
-  // each row's cells ascending from +0.0, the row sums in row order from
-  // +0.0 within a block, then the block sums in order; the AVX2 step sums
-  // each row's chain beside its num and den.
+  // error. It walks one row at a time: first the row's observed cells of
+  // U V into a row-sized scratch of the calling thread — its whole padded
+  // row on uv_row_pair's chains when `observed * dense_crossover >= m`
+  // (on AVX2 up to 32 columns per register block, every accumulator in
+  // registers across the rank), else its cells through masked_dot_cols —
+  // then that row's U step from them. Each reconstructed (U V)_ij is the
+  // ascending-l chain from +0.0 (skipping u_il == 0 under skip_zeros), so
+  // the path a row takes never changes a bit. Per output entry u_il the
+  // step's chains are those of the dense formula restricted to Ω: num and
+  // den sum the row's observed cells in ascending column order from +0.0,
+  // (D U)_il sums the neighbour rows from +0.0 in adjacency order, then
+  // num + (D U)_il·λ, den + (d_i·u_il)·λ and the epilogue. The vector
+  // lanes are the K entries of the row (up to four 4-lane registers per
+  // pass; a rank above 16 takes more passes), every accumulator in
+  // registers across the row's cells and edges. The squared error is
+  // data::MaskedReconstructPacked's: each row's cells ascending from +0.0
+  // (the AVX2 step sums it beside its num and den), the row sums in row
+  // order from +0.0 within a block of 64 rows from r0, then the block sums
+  // in order.
   double (*u_step_rows)(const UStep& s, Index r0, Index r1);
 
   // The V step over free columns [c0, c1) (see VStep). For each observed
@@ -258,9 +276,11 @@ struct Kernels {
   // num and den stay in registers across the column's rows. The AVX2 tier
   // loads four observed rows' registers once; when one pass holds the
   // whole rank it builds their (U V)_pj in one vector from those
-  // registers, transposed 4×4, and feeds num and den from the same
-  // registers (a column with a non-finite V entry, or a rank above 16,
-  // keeps the scalar zero-skipping chains for (U V)_pj).
+  // registers, transposed 4×4, and, when all four are finite (one test per
+  // group), broadcasts each row's lane in registers to feed num and den
+  // from the same registers; a group with a non-finite (U V)_pj masks the
+  // zero terms lane by lane (a column with a non-finite V entry, or a
+  // rank above 16, keeps the scalar zero-skipping chains for (U V)_pj).
   void (*v_step_cols)(const VStep& s, Index c0, Index c1);
 
   // r0[j] = sum_p u0[p] * v[p * mp + j] and r1[j] likewise for u1, for j
@@ -269,9 +289,9 @@ struct Kernels {
   // the terms with u[p] == 0 are skipped (needed only when v holds a
   // non-finite entry: against a finite partner the skipped term is an
   // exact ±0.0 that leaves the chain unchanged). Vector lanes are output
-  // columns; both rows' accumulators for a column block stay in registers
-  // across p, sharing each load of v. Powers the dense rows of the masked
-  // reconstructions and of the row pass.
+  // columns; a row's accumulators for a column block (up to 32 columns on
+  // AVX2) stay in registers across p. Powers the dense rows of the masked
+  // reconstructions; the row pass runs the same chains one row at a time.
   void (*uv_row_pair)(Index k, Index mp, const double* v, const double* u0,
                       const double* u1, bool skip_zeros, double* r0,
                       double* r1);
@@ -292,10 +312,20 @@ struct Kernels {
   void (*fold_in_rows)(const FoldInSolve& s, FoldInRow* rows, Index count,
                        double* work);
 
+  // Σ_e d_e·||u_from − u_to||² over edges [e0, e1) (see LaplacianEdges),
+  // from +0.0 in edge order. Each squared distance is the ascending-column
+  // chain from +0.0. The edges go in groups of four whose chains run side
+  // by side — on AVX2 a vector lane per edge: the four rows' squared
+  // differences, four columns at a time, transposed 4×4 — and each group's
+  // weighted terms join the sum in edge order; the 0–3 edges after the
+  // last group follow one at a time. NeighborGraph::LaplacianQuadraticForm
+  // calls it once per 64-vertex chunk.
+  double (*laplacian_edges)(const LaplacianEdges& g, Index e0, Index e1);
+
   // Measured dense/per-cell crossover of every masked reconstruction —
   // the row pass and data::MaskedReconstruct* — and of
   // MaskedSquaredError: a row takes the dense path (the full padded row
-  // through uv_row_pair, or sq_diff, then its observed entries) when
+  // on uv_row_pair's chains, or sq_diff, then its observed entries) when
   // `observed * dense_crossover >= m`, and masked_dot_cols (or the
   // per-entry error) below that, so sparse rows of wide tables stay
   // per-cell. Per tier because the two paths vectorize differently (table

@@ -1,12 +1,12 @@
 #include "src/spatial/graph.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 
 #include "src/common/parallel.h"
 #include "src/spatial/knn.h"
 #include "src/la/ops.h"
+#include "src/la/simd.h"
 #include "src/spatial/metrics.h"
 
 namespace {
@@ -239,52 +239,25 @@ Matrix NeighborGraph::MultiplyW(const Matrix& u) const {
 
 double NeighborGraph::LaplacianQuadraticForm(const Matrix& u) const {
   SMFL_CHECK_EQ(u.rows(), num_vertices());
-  const Index k = u.cols();
-  const double* ud = u.data();
-  // ||u_i − u_j||² for one edge: the ascending-column chain from +0.0.
-  const auto d2 = [&](Index e) {
-    const double* ui = ud + upper_from_[static_cast<size_t>(e)] * k;
-    const double* uj =
-        ud + targets_[static_cast<size_t>(upper_edge_[static_cast<size_t>(e)])] * k;
-    double acc = 0.0;
-    for (Index c = 0; c < k; ++c) {
-      const double diff = ui[c] - uj[c];
-      acc += diff * diff;
-    }
-    return acc;
-  };
-  const auto weight = [&](Index e) {
-    return weights_[static_cast<size_t>(upper_edge_[static_cast<size_t>(e)])];
-  };
+  la::simd::LaplacianEdges edges;
+  edges.k = u.cols();
+  edges.u = u.data();
+  edges.from = upper_from_.data();
+  edges.edge = upper_edge_.data();
+  edges.targets = targets_.data();
+  edges.weights = weights_.data();
+  // Resolved on the calling thread so a ScopedSimd override reaches the
+  // pool workers (la/simd.h, dispatch resolution).
+  const la::simd::Kernels& ker = la::simd::Active();
   // Per-chunk partials combined in ascending chunk order: deterministic
   // at any thread count (though chunking may reorder sums vs. a single
   // serial accumulator, the order is fixed by the partition alone). A
-  // chunk's upper-triangle edges are one flat range; four of their d²
-  // chains run interleaved, then join the chunk sum in edge order.
+  // chunk's upper-triangle edges are one flat range for the kernel.
   return parallel::ParallelReduce(
       0, u.rows(), kVertexGrain, [&](Index r0, Index r1) {
-        const Index e1 = upper_offsets_[static_cast<size_t>(r1)];
-        Index e = upper_offsets_[static_cast<size_t>(r0)];
-        double acc = 0.0;
-        for (; e + 4 <= e1; e += 4) {
-          std::array<const double*, 4> a{}, b{};
-          for (Index q = 0; q < 4; ++q) {
-            a[q] = ud + upper_from_[static_cast<size_t>(e + q)] * k;
-            b[q] = ud + targets_[static_cast<size_t>(
-                            upper_edge_[static_cast<size_t>(e + q)])] *
-                            k;
-          }
-          std::array<double, 4> s{};
-          for (Index c = 0; c < k; ++c) {
-            for (Index q = 0; q < 4; ++q) {
-              const double diff = a[q][c] - b[q][c];
-              s[q] += diff * diff;
-            }
-          }
-          for (Index q = 0; q < 4; ++q) acc += weight(e + q) * s[q];
-        }
-        for (; e < e1; ++e) acc += weight(e) * d2(e);
-        return acc;
+        return ker.laplacian_edges(edges,
+                                   upper_offsets_[static_cast<size_t>(r0)],
+                                   upper_offsets_[static_cast<size_t>(r1)]);
       });
 }
 

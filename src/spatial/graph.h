@@ -111,10 +111,11 @@ class NeighborGraph {
 
   // Tr(Uᵀ L U) = ½ Σ_{ij} d_ij ||u_i − u_j||² — the spatial regularizer
   // O_SR(U), computed edge-wise without forming L. Each 64-vertex chunk
-  // sums its upper-triangle edges (i < j, in CSR order) as one flat range,
-  // d_ij·||u_i − u_j||² per edge with the squared distance an ascending-
-  // column chain from +0.0; the chunk totals then join in order, so the
-  // value is the same at any thread count.
+  // sums its upper-triangle edges (i < j, in CSR order) as one flat range
+  // through the la::simd laplacian_edges kernel, d_ij·||u_i − u_j||² per
+  // edge with the squared distance an ascending-column chain from +0.0;
+  // the chunk totals then join in order, so the value is the same at any
+  // thread count and on any SIMD tier.
   double LaplacianQuadraticForm(const Matrix& u) const;
 
   // Dense D / W / L for verification and small-scale math.

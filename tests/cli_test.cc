@@ -546,7 +546,7 @@ TEST(CliTest, TraceHoldsEveryStageSpan) {
                 "--out=" + out_path},
                {"cli.apply", "core.load_model", "data.read_csv",
                 "cli.normalize", "foldin.batch", "cli.reconstruct",
-                "data.write_csv"});
+                "data.write_csv", "cli.report"});
   expect_spans({"fit", "--in=" + f.path, "--model=" + model_path,
                 "--rank=5"},
                {"cli.fit", "data.read_csv", "cli.normalize", "smfl.graph",

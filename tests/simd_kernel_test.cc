@@ -210,110 +210,138 @@ void ExpectSameBits(const std::vector<double>& a, const std::vector<double>& b,
   }
 }
 
-// One row pass on both tiers: n = 9 rows — row 1 unobserved, row 4 fully
-// observed, row 5 with one cell, row 7 with two, row 3 with about m/3 (the
-// masked_dot_cols path on the scalar tier, the dense path on AVX2), the rest
-// about half — U with exact zeros, a graph in which row 2 is isolated,
-// and (for some shapes) an infinite V entry, so reconstructed cells are
-// infinite or, without the zero-skip, NaN. The returned squared error and
-// U_next must match bit for bit; against a finite V the zero-skip must
-// not change a bit either.
+// One row pass on both tiers at rank k and width m: n = 12 rows — row 1
+// unobserved, row 4 fully observed, row 5 with one cell, row 7 with two,
+// row 3 with about m/3 (the masked_dot_cols path on the scalar tier, the
+// dense path on AVX2), rows 9 and 10 at the smallest cell count that
+// takes the dense path on the vector and on the scalar tier (exactly
+// `observed · dense_crossover == m` when the crossover divides m), row 11
+// one cell below the vector tier's, the rest about half — U with exact
+// zeros, a graph in which row 2 is isolated, and, unless finite_v, an
+// infinite V entry, so reconstructed cells are infinite or, without the
+// zero-skip, NaN. The returned squared error and U_next must match bit for
+// bit; against a finite V the zero-skip must not change a bit either.
+void ExpectRowPassMatchesScalarTier(Index k, Index m, bool finite_v) {
+  constexpr Index n = 12;
+  const auto crossover = [](int mode) {
+    simd::ScopedSimd tier(mode);
+    return simd::Active().dense_crossover;
+  };
+  const auto dense_min = [&](int mode) {
+    return (m + crossover(mode) - 1) / crossover(mode);
+  };
+  const Index row_cells[3] = {dense_min(1), dense_min(0), dense_min(1) - 1};
+  const auto seed = static_cast<uint64_t>(k * 100 + m);
+  Rng rng(seed);
+  const Matrix u = RandomMatrix(n, k, seed + 1, 0.25);
+  Matrix v = RandomMatrix(k, m, seed + 2, 0.1);
+  if (!finite_v) v(k - 1, m - 1) = kInf;
+  std::vector<Index> row_ptr{0}, cols;
+  std::vector<double> x;
+  for (Index i = 0; i < n; ++i) {
+    Index taken = 0;
+    for (Index j = 0; j < m; ++j) {
+      bool keep = rng.Uniform() < 0.5;
+      if (i == 1) keep = false;
+      if (i == 4) keep = true;
+      if (i == 5 || i == 7) {
+        keep = taken < (i == 5 ? 1 : 2) && (j % 3 == 1 || j == m - 1);
+      }
+      if (i == 3) keep = j % 3 == 2;
+      // The first cells of every other column, then the last columns.
+      if (i >= 9) {
+        const Index want = row_cells[i - 9];
+        keep = taken < want && (j % 2 == 0 || m - j <= want - taken);
+      }
+      if (!keep) continue;
+      ++taken;
+      cols.push_back(j);
+      x.push_back(rng.Uniform());
+    }
+    row_ptr.push_back(static_cast<Index>(cols.size()));
+  }
+  // Row i's neighbours (i + 1) % n and (i + 3) % n; row 2 isolated.
+  std::vector<Index> nbr_ptr{0}, nbr;
+  std::vector<double> nbr_w, degree;
+  for (Index i = 0; i < n; ++i) {
+    double d = 0.0;
+    if (i != 2) {
+      for (const Index to : {(i + 1) % n, (i + 3) % n}) {
+        nbr.push_back(to);
+        nbr_w.push_back(rng.Uniform(0.1, 1.0));
+        d += nbr_w.back();
+      }
+    }
+    nbr_ptr.push_back(static_cast<Index>(nbr.size()));
+    degree.push_back(d);
+  }
+  std::vector<double> vt(static_cast<size_t>(m * simd::PaddedWidth(k)));
+  std::vector<double> vp(static_cast<size_t>(k * simd::PaddedWidth(m)));
+  simd::PackTransposed(v.data(), k, m, vt.data());
+  simd::PackRowsPadded(v.data(), k, m, vp.data());
+  for (const bool multiplicative : {true, false}) {
+    for (const double lambda : {0.0, 0.5}) {
+      simd::UStep step;
+      step.k = k;
+      step.m = m;
+      step.vt = vt.data();
+      step.vp = vp.data();
+      step.row_ptr = row_ptr.data();
+      step.cols = cols.data();
+      step.x = x.data();
+      step.u = u.data();
+      step.nbr_ptr = nbr_ptr.data();
+      step.nbr = nbr.data();
+      step.nbr_w = nbr_w.data();
+      step.degree = degree.data();
+      step.lambda = lambda;
+      step.step = 0.1;
+      step.div_eps = 1e-9;
+      step.multiplicative = multiplicative;
+      const auto run = [&](int mode, bool skip_zeros, double* err) {
+        simd::ScopedSimd tier(mode);
+        std::vector<double> out(static_cast<size_t>(n * k), -1.0);
+        step.skip_zeros = skip_zeros;
+        step.u_next = out.data();
+        *err = simd::Active().u_step_rows(step, 0, n);
+        return out;
+      };
+      const std::string label =
+          "u_step_rows k=" + std::to_string(k) + " m=" + std::to_string(m) +
+          (multiplicative ? " mult" : " grad") +
+          " lambda=" + std::to_string(lambda);
+      for (const bool skip : {false, true}) {
+        double err_vec = 0.0, err_sca = 0.0;
+        const std::vector<double> out_vec = run(1, skip, &err_vec);
+        const std::vector<double> out_sca = run(0, skip, &err_sca);
+        const std::string run_label = label + (skip ? " skip" : "");
+        ExpectSameBits(out_vec, out_sca, run_label);
+        ASSERT_TRUE(SameBits(err_vec, err_sca))
+            << run_label << ": " << err_vec << " vs " << err_sca;
+      }
+      if (finite_v) {
+        double err_skip = 0.0, err_plain = 0.0;
+        ExpectSameBits(run(1, true, &err_skip), run(0, false, &err_plain),
+                       label + " skip vs no skip");
+        ASSERT_TRUE(SameBits(err_skip, err_plain)) << label;
+      }
+    }
+  }
+}
+
+// Every rank K in 1..17 (one to four 4-lane registers, lane tails, and a
+// second 16-lane pass) at every width m in 1..33, an infinite V entry at
+// every third shape; then infinite-V (zero-skip) passes on wider rows, whose
+// dense rows span more than one register block of columns.
 TEST(SimdKernelTest, UStepRowsMatchesScalarTier) {
-  constexpr Index n = 9;
   for (Index k = 1; k <= 17; ++k) {
     for (Index m = 1; m <= 33; ++m) {
-      const auto seed = static_cast<uint64_t>(k * 100 + m);
-      Rng rng(seed);
-      const Matrix u = RandomMatrix(n, k, seed + 1, 0.25);
-      Matrix v = RandomMatrix(k, m, seed + 2, 0.1);
-      const bool finite_v = (k + m) % 3 != 0;
-      if (!finite_v) v(k - 1, m - 1) = kInf;
-      std::vector<Index> row_ptr{0}, cols;
-      std::vector<double> x;
-      for (Index i = 0; i < n; ++i) {
-        Index taken = 0;
-        for (Index j = 0; j < m; ++j) {
-          bool keep = rng.Uniform() < 0.5;
-          if (i == 1) keep = false;
-          if (i == 4) keep = true;
-          if (i == 5 || i == 7) {
-            keep = taken < (i == 5 ? 1 : 2) && (j % 3 == 1 || j == m - 1);
-          }
-          if (i == 3) keep = j % 3 == 2;
-          if (!keep) continue;
-          ++taken;
-          cols.push_back(j);
-          x.push_back(rng.Uniform());
-        }
-        row_ptr.push_back(static_cast<Index>(cols.size()));
-      }
-      // Row i's neighbours (i + 1) % n and (i + 3) % n; row 2 isolated.
-      std::vector<Index> nbr_ptr{0}, nbr;
-      std::vector<double> nbr_w, degree;
-      for (Index i = 0; i < n; ++i) {
-        double d = 0.0;
-        if (i != 2) {
-          for (const Index to : {(i + 1) % n, (i + 3) % n}) {
-            nbr.push_back(to);
-            nbr_w.push_back(rng.Uniform(0.1, 1.0));
-            d += nbr_w.back();
-          }
-        }
-        nbr_ptr.push_back(static_cast<Index>(nbr.size()));
-        degree.push_back(d);
-      }
-      std::vector<double> vt(static_cast<size_t>(m * simd::PaddedWidth(k)));
-      std::vector<double> vp(static_cast<size_t>(k * simd::PaddedWidth(m)));
-      simd::PackTransposed(v.data(), k, m, vt.data());
-      simd::PackRowsPadded(v.data(), k, m, vp.data());
-      for (const bool multiplicative : {true, false}) {
-        for (const double lambda : {0.0, 0.5}) {
-          simd::UStep step;
-          step.k = k;
-          step.m = m;
-          step.vt = vt.data();
-          step.vp = vp.data();
-          step.row_ptr = row_ptr.data();
-          step.cols = cols.data();
-          step.x = x.data();
-          step.u = u.data();
-          step.nbr_ptr = nbr_ptr.data();
-          step.nbr = nbr.data();
-          step.nbr_w = nbr_w.data();
-          step.degree = degree.data();
-          step.lambda = lambda;
-          step.step = 0.1;
-          step.div_eps = 1e-9;
-          step.multiplicative = multiplicative;
-          const auto run = [&](int mode, bool skip_zeros, double* err) {
-            simd::ScopedSimd tier(mode);
-            std::vector<double> out(static_cast<size_t>(n * k), -1.0);
-            step.skip_zeros = skip_zeros;
-            step.u_next = out.data();
-            *err = simd::Active().u_step_rows(step, 0, n);
-            return out;
-          };
-          const std::string label =
-              "u_step_rows k=" + std::to_string(k) + " m=" +
-              std::to_string(m) + (multiplicative ? " mult" : " grad") +
-              " lambda=" + std::to_string(lambda);
-          for (const bool skip : {false, true}) {
-            double err_vec = 0.0, err_sca = 0.0;
-            const std::vector<double> out_vec = run(1, skip, &err_vec);
-            const std::vector<double> out_sca = run(0, skip, &err_sca);
-            const std::string run_label = label + (skip ? " skip" : "");
-            ExpectSameBits(out_vec, out_sca, run_label);
-            ASSERT_TRUE(SameBits(err_vec, err_sca))
-                << run_label << ": " << err_vec << " vs " << err_sca;
-          }
-          if (finite_v) {
-            double err_skip = 0.0, err_plain = 0.0;
-            ExpectSameBits(run(1, true, &err_skip), run(0, false, &err_plain),
-                           label + " skip vs no skip");
-            ASSERT_TRUE(SameBits(err_skip, err_plain)) << label;
-          }
-        }
-      }
+      ExpectRowPassMatchesScalarTier(k, m, (k + m) % 3 != 0);
+    }
+  }
+  for (const Index k : {Index{1}, Index{4}, Index{10}, Index{17}}) {
+    for (const Index m : {Index{25}, Index{32}, Index{40}, Index{70}}) {
+      ExpectRowPassMatchesScalarTier(k, m, false);
     }
   }
 }
@@ -631,6 +659,137 @@ TEST(SimdKernelTest, VStepColsMatchesScalarTier) {
                            (multiplicative ? " mult" : " grad"));
       }
     }
+  }
+
+  // Columns with chosen rows: 1, 2 and 3 rows (one short group), four rows
+  // of which row 2 is non-finite among finite ones, five rows (a group
+  // holding row 2, then a group of one), row 2 alone and row 2 beside row
+  // 6. Once with U finite, once with u_2,0 infinite, so row 2's (U V)_pj is
+  // ±Inf, or NaN in the last column, where v_0j is zero: the group's one
+  // finiteness test, then the per-lane zero masking, decide those groups.
+  const std::vector<std::vector<Index>> column_rows = {
+      {3}, {1, 5}, {0, 4, 7}, {1, 2, 3, 6}, {0, 2, 4, 5, 8}, {2}, {2, 6}};
+  const auto m = static_cast<Index>(column_rows.size()) + 1;
+  for (Index k = 1; k <= 17; ++k) {
+    for (const bool infinite_u : {false, true}) {
+      const auto seed = static_cast<uint64_t>(k * 10 + (infinite_u ? 1 : 0));
+      Rng rng(seed);
+      Matrix u = RandomMatrix(n, k, seed + 1, 0.25);
+      if (infinite_u) u(2, 0) = kInf;
+      Matrix v = RandomMatrix(k, m, seed + 2);
+      v(0, m - 1) = 0.0;
+      std::vector<Index> col_ptr{0}, rows;
+      std::vector<double> x;
+      for (const std::vector<Index>& col : column_rows) {
+        for (const Index i : col) {
+          rows.push_back(i);
+          x.push_back(rng.Uniform());
+        }
+        col_ptr.push_back(static_cast<Index>(rows.size()));
+      }
+      std::vector<double> vt(static_cast<size_t>(m * simd::PaddedWidth(k)));
+      simd::PackTransposed(v.data(), k, m, vt.data());
+      for (const bool multiplicative : {true, false}) {
+        simd::VStep step;
+        step.k = k;
+        step.m = m;
+        step.u = u.data();
+        step.vt = vt.data();
+        step.col_begin = 1;
+        step.col_ptr = col_ptr.data();
+        step.rows = rows.data();
+        step.x = x.data();
+        step.step = 0.1;
+        step.div_eps = 1e-9;
+        step.multiplicative = multiplicative;
+        const auto run = [&](int mode) {
+          simd::ScopedSimd tier(mode);
+          std::vector<double> out(v.data(), v.data() + v.size());
+          step.v = out.data();
+          simd::Active().v_step_cols(step, 1, m);
+          return out;
+        };
+        ExpectSameBits(run(1), run(0),
+                       "v_step_cols chosen rows k=" + std::to_string(k) +
+                           (infinite_u ? " infinite u" : "") +
+                           (multiplicative ? " mult" : " grad"));
+      }
+    }
+  }
+}
+
+// laplacian_edges on both tiers, and on each against the plain per-edge
+// sum acc += w_e·||u_from − u_to||² in edge order from +0.0 (the groups of
+// four only interleave independent chains), at every rank K in 1..17: 40
+// upper-triangle edges among 150 rows, some joining rows in different
+// 64-row chunks, with weights read through their CSR positions, over flat
+// ranges that start at every offset mod 4 and leave 0–3 edges after their
+// groups of four; then with a NaN, and with an infinite, entry in one row
+// of U (NaN compared as NaN).
+TEST(SimdKernelTest, LaplacianEdgesMatchesScalarTier) {
+  constexpr Index n = 150, kEdges = 40;
+  for (Index k = 1; k <= 17; ++k) {
+    const auto seed = static_cast<uint64_t>(k * 31);
+    Rng rng(seed);
+    // Directed CSR positions 2e (the upper edge) and 2e + 1 (its twin,
+    // which the kernel never reads).
+    std::vector<Index> from, edge, targets;
+    std::vector<double> weights;
+    Index crossing = 0;
+    for (Index e = 0; e < kEdges; ++e) {
+      const auto i = static_cast<Index>(rng.UniformInt(n - 1));
+      const Index j = i + 1 + static_cast<Index>(rng.UniformInt(
+                                  static_cast<uint64_t>(n - 1 - i)));
+      crossing += i / 64 != j / 64 ? 1 : 0;
+      from.push_back(i);
+      edge.push_back(static_cast<Index>(targets.size()));
+      targets.push_back(j);
+      weights.push_back(rng.Uniform(0.1, 2.0));
+      targets.push_back(i);
+      weights.push_back(-1.0);
+    }
+    ASSERT_GT(crossing, 0);
+    Matrix u = RandomMatrix(n, k, seed + 1, 0.1);
+    simd::LaplacianEdges g;
+    g.k = k;
+    g.u = u.data();
+    g.from = from.data();
+    g.edge = edge.data();
+    g.targets = targets.data();
+    g.weights = weights.data();
+    const auto run = [&](int mode, Index e0, Index e1) {
+      simd::ScopedSimd tier(mode);
+      return simd::Active().laplacian_edges(g, e0, e1);
+    };
+    const auto plain = [&](Index e0, Index e1) {
+      double acc = 0.0;
+      for (Index e = e0; e < e1; ++e) {
+        double d2 = 0.0;
+        for (Index c = 0; c < k; ++c) {
+          const double diff = u(from[e], c) - u(targets[edge[e]], c);
+          d2 += diff * diff;
+        }
+        acc += weights[edge[e]] * d2;
+      }
+      return acc;
+    };
+    const auto check = [&](const std::string& what) {
+      for (Index e0 = 0; e0 < 4; ++e0) {
+        for (Index e1 = e0; e1 <= kEdges; ++e1) {
+          const std::string label = "laplacian_edges k=" + std::to_string(k) +
+                                    " [" + std::to_string(e0) + ", " +
+                                    std::to_string(e1) + ")" + what;
+          const double expected = plain(e0, e1);
+          ASSERT_TRUE(SameBits(run(0, e0, e1), expected)) << label;
+          ASSERT_TRUE(SameBits(run(1, e0, e1), expected)) << label;
+        }
+      }
+    };
+    check("");
+    u(from[5], k - 1) = std::numeric_limits<double>::quiet_NaN();
+    check(" NaN entry");
+    u(from[5], k - 1) = kInf;
+    check(" infinite entry");
   }
 }
 

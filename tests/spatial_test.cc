@@ -7,6 +7,7 @@
 #include "src/common/parallel.h"
 #include "src/common/rng.h"
 #include "src/la/ops.h"
+#include "src/la/simd.h"
 #include "src/spatial/graph.h"
 #include "src/spatial/knn.h"
 #include "src/spatial/metrics.h"
@@ -328,8 +329,9 @@ TEST(NeighborGraphTest, CsrListsMatchSortedReferenceAfterEveryMutation) {
 // LaplacianQuadraticForm against its summation order written out: each
 // 64-vertex chunk sums w_ij·||u_i − u_j||² over its upper-triangle edges
 // in (i, j) order, each squared distance an ascending-column chain from
-// +0.0, and the chunk totals join in order. The graph spans three chunks
-// and has edges across their boundaries.
+// +0.0, and the chunk totals join in order — on the scalar and the vector
+// tier, at one and four threads. The graph spans three chunks and has
+// edges across their boundaries.
 TEST(NeighborGraphTest, LaplacianQuadraticFormIsTheChunkedFlatSum) {
   constexpr Index n = 150, kChunk = 64;
   Matrix points = RandomPoints(n, 2, 47);
@@ -362,9 +364,13 @@ TEST(NeighborGraphTest, LaplacianQuadraticFormIsTheChunkedFlatSum) {
     expected += chunk;
   }
   ASSERT_GT(crossing, 0);
-  for (const int threads : {1, 4}) {
-    parallel::ScopedParallelism scoped(threads);
-    EXPECT_EQ(g->LaplacianQuadraticForm(u), expected) << threads << " threads";
+  for (const int tier : {0, 1}) {
+    la::simd::ScopedSimd scoped_tier(tier);
+    for (const int threads : {1, 4}) {
+      parallel::ScopedParallelism scoped(threads);
+      EXPECT_EQ(g->LaplacianQuadraticForm(u), expected)
+          << threads << " threads, " << la::simd::TierName(la::simd::ActiveTier());
+    }
   }
 }
 
