@@ -36,17 +36,6 @@ la::Vector SmflModel::MeanU() const {
   return la::Vector(k, 1.0 / static_cast<double>(k));
 }
 
-// The lambda * LQF product is kept even at lambda == 0 so that, on a graph
-// with edges, a non-finite U still poisons the objective.
-double SmflObjective(const Matrix& x, const Mask& observed,
-                     const NeighborGraph& graph, double lambda,
-                     const Matrix& u, const Matrix& v) {
-  const data::ObservedIndex omega = data::ObservedIndex::FromMask(observed, x);
-  std::vector<double> uv_packed(static_cast<size_t>(omega.Count()));
-  return data::MaskedReconstructPacked(u, v, omega, uv_packed) +
-         lambda * graph.LaplacianQuadraticForm(u);
-}
-
 namespace {
 
 // Validates shared inputs for the Fit entry points.
@@ -113,7 +102,7 @@ Status ValidateInputs(const Matrix& x, const Mask& observed,
 
 // Row grain of the row pass: each chunk owns its rows of U_new, and the
 // chunking fixes the squared error's summation grouping (64-row chunks,
-// data::MaskedReconstructPacked's).
+// data::MaskedSquaredError's).
 constexpr Index kUpdateRowGrain = 64;
 // Column grain of the V pass: each free column is an independent unit of
 // |Ω_j|·K work that owns its K entries of V.
@@ -863,7 +852,7 @@ Result<NeighborGraph> BuildSmflGraph(const Matrix& x, const Mask& observed,
       if (si_complete[static_cast<size_t>(i)]) complete_rows.push_back(i);
     }
     // {partial row, complete row, rescaled squared partial distance}.
-    std::vector<la::Triplet> attach;
+    std::vector<spatial::Triplet> attach;
     for (Index i = 0; i < x.rows(); ++i) {
       if (si_complete[static_cast<size_t>(i)]) continue;
       std::vector<Index> obs_cols;
@@ -895,10 +884,10 @@ Result<NeighborGraph> BuildSmflGraph(const Matrix& x, const Mask& observed,
       // (rescaled) length of the attach edges themselves, floored like
       // MeanEdgeLength.
       double total = 0.0;
-      for (const la::Triplet& t : attach) total += std::sqrt(t.value);
+      for (const spatial::Triplet& t : attach) total += std::sqrt(t.value);
       sigma = std::max(total / static_cast<double>(attach.size()), 1e-12);
     }
-    for (la::Triplet& t : attach) {
+    for (spatial::Triplet& t : attach) {
       t.value = heat ? NeighborGraph::HeatKernelWeight(t.value, sigma) : 1.0;
     }
     graph.AddSymmetricEdges(attach);

@@ -162,11 +162,6 @@ struct SmflModel {
   }
 };
 
-// Full objective O(U, V) of Formula 10.
-[[nodiscard]] double SmflObjective(const Matrix& x, const Mask& observed,
-                     const NeighborGraph& graph, double lambda,
-                     const Matrix& u, const Matrix& v);
-
 // Fits NMF/SMF/SMFL on x, whose first `spatial_cols` columns are spatial
 // information. Builds the p-NN graph internally (rows with missing SI cells
 // are isolated or attached by partial distance, §II-C; at lambda = 0 the

@@ -1,7 +1,6 @@
 #include "src/data/observed_index.h"
 
 #include <algorithm>
-#include <array>
 
 #include "src/common/parallel.h"
 #include "src/common/telemetry.h"
@@ -96,7 +95,7 @@ void ObservedIndex::BuildColumns(Index col_begin) {
 namespace {
 
 // V packed once per reconstruction call in the two layouts the row
-// kernels read — with zero padding columns for uv_row_pair (k ×
+// kernels read — with zero padding columns for uv_row (k ×
 // PaddedWidth(m)), transposed for masked_dot_cols (m × PaddedWidth(k)) —
 // and whether the u == 0 skip can change a chain: only against a
 // non-finite entry of V.
@@ -116,114 +115,15 @@ struct PackedV {
   bool skip_zeros;
 };
 
-// Reconstructs U V at the observed cells of rows [r0, r1). Dense rows
-// (past the tier's measured crossover — simd.h) run uv_row_pair two at a
-// time over the whole padded row and go to dense(i, row), with row[j] for
-// every column j; sparse rows run masked_dot_cols and go to
-// sparse(i, cells), with cells[c] at the row's c-th observed column. Both
-// paths build every observed entry with the identical ascending-k chain
-// from +0.0 (zero-skip included), so the crossover choice and the pairing
-// never change a bit of the output. A dense row may reach its sink after a
-// later sparse row; rows with no observed cell never do.
-template <typename DenseSink, typename SparseSink>
-void ReconstructRows(const la::simd::Kernels& ker, const Matrix& u,
-                     const PackedV& v, const ObservedIndex& omega, Index r0,
-                     Index r1, const DenseSink& dense,
-                     const SparseSink& sparse) {
-  const Index k = u.cols(), m = omega.cols(), mp = v.mp;
-  const double* ud = u.data();
-  std::vector<double> buffers(static_cast<size_t>(3 * mp));
-  double* pair0 = buffers.data();
-  double* pair1 = pair0 + mp;
-  double* cells = pair1 + mp;
-  Index pending = -1, dense_rows = 0, gather_rows = 0;
-  for (Index i = r0; i < r1; ++i) {
-    const std::span<const Index> cols = omega.RowCols(i);
-    const auto observed = static_cast<Index>(cols.size());
-    if (observed == 0) continue;
-    if (observed * ker.dense_crossover < m) {
-      ker.masked_dot_cols(k, v.cols.data(), ud + i * k, cols.data(), observed,
-                          v.skip_zeros, cells);
-      sparse(i, cells);
-      ++gather_rows;
-      continue;
-    }
-    ++dense_rows;
-    if (pending < 0) {
-      pending = i;
-      continue;
-    }
-    ker.uv_row_pair(k, mp, v.rows.data(), ud + pending * k, ud + i * k,
-                    v.skip_zeros, pair0, pair1);
-    dense(pending, pair0);
-    dense(i, pair1);
-    pending = -1;
-  }
-  if (pending >= 0) {
-    const double* up = ud + pending * k;
-    ker.uv_row_pair(k, mp, v.rows.data(), up, up, v.skip_zeros, pair0, pair1);
-    dense(pending, pair0);
-  }
-  SMFL_COUNTER_ADD("la.simd.dispatch.masked_rows_dense", dense_rows);
-  SMFL_COUNTER_ADD("la.simd.dispatch.masked_rows_gather", gather_rows);
-}
-
-}  // namespace
-
-Matrix MaskedReconstruct(const Matrix& u, const Matrix& v,
-                         const ObservedIndex& omega) {
-  SMFL_CHECK_EQ(u.cols(), v.rows());
-  SMFL_CHECK_EQ(u.rows(), omega.rows());
-  SMFL_CHECK_EQ(v.cols(), omega.cols());
-  const Index n = u.rows(), m = v.cols();
-  Matrix out(n, m);
-  double* od = out.data();
-  const PackedV packed(v);
-  constexpr Index kRowGrain = 16;
-  const la::simd::Kernels& ker = la::simd::Active();
-  if (ker.tier != la::simd::Tier::kScalar) {
-    SMFL_COUNTER_INC("la.simd.dispatch.masked_reconstruct");
-  }
-  parallel::ParallelFor(0, n, kRowGrain, [&](Index r0, Index r1) {
-    // The precomputed index hands each row its column list for free — no
-    // mask-row scan, no per-call rebuild.
-    ReconstructRows(
-        ker, u, packed, omega, r0, r1,
-        [&](Index i, const double* row) {
-          double* orow = od + i * m;
-          for (const Index j : omega.RowCols(i)) orow[j] = row[j];
-        },
-        [&](Index i, const double* cells) {
-          double* orow = od + i * m;
-          const std::span<const Index> cols = omega.RowCols(i);
-          for (size_t c = 0; c < cols.size(); ++c) orow[cols[c]] = cells[c];
-        });
-  });
-  return out;
-}
-
-namespace {
-
-// Squared residual of one row over its observed columns. Dense rows (by
-// the same per-tier crossover as the reconstruction) vectorize the
-// elementwise (x - r)^2 into a scratch row, then fold the observed entries
-// in the same ascending-j order the scalar loop uses — each d*d is one sub
-// and one mul in both paths, and the accumulation itself never vectorizes,
-// so the sum is bitwise identical across tiers and across the crossover.
-// `xvals` (nullable) is the packed observed-value row of an ObservedIndex:
-// bit-copies of x at the observed columns, read sequentially instead of
-// gathered.
-inline double RowSquaredError(const la::simd::Kernels& ker, Index m,
-                              const double* xrow, const double* xvals,
+// Squared residual of one row over its observed columns, in ascending
+// column order. `xvals` (nullable) is the packed observed-value row of an
+// ObservedIndex: bit-copies of x at the observed columns, read
+// sequentially instead of gathered.
+inline double RowSquaredError(const double* xrow, const double* xvals,
                               const double* rrow, const Index* cols,
-                              Index observed, double* sq) {
+                              Index observed) {
   double acc = 0.0;
-  if (observed * ker.dense_crossover >= m) {
-    ker.sq_diff(m, xrow, rrow, sq);
-    for (Index c = 0; c < observed; ++c) {
-      acc += sq[cols[c]];
-    }
-  } else if (xvals != nullptr) {
+  if (xvals != nullptr) {
     for (Index c = 0; c < observed; ++c) {
       const double d = xvals[c] - rrow[cols[c]];
       acc += d * d;
@@ -240,6 +140,53 @@ inline double RowSquaredError(const la::simd::Kernels& ker, Index m,
 
 }  // namespace
 
+Matrix MaskedReconstruct(const Matrix& u, const Matrix& v,
+                         const ObservedIndex& omega) {
+  SMFL_CHECK_EQ(u.cols(), v.rows());
+  SMFL_CHECK_EQ(u.rows(), omega.rows());
+  SMFL_CHECK_EQ(v.cols(), omega.cols());
+  const Index n = u.rows(), k = u.cols(), m = v.cols();
+  Matrix out(n, m);
+  const PackedV packed(v);
+  constexpr Index kRowGrain = 16;
+  const la::simd::Kernels& ker = la::simd::Active();
+  if (ker.tier != la::simd::Tier::kScalar) {
+    SMFL_COUNTER_INC("la.simd.dispatch.masked_reconstruct");
+  }
+  parallel::ParallelFor(0, n, kRowGrain, [&](Index r0, Index r1) {
+    // The precomputed index hands each row its column list for free — no
+    // mask-row scan, no per-call rebuild. A dense row (past the tier's
+    // measured crossover — simd.h) runs uv_row over its whole padded row,
+    // a sparse row masked_dot_cols over its cells; both build every
+    // observed entry with the identical ascending-k chain from +0.0
+    // (zero-skip included), so the crossover never changes a bit.
+    std::vector<double> scratch(static_cast<size_t>(packed.mp));
+    double* row = scratch.data();
+    Index dense_rows = 0, gather_rows = 0;
+    for (Index i = r0; i < r1; ++i) {
+      const std::span<const Index> cols = omega.RowCols(i);
+      const auto observed = static_cast<Index>(cols.size());
+      if (observed == 0) continue;
+      const double* ui = u.data() + i * k;
+      double* orow = out.data() + i * m;
+      if (observed * ker.dense_crossover >= m) {
+        ker.uv_row(k, packed.mp, packed.rows.data(), ui, packed.skip_zeros,
+                   row);
+        for (const Index j : cols) orow[j] = row[j];
+        ++dense_rows;
+      } else {
+        ker.masked_dot_cols(k, packed.cols.data(), ui, cols.data(), observed,
+                            packed.skip_zeros, row);
+        for (size_t c = 0; c < cols.size(); ++c) orow[cols[c]] = row[c];
+        ++gather_rows;
+      }
+    }
+    SMFL_COUNTER_ADD("la.simd.dispatch.masked_rows_dense", dense_rows);
+    SMFL_COUNTER_ADD("la.simd.dispatch.masked_rows_gather", gather_rows);
+  });
+  return out;
+}
+
 double MaskedSquaredError(const Matrix& x, const ObservedIndex& omega,
                           const Matrix& uv_masked) {
   SMFL_CHECK(x.SameShape(uv_masked));
@@ -247,96 +194,18 @@ double MaskedSquaredError(const Matrix& x, const ObservedIndex& omega,
   SMFL_CHECK_EQ(x.cols(), omega.cols());
   const Index m = x.cols();
   constexpr Index kRowGrain = 64;
-  const la::simd::Kernels& ker = la::simd::Active();
-  if (ker.tier != la::simd::Tier::kScalar) {
-    SMFL_COUNTER_INC("la.simd.dispatch.masked_sq_err");
-  }
   return parallel::ParallelReduce(
       0, x.rows(), kRowGrain, [&](Index r0, Index r1) {
-        std::vector<double> sq(static_cast<size_t>(m));
         double acc = 0.0;
         for (Index i = r0; i < r1; ++i) {
           const std::span<const Index> cols = omega.RowCols(i);
           const Index observed = static_cast<Index>(cols.size());
           if (observed == 0) continue;
           const std::span<const double> vals = omega.RowValues(i);
-          acc += RowSquaredError(ker, m, x.data() + i * m,
+          acc += RowSquaredError(x.data() + i * m,
                                  vals.empty() ? nullptr : vals.data(),
                                  uv_masked.data() + i * m, cols.data(),
-                                 observed, sq.data());
-        }
-        return acc;
-      });
-}
-
-double MaskedReconstructPacked(const Matrix& u, const Matrix& v,
-                               const ObservedIndex& omega,
-                               std::span<double> packed_uv) {
-  SMFL_CHECK_EQ(u.cols(), v.rows());
-  SMFL_CHECK_EQ(u.rows(), omega.rows());
-  SMFL_CHECK_EQ(v.cols(), omega.cols());
-  SMFL_CHECK_EQ(static_cast<Index>(packed_uv.size()), omega.Count());
-  SMFL_CHECK(omega.HasValues() || omega.Count() == 0);
-  const PackedV packed(v);
-  // MaskedSquaredError's grain: the chunking fixes the summation grouping.
-  constexpr Index kRowGrain = 64;
-  const la::simd::Kernels& ker = la::simd::Active();
-  if (ker.tier != la::simd::Tier::kScalar) {
-    SMFL_COUNTER_INC("la.simd.dispatch.masked_reconstruct");
-  }
-  return parallel::ParallelReduce(
-      0, u.rows(), kRowGrain, [&](Index r0, Index r1) {
-        // Each reconstructed row is gathered to its packed slots...
-        ReconstructRows(
-            ker, u, packed, omega, r0, r1,
-            [&](Index i, const double* row) {
-              double* out = packed_uv.data() + omega.RowOffset(i);
-              const std::span<const Index> cols = omega.RowCols(i);
-              for (size_t c = 0; c < cols.size(); ++c) out[c] = row[cols[c]];
-            },
-            [&](Index i, const double* cells) {
-              std::copy_n(cells, omega.RowCols(i).size(),
-                          packed_uv.data() + omega.RowOffset(i));
-            });
-        // ...then the squared error sums each row in ascending column
-        // order and the row sums in row order. Four rows' chains run
-        // interleaved (they are independent); an empty row adds +0.0,
-        // which leaves the sum unchanged.
-        const double* xv = omega.CsrValues().data();
-        const double* rv = packed_uv.data();
-        double acc = 0.0;
-        Index i = r0;
-        for (; i + 4 <= r1; i += 4) {
-          std::array<Index, 4> pos{}, end{};
-          for (Index q = 0; q < 4; ++q) {
-            pos[q] = omega.RowOffset(i + q);
-            end[q] = omega.RowOffset(i + q + 1);
-          }
-          const Index shared =
-              std::min(std::min(end[0] - pos[0], end[1] - pos[1]),
-                       std::min(end[2] - pos[2], end[3] - pos[3]));
-          std::array<double, 4> sums{};
-          for (Index c = 0; c < shared; ++c) {
-            for (Index q = 0; q < 4; ++q) {
-              const double d = xv[pos[q] + c] - rv[pos[q] + c];
-              sums[q] += d * d;
-            }
-          }
-          for (Index q = 0; q < 4; ++q) {
-            for (Index e = pos[q] + shared; e < end[q]; ++e) {
-              const double d = xv[e] - rv[e];
-              sums[q] += d * d;
-            }
-            acc += sums[q];
-          }
-        }
-        for (; i < r1; ++i) {
-          double row_acc = 0.0;
-          for (Index e = omega.RowOffset(i); e < omega.RowOffset(i + 1); ++e) {
-            const double d = xv[e] - rv[e];
-            row_acc += d * d;
-          }
-          acc += row_acc;
+                                 observed);
         }
         return acc;
       });

@@ -4,17 +4,17 @@
 // The fit loop only ever touches observed entries, yet a Mask answers
 // "which columns of row i are observed?" by rescanning its byte row. An
 // ObservedIndex answers it with a precomputed span: row_ptr + col_idx in
-// the same compressed-sparse-row shape as la::SparseMatrix (sparse.h),
-// built once per fit in O(n·m) and reused by every pass of the iteration
-// and by fold-in grouping. BuildColumns adds the same set by column (for
-// the fit's column-parallel V update). The index costs O(|Ω|) memory
-// ((rows+1 + |Ω|) Index slots, plus |Ω| doubles when the observed values
-// are packed alongside, and as much again for the twin), independent of
-// how sparse the byte grid it came from was.
+// compressed-sparse-row form, built once per fit in O(n·m) and reused by
+// every pass of the iteration and by fold-in grouping. BuildColumns adds
+// the same set by column (for the fit's column-parallel V update). The
+// index costs O(|Ω|) memory ((rows+1 + |Ω|) Index slots, plus |Ω| doubles
+// when the observed values are packed alongside, and as much again for
+// the twin), independent of how sparse the byte grid it came from was.
 //
-// The masked kernels below are the only form of R_Ω(UV) and of the masked
-// squared error: they visit the observed columns of each row in ascending
-// order, so they are bitwise identical to the unfused
+// The masked kernels below are R_Ω(UV) and the masked squared error as
+// library functions (the fit's row pass builds both in registers, with
+// the same chains and grouping): they visit the observed columns of each
+// row in ascending order, so they are bitwise identical to the unfused
 // ApplyMask(MatMul(u, v)) reference — tests/observed_index_test.cc proves
 // it across observed rates, thread counts, and SIMD tiers.
 
@@ -165,19 +165,6 @@ class ObservedIndex {
 [[nodiscard]] double MaskedSquaredError(const Matrix& x,
                                         const ObservedIndex& omega,
                                         const Matrix& uv_masked);
-
-// R_Ω(U V) and the squared error against the index's packed observed
-// values, in one pass with no n×m buffer: writes (UV) at every observed
-// cell into `packed_uv` in CSR order (|Ω| doubles, row i's at
-// [RowOffset(i), RowOffset(i + 1))) and returns ||R_Ω(X) − R_Ω(UV)||_F².
-// Each entry is MaskedReconstruct's, and the sum groups exactly as
-// MaskedSquaredError's, so both are bitwise equal to the unpacked pair.
-// The fit's row pass (la::simd u_step_rows) sums its objective's squared
-// error in the same order (tests/simd_kernel_test.cc pins the two). The
-// index must carry values (FromMask(mask, x)).
-[[nodiscard]] double MaskedReconstructPacked(const Matrix& u, const Matrix& v,
-                                             const ObservedIndex& omega,
-                                             std::span<double> packed_uv);
 
 }  // namespace smfl::data
 

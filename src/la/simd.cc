@@ -82,20 +82,13 @@ void MaskedDotColsScalar(Index k, const double* vt, const double* u,
   }
 }
 
-void SqDiffScalar(Index n, const double* x, const double* r, double* out) {
-  for (Index j = 0; j < n; ++j) {
-    const double d = x[j] - r[j];
-    out[j] = d * d;
-  }
-}
-
 // Lanes per pass of the scalar V step's K-wide accumulators (stack
 // arrays); a larger rank takes several passes over the column's rows.
 constexpr Index kScalarBlock = 16;
 
 // Rows per squared-error block of the row pass: each row's error joins its
 // block's sum in row order from +0.0, and the block sums join in order —
-// data::MaskedReconstructPacked's grouping. The fit's U pass hands the
+// data::MaskedSquaredError's grouping. The fit's U pass hands the
 // kernel 64-row chunks, one block each.
 constexpr Index kRowPassBlock = 64;
 
@@ -273,14 +266,6 @@ void VStepColsScalar(const VStep& s, Index c0, Index c1) {
   }
 }
 
-// Two rows of U V: each row's chains are UvRowScalar's.
-void UvRowPairScalar(Index k, Index mp, const double* v, const double* u0,
-                     const double* u1, bool skip_zeros, double* r0,
-                     double* r1) {
-  UvRowScalar(k, mp, v, u0, skip_zeros, r0);
-  UvRowScalar(k, mp, v, u1, skip_zeros, r1);
-}
-
 // The fold-in solve, one row after another: the plain per-row loop every
 // vector tier reproduces. v_cols serves both the numerator and the
 // denominator chains (v_c,cols[t] either way); work holds num and r_t.
@@ -397,8 +382,8 @@ double LaplacianEdgesScalar(const LaplacianEdges& g, Index e0, Index e1) {
 
 constexpr Kernels kScalarTable{
     Tier::kScalar,        AxpyScalar,      DotPanelScalar,
-    MaskedDotColsScalar,  SqDiffScalar,    UStepRowsScalar,
-    VStepColsScalar,      UvRowPairScalar, FoldInRowsScalar,
+    MaskedDotColsScalar,  UStepRowsScalar,
+    VStepColsScalar,      UvRowScalar,     FoldInRowsScalar,
     LaplacianEdgesScalar, kScalarCrossover};
 
 // ---------------------------------------------------------------------------
@@ -691,20 +676,6 @@ __attribute__((target("avx2"))) void VStepColsAvx2(const VStep& s, Index c0,
   }
 }
 
-__attribute__((target("avx2"))) void SqDiffAvx2(Index n, const double* x,
-                                                const double* r, double* out) {
-  Index j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256d d = _mm256_sub_pd(_mm256_loadu_pd(x + j),
-                                    _mm256_loadu_pd(r + j));
-    _mm256_storeu_pd(out + j, _mm256_mul_pd(d, d));
-  }
-  for (; j < n; ++j) {
-    const double d = x[j] - r[j];
-    out[j] = d * d;
-  }
-}
-
 // The fold-in solve (FoldInRow), a row per vector lane: a group of up to
 // kLaneWidth rows packed lane-interleaved in the call's work space — entry
 // e of lane q at [kLaneWidth · e + q] — as V's observed columns t-major
@@ -978,16 +949,16 @@ __attribute__((target("avx2"))) void UvRowAvx2(Index k, Index mp,
   }
 }
 
-// Two rows of U V: each row's chains are UvRowAvx2's.
-__attribute__((target("avx2"))) void UvRowPairAvx2(
-    Index k, Index mp, const double* v, const double* u0, const double* u1,
-    bool skip_zeros, double* r0, double* r1) {
+// The table's uv_row: UvRowAvx2 with the zero-skip chosen at run time.
+__attribute__((target("avx2"))) void UvRowTableAvx2(Index k, Index mp,
+                                                    const double* v,
+                                                    const double* u,
+                                                    bool skip_zeros,
+                                                    double* r) {
   if (skip_zeros) {
-    UvRowAvx2<true>(k, mp, v, u0, r0);
-    UvRowAvx2<true>(k, mp, v, u1, r1);
+    UvRowAvx2<true>(k, mp, v, u, r);
   } else {
-    UvRowAvx2<false>(k, mp, v, u0, r0);
-    UvRowAvx2<false>(k, mp, v, u1, r1);
+    UvRowAvx2<false>(k, mp, v, u, r);
   }
 }
 
@@ -1247,8 +1218,8 @@ __attribute__((target("avx2"))) double LaplacianEdgesAvx2(
 
 constexpr Kernels kAvx2Table{
     Tier::kAvx2,        AxpyAvx2,      DotPanelAvx2,
-    MaskedDotColsAvx2,  SqDiffAvx2,    UStepRowsAvx2,
-    VStepColsAvx2,      UvRowPairAvx2, FoldInRowsAvx2,
+    MaskedDotColsAvx2,  UStepRowsAvx2,
+    VStepColsAvx2,      UvRowTableAvx2, FoldInRowsAvx2,
     LaplacianEdgesAvx2, kAvx2Crossover};
 
 #endif  // SMFL_SIMD_X86
@@ -1300,24 +1271,12 @@ void DotPanelNeon(Index k, const double* a, const double* panel, Index lanes,
   }
 }
 
-void SqDiffNeon(Index n, const double* x, const double* r, double* out) {
-  Index j = 0;
-  for (; j + 2 <= n; j += 2) {
-    const float64x2_t d = vsubq_f64(vld1q_f64(x + j), vld1q_f64(r + j));
-    vst1q_f64(out + j, vmulq_f64(d, d));
-  }
-  for (; j < n; ++j) {
-    const double d = x[j] - r[j];
-    out[j] = d * d;
-  }
-}
-
 // The fit and fold-in kernels and their crossovers are the scalar tier's:
 // no NEON version of them is built or tested here.
 constexpr Kernels kNeonTable{
     Tier::kNeon,          AxpyNeon,        DotPanelNeon,
-    MaskedDotColsScalar,  SqDiffNeon,      UStepRowsScalar,
-    VStepColsScalar,      UvRowPairScalar, FoldInRowsScalar,
+    MaskedDotColsScalar,  UStepRowsScalar,
+    VStepColsScalar,      UvRowScalar,     FoldInRowsScalar,
     LaplacianEdgesScalar, kScalarCrossover};
 
 #endif  // SMFL_SIMD_NEON

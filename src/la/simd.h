@@ -1,15 +1,14 @@
 // Vectorized microkernels behind one-time runtime CPU dispatch — the raw
 // inner loops under la::MatMul / MatMulAtB / MatMulABt, the SMFL fit
-// loop's two per-iteration passes, the data::MaskedReconstruct /
-// MaskedSquaredError paths and the fold-in solve. The table: axpy,
-// dot_panel, masked_dot_cols, sq_diff, the register-resident fit kernels
-// u_step_rows (the row pass: R_Ω(UV), its squared error, and Formula 13
-// or its gradient step, one row at a time), v_step_cols (Formula 14 or
-// its gradient step over a range of columns), uv_row_pair (two rows of
-// U V with every accumulator in registers) and laplacian_edges (the
-// objective's Tr(UᵀLU) over a range of graph edges), and the serving
-// kernel fold_in_rows (the fold-in solve of core::FoldIn, a row per
-// vector lane).
+// loop's two per-iteration passes, data::MaskedReconstruct and the
+// fold-in solve. The table: axpy, dot_panel, masked_dot_cols, the
+// register-resident fit kernels u_step_rows (the row pass: R_Ω(UV), its
+// squared error, and Formula 13 or its gradient step, one row at a time),
+// v_step_cols (Formula 14 or its gradient step over a range of columns),
+// uv_row (one row of U V with every accumulator in registers) and
+// laplacian_edges (the objective's Tr(UᵀLU) over a range of graph edges),
+// and the serving kernel fold_in_rows (the fold-in solve of core::FoldIn,
+// a row per vector lane).
 //
 // DETERMINISM CONTRACT. Every tier (scalar, AVX2, NEON) computes every
 // output element with the IDENTICAL sequence of IEEE-754 operations: the
@@ -234,22 +233,17 @@ struct Kernels {
   // order, from V transposed (PackTransposed). Each entry is the
   // ascending-l chain from +0.0; with skip_zeros the terms with u[l] == 0
   // are skipped (needed only when V holds a non-finite entry, as in
-  // uv_row_pair). Four cells at a time — on AVX2 four to a vector, their
+  // uv_row). Four cells at a time — on AVX2 four to a vector, their
   // columns of Vᵀ transposed 4×4 in registers. Powers the sparse rows of
-  // the row pass and of the masked reconstructions.
+  // the row pass and of data::MaskedReconstruct.
   void (*masked_dot_cols)(Index k, const double* vt, const double* u,
                           const Index* cols, Index ncols, bool skip_zeros,
                           double* out);
 
-  // out[j] = (x[j] - r[j])^2 for j in [0, n) — elementwise, no
-  // accumulation (the caller sums in its own fixed order). Powers
-  // MaskedSquaredError's dense rows.
-  void (*sq_diff)(Index n, const double* x, const double* r, double* out);
-
   // The row pass over rows [r0, r1) (see UStep); returns their squared
   // error. It walks one row at a time: first the row's observed cells of
   // U V into a row-sized scratch of the calling thread — its whole padded
-  // row on uv_row_pair's chains when `observed * dense_crossover >= m`
+  // row on uv_row's chains when `observed * dense_crossover >= m`
   // (on AVX2 up to 32 columns per register block, every accumulator in
   // registers across the rank), else its cells through masked_dot_cols —
   // then that row's U step from them. Each reconstructed (U V)_ij is the
@@ -262,10 +256,10 @@ struct Kernels {
   // lanes are the K entries of the row (up to four 4-lane registers per
   // pass; a rank above 16 takes more passes), every accumulator in
   // registers across the row's cells and edges. The squared error is
-  // data::MaskedReconstructPacked's: each row's cells ascending from +0.0
-  // (the AVX2 step sums it beside its num and den), the row sums in row
-  // order from +0.0 within a block of 64 rows from r0, then the block sums
-  // in order.
+  // data::MaskedSquaredError's: each row's cells ascending from +0.0 (the
+  // AVX2 step sums it beside its num and den), the row sums in row order
+  // from +0.0 within a block of 64 rows from r0, then the block sums in
+  // order.
   double (*u_step_rows)(const UStep& s, Index r0, Index r1);
 
   // The V step over free columns [c0, c1) (see VStep). For each observed
@@ -283,18 +277,17 @@ struct Kernels {
   // rank above 16, keeps the scalar zero-skipping chains for (U V)_pj).
   void (*v_step_cols)(const VStep& s, Index c0, Index c1);
 
-  // r0[j] = sum_p u0[p] * v[p * mp + j] and r1[j] likewise for u1, for j
-  // in [0, mp): two rows of U V, each entry the ascending-p chain from
-  // +0.0. `v` is k × mp with mp a multiple of kLaneWidth; with skip_zeros
-  // the terms with u[p] == 0 are skipped (needed only when v holds a
-  // non-finite entry: against a finite partner the skipped term is an
-  // exact ±0.0 that leaves the chain unchanged). Vector lanes are output
-  // columns; a row's accumulators for a column block (up to 32 columns on
-  // AVX2) stay in registers across p. Powers the dense rows of the masked
-  // reconstructions; the row pass runs the same chains one row at a time.
-  void (*uv_row_pair)(Index k, Index mp, const double* v, const double* u0,
-                      const double* u1, bool skip_zeros, double* r0,
-                      double* r1);
+  // r[j] = sum_p u[p] * v[p * mp + j] for j in [0, mp): one row of U V,
+  // each entry the ascending-p chain from +0.0. `v` is k × mp with mp a
+  // multiple of kLaneWidth; with skip_zeros the terms with u[p] == 0 are
+  // skipped (needed only when v holds a non-finite entry: against a finite
+  // partner the skipped term is an exact ±0.0 that leaves the chain
+  // unchanged). Vector lanes are output columns; the accumulators for a
+  // column block (up to 32 columns on AVX2) stay in registers across p.
+  // Powers the dense rows of data::MaskedReconstruct; the row pass runs
+  // the same chains on its dense rows.
+  void (*uv_row)(Index k, Index mp, const double* v, const double* u,
+                 bool skip_zeros, double* r);
 
   // The fold-in solve of rows[0 .. count) (see FoldInRow), with `work`
   // holding FoldInWorkSize(k, the widest row's nt) doubles. Each row's
@@ -323,15 +316,13 @@ struct Kernels {
   double (*laplacian_edges)(const LaplacianEdges& g, Index e0, Index e1);
 
   // Measured dense/per-cell crossover of every masked reconstruction —
-  // the row pass and data::MaskedReconstruct* — and of
-  // MaskedSquaredError: a row takes the dense path (the full padded row
-  // on uv_row_pair's chains, or sq_diff, then its observed entries) when
-  // `observed * dense_crossover >= m`, and masked_dot_cols (or the
-  // per-entry error) below that, so sparse rows of wide tables stay
-  // per-cell. Per tier because the two paths vectorize differently (table
-  // in docs/performance.md "Two passes per iteration"). Both paths produce
-  // bitwise-identical entries, so the constant only moves wall-clock,
-  // never results.
+  // the row pass and data::MaskedReconstruct: a row takes the dense path
+  // (the full padded row on uv_row's chains, then its observed entries)
+  // when `observed * dense_crossover >= m`, and masked_dot_cols below
+  // that, so sparse rows of wide tables stay per-cell. Per tier because
+  // the two paths vectorize differently (table in docs/performance.md
+  // "Two passes per iteration"). Both paths produce bitwise-identical
+  // entries, so the constant only moves wall-clock, never results.
   Index dense_crossover;
 };
 
@@ -353,7 +344,7 @@ void PackRowPanel(const double* b, Index ldb, Index nrows, Index k,
 void PackTransposed(const double* v, Index k, Index m, double* vt);
 
 // Copies row-major `v` (k × m) into `vp` (k × PaddedWidth(m)) with zero
-// padding columns — the layout uv_row_pair reads. Pure data movement.
+// padding columns — the layout uv_row reads. Pure data movement.
 void PackRowsPadded(const double* v, Index k, Index m, double* vp);
 
 }  // namespace smfl::la::simd

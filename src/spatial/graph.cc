@@ -7,7 +7,6 @@
 #include "src/spatial/knn.h"
 #include "src/la/ops.h"
 #include "src/la/simd.h"
-#include "src/spatial/metrics.h"
 
 namespace {
 // Vertex-chunk grain for the parallel graph products: each output row is
@@ -56,7 +55,7 @@ Result<NeighborGraph> NeighborGraph::Build(const Matrix& si, Index p,
   ASSIGN_OR_RETURN(auto knn, AllKnn(valid_si, p));
   // Symmetrize: edge if either direction is a p-NN relation (weight 1,
   // Formula 3).
-  std::vector<la::Triplet> directed;
+  std::vector<Triplet> directed;
   directed.reserve(2 * valid.size() * static_cast<size_t>(p));
   for (size_t v = 0; v < valid.size(); ++v) {
     const Index i = valid[v];
@@ -70,14 +69,14 @@ Result<NeighborGraph> NeighborGraph::Build(const Matrix& si, Index p,
   return g;
 }
 
-void NeighborGraph::Assign(Index n, std::vector<la::Triplet> directed) {
+void NeighborGraph::Assign(Index n, std::vector<Triplet> directed) {
   // Stable, so a repeated pair keeps the weight it was first given.
   std::stable_sort(directed.begin(), directed.end(),
-                   [](const la::Triplet& a, const la::Triplet& b) {
+                   [](const Triplet& a, const Triplet& b) {
                      return a.row != b.row ? a.row < b.row : a.col < b.col;
                    });
   directed.erase(std::unique(directed.begin(), directed.end(),
-                             [](const la::Triplet& a, const la::Triplet& b) {
+                             [](const Triplet& a, const Triplet& b) {
                                return a.row == b.row && a.col == b.col;
                              }),
                  directed.end());
@@ -89,7 +88,7 @@ void NeighborGraph::Assign(Index n, std::vector<la::Triplet> directed) {
   upper_offsets_.assign(static_cast<size_t>(n) + 1, 0);
   upper_from_.clear();
   upper_edge_.clear();
-  for (const la::Triplet& t : directed) {
+  for (const Triplet& t : directed) {
     ++offsets_[static_cast<size_t>(t.row) + 1];
     if (t.col > t.row) {
       ++upper_offsets_[static_cast<size_t>(t.row) + 1];
@@ -170,21 +169,9 @@ Status NeighborGraph::ApplyHeatKernelWeights(const Matrix& points,
   return Status::OK();
 }
 
-Result<NeighborGraph> NeighborGraph::BuildHaversine(const Matrix& si,
-                                                    Index p) {
-  if (si.cols() != 2) {
-    return Status::InvalidArgument(
-        "NeighborGraph::BuildHaversine: need N x 2 (lat, lon)");
-  }
-  // Chord distances on the sphere are monotone in great-circle distance,
-  // so the Euclidean builder over the 3-D embedding produces exactly the
-  // haversine p-NN graph.
-  return Build(EmbedLatLonOnSphere(si), p);
-}
-
-void NeighborGraph::AddSymmetricEdges(std::span<const la::Triplet> edges) {
+void NeighborGraph::AddSymmetricEdges(std::span<const Triplet> edges) {
   const Index n = num_vertices();
-  std::vector<la::Triplet> directed;
+  std::vector<Triplet> directed;
   directed.reserve(targets_.size() + 2 * edges.size());
   // The existing edges first, so a stable sort keeps their weights.
   for (Index i = 0; i < n; ++i) {
@@ -194,7 +181,7 @@ void NeighborGraph::AddSymmetricEdges(std::span<const la::Triplet> edges) {
                           weights_[static_cast<size_t>(e)]});
     }
   }
-  for (const la::Triplet& t : edges) {
+  for (const Triplet& t : edges) {
     SMFL_CHECK(t.row >= 0 && t.row < n);
     SMFL_CHECK(t.col >= 0 && t.col < n);
     if (t.row == t.col) continue;
@@ -284,40 +271,6 @@ Matrix NeighborGraph::DenseL() const {
   Matrix l = DenseW();
   l -= DenseD();
   return l;
-}
-
-la::SparseMatrix NeighborGraph::SparseD() const {
-  const Index n = num_vertices();
-  std::vector<la::Triplet> triplets;
-  triplets.reserve(static_cast<size_t>(2 * num_edges_));
-  for (Index i = 0; i < n; ++i) {
-    for (Index e = offsets_[static_cast<size_t>(i)];
-         e < offsets_[static_cast<size_t>(i) + 1]; ++e) {
-      triplets.push_back({i, targets_[static_cast<size_t>(e)],
-                          weights_[static_cast<size_t>(e)]});
-    }
-  }
-  auto result = la::SparseMatrix::FromTriplets(n, n, std::move(triplets));
-  SMFL_CHECK(result.ok());
-  return std::move(result).value();
-}
-
-la::SparseMatrix NeighborGraph::SparseLaplacian() const {
-  const Index n = num_vertices();
-  std::vector<la::Triplet> triplets;
-  triplets.reserve(static_cast<size_t>(2 * num_edges_ + n));
-  for (Index i = 0; i < n; ++i) {
-    // smfl-lint: allow(float-eq) structural zero: keep the diagonal sparse
-    if (degree_[i] != 0.0) triplets.push_back({i, i, degree_[i]});
-    for (Index e = offsets_[static_cast<size_t>(i)];
-         e < offsets_[static_cast<size_t>(i) + 1]; ++e) {
-      triplets.push_back({i, targets_[static_cast<size_t>(e)],
-                          -weights_[static_cast<size_t>(e)]});
-    }
-  }
-  auto result = la::SparseMatrix::FromTriplets(n, n, std::move(triplets));
-  SMFL_CHECK(result.ok());
-  return std::move(result).value();
 }
 
 }  // namespace smfl::spatial

@@ -23,13 +23,20 @@
 
 #include "src/common/status.h"
 #include "src/la/matrix.h"
-#include "src/la/sparse.h"
 
 namespace smfl::spatial {
 
 using la::Index;
 using la::Matrix;
 using la::Vector;
+
+// One weighted (row, col) pair: an edge to add to a graph, or a directed
+// CSR entry while the arrays are rebuilt.
+struct Triplet {
+  Index row = 0;
+  Index col = 0;
+  double value = 0.0;
+};
 
 class NeighborGraph {
  public:
@@ -47,19 +54,13 @@ class NeighborGraph {
   static Result<NeighborGraph> Build(const Matrix& si, Index p,
                                      const std::vector<bool>& valid_rows);
 
-  // Builds the symmetric p-NN graph under the GREAT-CIRCLE metric over
-  // (lat, lon) degree coordinates — the physically correct choice when
-  // spatial information is geographic and the region is large. si must be
-  // N x 2.
-  static Result<NeighborGraph> BuildHaversine(const Matrix& si, Index p);
-
   // Adds the undirected edge {row, col} with weight `value` for every
   // triplet, in one rebuild of the CSR arrays. A pair already in the graph
   // keeps its edge, a pair repeated in the batch keeps its first weight,
   // and self loops are ignored. Used to attach rows with partially
   // observed spatial information to their partial-distance neighbors
   // after the main Build.
-  void AddSymmetricEdges(std::span<const la::Triplet> edges);
+  void AddSymmetricEdges(std::span<const Triplet> edges);
 
   // Replaces every edge's weight with HeatKernelWeight(d_ij^2, sigma)
   // computed from the point coordinates; sigma <= 0 picks
@@ -123,16 +124,11 @@ class NeighborGraph {
   Matrix DenseW() const;
   Matrix DenseL() const;
 
-  // CSR exports of the adjacency D and the Laplacian L = W − D, for
-  // spectral analysis and interop with la::SparseMatrix consumers.
-  la::SparseMatrix SparseD() const;
-  la::SparseMatrix SparseLaplacian() const;
-
  private:
   // Rebuilds every array from directed (from, to, weight) entries: sorts
   // them by (from, to), keeps the first of each repeated pair, and fills
   // the CSR, the upper-triangle list and the degrees.
-  void Assign(Index n, std::vector<la::Triplet> directed);
+  void Assign(Index n, std::vector<Triplet> directed);
   void RecomputeDegrees();
 
   std::vector<Index> offsets_{0};  // num_vertices() + 1

@@ -6,7 +6,6 @@
 
 #include "src/common/parallel.h"
 #include "src/la/ops.h"
-#include "src/spatial/metrics.h"
 
 namespace smfl::spatial {
 
@@ -132,35 +131,6 @@ std::vector<Neighbor> KdTree::Query(std::span<const double> query, Index k,
   return out;
 }
 
-std::vector<Neighbor> KdTree::RadiusQuery(std::span<const double> query,
-                                          double radius,
-                                          Index exclude) const {
-  SMFL_CHECK_EQ(static_cast<Index>(query.size()), points_->cols());
-  std::vector<Neighbor> out;
-  if (radius < 0) return out;
-  auto visit = [&](auto&& self, Index node_id) -> void {
-    if (node_id < 0) return;
-    const Node& node = nodes_[static_cast<size_t>(node_id)];
-    const Index p = node.point;
-    if (p != exclude) {
-      const double d =
-          std::sqrt(la::SquaredDistance(points_->Row(p), query));
-      if (d <= radius) out.push_back({p, d});
-    }
-    const double delta = query[static_cast<size_t>(node.axis)] -
-                         (*points_)(p, node.axis);
-    const Index near = delta <= 0 ? node.left : node.right;
-    const Index far = delta <= 0 ? node.right : node.left;
-    self(self, near);
-    // The far half-space can only contribute if the splitting hyperplane
-    // lies within the radius.
-    if (std::fabs(delta) <= radius) self(self, far);
-  };
-  visit(visit, root_);
-  SortResult(out);
-  return out;
-}
-
 Result<std::vector<std::vector<Neighbor>>> AllKnn(const Matrix& points,
                                                   Index k) {
   if (points.rows() == 0) {
@@ -190,21 +160,6 @@ Result<std::vector<std::vector<Neighbor>>> AllKnn(const Matrix& points,
                           }
                         });
   return out;
-}
-
-Result<std::vector<std::vector<Neighbor>>> AllKnnHaversine(
-    const Matrix& lat_lon_degrees, Index k) {
-  if (lat_lon_degrees.cols() != 2) {
-    return Status::InvalidArgument(
-        "AllKnnHaversine: need an N x 2 (lat, lon) matrix");
-  }
-  Matrix embedded = EmbedLatLonOnSphere(lat_lon_degrees);
-  ASSIGN_OR_RETURN(auto chord_knn, AllKnn(embedded, k));
-  // Convert chord lengths back to kilometers.
-  for (auto& list : chord_knn) {
-    for (Neighbor& nb : list) nb.distance = ChordToKm(nb.distance);
-  }
-  return chord_knn;
 }
 
 }  // namespace smfl::spatial

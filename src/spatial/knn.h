@@ -49,11 +49,6 @@ class KdTree {
     return Query(points_->Row(i), k, i);
   }
 
-  // All rows within `radius` of `query`, ascending by distance; `exclude`
-  // skipped when >= 0.
-  std::vector<Neighbor> RadiusQuery(std::span<const double> query,
-                                    double radius, Index exclude = -1) const;
-
   Index size() const { return points_->rows(); }
 
  private:
@@ -77,13 +72,6 @@ class KdTree {
 // k-NN lists for every row (self excluded), via KdTree when n is large.
 Result<std::vector<std::vector<Neighbor>>> AllKnn(const Matrix& points,
                                                   Index k);
-
-// k-NN for every row under the GREAT-CIRCLE metric over (lat, lon) degree
-// pairs. Exact: points are embedded on the unit sphere where the chord
-// distance is monotone in haversine distance, then AllKnn applies.
-// Returned Neighbor::distance values are kilometers.
-Result<std::vector<std::vector<Neighbor>>> AllKnnHaversine(
-    const Matrix& lat_lon_degrees, Index k);
 
 }  // namespace smfl::spatial
 

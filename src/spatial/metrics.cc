@@ -1,15 +1,9 @@
 #include "src/spatial/metrics.h"
 
+#include <algorithm>
 #include <cmath>
 
-#include "src/la/ops.h"
-
 namespace smfl::spatial {
-
-double EuclideanDistance(std::span<const double> a,
-                         std::span<const double> b) {
-  return std::sqrt(la::SquaredDistance(a, b));
-}
 
 double HaversineKm(double lat1, double lon1, double lat2, double lon2) {
   constexpr double kEarthRadiusKm = 6371.0088;
@@ -22,37 +16,6 @@ double HaversineKm(double lat1, double lon1, double lat2, double lon2) {
                    std::cos(phi1) * std::cos(phi2) * std::sin(dlambda / 2) *
                        std::sin(dlambda / 2);
   return 2.0 * kEarthRadiusKm * std::asin(std::min(1.0, std::sqrt(a)));
-}
-
-double RowDistance(const Matrix& points, Index i, Index j) {
-  return EuclideanDistance(points.Row(i), points.Row(j));
-}
-
-namespace {
-constexpr double kEarthRadiusKmForChord = 6371.0088;
-constexpr double kDegToRadForChord = M_PI / 180.0;
-}  // namespace
-
-Matrix EmbedLatLonOnSphere(const Matrix& lat_lon_degrees) {
-  SMFL_CHECK_EQ(lat_lon_degrees.cols(), 2);
-  Matrix embedded(lat_lon_degrees.rows(), 3);
-  for (Index i = 0; i < lat_lon_degrees.rows(); ++i) {
-    const double phi = lat_lon_degrees(i, 0) * kDegToRadForChord;
-    const double lambda = lat_lon_degrees(i, 1) * kDegToRadForChord;
-    embedded(i, 0) = std::cos(phi) * std::cos(lambda);
-    embedded(i, 1) = std::cos(phi) * std::sin(lambda);
-    embedded(i, 2) = std::sin(phi);
-  }
-  return embedded;
-}
-
-double KmToChord(double km) {
-  return 2.0 * std::sin(std::min(km / kEarthRadiusKmForChord, M_PI) / 2.0);
-}
-
-double ChordToKm(double chord) {
-  const double half = std::min(std::max(chord / 2.0, 0.0), 1.0);
-  return 2.0 * kEarthRadiusKmForChord * std::asin(half);
 }
 
 }  // namespace smfl::spatial

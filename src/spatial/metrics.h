@@ -3,35 +3,11 @@
 #ifndef SMFL_SPATIAL_METRICS_H_
 #define SMFL_SPATIAL_METRICS_H_
 
-#include <span>
-
-#include "src/la/matrix.h"
-
 namespace smfl::spatial {
-
-using la::Index;
-using la::Matrix;
-
-// Euclidean distance between equal-length coordinate vectors.
-double EuclideanDistance(std::span<const double> a, std::span<const double> b);
 
 // Great-circle distance in kilometers between (lat, lon) points in degrees.
 // Used by the route-planning application where physical distances matter.
 double HaversineKm(double lat1, double lon1, double lat2, double lon2);
-
-// Distance between rows i and j of a point matrix (Euclidean over all cols).
-double RowDistance(const Matrix& points, Index i, Index j);
-
-// Embeds (lat, lon) degree rows into 3-D unit-sphere coordinates. The
-// Euclidean (chord) distance between embedded points is strictly monotone
-// in great-circle distance, so KD-tree k-NN over the embedding returns the
-// exact haversine nearest neighbors. Input must be N x 2.
-Matrix EmbedLatLonOnSphere(const Matrix& lat_lon_degrees);
-
-// Chord length (in unit-sphere units) corresponding to a great-circle
-// distance of `km`; inverse of ChordToKm.
-double KmToChord(double km);
-double ChordToKm(double chord);
 
 }  // namespace smfl::spatial
 

@@ -1,3 +1,7 @@
+// Symmetric Jacobi eigendecomposition: reconstruction, orthonormality and
+// ordering over random symmetric matrices, input validation, and the
+// spectrum of a p-NN graph Laplacian.
+
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -5,7 +9,6 @@
 #include "src/common/rng.h"
 #include "src/la/eigen.h"
 #include "src/la/ops.h"
-#include "src/la/sparse.h"
 #include "src/spatial/graph.h"
 
 namespace smfl::la {
@@ -107,146 +110,6 @@ TEST(EigenTest, GraphLaplacianSpectrum) {
   EXPECT_NEAR(eigen->values[1], 0.0, 1e-9);  // second zero: two components
   EXPECT_GT(eigen->values[2], 1e-6);         // but not a third
   for (Index i = 0; i < 30; ++i) EXPECT_GE(eigen->values[i], -1e-9);
-}
-
-// ---------------------------------------------------------------- sparse
-
-TEST(SparseTest, FromTripletsAndToDense) {
-  auto m = SparseMatrix::FromTriplets(
-      2, 3, {{0, 1, 5.0}, {1, 2, -2.0}, {0, 1, 1.0}});  // duplicate summed
-  ASSERT_TRUE(m.ok());
-  EXPECT_EQ(m->NumNonZeros(), 2);
-  Matrix dense = m->ToDense();
-  EXPECT_DOUBLE_EQ(dense(0, 1), 6.0);
-  EXPECT_DOUBLE_EQ(dense(1, 2), -2.0);
-  EXPECT_DOUBLE_EQ(dense(0, 0), 0.0);
-}
-
-TEST(SparseTest, DuplicateSummationIsOrderIndependentBitwise) {
-  // Floating-point addition is not associative: 0.1 + 0.2 + 0.3 and
-  // 0.3 + 0.2 + 0.1 differ in the last bit. FromTriplets must therefore
-  // fix the summation order (ascending value-bit-pattern within each
-  // duplicate group) so the stored sum is bitwise identical no matter how
-  // the triplets arrive.
-  const std::vector<Triplet> canonical = {
-      {0, 0, 0.1}, {0, 0, 0.2}, {0, 0, 0.3},
-      {1, 1, -0.7}, {1, 1, 1e-3}, {1, 1, 0.7},
-      {0, 1, 4.0},
-  };
-  auto reference = SparseMatrix::FromTriplets(2, 2, canonical);
-  ASSERT_TRUE(reference.ok());
-  const Matrix ref_dense = reference->ToDense();
-
-  // A few hand-picked permutations plus seeded shuffles.
-  std::vector<std::vector<Triplet>> permutations;
-  permutations.push_back({{1, 1, 0.7}, {0, 0, 0.3}, {0, 1, 4.0},
-                          {0, 0, 0.1}, {1, 1, -0.7}, {1, 1, 1e-3},
-                          {0, 0, 0.2}});
-  for (uint64_t seed = 1; seed <= 4; ++seed) {
-    Rng rng(seed);
-    std::vector<Triplet> shuffled = canonical;
-    for (size_t i = shuffled.size(); i > 1; --i) {
-      const size_t j = static_cast<size_t>(
-          rng.Uniform(0.0, static_cast<double>(i)));
-      std::swap(shuffled[i - 1], shuffled[j < i ? j : i - 1]);
-    }
-    permutations.push_back(std::move(shuffled));
-  }
-  for (size_t p = 0; p < permutations.size(); ++p) {
-    auto m = SparseMatrix::FromTriplets(2, 2, permutations[p]);
-    ASSERT_TRUE(m.ok()) << "permutation " << p;
-    const Matrix dense = m->ToDense();
-    for (Index i = 0; i < 2; ++i) {
-      for (Index j = 0; j < 2; ++j) {
-        // Bitwise, not approximate: EXPECT_EQ on doubles.
-        EXPECT_EQ(dense(i, j), ref_dense(i, j))
-            << "permutation " << p << " at (" << i << ", " << j << ")";
-      }
-    }
-  }
-}
-
-TEST(SparseTest, RejectsOutOfRange) {
-  EXPECT_FALSE(SparseMatrix::FromTriplets(2, 2, {{2, 0, 1.0}}).ok());
-  EXPECT_FALSE(SparseMatrix::FromTriplets(2, 2, {{0, -1, 1.0}}).ok());
-}
-
-TEST(SparseTest, FromDenseDropsSmall) {
-  Matrix dense{{1.0, 1e-15}, {0.0, -3.0}};
-  SparseMatrix sparse = SparseMatrix::FromDense(dense, 1e-12);
-  EXPECT_EQ(sparse.NumNonZeros(), 2);
-  EXPECT_LT(MaxAbsDiff(sparse.ToDense(),
-                       Matrix{{1.0, 0.0}, {0.0, -3.0}}),
-            1e-15);
-}
-
-TEST(SparseTest, MultiplyMatchesDense) {
-  Rng rng(11);
-  Matrix dense(20, 15);
-  for (Index i = 0; i < dense.size(); ++i) {
-    if (rng.Bernoulli(0.2)) dense.data()[i] = rng.Normal();
-  }
-  SparseMatrix sparse = SparseMatrix::FromDense(dense);
-  Vector x(15);
-  for (Index i = 0; i < 15; ++i) x[i] = rng.Normal();
-  Vector expected = dense * x;
-  Vector actual = sparse.Multiply(x);
-  for (Index i = 0; i < 20; ++i) EXPECT_NEAR(actual[i], expected[i], 1e-12);
-}
-
-TEST(SparseTest, MultiplyDenseMatchesDense) {
-  Rng rng(13);
-  Matrix dense(12, 9);
-  for (Index i = 0; i < dense.size(); ++i) {
-    if (rng.Bernoulli(0.3)) dense.data()[i] = rng.Normal();
-  }
-  Matrix b(9, 4);
-  for (Index i = 0; i < b.size(); ++i) b.data()[i] = rng.Normal();
-  SparseMatrix sparse = SparseMatrix::FromDense(dense);
-  EXPECT_LT(MaxAbsDiff(sparse.MultiplyDense(b), dense * b), 1e-12);
-}
-
-TEST(SparseTest, QuadraticFormMatchesDense) {
-  Rng rng(17);
-  Matrix dense = RandomSymmetric(10, 19);
-  SparseMatrix sparse = SparseMatrix::FromDense(dense);
-  Vector x(10);
-  for (Index i = 0; i < 10; ++i) x[i] = rng.Normal();
-  const double expected = Dot(x, dense * x);
-  EXPECT_NEAR(sparse.QuadraticForm(x), expected, 1e-10);
-}
-
-TEST(SparseTest, RowAccessors) {
-  auto m = SparseMatrix::FromTriplets(3, 3, {{1, 0, 2.0}, {1, 2, 3.0}});
-  ASSERT_TRUE(m.ok());
-  EXPECT_EQ(m->RowIndices(0).size(), 0u);
-  auto idx = m->RowIndices(1);
-  auto val = m->RowValues(1);
-  ASSERT_EQ(idx.size(), 2u);
-  EXPECT_EQ(idx[0], 0);
-  EXPECT_EQ(idx[1], 2);
-  EXPECT_DOUBLE_EQ(val[0], 2.0);
-  EXPECT_DOUBLE_EQ(val[1], 3.0);
-}
-
-TEST(SparseTest, GraphExportsMatchDense) {
-  Rng rng(23);
-  Matrix points(40, 2);
-  for (Index i = 0; i < points.size(); ++i) {
-    points.data()[i] = rng.Uniform();
-  }
-  auto graph = spatial::NeighborGraph::Build(points, 3);
-  ASSERT_TRUE(graph.ok());
-  EXPECT_LT(MaxAbsDiff(graph->SparseD().ToDense(), graph->DenseD()), 1e-15);
-  EXPECT_LT(MaxAbsDiff(graph->SparseLaplacian().ToDense(), graph->DenseL()),
-            1e-15);
-  // Laplacian quadratic form agrees across all three implementations.
-  Vector x(40);
-  for (Index i = 0; i < 40; ++i) x[i] = rng.Normal();
-  Matrix xm(40, 1);
-  for (Index i = 0; i < 40; ++i) xm(i, 0) = x[i];
-  EXPECT_NEAR(graph->SparseLaplacian().QuadraticForm(x),
-              graph->LaplacianQuadraticForm(xm), 1e-9);
 }
 
 }  // namespace

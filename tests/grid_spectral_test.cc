@@ -1,12 +1,11 @@
-#include <gtest/gtest.h>
+// Spectral clustering over p-NN graphs: blob separation, the Laplacian
+// eigenvalues it reports, and input validation.
 
-#include <cmath>
+#include <gtest/gtest.h>
 
 #include "src/cluster/hungarian.h"
 #include "src/cluster/spectral.h"
 #include "src/common/rng.h"
-#include "src/spatial/grid_index.h"
-#include "src/spatial/knn.h"
 
 namespace smfl {
 namespace {
@@ -21,82 +20,6 @@ Matrix RandomPoints(Index n, uint64_t seed) {
     points.data()[i] = rng.Uniform();
   }
   return points;
-}
-
-// ---------------------------------------------------------------- grid
-
-TEST(GridIndexTest, BuildValidation) {
-  EXPECT_FALSE(spatial::GridIndex::Build(Matrix()).ok());
-  EXPECT_FALSE(spatial::GridIndex::Build(Matrix(3, 1)).ok());
-  EXPECT_TRUE(spatial::GridIndex::Build(Matrix(3, 2, 0.5)).ok());
-}
-
-class GridKnnOracleTest : public ::testing::TestWithParam<std::pair<int, int>> {
-};
-
-TEST_P(GridKnnOracleTest, MatchesBruteForce) {
-  const auto [n, k] = GetParam();
-  Matrix points = RandomPoints(n, 300 + n + k);
-  auto grid = spatial::GridIndex::Build(points);
-  ASSERT_TRUE(grid.ok());
-  for (Index q = 0; q < std::min<Index>(n, 20); ++q) {
-    auto expected = spatial::BruteForceKnn(points, points.Row(q), k, q);
-    auto actual = grid->Knn(points(q, 0), points(q, 1), k, q);
-    ASSERT_EQ(actual.size(), expected.size()) << "query " << q;
-    for (size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_NEAR(actual[i].distance, expected[i].distance, 1e-12)
-          << "query " << q << " rank " << i;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, GridKnnOracleTest,
-                         ::testing::Values(std::make_pair(1, 1),
-                                           std::make_pair(20, 3),
-                                           std::make_pair(100, 5),
-                                           std::make_pair(500, 4),
-                                           std::make_pair(1000, 10)));
-
-TEST(GridIndexTest, RadiusQueryExact) {
-  Matrix points = RandomPoints(300, 9);
-  auto grid = spatial::GridIndex::Build(points);
-  ASSERT_TRUE(grid.ok());
-  const double radius = 0.15;
-  auto found = grid->RadiusQuery(0.5, 0.5, radius);
-  // Oracle count.
-  Index expected = 0;
-  for (Index i = 0; i < 300; ++i) {
-    if (std::hypot(points(i, 0) - 0.5, points(i, 1) - 0.5) <= radius) {
-      ++expected;
-    }
-  }
-  EXPECT_EQ(static_cast<Index>(found.size()), expected);
-  // Sorted ascending, all within radius.
-  for (size_t i = 0; i < found.size(); ++i) {
-    EXPECT_LE(found[i].distance, radius);
-    if (i > 0) {
-      EXPECT_GE(found[i].distance, found[i - 1].distance);
-    }
-  }
-}
-
-TEST(GridIndexTest, RadiusZeroFindsExactPoint) {
-  Matrix points{{0.5, 0.5}, {0.6, 0.6}};
-  auto grid = spatial::GridIndex::Build(points);
-  ASSERT_TRUE(grid.ok());
-  auto found = grid->RadiusQuery(0.5, 0.5, 0.0);
-  ASSERT_EQ(found.size(), 1u);
-  EXPECT_EQ(found[0].index, 0);
-  EXPECT_TRUE(grid->RadiusQuery(0.5, 0.5, -1.0).empty());
-}
-
-TEST(GridIndexTest, DuplicatePoints) {
-  Matrix points(50, 2, 0.3);
-  auto grid = spatial::GridIndex::Build(points);
-  ASSERT_TRUE(grid.ok());
-  auto nn = grid->Knn(0.3, 0.3, 5, 0);
-  ASSERT_EQ(nn.size(), 5u);
-  for (const auto& n : nn) EXPECT_DOUBLE_EQ(n.distance, 0.0);
 }
 
 // ---------------------------------------------------------------- spectral

@@ -1,5 +1,6 @@
-// Great-circle k-NN machinery + randomized property ("fuzz") sweeps over
-// the data-layer invariants that every pipeline leans on.
+// Randomized property ("fuzz") sweeps over the data-layer invariants that
+// every pipeline leans on: mask algebra, combine/apply identities, the
+// min-max normalizer round trip and the CSV round trip.
 
 #include <gtest/gtest.h>
 
@@ -10,9 +11,6 @@
 #include "src/data/inject.h"
 #include "src/data/normalize.h"
 #include "src/la/ops.h"
-#include "src/spatial/graph.h"
-#include "src/spatial/knn.h"
-#include "src/spatial/metrics.h"
 
 namespace smfl {
 namespace {
@@ -20,117 +18,6 @@ namespace {
 using data::Mask;
 using la::Index;
 using la::Matrix;
-
-// ------------------------------------------------------------- haversine
-
-TEST(HaversineKnnTest, ChordConversionRoundTrip) {
-  for (double km : {0.0, 1.0, 111.2, 5570.0, 20000.0}) {
-    EXPECT_NEAR(spatial::ChordToKm(spatial::KmToChord(km)),
-                std::min(km, M_PI * 6371.0088), km * 1e-9 + 1e-9);
-  }
-}
-
-TEST(HaversineKnnTest, EmbeddingOnUnitSphere) {
-  Rng rng(3);
-  Matrix lat_lon(50, 2);
-  for (Index i = 0; i < 50; ++i) {
-    lat_lon(i, 0) = rng.Uniform(-90.0, 90.0);
-    lat_lon(i, 1) = rng.Uniform(-180.0, 180.0);
-  }
-  Matrix embedded = spatial::EmbedLatLonOnSphere(lat_lon);
-  ASSERT_EQ(embedded.cols(), 3);
-  for (Index i = 0; i < 50; ++i) {
-    const double norm = std::sqrt(embedded(i, 0) * embedded(i, 0) +
-                                  embedded(i, 1) * embedded(i, 1) +
-                                  embedded(i, 2) * embedded(i, 2));
-    EXPECT_NEAR(norm, 1.0, 1e-12);
-  }
-}
-
-TEST(HaversineKnnTest, ChordDistanceMatchesHaversine) {
-  Rng rng(5);
-  Matrix lat_lon(20, 2);
-  for (Index i = 0; i < 20; ++i) {
-    lat_lon(i, 0) = rng.Uniform(-80.0, 80.0);
-    lat_lon(i, 1) = rng.Uniform(-179.0, 179.0);
-  }
-  Matrix embedded = spatial::EmbedLatLonOnSphere(lat_lon);
-  for (Index a = 0; a < 20; ++a) {
-    for (Index b = a + 1; b < 20; ++b) {
-      const double via_chord = spatial::ChordToKm(
-          spatial::EuclideanDistance(embedded.Row(a), embedded.Row(b)));
-      const double direct = spatial::HaversineKm(
-          lat_lon(a, 0), lat_lon(a, 1), lat_lon(b, 0), lat_lon(b, 1));
-      EXPECT_NEAR(via_chord, direct, 1e-6 * std::max(direct, 1.0));
-    }
-  }
-}
-
-TEST(HaversineKnnTest, MatchesBruteForceHaversine) {
-  Rng rng(7);
-  Matrix lat_lon(120, 2);
-  for (Index i = 0; i < 120; ++i) {
-    lat_lon(i, 0) = rng.Uniform(30.0, 60.0);
-    lat_lon(i, 1) = rng.Uniform(100.0, 140.0);
-  }
-  auto knn = spatial::AllKnnHaversine(lat_lon, 4);
-  ASSERT_TRUE(knn.ok());
-  for (Index q = 0; q < 15; ++q) {
-    // Oracle: sort all rows by direct haversine distance.
-    std::vector<std::pair<double, Index>> all;
-    for (Index i = 0; i < 120; ++i) {
-      if (i == q) continue;
-      all.emplace_back(
-          spatial::HaversineKm(lat_lon(q, 0), lat_lon(q, 1), lat_lon(i, 0),
-                               lat_lon(i, 1)),
-          i);
-    }
-    std::sort(all.begin(), all.end());
-    const auto& actual = (*knn)[static_cast<size_t>(q)];
-    ASSERT_EQ(actual.size(), 4u);
-    for (size_t r = 0; r < 4; ++r) {
-      EXPECT_NEAR(actual[r].distance, all[r].first,
-                  1e-6 * std::max(all[r].first, 1.0))
-          << "query " << q << " rank " << r;
-    }
-  }
-}
-
-TEST(HaversineKnnTest, AntimeridianNeighborsFound) {
-  // Points on both sides of the ±180° meridian are geographically close;
-  // a naive Euclidean treatment of longitude would put them ~360° apart.
-  Matrix lat_lon{{0.0, 179.9}, {0.0, -179.9}, {0.0, 150.0}};
-  auto knn = spatial::AllKnnHaversine(lat_lon, 1);
-  ASSERT_TRUE(knn.ok());
-  EXPECT_EQ((*knn)[0][0].index, 1);  // across the antimeridian
-  EXPECT_EQ((*knn)[1][0].index, 0);
-  EXPECT_LT((*knn)[0][0].distance, 30.0);  // ~22 km, not half the planet
-}
-
-TEST(HaversineKnnTest, GraphBuilderAgreesWithEuclideanOnSmallRegions) {
-  // Over a small region the metrics are nearly proportional, so the p-NN
-  // graphs coincide.
-  Rng rng(9);
-  Matrix lat_lon(60, 2);
-  for (Index i = 0; i < 60; ++i) {
-    lat_lon(i, 0) = rng.Uniform(45.0, 45.3);
-    lat_lon(i, 1) = rng.Uniform(130.0, 130.3);
-  }
-  auto haversine = spatial::NeighborGraph::BuildHaversine(lat_lon, 3);
-  ASSERT_TRUE(haversine.ok());
-  // Scale lon by cos(lat) for a fair local Euclidean comparison.
-  Matrix scaled = lat_lon;
-  const double c = std::cos(45.15 * M_PI / 180.0);
-  for (Index i = 0; i < 60; ++i) scaled(i, 1) *= c;
-  auto euclidean = spatial::NeighborGraph::Build(scaled, 3);
-  ASSERT_TRUE(euclidean.ok());
-  EXPECT_LT(la::MaxAbsDiff(haversine->DenseD(), euclidean->DenseD()), 0.5);
-}
-
-TEST(HaversineKnnTest, RejectsWrongWidth) {
-  EXPECT_FALSE(spatial::AllKnnHaversine(Matrix(5, 3), 2).ok());
-  EXPECT_FALSE(spatial::NeighborGraph::BuildHaversine(Matrix(5, 3), 2).ok());
-}
 
 // ------------------------------------------------- randomized properties
 

@@ -212,7 +212,7 @@ double ReferenceSquaredError(const Matrix& x, const Mask& mask,
 // observed rate (exercising both sides of the per-tier density crossover),
 // thread count, and SIMD tier, with and without packed values: the
 // reconstruction the unfused ApplyMask(MatMul) form, the squared error
-// ReferenceSquaredError — also when fused into one packed pass.
+// ReferenceSquaredError.
 TEST(ObservedIndexTest, MaskedKernelsBitwiseEqualReferenceForms) {
   const Index n = 83, m = 57, k = 7;
   for (double rate : {0.01, 0.1, 0.5, 1.0}) {
@@ -242,21 +242,6 @@ TEST(ObservedIndexTest, MaskedKernelsBitwiseEqualReferenceForms) {
         ASSERT_EQ(data::MaskedSquaredError(x, index_packed, via_index),
                   reference_err)
             << label << " (packed values)";
-
-        // The fit's fused form: R_Ω(UV) packed in CSR order, and the same
-        // squared error.
-        std::vector<double> packed(static_cast<size_t>(index.Count()));
-        ASSERT_EQ(data::MaskedReconstructPacked(u, v, index_packed, packed),
-                  reference_err)
-            << label << " (packed reconstruction)";
-        for (Index i = 0; i < n; ++i) {
-          const auto cols = index_packed.RowCols(i);
-          for (size_t c = 0; c < cols.size(); ++c) {
-            ASSERT_EQ(packed[static_cast<size_t>(index_packed.RowOffset(i)) + c],
-                      unfused(i, cols[c]))
-                << label << " packed row " << i << " slot " << c;
-          }
-        }
       }
     }
   }

@@ -188,7 +188,7 @@ TEST(SimdKernelTest, DotPanelMatchesScalarTier) {
 }
 
 // --------------------------------------------------------------------------
-// The fit kernels (u_step_rows, v_step_cols, uv_row_pair): vector tier vs
+// The fit kernels (u_step_rows, v_step_cols, uv_row): vector tier vs
 // scalar tier over every rank K in 1..17 (one to four 4-lane registers,
 // lane tails, and a second 16-lane pass) and every width m in 1..33.
 
@@ -347,10 +347,11 @@ TEST(SimdKernelTest, UStepRowsMatchesScalarTier) {
 }
 
 // The row pass's squared error, as the fit sums it (64-row chunks through
-// ParallelReduce), is data::MaskedReconstructPacked's bit for bit on both
-// tiers: 150 rows (three chunks), ranks 1…17, observed rates 5–100% at
-// widths on both sides of every tier's crossover.
-TEST(SimdKernelTest, RowPassSquaredErrorMatchesMaskedReconstructPacked) {
+// ParallelReduce), is data::MaskedSquaredError's over
+// data::MaskedReconstruct bit for bit on both tiers: 150 rows (three
+// chunks), ranks 1…17, observed rates 5–100% at widths on both sides of
+// every tier's crossover.
+TEST(SimdKernelTest, RowPassSquaredErrorMatchesMaskedSquaredError) {
   constexpr Index n = 150;
   for (const Index m : {Index{7}, Index{20}, Index{33}}) {
     for (Index k = 1; k <= 17; ++k) {
@@ -365,9 +366,8 @@ TEST(SimdKernelTest, RowPassSquaredErrorMatchesMaskedReconstructPacked) {
       for (const double rate : {0.05, 0.1, 0.3, 0.6, 1.0}) {
         const data::ObservedIndex omega = data::ObservedIndex::FromMask(
             RandomMask(n, m, seed + 4, rate), xm);
-        std::vector<double> packed(static_cast<size_t>(omega.Count()));
-        const double expected =
-            data::MaskedReconstructPacked(u, v, omega, packed);
+        const double expected = data::MaskedSquaredError(
+            xm, omega, data::MaskedReconstruct(u, v, omega));
         const std::vector<Index> no_edges(static_cast<size_t>(n) + 1, 0);
         std::vector<double> u_next(static_cast<size_t>(n * k));
         simd::UStep step;
@@ -793,10 +793,10 @@ TEST(SimdKernelTest, LaplacianEdgesMatchesScalarTier) {
   }
 }
 
-// Two rows of U V on both tiers, with exact zeros in both rows; with
-// skip_zeros and an infinite V entry the skip decides the result, and
-// against a finite V the skip must not change a bit.
-TEST(SimdKernelTest, UvRowPairMatchesScalarTier) {
+// One row of U V per call on both tiers, for two rows of U with exact
+// zeros; with skip_zeros and an infinite V entry the skip decides the
+// result, and against a finite V the skip must not change a bit.
+TEST(SimdKernelTest, UvRowMatchesScalarTier) {
   for (Index k = 1; k <= 17; ++k) {
     for (Index m = 1; m <= 33; ++m) {
       const auto seed = static_cast<uint64_t>(k * 10000 + m);
@@ -808,13 +808,14 @@ TEST(SimdKernelTest, UvRowPairMatchesScalarTier) {
       const auto run = [&](int mode, bool skip) {
         simd::ScopedSimd tier(mode);
         std::vector<double> r(static_cast<size_t>(2 * mp), -1.0);
-        simd::Active().uv_row_pair(k, mp, vp.data(), u.Row(0).data(),
-                                   u.Row(1).data(), skip, r.data(),
-                                   r.data() + mp);
+        for (Index row = 0; row < 2; ++row) {
+          simd::Active().uv_row(k, mp, vp.data(), u.Row(row).data(), skip,
+                                r.data() + row * mp);
+        }
         return r;
       };
       const std::string label =
-          "uv_row_pair k=" + std::to_string(k) + " m=" + std::to_string(m);
+          "uv_row k=" + std::to_string(k) + " m=" + std::to_string(m);
       const std::vector<double> finite = run(0, false);
       ExpectSameBits(run(1, false), finite, label);
       ExpectSameBits(run(1, true), finite, label + " skip");
@@ -875,28 +876,6 @@ TEST(SimdKernelTest, MaskedDotColsMatchesScalarTier) {
           ExpectSameBits(run(0, skip), expected, label + " scalar");
         }
       }
-    }
-  }
-}
-
-TEST(SimdKernelTest, SqDiffMatchesScalarTier) {
-  for (const Index n : kEdgeSizes) {
-    const Matrix x = RandomMatrix(1, std::max<Index>(n, 1), 41);
-    const Matrix r = RandomMatrix(1, std::max<Index>(n, 1), 42);
-    std::vector<double> out_vec(static_cast<size_t>(std::max<Index>(n, 1)));
-    std::vector<double> out_sca(static_cast<size_t>(std::max<Index>(n, 1)));
-    {
-      simd::ScopedSimd on(1);
-      simd::Active().sq_diff(n, x.data(), r.data(), out_vec.data());
-    }
-    {
-      simd::ScopedSimd off(0);
-      simd::Active().sq_diff(n, x.data(), r.data(), out_sca.data());
-    }
-    for (Index j = 0; j < n; ++j) {
-      ASSERT_EQ(out_vec[static_cast<size_t>(j)],
-                out_sca[static_cast<size_t>(j)])
-          << "sq_diff n=" << n << " index " << j;
     }
   }
 }

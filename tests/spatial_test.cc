@@ -24,11 +24,6 @@ Matrix RandomPoints(Index n, Index dims, uint64_t seed) {
 
 // ---------------------------------------------------------------- metrics
 
-TEST(MetricsTest, Euclidean) {
-  std::vector<double> a{0, 0}, b{3, 4};
-  EXPECT_DOUBLE_EQ(EuclideanDistance(a, b), 5.0);
-}
-
 TEST(MetricsTest, HaversineZeroForSamePoint) {
   EXPECT_NEAR(HaversineKm(45.0, 130.0, 45.0, 130.0), 0.0, 1e-9);
 }
@@ -43,11 +38,6 @@ TEST(MetricsTest, HaversineSymmetric) {
   const double d2 = HaversineKm(51.5, -0.1, 40.7, -74.0);
   EXPECT_DOUBLE_EQ(d1, d2);
   EXPECT_NEAR(d1, 5570.0, 60.0);  // NYC-London
-}
-
-TEST(MetricsTest, RowDistance) {
-  Matrix points{{0, 0}, {3, 4}};
-  EXPECT_DOUBLE_EQ(RowDistance(points, 0, 1), 5.0);
 }
 
 // ---------------------------------------------------------------- kNN
@@ -109,31 +99,6 @@ TEST(KdTreeTest, DuplicatePointsHandled) {
 }
 
 TEST(KdTreeTest, RejectsEmpty) { EXPECT_FALSE(KdTree::Build(Matrix()).ok()); }
-
-TEST(KdTreeTest, RadiusQueryMatchesOracle) {
-  Matrix points = RandomPoints(200, 2, 91);
-  auto tree = KdTree::Build(points);
-  ASSERT_TRUE(tree.ok());
-  const double radius = 0.2;
-  for (Index q = 0; q < 10; ++q) {
-    auto found = tree->RadiusQuery(points.Row(q), radius, q);
-    // Oracle.
-    Index expected = 0;
-    for (Index i = 0; i < 200; ++i) {
-      if (i == q) continue;
-      if (RowDistance(points, q, i) <= radius) ++expected;
-    }
-    EXPECT_EQ(static_cast<Index>(found.size()), expected) << "query " << q;
-    for (size_t i = 0; i < found.size(); ++i) {
-      EXPECT_LE(found[i].distance, radius);
-      if (i > 0) {
-        EXPECT_GE(found[i].distance, found[i - 1].distance);
-      }
-    }
-  }
-  // Negative radius: empty.
-  EXPECT_TRUE(tree->RadiusQuery(points.Row(0), -1.0).empty());
-}
 
 TEST(AllKnnTest, SmallAndLargeAgree) {
   // Cross-check the brute-force path (n <= 256) and the kd-tree path
@@ -290,12 +255,12 @@ TEST(NeighborGraphTest, CsrListsMatchSortedReferenceAfterEveryMutation) {
   expect_lists("after Build");
 
   const Index existing = ref[5].begin()->first;
-  const std::vector<la::Triplet> batch = {
+  const std::vector<Triplet> batch = {
       {0, 69, 0.25}, {69, 0, 0.5},  // repeated pair: the first weight wins
       {3, 3, 9.0},                  // self loop: dropped
       {5, existing, 7.0},           // already an edge: kept as it was
       {10, 50, 0.75}};
-  for (const la::Triplet& t : batch) {
+  for (const Triplet& t : batch) {
     if (t.row == t.col) continue;
     ref[static_cast<size_t>(t.row)].emplace(t.col, t.value);
     ref[static_cast<size_t>(t.col)].emplace(t.row, t.value);

@@ -77,9 +77,6 @@ TEST(WeightedGraphTest, DegreeIsWeightSumAndOperatorsConsistent) {
   const double via_edges = graph->LaplacianQuadraticForm(u);
   const double via_trace = la::Trace(la::MatMulAtB(u, graph->DenseL() * u));
   EXPECT_NEAR(via_edges, via_trace, 1e-8);
-  EXPECT_LT(la::MaxAbsDiff(graph->SparseLaplacian().ToDense(),
-                           graph->DenseL()),
-            1e-12);
 }
 
 TEST(WeightedGraphTest, WeightedLaplacianStillPsd) {
