@@ -24,7 +24,6 @@
 #include "src/impute/fallback.h"
 #include "src/impute/mf_imputers.h"
 #include "src/impute/registry.h"
-#include "src/la/simd.h"
 #include "src/repair/detector.h"
 #include "src/repair/fallback.h"
 #include "src/repair/repairer.h"
@@ -167,13 +166,9 @@ Result<std::unique_ptr<impute::Imputer>> MakeTunedImputer(
                      flags.GetDouble("lambda", options.lambda));
     ASSIGN_OR_RETURN(int64_t neighbors,
                      flags.GetInt("neighbors", options.num_neighbors));
-    ASSIGN_OR_RETURN(int64_t threads, flags.GetInt("threads", 0));
-    ASSIGN_OR_RETURN(int64_t simd, flags.GetInt("simd", -1));
     options.rank = static_cast<Index>(rank);
     options.lambda = lambda;
     options.num_neighbors = static_cast<Index>(neighbors);
-    options.threads = static_cast<int>(threads);
-    options.simd = static_cast<int>(simd);
     if (key == "smf") {
       return std::unique_ptr<impute::Imputer>(
           new impute::SmfImputer(options));
@@ -222,30 +217,24 @@ std::string UsageText() {
       "  --threads=N worker threads for the numeric kernels (default:\n"
       "              SMFL_THREADS env, else hardware concurrency).\n"
       "              Results are bitwise identical at any setting\n"
-      "  --simd=0|1  0 pins the numeric kernels to the scalar tier, 1\n"
-      "              requests the vector tier (default: SMFL_SIMD env,\n"
-      "              else the CPU probe — AVX2/NEON when available).\n"
-      "              Results are bitwise identical at any setting\n"
       "  --lenient   quarantine malformed CSV rows instead of failing the\n"
       "              file; the quarantine report is printed per row\n"
       "  --fallback=a,b,c   graceful degradation: try each method in order\n"
       "              until one serves, and report the serving tier\n"
       "  --log-level=debug|info|warning|error   log threshold (default:\n"
-      "              SMFL_LOG_LEVEL env, else info)\n"
+      "              info)\n"
       "  --trace-out=trace.json   write a Chrome trace-event file (open in\n"
       "              chrome://tracing or https://ui.perfetto.dev) with the\n"
       "              run's spans; implies telemetry collection\n"
       "  --metrics-out=metrics.jsonl   write the metrics snapshot (one JSON\n"
       "              object per line); implies telemetry collection\n"
-      "              (SMFL_TELEMETRY=0 pins collection off; neither file is\n"
-      "              written then)\n"
       "  --metrics-port=N   serve live observability over HTTP while the\n"
-      "              command runs (default: SMFL_METRICS_PORT env; 0 picks\n"
-      "              an ephemeral port, logged at startup): /metrics is\n"
-      "              Prometheus text exposition, /healthz liveness, and\n"
-      "              /statusz live fit progress JSON (iteration, objective,\n"
-      "              convergence delta, checkpoint generation, ETA). Implies\n"
-      "              telemetry collection; see docs/observability.md.\n"
+      "              command runs (0 picks an ephemeral port, logged at\n"
+      "              startup): /metrics is Prometheus text exposition,\n"
+      "              /healthz liveness, and /statusz live fit progress JSON\n"
+      "              (iteration, objective, convergence delta, checkpoint\n"
+      "              generation, ETA). Implies telemetry collection; see\n"
+      "              docs/observability.md.\n"
       "              SMFL_METRICS_LINGER_MS=N keeps the endpoints up that\n"
       "              long after the command finishes (scrape race buffer)\n"
       "\n"
@@ -418,8 +407,6 @@ Status RunFitCommand(const Flags& flags, std::string* output) {
   ASSIGN_OR_RETURN(double lambda, flags.GetDouble("lambda", options.lambda));
   ASSIGN_OR_RETURN(int64_t neighbors,
                    flags.GetInt("neighbors", options.num_neighbors));
-  ASSIGN_OR_RETURN(int64_t fit_threads, flags.GetInt("threads", 0));
-  ASSIGN_OR_RETURN(int64_t fit_simd, flags.GetInt("simd", -1));
   ASSIGN_OR_RETURN(int64_t seed,
                    flags.GetInt("seed", static_cast<int64_t>(options.seed)));
   if (seed < 0) {
@@ -428,8 +415,6 @@ Status RunFitCommand(const Flags& flags, std::string* output) {
   options.rank = static_cast<Index>(rank);
   options.lambda = lambda;
   options.num_neighbors = static_cast<Index>(neighbors);
-  options.threads = static_cast<int>(fit_threads);
-  options.simd = static_cast<int>(fit_simd);
   options.seed = static_cast<uint64_t>(seed);
 
   // Crash-safe checkpointing (docs/robustness.md).
@@ -715,9 +700,6 @@ Status Run(const Flags& flags, std::string* output) {
   if (flags.positional().empty()) {
     return Status::InvalidArgument(UsageText());
   }
-  // Log threshold: env first, then the flag, so --log-level wins when both
-  // are present.
-  InitLogLevelFromEnv();
   const std::string log_level = flags.GetString("log-level", "");
   if (!log_level.empty()) {
     LogLevel level;
@@ -727,9 +709,7 @@ Status Run(const Flags& flags, std::string* output) {
     }
     SetLogLevel(level);
   }
-  // Telemetry sinks. Asking for either file turns collection on — unless
-  // SMFL_TELEMETRY=0 pinned it off, in which case SetEnabled is a no-op
-  // and neither file is written (checked via Enabled() below).
+  // Telemetry sinks. Asking for either file turns collection on.
   const std::string trace_out = flags.GetString("trace-out", "");
   const std::string metrics_out = flags.GetString("metrics-out", "");
   if (!trace_out.empty() || !metrics_out.empty()) {
@@ -743,31 +723,17 @@ Status Run(const Flags& flags, std::string* output) {
     return Status::InvalidArgument("--threads must be >= 1 (or 0 for auto)");
   }
   if (threads > 0) parallel::SetParallelism(static_cast<int>(threads));
-  // Global SIMD tier for every numeric kernel this invocation runs.
-  // SMFL_SIMD=0 in the environment pins scalar and cannot be overridden by
-  // the flag (mirrors the SMFL_TELEMETRY pin); either setting is bitwise
-  // identical to the other.
-  ASSIGN_OR_RETURN(int64_t simd, flags.GetInt("simd", -1));
-  if (simd > 1 || simd < -1) {
-    return Status::InvalidArgument("--simd must be 0 or 1");
-  }
-  if (simd >= 0) la::simd::SetEnabled(simd == 1);
-  // Live observability endpoints (docs/observability.md). The flag wins
-  // over the SMFL_METRICS_PORT env; port 0 asks the kernel for an
-  // ephemeral port, logged below so a wrapper script can scrape it.
-  int64_t metrics_port = -1;
-  if (const char* env_port = std::getenv("SMFL_METRICS_PORT")) {
-    if (env_port[0] != '\0') metrics_port = std::atoll(env_port);
-  }
-  ASSIGN_OR_RETURN(metrics_port, flags.GetInt("metrics-port", metrics_port));
-  if (metrics_port > 65535) {
-    return Status::InvalidArgument("--metrics-port must be <= 65535");
-  }
+  // Live observability endpoints (docs/observability.md). Port 0 asks the
+  // kernel for an ephemeral port, logged below so a wrapper script can
+  // scrape it.
   obs::MetricsExporter exporter;
-  if (metrics_port >= 0) {
+  if (flags.Has("metrics-port")) {
+    ASSIGN_OR_RETURN(int64_t metrics_port, flags.GetInt("metrics-port", 0));
+    if (metrics_port < 0 || metrics_port > 65535) {
+      return Status::InvalidArgument("--metrics-port must be in [0, 65535]");
+    }
     // The live endpoints only carry data while instruments record, so a
-    // port implies collection (the SMFL_TELEMETRY=0 pin still wins; the
-    // server then serves the obs.http.* / process.* instruments only).
+    // port implies collection.
     telemetry::SetEnabled(true);
     obs::MetricsExporter::Options exporter_options;
     exporter_options.port = static_cast<int>(metrics_port);
@@ -797,20 +763,18 @@ Status Run(const Flags& flags, std::string* output) {
   // Export runs even when the command failed — a trace of a failed run is
   // exactly what post-mortems want. The command's status still wins over
   // an export error.
-  if (telemetry::Enabled()) {
-    if (!trace_out.empty()) {
-      auto& recorder = telemetry::TraceRecorder::Global();
-      Status write = recorder.WriteChromeTrace(trace_out);
-      if (!write.ok()) return status.ok() ? write : status;
-      *output += StrFormat("trace (%zu events) -> %s\n", recorder.size(),
-                           trace_out.c_str());
-    }
-    if (!metrics_out.empty()) {
-      Status write =
-          telemetry::MetricsRegistry::Global().WriteMetricsJsonl(metrics_out);
-      if (!write.ok()) return status.ok() ? write : status;
-      *output += StrFormat("metrics -> %s\n", metrics_out.c_str());
-    }
+  if (!trace_out.empty()) {
+    auto& recorder = telemetry::TraceRecorder::Global();
+    Status write = recorder.WriteChromeTrace(trace_out);
+    if (!write.ok()) return status.ok() ? write : status;
+    *output += StrFormat("trace (%zu events) -> %s\n", recorder.size(),
+                         trace_out.c_str());
+  }
+  if (!metrics_out.empty()) {
+    Status write =
+        telemetry::MetricsRegistry::Global().WriteMetricsJsonl(metrics_out);
+    if (!write.ok()) return status.ok() ? write : status;
+    *output += StrFormat("metrics -> %s\n", metrics_out.c_str());
   }
   if (exporter.running()) {
     // Optionally keep the endpoints up after the command finishes so a

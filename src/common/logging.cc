@@ -83,13 +83,6 @@ bool ParseLogLevel(std::string_view name, LogLevel* out) {
   return true;
 }
 
-void InitLogLevelFromEnv() {
-  const char* env = std::getenv("SMFL_LOG_LEVEL");
-  if (env == nullptr) return;
-  LogLevel level;
-  if (ParseLogLevel(env, &level)) SetLogLevel(level);
-}
-
 namespace internal {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)

@@ -22,12 +22,6 @@ LogLevel GetLogLevel();
 // accepted). Returns false and leaves *out untouched on anything else.
 bool ParseLogLevel(std::string_view name, LogLevel* out);
 
-// Applies the SMFL_LOG_LEVEL environment variable (same spellings as
-// ParseLogLevel) to the global threshold; unset or unparsable values leave
-// the threshold alone. The CLI calls this before flag handling so
-// --log-level still wins when both are present.
-void InitLogLevelFromEnv();
-
 namespace internal {
 
 // Accumulates one log line and emits it (to stderr) on destruction.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "src/common/durable_io.h"
 #include "src/common/strings.h"
@@ -16,37 +14,6 @@ std::atomic<bool> g_enabled{false};
 }  // namespace internal
 
 namespace {
-
-struct EnvState {
-  bool forced_off = false;  // SMFL_TELEMETRY=0
-  bool forced_on = false;   // SMFL_TELEMETRY set to anything else non-empty
-};
-
-EnvState ReadEnv() {
-  EnvState state;
-  if (const char* env = std::getenv("SMFL_TELEMETRY")) {
-    if (std::strcmp(env, "0") == 0) {
-      state.forced_off = true;
-    } else if (env[0] != '\0') {
-      state.forced_on = true;
-    }
-  }
-  return state;
-}
-
-EnvState& GetEnvState() {
-  static EnvState state = ReadEnv();
-  return state;
-}
-
-// Applies SMFL_TELEMETRY=1 at library load so collection covers the whole
-// process (getenv is safe during static initialization).
-const bool g_env_applied = [] {
-  if (GetEnvState().forced_on) {
-    internal::g_enabled.store(true, std::memory_order_relaxed);
-  }
-  return true;
-}();
 
 // Escapes the characters JSON string literals cannot carry raw. Metric
 // names are controlled literals, but exporters must never emit broken JSON
@@ -90,17 +57,7 @@ Status WriteStringToFile(const std::string& path,
 }  // namespace
 
 void SetEnabled(bool on) {
-  if (on && GetEnvState().forced_off) return;
   internal::g_enabled.store(on, std::memory_order_relaxed);
-}
-
-void RefreshEnvForTesting() {
-  GetEnvState() = ReadEnv();
-  if (GetEnvState().forced_off) {
-    internal::g_enabled.store(false, std::memory_order_relaxed);
-  } else if (GetEnvState().forced_on) {
-    internal::g_enabled.store(true, std::memory_order_relaxed);
-  }
 }
 
 int SmallThreadId() {

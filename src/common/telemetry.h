@@ -8,18 +8,12 @@
 // is untouched — trajectories are identical with telemetry on or off
 // (tests/kernel_equivalence_test.cc asserts this).
 //
-// Switching:
-//   * SMFL_TELEMETRY=1 in the environment enables collection process-wide;
-//     SMFL_TELEMETRY=0 pins it off (SetEnabled(true) becomes a no-op, so
-//     `--trace-out` on the CLI cannot re-enable it).
-//   * SetEnabled(true/false) toggles at runtime (the CLI calls it when
-//     --trace-out / --metrics-out are passed).
-//   * Compiling with -DSMFL_DISABLE_TELEMETRY turns every macro below into
-//     nothing at all.
-// When disabled at runtime every macro costs exactly one relaxed atomic
-// load and a predictable untaken branch (the same pattern as
-// SMFL_FAULT_FIRED); bench/bench_kernels.cpp's BM_TelemetryOverhead guards
-// that the disabled path stays free.
+// SetEnabled(true/false) is the one switch; the CLI turns collection on
+// when a sink asks for it (--trace-out, --metrics-out, --metrics-port).
+// When disabled every macro costs exactly one relaxed atomic load and a
+// predictable untaken branch (the same pattern as SMFL_FAULT_FIRED);
+// bench/bench_kernels.cpp's BM_TelemetryOverhead guards that the disabled
+// path stays free.
 //
 // Naming convention (see docs/observability.md): dot-separated
 // `component.operation`, e.g. "smfl.fit.iter", "parallel.chunk_us",
@@ -54,13 +48,8 @@ inline bool Enabled() {
   return internal::g_enabled.load(std::memory_order_relaxed);
 }
 
-// Enables/disables collection. SetEnabled(true) is a no-op when the
-// SMFL_TELEMETRY=0 environment override pinned telemetry off.
+// Enables/disables collection.
 void SetEnabled(bool on);
-
-// Re-reads SMFL_TELEMETRY. Tests use this to exercise the env override;
-// production code never needs it (the env is read once at startup).
-void RefreshEnvForTesting();
 
 // Small sequential id for the calling thread (0 for the first thread that
 // asks, 1 for the second, ...). Stable for the thread's lifetime; used as
@@ -262,17 +251,6 @@ void TraceCounterImpl(const char* name, double value);
 #define SMFL_TELEMETRY_CONCAT_INNER(a, b) a##b
 #define SMFL_TELEMETRY_CONCAT(a, b) SMFL_TELEMETRY_CONCAT_INNER(a, b)
 
-#ifdef SMFL_DISABLE_TELEMETRY
-
-#define SMFL_TRACE_SPAN(name)
-#define SMFL_COUNTER_ADD(name, delta) do {} while (0)
-#define SMFL_COUNTER_INC(name) do {} while (0)
-#define SMFL_GAUGE_SET(name, value) do {} while (0)
-#define SMFL_HISTOGRAM_RECORD(name, value) do {} while (0)
-#define SMFL_TRACE_COUNTER(name, value) do {} while (0)
-
-#else
-
 // Scoped span named by a string literal: `SMFL_TRACE_SPAN("smfl.fit.iter");`
 #define SMFL_TRACE_SPAN(name)                                      \
   ::smfl::telemetry::ScopedSpan SMFL_TELEMETRY_CONCAT(smfl_span_,  \
@@ -320,7 +298,5 @@ void TraceCounterImpl(const char* name, double value);
       ::smfl::telemetry::internal::TraceCounterImpl(name, value);          \
     }                                                                      \
   } while (0)
-
-#endif  // SMFL_DISABLE_TELEMETRY
 
 #endif  // SMFL_COMMON_TELEMETRY_H_

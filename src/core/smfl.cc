@@ -263,8 +263,8 @@ uint64_t FingerprintInput(const Matrix& x, const Mask& observed,
   return h;
 }
 
-// FNV-1a over every SmflOptions field the trajectory depends on.
-// `threads` and `simd` are deliberately absent (results are bitwise
+// FNV-1a over every SmflOptions field the trajectory depends on, plus the
+// guard's constants. `threads` is deliberately absent (results are bitwise
 // identical at any thread count and under any SIMD tier — see
 // docs/performance.md); the checkpoint plumbing fields obviously are too.
 uint64_t FingerprintOptions(const SmflOptions& options) {
@@ -284,9 +284,9 @@ uint64_t FingerprintOptions(const SmflOptions& options) {
   const double reals[] = {options.lambda,
                           options.learning_rate,
                           options.tolerance,
-                          options.guard.objective_slack,
-                          options.guard.eps_bump,
-                          options.guard.perturbation};
+                          kObjectiveSlack,
+                          kEpsBump,
+                          kPerturbation};
   h = Fnv1a64(std::string_view(reinterpret_cast<const char*>(reals),
                                sizeof(reals)),
               h);
@@ -300,7 +300,6 @@ Result<SmflModel> FitSmflWithGraph(const Matrix& x, const Mask& observed,
                                    const NeighborGraph& graph,
                                    const SmflOptions& options) {
   parallel::ScopedParallelism scoped_threads(options.threads);
-  la::simd::ScopedSimd scoped_simd(options.simd);
   SMFL_GAUGE_SET("la.simd.tier",
                  static_cast<double>(la::simd::ActiveTier()));
   RETURN_NOT_OK(ValidateInputs(x, observed, spatial_cols, options));

@@ -96,14 +96,9 @@ struct SmflOptions {
   uint64_t seed = 23;
   // Worker threads for the fit's parallel kernels. 0 inherits the process
   // default (--threads / SMFL_THREADS / hardware concurrency). Results are
-  // bitwise identical at any setting — see docs/performance.md.
+  // bitwise identical at any setting, and at every SIMD tier the CPU probe
+  // can pick — see docs/performance.md.
   int threads = 0;
-  // SIMD microkernel tier for the fit's gemm/masked-reconstruct kernels:
-  // -1 inherits the process default (--simd / SMFL_SIMD / CPU probe),
-  // 0 pins scalar, 1 requests vector kernels (scalar if the CPU has
-  // none). Like `threads`, the setting never changes results — every tier
-  // is bitwise identical (la/simd.h, docs/performance.md).
-  int simd = -1;
   // Checkpoint/rollback protection of the fit loop (see training_guard.h).
   // On by default: when nothing goes wrong the guard only snapshots every
   // checkpoint_interval iterations.

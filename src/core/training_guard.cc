@@ -19,7 +19,7 @@ bool TrainingGuard::IsViolation(double objective) const {
   if (!std::isfinite(objective)) return true;
   if (!check_monotonic_ || !have_checkpoint_ || rebaseline_) return false;
   const double slack =
-      options_.objective_slack * std::max(1.0, std::fabs(prev_objective_));
+      kObjectiveSlack * std::max(1.0, std::fabs(prev_objective_));
   return objective > prev_objective_ + slack;
 }
 
@@ -69,10 +69,10 @@ Result<TrainingGuard::Action> TrainingGuard::Observe(int iteration,
   // Escalate: every recovery widens the denominator floor; from the second
   // attempt on, also jitter U to leave the bad basin. V stays at the
   // checkpoint exactly — its leading columns may be frozen landmarks.
-  div_eps_ *= options_.eps_bump;
+  div_eps_ *= kEpsBump;
   if (recovery_attempts_ >= 2) {
     for (la::Index i = 0; i < u->size(); ++i) {
-      u->data()[i] *= 1.0 + options_.perturbation * rng_.Uniform();
+      u->data()[i] *= 1.0 + kPerturbation * rng_.Uniform();
     }
   }
   // The restored (possibly perturbed) state becomes the new baseline on the

@@ -33,6 +33,15 @@
 
 namespace smfl::core {
 
+// Relative slack for the monotonicity check: an increase counts as a
+// violation only beyond `kObjectiveSlack * max(1, |reference|)` —
+// masked-update rounding legitimately wobbles at this scale.
+inline constexpr double kObjectiveSlack = 1e-7;
+// Multiplier applied to the denominator floor on each epsilon-floor bump.
+inline constexpr double kEpsBump = 1e4;
+// Relative magnitude of the re-seeded factor perturbation.
+inline constexpr double kPerturbation = 0.05;
+
 struct GuardOptions {
   // Master switch; disabled, the guard never snapshots or checks.
   bool enabled = true;
@@ -41,14 +50,6 @@ struct GuardOptions {
   int checkpoint_interval = 25;
   // Rollback + recovery attempts before the fit gives up.
   int max_recovery_attempts = 3;
-  // Relative slack for the monotonicity check: an increase counts as a
-  // violation only beyond `objective_slack * max(1, |reference|)` —
-  // masked-update rounding legitimately wobbles at this scale.
-  double objective_slack = 1e-7;
-  // Multiplier applied to the denominator floor on each epsilon-floor bump.
-  double eps_bump = 1e4;
-  // Relative magnitude of the re-seeded factor perturbation.
-  double perturbation = 0.05;
 };
 
 class TrainingGuard {

@@ -9,10 +9,7 @@
 #include "src/la/simd.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -1285,15 +1282,8 @@ constexpr Kernels kNeonTable{
 // Dispatch state.
 // ---------------------------------------------------------------------------
 
-std::atomic<bool> g_process_enabled{true};
-
-// -1 inherit the process setting, 0 force scalar, 1 force vector.
-thread_local int tls_simd_mode = -1;
-
-bool EnvPinEnabled() {
-  static const bool enabled = SimdEnvValueEnabled(std::getenv("SMFL_SIMD"));
-  return enabled;
-}
+// True while a ScopedSimd(0) pins the scalar tier on this thread.
+thread_local bool tls_scalar = false;
 
 const Kernels& HardwareTable() {
 #if defined(SMFL_SIMD_X86)
@@ -1334,51 +1324,15 @@ Tier HardwareTier() {
 #endif
 }
 
-bool Enabled() {
-  if (tls_simd_mode == 0) {
-    return false;
-  }
-  if (tls_simd_mode == 1) {
-    return true;
-  }
-  // The env pin is ANDed in, so SetEnabled(true) cannot unpin a run that
-  // exported SMFL_SIMD=0 for reproduction.
-  return g_process_enabled.load(std::memory_order_relaxed) && EnvPinEnabled();
-}
-
-void SetEnabled(bool enabled) {
-  g_process_enabled.store(enabled, std::memory_order_relaxed);
-}
-
 Tier ActiveTier() { return Active().tier; }
 
-ScopedSimd::ScopedSimd(int mode) : saved_(tls_simd_mode), active_(mode >= 0) {
-  if (active_) {
-    tls_simd_mode = mode > 0 ? 1 : 0;
-  }
+ScopedSimd::ScopedSimd(int mode) : saved_(tls_scalar) {
+  tls_scalar = mode == 0;
 }
 
-ScopedSimd::~ScopedSimd() {
-  if (active_) {
-    tls_simd_mode = saved_;
-  }
-}
+ScopedSimd::~ScopedSimd() { tls_scalar = saved_; }
 
-bool SimdEnvValueEnabled(const char* value) {
-  if (value == nullptr || value[0] == '\0') {
-    return true;
-  }
-  return std::strcmp(value, "0") != 0 && std::strcmp(value, "off") != 0 &&
-         std::strcmp(value, "OFF") != 0 && std::strcmp(value, "false") != 0 &&
-         std::strcmp(value, "FALSE") != 0;
-}
-
-const Kernels& Active() {
-  if (!Enabled()) {
-    return kScalarTable;
-  }
-  return HardwareTable();
-}
+const Kernels& Active() { return tls_scalar ? kScalarTable : HardwareTable(); }
 
 void PackRowPanel(const double* b, Index ldb, Index nrows, Index k,
                   double* panel) {

@@ -22,18 +22,16 @@
 // results; tests/simd_kernel_test.cc and tests/kernel_equivalence_test.cc
 // enforce this bit for bit.
 //
-// Dispatch resolution, strongest first (mirrors the threading layer):
-//   1. simd::ScopedSimd          — thread-local RAII override; this is what
-//                                  `options.simd` in SmflOptions uses.
-//   2. simd::SetEnabled(bool)    — process-wide; the CLI's `--simd` flag.
-//   3. SMFL_SIMD env             — "0"/"off"/"false" pins scalar; read once.
-//   4. CPU probe                 — AVX2 (x86 cpuid) or NEON (aarch64),
-//                                  else scalar. Scalar is always present.
+// Dispatch resolution: the CPU probe picks the tier once per process —
+// AVX2 (x86 cpuid) or NEON (aarch64), else scalar; scalar is always
+// present. simd::ScopedSimd(0) pins the scalar tier on the calling thread,
+// which is how the equivalence tests and bench_kernels run both tiers in
+// one process.
 //
 // Callers fetch the kernel table ONCE per operation on the calling thread
 // (`const simd::Kernels& k = simd::Active();`) and capture it into any
-// ParallelFor body, so a thread-local override set by the caller governs
-// the pool workers executing its chunks.
+// ParallelFor body, so a pin set by the caller governs the pool workers
+// executing its chunks.
 //
 // Raw intrinsics are allowed ONLY in src/la/simd.cc — smfl_lint rule
 // `raw-simd` rejects <immintrin.h>/<arm_neon.h> and _mm*/v*q_f64 tokens
@@ -61,22 +59,12 @@ enum class Tier {
 // Widest tier this CPU supports, probed once per process.
 [[nodiscard]] Tier HardwareTier();
 
-// Tier the next Active() call on this thread resolves to (overrides and
-// the SMFL_SIMD pin applied).
+// Tier the next Active() call on this thread resolves to (a ScopedSimd
+// pin applied).
 [[nodiscard]] Tier ActiveTier();
 
-// True when vector kernels are eligible (before the hardware probe is
-// consulted): ScopedSimd override if set, else the process-wide setting.
-[[nodiscard]] bool Enabled();
-
-// Process-wide switch. SetEnabled(true) cannot override an SMFL_SIMD=0
-// environment pin (mirrors SMFL_TELEMETRY=0): a run pinned scalar for
-// reproduction stays scalar no matter what flags later ask for.
-void SetEnabled(bool enabled);
-
-// RAII thread-local override for a single fit: mode 1 forces vector
-// kernels (when the hardware has them), 0 forces scalar, -1 inherits the
-// process setting (no-op). Used by `options.simd` in SmflOptions.
+// RAII thread-local tier pin: mode 0 pins the scalar tier, any other mode
+// the probed one. The innermost live pin on a thread wins.
 class ScopedSimd {
  public:
   explicit ScopedSimd(int mode);
@@ -86,14 +74,8 @@ class ScopedSimd {
   ScopedSimd& operator=(const ScopedSimd&) = delete;
 
  private:
-  int saved_;
-  bool active_;
+  bool saved_;
 };
-
-// Pure parser for the SMFL_SIMD environment value: returns false (pinned
-// off) for "0", "off", "false"; true otherwise (including null/empty).
-// Exposed for unit tests; the env itself is read once at first use.
-[[nodiscard]] bool SimdEnvValueEnabled(const char* value);
 
 // Output columns processed per microkernel block. Panel buffers passed to
 // dot_panel must hold kPanelWidth * max(k, 1) doubles.

@@ -16,8 +16,7 @@ std::string StatuszJson() {
       p.max_iterations.load(std::memory_order_relaxed);
   // ETA: remaining iterations at the median observed per-iteration cost.
   // The smfl.fit.iter histogram records only while telemetry collection is
-  // on (--metrics-port turns it on unless SMFL_TELEMETRY=0 pins it off);
-  // with no samples the field is null.
+  // on (--metrics-port turns it on); with no samples the field is null.
   const telemetry::Histogram::Snapshot iter_snapshot =
       telemetry::MetricsRegistry::Global()
           .GetHistogram("smfl.fit.iter")

@@ -10,8 +10,8 @@
 //              (src/common/fit_progress.h), plus an ETA extrapolated from
 //              the smfl.fit.iter duration histogram's p50.
 //
-// The CLI starts one exporter when --metrics-port / SMFL_METRICS_PORT is
-// set (src/cli/commands.cc). Everything served is observational; scraping
+// The CLI starts one exporter when --metrics-port is set
+// (src/cli/commands.cc). Everything served is observational; scraping
 // cannot perturb a running fit (tests/obs_endpoint_test.cc proves byte-
 // identical models with and without concurrent scrapes).
 

@@ -13,6 +13,7 @@
 #include "src/data/csv.h"
 #include "src/data/generators.h"
 #include "src/data/inject.h"
+#include "src/la/simd.h"
 
 namespace smfl::cli {
 namespace {
@@ -563,6 +564,50 @@ TEST(CliTest, TraceHoldsEveryStageSpan) {
   telemetry::TraceRecorder::Global().Clear();
   for (const std::string& p :
        {f.path, out_path, trace_path, model_path, repaired_path}) {
+    std::remove(p.c_str());
+  }
+}
+
+// The port is a TCP port: a value outside [0, 65535] is refused before
+// the command runs, naming the flag, instead of running with no endpoint.
+TEST(CliTest, RejectsMetricsPortOutOfRange) {
+  Fixture f = WriteIncompleteCsv("smfl_cli_port_in.csv", 60, 0.1, 57);
+  const std::string model_path = TempPath("smfl_cli_port_model.txt");
+  for (const char* port : {"-5", "-1", "65536"}) {
+    std::string output;
+    Status status = ::smfl::cli::Run(
+        MakeFlags({"fit", "--in=" + f.path, "--model=" + model_path,
+                   "--rank=5", std::string("--metrics-port=") + port}),
+        &output);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << port;
+    EXPECT_NE(status.message().find("--metrics-port"), std::string::npos)
+        << port << ": " << status.ToString();
+  }
+  std::remove(f.path.c_str());
+  std::remove(model_path.c_str());
+}
+
+// The CPU probe alone picks the SIMD tier of a CLI run, and the metrics
+// snapshot records it as the la.simd.tier gauge.
+TEST(CliTest, MetricsRecordTheProbedSimdTier) {
+  Fixture f = WriteIncompleteCsv("smfl_cli_tier_in.csv", 60, 0.1, 59);
+  const std::string model_path = TempPath("smfl_cli_tier_model.txt");
+  const std::string metrics_path = TempPath("smfl_cli_tier_metrics.jsonl");
+  std::string output;
+  Status status = ::smfl::cli::Run(
+      MakeFlags({"fit", "--in=" + f.path, "--model=" + model_path,
+                 "--rank=5", "--metrics-out=" + metrics_path}),
+      &output);
+  telemetry::SetEnabled(false);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  const std::string metrics = ReadFileText(metrics_path);
+  const std::string key =
+      "{\"name\":\"la.simd.tier\",\"type\":\"gauge\",\"value\":";
+  const size_t at = metrics.find(key);
+  ASSERT_NE(at, std::string::npos) << metrics;
+  EXPECT_EQ(std::stod(metrics.substr(at + key.size())),
+            static_cast<double>(la::simd::HardwareTier()));
+  for (const std::string& p : {f.path, model_path, metrics_path}) {
     std::remove(p.c_str());
   }
 }

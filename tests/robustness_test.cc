@@ -14,6 +14,7 @@
 #include "src/data/normalize.h"
 #include "src/impute/fallback.h"
 #include "src/la/ops.h"
+#include "src/la/simd.h"
 #include "src/repair/fallback.h"
 
 namespace smfl::core {
@@ -107,8 +108,8 @@ TEST_F(RobustnessTest, RolledBackFitIsIdenticalAcrossThreadsAndSimd) {
       spec.skip = 12;  // poison the 13th iteration
       spec.count = 1;
       ScopedFault fault("smfl.update.nan", spec);
+      la::simd::ScopedSimd tier(simd);
       options.threads = threads;
-      options.simd = simd;
       auto model = FitSmfl(s.input, s.observed, 2, options);
       ASSERT_TRUE(model.ok()) << model.status().ToString();
       const std::string label = "threads " + std::to_string(threads) +

@@ -38,6 +38,7 @@
 #include "src/common/rng.h"
 #include "src/core/smfl.h"
 #include "src/data/mask.h"
+#include "src/la/simd.h"
 #include "src/mf/factorization.h"
 #include "src/spatial/graph.h"
 
@@ -307,8 +308,8 @@ TEST(SmflOracleTest, FitMatchesNaiveDenseUpdatesBitwise) {
           options.max_iterations = kIterations;
           for (int threads : {1, 4}) {
             for (int simd : {0, 1}) {
+              la::simd::ScopedSimd tier(simd);
               options.threads = threads;
-              options.simd = simd;
               const std::string run = label + " @ " + std::to_string(threads) +
                                       " threads, simd " + std::to_string(simd);
               auto fit = core::FitSmflWithGraph(p.x, p.observed, kSpatial,
@@ -354,8 +355,8 @@ void ExpectFitMatches(const Problem& p, SmflOptions options,
                       int rollbacks = 0, int nan_at = -1) {
   for (int threads : {1, 4}) {
     for (int simd : {0, 1}) {
+      la::simd::ScopedSimd tier(simd);
       options.threads = threads;
-      options.simd = simd;
       const std::string run = label + " @ " + std::to_string(threads) +
                               " threads, simd " + std::to_string(simd);
       FaultSpec spec;
@@ -467,7 +468,7 @@ TEST(SmflOracleTest, GuardedFitMatchesOracleBitwise) {
 
 // A rollback: the smfl.update.nan fault poisons iteration 12, the guard
 // restores the checkpoint it took after iteration 10 and widens ε by
-// eps_bump, and the fit continues from there — the restored state's U
+// core::kEpsBump, and the fit continues from there — the restored state's U
 // step comes from a fresh row pass, not from the poisoned one. The oracle
 // replays it: iterations 0..10 at ε, then the remaining 17 at the widened
 // ε from the same state; the trace keeps the accepted entries only.
@@ -490,7 +491,7 @@ TEST(SmflOracleTest, RolledBackFitMatchesOracleBitwise) {
     oracle.Step(u, v);
     trace.push_back(oracle.Objective(u, v));
   }
-  oracle.eps = mf::kDivEps * options.guard.eps_bump;
+  oracle.eps = mf::kDivEps * core::kEpsBump;
   for (int t = kNanAt + 1; t < kCap; ++t) {
     oracle.Step(u, v);
     trace.push_back(oracle.Objective(u, v));

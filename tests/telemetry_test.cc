@@ -1,13 +1,12 @@
 // Telemetry layer: histogram percentile estimates vs a reference sort,
 // exact counters under concurrent ParallelFor writers, Chrome trace-event
 // JSON shape, the metrics JSONL export, and the disabled-mode no-op
-// contract (including the SMFL_TELEMETRY=0 environment pin).
+// contract.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -27,16 +26,12 @@ bool Contains(const std::string& haystack, const std::string& needle) {
 class TelemetryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ::unsetenv("SMFL_TELEMETRY");
-    RefreshEnvForTesting();
     SetEnabled(true);
     MetricsRegistry::Global().ResetForTesting();
     TraceRecorder::Global().Clear();
   }
 
   void TearDown() override {
-    ::unsetenv("SMFL_TELEMETRY");
-    RefreshEnvForTesting();
     SetEnabled(false);
     MetricsRegistry::Global().ResetForTesting();
     TraceRecorder::Global().Clear();
@@ -247,24 +242,6 @@ TEST_F(TelemetryTest, SpanDisabledAtConstructionStaysSilent) {
     SetEnabled(true);
   }
   EXPECT_EQ(TraceRecorder::Global().size(), 0u);
-}
-
-TEST_F(TelemetryTest, EnvZeroPinsTelemetryOff) {
-  ::setenv("SMFL_TELEMETRY", "0", 1);
-  RefreshEnvForTesting();
-  EXPECT_FALSE(Enabled());
-  SetEnabled(true);  // the CLI's --trace-out path; must not override the pin
-  EXPECT_FALSE(Enabled());
-  ::unsetenv("SMFL_TELEMETRY");
-  RefreshEnvForTesting();
-  SetEnabled(true);
-  EXPECT_TRUE(Enabled());
-}
-
-TEST_F(TelemetryTest, EnvOneForcesTelemetryOn) {
-  ::setenv("SMFL_TELEMETRY", "1", 1);
-  RefreshEnvForTesting();
-  EXPECT_TRUE(Enabled());
 }
 
 TEST_F(TelemetryTest, SmallThreadIdsAreSmallAndStable) {

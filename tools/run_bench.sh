@@ -10,8 +10,7 @@
 # What runs:
 #   1. bench_fig9_scalability (MF family: NMF / SMF / SMFL, lake dataset,
 #      250/500/1000 rows) at SMFL_THREADS = 1, 2, 4 and the machine's
-#      hardware concurrency — thread-scaling of the fit loop — plus once at
-#      1 thread with SMFL_SIMD=0 pinning the scalar tier.
+#      hardware concurrency — thread-scaling of the fit loop.
 #   2. bench_kernels once per thread count. Every kernel benchmark compared
 #      across SIMD tiers takes the tier as its last argument (/0 scalar
 #      pinned, /1 the runtime-dispatched tier, recorded as host.simd_tier
@@ -175,7 +174,7 @@ check("fusion speedup @ 10% observed (scalar tier)",
 
 if tier == "scalar":
     print("[SKIP] SIMD checks: host tier is scalar "
-          "(no vector unit or SMFL_SIMD pinned)")
+          "(no vector unit)")
 else:
     check(f"SIMD ({tier}) speedup on MatMulABt/1000",
           paired("BM_MatMulABt/1000/0", "BM_MatMulABt/1000/1"),
@@ -244,10 +243,6 @@ for t in $thread_counts; do
       "${fig9_flags[@]}" --benchmark_out="$scratch/fig9_t$t.json" >/dev/null
 done
 
-echo "==> fig9 slice @ 1 thread, scalar tier (SMFL_SIMD=0)"
-SMFL_THREADS=1 SMFL_SIMD=0 "$build_dir/bench/bench_fig9_scalability" \
-    "${fig9_flags[@]}" --benchmark_out="$scratch/fig9_scalar.json" >/dev/null
-
 kernel_flags=(--benchmark_repetitions=3 --benchmark_report_aggregates_only=true
               --benchmark_enable_random_interleaving=true
               --benchmark_out_format=json)
@@ -300,7 +295,6 @@ def tag_scaling(entry):
     return entry
 
 per_thread = {t: fig9_times(f"{scratch}/fig9_t{t}.json") for t in threads}
-fig9_scalar = fig9_times(f"{scratch}/fig9_scalar.json")
 base = per_thread[1]
 
 fig9 = {}
@@ -314,10 +308,6 @@ for name in sorted(base):
             {str(t): round(base[name] / per_thread[t][name], 3)
              for t in threads}),
     }
-    if name in fig9_scalar:
-        entry["scalar_tier_ms_1_thread"] = round(fig9_scalar[name], 3)
-        entry["simd_speedup_1_thread"] = round(
-            fig9_scalar[name] / base[name], 3)
     fig9[name] = entry
 
 kernels_per_thread = {t: fig9_times(f"{scratch}/kernels_t{t}.json")
@@ -444,7 +434,8 @@ out = {
                  "tier"),
     },
     "determinism": "outputs bitwise identical across all thread counts, "
-                   "SIMD tiers (SMFL_SIMD=0/1), and with telemetry on or "
+                   "SIMD tiers (scalar pinned or probed), and with "
+                   "telemetry on or "
                    "off (tests/kernel_equivalence_test.cc, "
                    "tests/simd_kernel_test.cc)",
     "simd_kernel_speedups_1_thread": simd_kernels,
@@ -461,8 +452,10 @@ out = {
         "simd_tier": simd_tier,
         "best_simd_kernel": best_simd[0],
         "best_simd_kernel_speedup": best_simd[1]["speedup"],
-        "end_to_end_simd_speedup_1_thread":
-            largest.get("simd_speedup_1_thread"),
+        # Both tiers of the whole fit come from the same bench_kernels
+        # process (/0 scalar pinned, /1 the probed tier).
+        "fit_simd_speedup_1_thread": simd_kernels.get(
+            "BM_SmflFit/90", {}).get("speedup"),
         "largest_config": f"Fig9/lake/SMFL/{largest['rows']}",
         "kernel_fusion_speedup_10pct_observed":
             fusion["observed_10pct"]["speedup"],

@@ -4,13 +4,9 @@
 #include <cstdio>
 
 #include "src/cli/commands.h"
-#include "src/common/logging.h"
 #include "src/common/shutdown.h"
 
 int main(int argc, char** argv) {
-  // SMFL_LOG_LEVEL applies from the very first line; cli::Run re-applies
-  // it and then the --log-level flag, so the flag still wins.
-  smfl::InitLogLevelFromEnv();
   // Ctrl-C / SIGTERM unwind cooperatively: the fit loop writes a final
   // checkpoint and the telemetry sinks flush durably before exit. A second
   // signal kills immediately (docs/observability.md).
