@@ -4,6 +4,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <optional>
+#include <string_view>
 #include <thread>
 
 #include "src/core/checkpoint.h"
@@ -213,14 +214,15 @@ std::string UsageText() {
       "          grid-search lambda/K on a validation holdout and print\n"
       "          the recommended flags\n"
       "\n"
-      "shared flags:\n"
+      "shared flags (a flag the command does not read is refused):\n"
       "  --threads=N worker threads for the numeric kernels (default:\n"
       "              SMFL_THREADS env, else hardware concurrency).\n"
       "              Results are bitwise identical at any setting\n"
       "  --lenient   quarantine malformed CSV rows instead of failing the\n"
       "              file; the quarantine report is printed per row\n"
-      "  --fallback=a,b,c   graceful degradation: try each method in order\n"
-      "              until one serves, and report the serving tier\n"
+      "  --fallback=a,b,c   impute and repair: graceful degradation, try\n"
+      "              each method in order until one serves, and report the\n"
+      "              serving tier\n"
       "  --log-level=debug|info|warning|error   log threshold (default:\n"
       "              info)\n"
       "  --trace-out=trace.json   write a Chrome trace-event file (open in\n"
@@ -480,10 +482,9 @@ Status RunFitCommand(const Flags& flags, std::string* output) {
         }
         options.resume_from = &*resume_state;
         *output += StrFormat(
-            "resuming from checkpoint in '%s' (restart %d, attempt %d, "
-            "iteration %d)\n",
-            checkpoint_dir.c_str(), resume_state->restart,
-            resume_state->attempt, resume_state->iteration);
+            "resuming from checkpoint in '%s' (attempt %d, iteration %d)\n",
+            checkpoint_dir.c_str(), resume_state->attempt,
+            resume_state->iteration);
       } else if (latest.status().code() == StatusCode::kNotFound) {
         *output += StrFormat(
             "--resume: no checkpoint found in '%s'; starting fresh\n",
@@ -696,9 +697,52 @@ Status RunSelectCommand(const Flags& flags, std::string* output) {
   return Status::OK();
 }
 
+namespace {
+
+// The subcommands, each with the flags it reads besides Run's shared ones.
+// Run refuses any other flag by name before any work starts, so a
+// misspelt or retired flag cannot silently run a default.
+constexpr char kSharedFlags[] =
+    "threads log-level trace-out metrics-out metrics-port";
+constexpr struct Command {
+  std::string_view name;
+  Status (*run)(const Flags& flags, std::string* output);
+  const char* flags;  // space-separated
+} kCommands[] = {
+    {"impute", RunImputeCommand,
+     "in spatial lenient out method fallback normalizer rank lambda "
+     "neighbors"},
+    {"repair", RunRepairCommand, "in spatial lenient out method fallback"},
+    {"stats", RunStatsCommand, "in spatial lenient"},
+    {"fit", RunFitCommand,
+     "in spatial lenient model rank lambda neighbors seed checkpoint-dir "
+     "checkpoint-every checkpoint-keep resume"},
+    {"apply", RunApplyCommand, "in spatial lenient model out"},
+    {"select", RunSelectCommand, "in spatial lenient"},
+};
+
+}  // namespace
+
 Status Run(const Flags& flags, std::string* output) {
   if (flags.positional().empty()) {
     return Status::InvalidArgument(UsageText());
+  }
+  const std::string& name = flags.positional().front();
+  const Command* command = nullptr;
+  for (const Command& candidate : kCommands) {
+    if (candidate.name == name) command = &candidate;
+  }
+  if (command == nullptr) {
+    return Status::InvalidArgument("unknown command '" + name + "'\n" +
+                                   UsageText());
+  }
+  const std::string known = StrFormat(" %s %s ", kSharedFlags, command->flags);
+  for (const std::string& flag : flags.FlagNames()) {
+    if (flag.find(' ') != std::string::npos ||
+        known.find(" " + flag + " ") == std::string::npos) {
+      return Status::InvalidArgument(StrFormat(
+          "unknown flag --%s for 'smfl %s'", flag.c_str(), name.c_str()));
+    }
   }
   const std::string log_level = flags.GetString("log-level", "");
   if (!log_level.empty()) {
@@ -742,24 +786,7 @@ Status Run(const Flags& flags, std::string* output) {
                    << exporter.port()
                    << " (/metrics /healthz /statusz)";
   }
-  const std::string& command = flags.positional().front();
-  Status status;
-  if (command == "impute") {
-    status = RunImputeCommand(flags, output);
-  } else if (command == "repair") {
-    status = RunRepairCommand(flags, output);
-  } else if (command == "stats") {
-    status = RunStatsCommand(flags, output);
-  } else if (command == "fit") {
-    status = RunFitCommand(flags, output);
-  } else if (command == "apply") {
-    status = RunApplyCommand(flags, output);
-  } else if (command == "select") {
-    status = RunSelectCommand(flags, output);
-  } else {
-    return Status::InvalidArgument("unknown command '" + command + "'\n" +
-                                   UsageText());
-  }
+  Status status = command->run(flags, output);
   // Export runs even when the command failed — a trace of a failed run is
   // exactly what post-mortems want. The command's status still wins over
   // an export error.

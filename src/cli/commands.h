@@ -7,10 +7,11 @@
 //   smfl repair --in=data.csv --out=repaired.csv [--method=SMFL]
 //               [--spatial=2] (detects errors statistically, then repairs)
 //
-// Robustness flags shared by the CSV-reading commands (docs/robustness.md):
-//   --lenient          quarantine malformed rows instead of failing the file
-//   --fallback=a,b,c   graceful degradation chain; the report names the
-//                      tier that served
+// Robustness flags (docs/robustness.md):
+//   --lenient          every command: quarantine malformed rows instead of
+//                      failing the file
+//   --fallback=a,b,c   impute and repair: graceful degradation chain; the
+//                      report names the tier that served
 //   smfl stats  --in=data.csv [--spatial=2]
 //   smfl fit    --in=train.csv --model=model.txt [--spatial=2] [--rank=10]
 //               [--lambda=0.5] [--neighbors=3]
@@ -33,9 +34,10 @@
 
 namespace smfl::cli {
 
-// Dispatches on flags.positional()[0] ("impute" | "repair" | "stats");
-// the report (tables, summaries) is appended to *output. Returns
-// InvalidArgument with a usage string for unknown/missing subcommands.
+// Dispatches on flags.positional()[0] (a command of UsageText()); the
+// report (tables, summaries) is appended to *output. Returns
+// InvalidArgument with a usage string for unknown/missing subcommands, and
+// one naming the flag for a flag the command does not read.
 Status Run(const Flags& flags, std::string* output);
 
 // Individual subcommands (exposed for tests).

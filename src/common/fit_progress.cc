@@ -4,7 +4,6 @@ namespace smfl {
 
 void FitProgress::Reset() {
   fit_active.store(false, std::memory_order_relaxed);
-  restart.store(0, std::memory_order_relaxed);
   attempt.store(0, std::memory_order_relaxed);
   iteration.store(0, std::memory_order_relaxed);
   max_iterations.store(0, std::memory_order_relaxed);

@@ -21,8 +21,7 @@ namespace smfl {
 struct FitProgress {
   // True while a FitSmfl attempt is inside its iteration loop.
   std::atomic<bool> fit_active{false};
-  // Position in the restart/retry nest (0-based).
-  std::atomic<int64_t> restart{0};
+  // RetryPolicy attempt of the running fit (0-based).
   std::atomic<int64_t> attempt{0};
   // Last completed iteration (1-based count) and the configured ceiling.
   std::atomic<int64_t> iteration{0};

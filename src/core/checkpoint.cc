@@ -127,9 +127,9 @@ std::string EncodeMeta(const FitCheckpoint& cp) {
   out += "seed " + HexU64(cp.seed) + "\n";
   out += "input_fingerprint " + HexU64(cp.input_fingerprint) + "\n";
   out += "options_fingerprint " + HexU64(cp.options_fingerprint) + "\n";
-  out += StrFormat("restart %d\n", cp.restart);
+  out += "restart 0\n";
   out += StrFormat("attempt %d\n", cp.attempt);
-  out += StrFormat("retries_used %d\n", cp.retries_used);
+  out += StrFormat("retries_used %d\n", cp.attempt);
   out += StrFormat("iteration %d\n", cp.iteration);
   out += "div_eps " + HexDouble(cp.div_eps) + "\n";
   out += StrFormat("spatial_cols %lld\n",
@@ -149,22 +149,29 @@ Status DecodeMeta(const std::string& payload, FitCheckpoint* cp) {
         StrFormat("checkpoint: unsupported version %d", version));
   }
   long long spatial_cols = -1;
+  int restart = -1, retries_used = -1;
   if (!ExpectTag(is, "seed") || !ParseHexU64(is, &cp->seed) ||
       !ExpectTag(is, "input_fingerprint") ||
       !ParseHexU64(is, &cp->input_fingerprint) ||
       !ExpectTag(is, "options_fingerprint") ||
       !ParseHexU64(is, &cp->options_fingerprint) ||
-      !ExpectTag(is, "restart") || !(is >> cp->restart) ||
+      !ExpectTag(is, "restart") || !(is >> restart) ||
       !ExpectTag(is, "attempt") || !(is >> cp->attempt) ||
-      !ExpectTag(is, "retries_used") || !(is >> cp->retries_used) ||
+      !ExpectTag(is, "retries_used") || !(is >> retries_used) ||
       !ExpectTag(is, "iteration") || !(is >> cp->iteration) ||
       !ExpectTag(is, "div_eps") || !ParseHexDouble(is, &cp->div_eps) ||
       !ExpectTag(is, "spatial_cols") || !(is >> spatial_cols)) {
     return Status::DataError("checkpoint: malformed meta section");
   }
-  if (cp->restart < 0 || cp->attempt < 0 || cp->retries_used < 0 ||
-      cp->iteration < 0 || spatial_cols < 0 || spatial_cols > kMaxDim) {
+  if (cp->attempt < 0 || cp->iteration < 0 || spatial_cols < 0 ||
+      spatial_cols > kMaxDim) {
     return Status::DataError("checkpoint: meta fields out of range");
+  }
+  if (restart != 0 || retries_used != cp->attempt) {
+    return Status::DataError(StrFormat(
+        "checkpoint: position (restart %d, retries_used %d, attempt %d) "
+        "was written by a multi-restart fit",
+        restart, retries_used, cp->attempt));
   }
   cp->spatial_cols = static_cast<la::Index>(spatial_cols);
   return Status::OK();
@@ -289,8 +296,8 @@ std::string SerializeCheckpoint(const FitCheckpoint& checkpoint) {
   writer.Add("guard_u", EncodeMatrix(checkpoint.guard.checkpoint_u));
   writer.Add("guard_v", EncodeMatrix(checkpoint.guard.checkpoint_v));
   writer.Add("normalizer", EncodeNormalizer(checkpoint.normalizer));
-  writer.Add("best_model", checkpoint.best_model);
-  writer.Add("best_u", EncodeMatrix(checkpoint.best_u));
+  writer.Add("best_model", "");
+  writer.Add("best_u", EncodeMatrix(la::Matrix()));
   return writer.Finish();
 }
 
@@ -321,8 +328,11 @@ Result<FitCheckpoint> DeserializeCheckpoint(const std::string& content) {
   ASSIGN_OR_RETURN(cp.guard.checkpoint_v,
                    DecodeMatrix(sections[7].payload, "guard_v"));
   RETURN_NOT_OK(DecodeNormalizer(sections[8].payload, &cp.normalizer));
-  cp.best_model = std::move(sections[9].payload);
-  ASSIGN_OR_RETURN(cp.best_u, DecodeMatrix(sections[10].payload, "best_u"));
+  if (!sections[9].payload.empty() ||
+      sections[10].payload != EncodeMatrix(la::Matrix())) {
+    return Status::DataError(
+        "checkpoint: a best-so-far model was written by a multi-restart fit");
+  }
   // Structural consistency (the CRCs already vouch for integrity; these
   // catch a logically inconsistent writer).
   if (cp.u.cols() != cp.v.rows()) {

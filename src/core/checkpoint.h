@@ -4,8 +4,8 @@
 // The fit loop can instead hand a CheckpointManager a FitCheckpoint every
 // `every` iterations: the COMPLETE solver state — factors, landmarks,
 // objective trace, the TrainingGuard's internal state (including its Rng
-// stream), the escalated denominator floor, and the position inside the
-// restart/retry nest — plus fingerprints of the input and options.
+// stream), the escalated denominator floor, and the RetryPolicy attempt —
+// plus fingerprints of the input and options.
 // Restoring that state replays the exact trajectory the uninterrupted run
 // would have taken: `smfl fit --resume` produces a model file that is
 // byte-for-byte identical to the never-killed run at any thread count
@@ -18,6 +18,11 @@
 // skipped in favor of the one before it (rotation keeps `keep`
 // generations). Doubles travel as hex-encoded IEEE-754 bit patterns —
 // exact by construction, no decimal round-trip involved.
+//
+// Format v2 still carries the fields of the restart loop the fit once had.
+// The writer fixes them (restart 0, retries_used = attempt, an empty best
+// model and a 0x0 best U), so checkpoints resume under builds from either
+// side of that change; the reader refuses any other values.
 //
 // Telemetry (docs/observability.md): spans `checkpoint.write` /
 // `checkpoint.restore`; histograms `smfl.checkpoint.bytes`,
@@ -65,11 +70,9 @@ struct FitCheckpoint {
   uint64_t input_fingerprint = 0;
   uint64_t options_fingerprint = 0;
 
-  // -- position in the restart / retry / iteration nest ---------------
-  int restart = 0;       // index into the num_restarts loop
-  int attempt = 0;       // RetryPolicy attempt within that restart
-  int retries_used = 0;  // numeric retries consumed so far (all restarts)
-  int iteration = 0;     // last ACCEPTED iteration; resume runs iteration+1
+  // -- position in the retry / iteration nest -------------------------
+  int attempt = 0;    // RetryPolicy attempt (0-based)
+  int iteration = 0;  // last ACCEPTED iteration; resume runs iteration+1
 
   // -- solver state ----------------------------------------------------
   double div_eps = 0.0;  // fit-loop denominator floor (guard-escalated)
@@ -79,13 +82,6 @@ struct FitCheckpoint {
   la::Index spatial_cols = 0;
   std::vector<double> objective_trace;  // accepted trajectory incl. initial
   TrainingGuard::State guard;
-
-  // Best completed-restart model (model_io serialization; empty when the
-  // interrupted restart is the first) and its U, which the model file
-  // leaves out. Lets a resumed num_restarts > 1 fit return the
-  // winner-so-far, U included, without refitting earlier restarts.
-  std::string best_model;
-  la::Matrix best_u;
 
   // Training normalizer, stamped in by CheckpointManager::SetNormalizer
   // so `smfl fit --resume` serves the SAME normalization space without

@@ -16,7 +16,6 @@
 #include "src/common/telemetry.h"
 #include "src/core/checkpoint.h"
 #include "src/core/landmarks.h"
-#include "src/core/model_io.h"
 #include "src/core/training_guard.h"
 #include "src/data/normalize.h"
 #include "src/data/observed_index.h"
@@ -58,13 +57,16 @@ Status ValidateInputs(const Matrix& x, const Mask& observed,
   if (options.use_landmarks && options.rank > x.rows()) {
     return Status::InvalidArgument("FitSmfl: rank exceeds the row count");
   }
-  if (options.lambda < 0.0) {
-    return Status::InvalidArgument("FitSmfl: lambda must be nonnegative");
+  // A non-finite λ would fail later as a misleading divergence: NaN
+  // builds an edgeless graph, and either makes the objective non-finite.
+  if (!std::isfinite(options.lambda) || options.lambda < 0.0) {
+    return Status::InvalidArgument(
+        "FitSmfl: lambda must be finite and nonnegative");
   }
   if (options.update == UpdateMethod::kGradientDescent &&
-      !(options.learning_rate > 0.0)) {
+      !(std::isfinite(options.learning_rate) && options.learning_rate > 0.0)) {
     return Status::InvalidArgument(
-        "FitSmfl: gradient descent needs learning_rate > 0");
+        "FitSmfl: gradient descent needs a finite learning_rate > 0");
   }
   if (x.HasNonFinite()) {
     return Status::NumericError("FitSmfl: input contains NaN/Inf");
@@ -214,30 +216,16 @@ void UpdateV(const data::ObservedIndex& omega, const SmflOptions& options,
 
 namespace {
 
-// Everything a mid-fit checkpoint must record beyond the solver state
-// itself: where this attempt sits in the restart/retry nest, the
-// fingerprints that gate resume, and the best-so-far model (serialized,
-// plus the U its model file leaves out).
-struct CheckpointContext {
-  CheckpointManager* manager = nullptr;
-  uint64_t seed = 0;  // the OUTER FitSmfl seed, not the derived one
-  uint64_t input_fingerprint = 0;
-  uint64_t options_fingerprint = 0;
-  int restart = 0;
-  int attempt = 0;
-  int retries_used = 0;
-  const std::string* best_model = nullptr;
-  const Matrix* best_u = nullptr;
-};
-
-// Single fit at a fixed seed; FitSmflWithGraph wraps it with restarts.
-// `ckpt` (nullable) enables periodic checkpoint writes; `resume`
-// (nullable) restores a checkpointed state instead of initializing.
+// Single fit at a fixed seed; FitSmflWithGraph wraps it with the
+// RetryPolicy. With options.checkpoint set it writes periodic checkpoints,
+// each starting from `stamp` (what it records beyond the solver state);
+// `resume` (nullable) restores a checkpointed state instead of
+// initializing.
 Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
                                    Index spatial_cols,
                                    const NeighborGraph& graph,
                                    const SmflOptions& options,
-                                   const CheckpointContext* ckpt,
+                                   const FitCheckpoint& stamp,
                                    const FitCheckpoint* resume);
 
 // FNV-1a over the raw input bytes (values, mask bits, shape,
@@ -264,22 +252,23 @@ uint64_t FingerprintInput(const Matrix& x, const Mask& observed,
 }
 
 // FNV-1a over every SmflOptions field the trajectory depends on, plus the
-// guard's constants. `threads` is deliberately absent (results are bitwise
-// identical at any thread count and under any SIMD tier — see
+// retry and guard constants. `threads` is deliberately absent (results are
+// bitwise identical at any thread count and under any SIMD tier — see
 // docs/performance.md); the checkpoint plumbing fields obviously are too.
+// The text keeps the `restarts=1` and guard-enabled `1` of the restart
+// count and guard switch the fit once had, so fingerprints — and the
+// checkpoints that carry them — match those of earlier builds.
 uint64_t FingerprintOptions(const SmflOptions& options) {
   const std::string repr = StrFormat(
       "rank=%lld;nn=%lld;gw=%d;lm=%d;update=%d;maxit=%d;kmeans=%d;"
-      "restarts=%d;seed=%llu;retries=%d;guard=%d,%d,%d",
+      "restarts=1;seed=%llu;retries=%d;guard=1,%d,%d",
       static_cast<long long>(options.rank),
       static_cast<long long>(options.num_neighbors),
       static_cast<int>(options.graph_weighting),
       options.use_landmarks ? 1 : 0, static_cast<int>(options.update),
       options.max_iterations, options.kmeans_max_iterations,
-      options.num_restarts, static_cast<unsigned long long>(options.seed),
-      options.max_numeric_retries, options.guard.enabled ? 1 : 0,
-      options.guard.checkpoint_interval,
-      options.guard.max_recovery_attempts);
+      static_cast<unsigned long long>(options.seed), kMaxNumericRetries,
+      kCheckpointInterval, kMaxRecoveryAttempts);
   uint64_t h = Fnv1a64(repr);
   const double reals[] = {options.lambda,
                           options.learning_rate,
@@ -303,18 +292,10 @@ Result<SmflModel> FitSmflWithGraph(const Matrix& x, const Mask& observed,
   SMFL_GAUGE_SET("la.simd.tier",
                  static_cast<double>(la::simd::ActiveTier()));
   RETURN_NOT_OK(ValidateInputs(x, observed, spatial_cols, options));
-  if (options.num_restarts < 1) {
-    return Status::InvalidArgument("FitSmfl: num_restarts must be >= 1");
-  }
-  // RetryPolicy: each restart gets `1 + max_numeric_retries` single-seed
-  // attempts; a kNumericError (divergence the guard could not repair)
-  // escalates the seed and tries again, any other error is deterministic
-  // and fails the restart immediately.
-  const int max_attempts = 1 + std::max(0, options.max_numeric_retries);
 
   // Checkpoint/resume plumbing. Fingerprints are computed once per fit
   // call; resume refuses a checkpoint written for different data or
-  // options, or one pointing outside the live restart/retry nest.
+  // options, or one whose attempt the RetryPolicy never makes.
   const FitCheckpoint* resume = options.resume_from;
   uint64_t input_fp = 0, options_fp = 0;
   if (options.checkpoint != nullptr || resume != nullptr) {
@@ -330,117 +311,45 @@ Result<SmflModel> FitSmflWithGraph(const Matrix& x, const Mask& observed,
       return Status::InvalidArgument(
           "resume: checkpoint was written under different fit options");
     }
-    if (resume->restart >= options.num_restarts ||
-        resume->attempt >= max_attempts) {
+    if (resume->attempt > kMaxNumericRetries) {
       return Status::InvalidArgument(StrFormat(
-          "resume: checkpoint position (restart %d, attempt %d) exceeds "
-          "num_restarts=%d / max attempts=%d",
-          resume->restart, resume->attempt, options.num_restarts,
-          max_attempts));
+          "resume: checkpoint attempt %d exceeds max attempts=%d",
+          resume->attempt, kMaxNumericRetries + 1));
     }
   }
 
-  Result<SmflModel> best = Status::Internal("no restart succeeded");
-  Status last_error = Status::OK();
-  int retries_used = 0;
-  int start_restart = 0;
-  // Serialized best-so-far and its U, carried into checkpoints so a
-  // resumed num_restarts > 1 fit keeps the winner without refitting.
-  std::string best_serialized;
-  Matrix best_u;
-  if (resume != nullptr) {
-    start_restart = resume->restart;
-    retries_used = resume->retries_used;
-    if (!resume->best_model.empty()) {
-      auto prior = DeserializeModel(resume->best_model);
-      if (!prior.ok()) {
-        Status st = prior.status();
-        st.WithContext("resume: stored best-so-far model");
-        return st;
-      }
-      if (resume->best_u.rows() != x.rows() ||
-          resume->best_u.cols() != prior->v.rows()) {
-        return Status::DataError(
-            "resume: stored best-so-far model has no matching U");
-      }
-      best = std::move(prior).value();
-      best->u = resume->best_u;
-      best->mean_u = la::Vector();
-      best_serialized = resume->best_model;
-      best_u = resume->best_u;
+  // RetryPolicy: a kNumericError (divergence the guard could not repair)
+  // escalates the seed and tries again; any other error is deterministic
+  // and final, as is an interrupted attempt (SIGINT/SIGTERM), which already
+  // wrote its final checkpoint.
+  // Checkpoints record the OUTER seed, not the derived one.
+  FitCheckpoint stamp;
+  stamp.seed = options.seed;
+  stamp.input_fingerprint = input_fp;
+  stamp.options_fingerprint = options_fp;
+  for (int attempt = resume != nullptr ? resume->attempt : 0;; ++attempt) {
+    SmflOptions single = options;
+    single.seed =
+        options.seed + static_cast<uint64_t>(attempt) * 0xc2b2ae3d27d4eb4fULL;
+    stamp.attempt = attempt;
+    // Live-progress publication for /statusz (src/obs).
+    GlobalFitProgress().attempt.store(attempt, std::memory_order_relaxed);
+    Result<SmflModel> model = FitOnceWithGraph(
+        x, observed, spatial_cols, graph, single, stamp, resume);
+    resume = nullptr;  // later attempts start fresh
+    if (model.ok()) {
+      model->report.numeric_retries = attempt;
+      return model;
     }
+    if (model.status().code() != StatusCode::kNumericError ||
+        attempt >= kMaxNumericRetries) {
+      Status st = model.status();
+      st.WithContext(StrFormat("FitSmfl: attempt %d of %d", attempt + 1,
+                               kMaxNumericRetries + 1));
+      return st;
+    }
+    SMFL_COUNTER_INC("smfl.fit.numeric_retries");
   }
-  for (int r = start_restart; r < options.num_restarts; ++r) {
-    Result<SmflModel> model = Status::Internal("restart not attempted");
-    const int start_attempt =
-        (resume != nullptr && r == resume->restart) ? resume->attempt : 0;
-    for (int attempt = start_attempt; attempt < max_attempts; ++attempt) {
-      SmflOptions single = options;
-      single.num_restarts = 1;
-      single.seed = options.seed + static_cast<uint64_t>(r) * 0x9e3779b9ULL +
-                    static_cast<uint64_t>(attempt) * 0xc2b2ae3d27d4eb4fULL;
-      single.checkpoint = nullptr;
-      single.resume_from = nullptr;
-      CheckpointContext ctx;
-      ctx.manager = options.checkpoint;
-      ctx.seed = options.seed;
-      ctx.input_fingerprint = input_fp;
-      ctx.options_fingerprint = options_fp;
-      ctx.restart = r;
-      ctx.attempt = attempt;
-      ctx.retries_used = retries_used;
-      ctx.best_model = &best_serialized;
-      ctx.best_u = &best_u;
-      // Live-progress publication for /statusz (src/obs): where this
-      // attempt sits in the restart/retry nest.
-      GlobalFitProgress().restart.store(r, std::memory_order_relaxed);
-      GlobalFitProgress().attempt.store(attempt, std::memory_order_relaxed);
-      const FitCheckpoint* attempt_resume =
-          (resume != nullptr && r == resume->restart &&
-           attempt == resume->attempt)
-              ? resume
-              : nullptr;
-      model = FitOnceWithGraph(x, observed, spatial_cols, graph, single,
-                               options.checkpoint != nullptr ? &ctx : nullptr,
-                               attempt_resume);
-      if (model.ok() ||
-          model.status().code() != StatusCode::kNumericError ||
-          attempt + 1 == max_attempts) {
-        break;
-      }
-      ++retries_used;
-      SMFL_COUNTER_INC("smfl.fit.numeric_retries");
-    }
-    if (!model.ok()) {
-      last_error = model.status();
-      last_error.WithContext(StrFormat("restart %d", r));
-      // An interrupted attempt (SIGINT/SIGTERM) already wrote its final
-      // checkpoint; burning the remaining restarts would fight the user.
-      if (ShutdownRequested()) break;
-      continue;
-    }
-    if (!best.ok() || model->report.final_objective() <
-                          best->report.final_objective()) {
-      best = std::move(model);
-      if (options.checkpoint != nullptr && r + 1 < options.num_restarts) {
-        best_serialized = SerializeModel(*best);
-        best_u = best->u;
-      }
-    }
-  }
-  // A requested shutdown outranks a best-so-far model: the caller must
-  // see the interruption (and not durably publish a half-trained model),
-  // and --resume continues from the final checkpoint.
-  if (ShutdownRequested() && !last_error.ok()) return last_error;
-  if (!best.ok()) {
-    // Surface the last restart's actual failure (code + message) rather
-    // than a generic Internal error.
-    last_error.WithContext(StrFormat("FitSmfl: all %d restart(s) failed",
-                                     options.num_restarts));
-    return last_error;
-  }
-  best->report.numeric_retries = retries_used;
-  return best;
 }
 
 namespace {
@@ -449,7 +358,7 @@ Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
                                    Index spatial_cols,
                                    const NeighborGraph& graph,
                                    const SmflOptions& options,
-                                   const CheckpointContext* ckpt,
+                                   const FitCheckpoint& stamp,
                                    const FitCheckpoint* resume) {
   SMFL_TRACE_SPAN("smfl.fit");
   if (graph.num_vertices() != x.rows()) {
@@ -613,8 +522,7 @@ Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
   // The guard checkpoints (U, V, objective) and rolls back on NaN/Inf or —
   // for the multiplicative rules, whose monotonicity is the paper's
   // Propositions 5/7 — on an objective increase.
-  TrainingGuard guard(options.guard,
-                      options.update == UpdateMethod::kMultiplicative,
+  TrainingGuard guard(options.update == UpdateMethod::kMultiplicative,
                       options.seed, kDivEps);
   double div_eps = kDivEps;
   if (resume != nullptr) {
@@ -660,13 +568,7 @@ Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
   // continues with a staler resume point (already counted as
   // smfl.checkpoint.failures by the manager).
   const auto save_checkpoint = [&](int iter) {
-    FitCheckpoint cp;
-    cp.seed = ckpt->seed;
-    cp.input_fingerprint = ckpt->input_fingerprint;
-    cp.options_fingerprint = ckpt->options_fingerprint;
-    cp.restart = ckpt->restart;
-    cp.attempt = ckpt->attempt;
-    cp.retries_used = ckpt->retries_used;
+    FitCheckpoint cp = stamp;
     cp.iteration = iter;
     cp.div_eps = div_eps;
     cp.u = model.u;
@@ -675,9 +577,7 @@ Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
     cp.spatial_cols = spatial_cols;
     cp.objective_trace = report.objective_trace;
     cp.guard = guard.SaveState();
-    if (ckpt->best_model != nullptr) cp.best_model = *ckpt->best_model;
-    if (ckpt->best_u != nullptr) cp.best_u = *ckpt->best_u;
-    Status st = ckpt->manager->Save(cp);
+    Status st = options.checkpoint->Save(cp);
     if (!st.ok()) {
       SMFL_LOG(Warning) << "checkpoint write failed: " << st.ToString();
     }
@@ -716,32 +616,28 @@ Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
     // The paper's headline convergence artifact: the objective trajectory
     // over wall-clock time, as a counter track in the trace file.
     SMFL_TRACE_COUNTER("smfl.fit.objective", objective);
-    if (guard.enabled()) {
-      auto action = guard.Observe(iter, objective, &model.u, &model.v);
-      if (!action.ok()) {
-        report.rollbacks = guard.rollbacks();
-        report.recovery_attempts = guard.recovery_attempts();
-        SMFL_COUNTER_INC("smfl.fit.diverged");
-        Status st = action.status();
-        st.WithContext("FitSmfl: factorization diverged");
-        return st;
+    auto action = guard.Observe(iter, objective, &model.u, &model.v);
+    if (!action.ok()) {
+      SMFL_COUNTER_INC("smfl.fit.diverged");
+      Status st = action.status();
+      st.WithContext("FitSmfl: factorization diverged");
+      return st;
+    }
+    if (*action == TrainingGuard::Action::kRolledBack) {
+      // State was restored (and possibly perturbed); resume from the
+      // checkpoint with the escalated denominator floor. Entries from the
+      // rolled-back iterations leave the trace — it records only the
+      // accepted trajectory. The pending U came from the rejected
+      // iterates, so a fresh pass takes it from the restored ones.
+      div_eps = guard.div_eps();
+      const size_t keep =
+          static_cast<size_t>(guard.last_good_iteration()) + 2;
+      if (report.objective_trace.size() > keep) {
+        report.objective_trace.resize(keep);
       }
-      if (*action == TrainingGuard::Action::kRolledBack) {
-        // State was restored (and possibly perturbed); resume from the
-        // checkpoint with the escalated denominator floor. Entries from the
-        // rolled-back iterations leave the trace — it records only the
-        // accepted trajectory. The pending U came from the rejected
-        // iterates, so a fresh pass takes it from the restored ones.
-        div_eps = guard.div_eps();
-        const size_t keep =
-            static_cast<size_t>(guard.last_good_iteration()) + 2;
-        if (report.objective_trace.size() > keep) {
-          report.objective_trace.resize(keep);
-        }
-        SMFL_TRACE_SPAN("smfl.fit.update_u");
-        (void)row_pass();
-        continue;
-      }
+      SMFL_TRACE_SPAN("smfl.fit.update_u");
+      (void)row_pass();
+      continue;
     }
     report.objective_trace.push_back(objective);
     {
@@ -763,19 +659,17 @@ Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
     // export-on-exit path durably writes --trace-out/--metrics-out, and a
     // later --resume continues from exactly here.
     const bool interrupted = ShutdownRequested();
-    if (ckpt != nullptr && ckpt->manager != nullptr &&
-        (interrupted || ckpt->manager->ShouldCheckpoint(iter))) {
+    if (options.checkpoint != nullptr &&
+        (interrupted || options.checkpoint->ShouldCheckpoint(iter))) {
       save_checkpoint(iter);
     }
     if (interrupted) {
-      report.rollbacks = guard.rollbacks();
-      report.recovery_attempts = guard.recovery_attempts();
       SMFL_COUNTER_INC("smfl.fit.interrupted");
       return Status::ResourceExhausted(
           StrFormat("FitSmfl: interrupted by signal %d at iteration %d; "
                     "telemetry flushed%s",
                     ShutdownSignal(), iter + 1,
-                    ckpt != nullptr && ckpt->manager != nullptr
+                    options.checkpoint != nullptr
                         ? ", final checkpoint written (use --resume)"
                         : ""));
     }

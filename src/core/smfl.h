@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/core/training_guard.h"
 #include "src/data/mask.h"
 #include "src/data/normalize.h"
 #include "src/mf/factorization.h"
@@ -63,6 +62,12 @@ enum class GraphWeighting {
   kHeatKernel,
 };
 
+// RetryPolicy: when a single-seed fit fails with kNumericError (divergence
+// the TrainingGuard, training_guard.h, could not repair), FitSmfl retries it
+// up to this many extra times under an escalated seed. Other error codes are
+// not retried — they are deterministic.
+inline constexpr int kMaxNumericRetries = 2;
+
 struct SmflOptions {
   // Latent rank K (also the number of landmarks / K-means clusters).
   // The paper's Fig 8: a moderately large K performs best.
@@ -88,26 +93,12 @@ struct SmflOptions {
   double tolerance = 1e-6;
   // K-means budget for landmark generation (paper default t2 = 300).
   int kmeans_max_iterations = 300;
-  // Independent fits from different seeds; the model with the lowest final
-  // objective wins. Mostly pays for SMF, whose random initialization can
-  // land in poor local optima (SMFL's cluster-consistent initialization is
-  // deterministic given the landmarks, so restarts only vary V's noise).
-  int num_restarts = 1;
   uint64_t seed = 23;
   // Worker threads for the fit's parallel kernels. 0 inherits the process
   // default (--threads / SMFL_THREADS / hardware concurrency). Results are
   // bitwise identical at any setting, and at every SIMD tier the CPU probe
   // can pick — see docs/performance.md.
   int threads = 0;
-  // Checkpoint/rollback protection of the fit loop (see training_guard.h).
-  // On by default: when nothing goes wrong the guard only snapshots every
-  // checkpoint_interval iterations.
-  GuardOptions guard;
-  // RetryPolicy around the restart loop: when a single-seed fit fails with
-  // kNumericError (divergence the guard could not repair), retry it up to
-  // this many extra times under an escalated seed before giving up on that
-  // restart. Other error codes are not retried — they are deterministic.
-  int max_numeric_retries = 2;
   // Crash-safe checkpointing (src/core/checkpoint.h). When non-null, the
   // fit persists a complete resumable snapshot through this manager every
   // `manager->config().every` accepted iterations. Checkpoint-write
@@ -161,7 +152,9 @@ struct SmflModel {
 // information. Builds the p-NN graph internally (rows with missing SI cells
 // are isolated or attached by partial distance, §II-C; at lambda = 0 the
 // graph is edgeless). Input must be nonnegative over observed entries —
-// min-max normalize first.
+// min-max normalize first. One fit from options.seed; a NumericError the
+// TrainingGuard could not repair is retried under an escalated seed (see
+// kMaxNumericRetries), and report.numeric_retries counts the retries taken.
 Result<SmflModel> FitSmfl(const Matrix& x, const Mask& observed,
                           Index spatial_cols, const SmflOptions& options);
 

@@ -6,10 +6,9 @@
 
 namespace smfl::core {
 
-TrainingGuard::TrainingGuard(const GuardOptions& options, bool check_monotonic,
-                             uint64_t seed, double div_eps)
-    : options_(options),
-      check_monotonic_(check_monotonic),
+TrainingGuard::TrainingGuard(bool check_monotonic, uint64_t seed,
+                             double div_eps)
+    : check_monotonic_(check_monotonic),
       div_eps_(div_eps),
       // Distinct stream from the fit's init Rng so recovery draws never
       // alias the initialization sequence.
@@ -27,12 +26,10 @@ Result<TrainingGuard::Action> TrainingGuard::Observe(int iteration,
                                                      double objective,
                                                      la::Matrix* u,
                                                      la::Matrix* v) {
-  if (!options_.enabled) return Action::kProceed;
-
   bool violation = IsViolation(objective);
   const bool due_for_checkpoint =
       !have_checkpoint_ || rebaseline_ ||
-      iteration - checkpoint_iteration_ >= options_.checkpoint_interval;
+      iteration - checkpoint_iteration_ >= kCheckpointInterval;
   if (!violation && due_for_checkpoint) {
     // Never snapshot a state with hidden non-finite factor entries (they
     // can evade the objective through the observation mask).
@@ -53,7 +50,7 @@ Result<TrainingGuard::Action> TrainingGuard::Observe(int iteration,
   }
 
   ++recovery_attempts_;
-  if (recovery_attempts_ > options_.max_recovery_attempts || !have_checkpoint_) {
+  if (recovery_attempts_ > kMaxRecoveryAttempts || !have_checkpoint_) {
     return Status::NumericError(StrFormat(
         "invariant violation at iteration %d (objective %g, last good "
         "objective %g at iteration %d) after %d recovery attempt(s)",

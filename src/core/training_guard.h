@@ -5,7 +5,7 @@
 // objective *increase* mid-fit is an invariant violation — numeric
 // breakdown, a dying factor row, or injected corruption. Instead of letting
 // the violation poison the remaining iterations and abort the whole fit,
-// the guard snapshots (U, V, objective) every `checkpoint_interval`
+// the guard snapshots (U, V, objective) every `kCheckpointInterval`
 // iterations, detects violations as they happen, rolls the factors back to
 // the last good checkpoint, and applies an escalating recovery policy:
 //
@@ -15,10 +15,12 @@
 //   attempt 2+  — re-seeded perturbation: additionally jitter the restored
 //                 factors multiplicatively (fresh Rng stream) to leave the
 //                 bad basin;
-//   exhausted   — give up with a NumericError carrying the violation
-//                 iteration, the last good objective, and the attempt count.
+//   exhausted   — after kMaxRecoveryAttempts, give up with a NumericError
+//                 carrying the violation iteration, the last good
+//                 objective, and the attempt count.
 //
-// The monotonicity check applies only to update rules that guarantee it
+// The guard is always on: a healthy fit only pays for the snapshots. The
+// monotonicity check applies only to update rules that guarantee it
 // (kMultiplicative); NaN/Inf detection applies to every rule.
 
 #ifndef SMFL_CORE_TRAINING_GUARD_H_
@@ -41,26 +43,18 @@ inline constexpr double kObjectiveSlack = 1e-7;
 inline constexpr double kEpsBump = 1e4;
 // Relative magnitude of the re-seeded factor perturbation.
 inline constexpr double kPerturbation = 0.05;
-
-struct GuardOptions {
-  // Master switch; disabled, the guard never snapshots or checks.
-  bool enabled = true;
-  // Iterations between checkpoint refreshes. Smaller = cheaper rollbacks
-  // (less progress lost), more snapshot copies.
-  int checkpoint_interval = 25;
-  // Rollback + recovery attempts before the fit gives up.
-  int max_recovery_attempts = 3;
-};
+// Iterations between checkpoint refreshes. Smaller = cheaper rollbacks
+// (less progress lost), more snapshot copies.
+inline constexpr int kCheckpointInterval = 25;
+// Rollback + recovery attempts before the fit gives up.
+inline constexpr int kMaxRecoveryAttempts = 3;
 
 class TrainingGuard {
  public:
   // `check_monotonic` gates the objective-increase check (true for
   // kMultiplicative only). `div_eps` seeds the denominator floor the guard
   // escalates on recovery.
-  TrainingGuard(const GuardOptions& options, bool check_monotonic,
-                uint64_t seed, double div_eps);
-
-  bool enabled() const { return options_.enabled; }
+  TrainingGuard(bool check_monotonic, uint64_t seed, double div_eps);
 
   // What Observe decided.
   enum class Action {
@@ -84,8 +78,7 @@ class TrainingGuard {
   int rollbacks() const { return rollbacks_; }
   int recovery_attempts() const { return recovery_attempts_; }
 
-  // Violation context for error messages.
-  double last_good_objective() const { return checkpoint_objective_; }
+  // Iteration of the last good checkpoint.
   int last_good_iteration() const { return checkpoint_iteration_; }
 
   // Complete mutable guard state, capturable for crash-safe checkpoints
@@ -111,7 +104,6 @@ class TrainingGuard {
  private:
   bool IsViolation(double objective) const;
 
-  GuardOptions options_;
   bool check_monotonic_;
   double div_eps_;
   Rng rng_;

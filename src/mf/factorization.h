@@ -59,12 +59,9 @@ struct FitReport {
   // taken and recovery escalations spent during this fit.
   int rollbacks = 0;
   int recovery_attempts = 0;
-  // Extra single-seed fit attempts consumed by the RetryPolicy across the
-  // restart loop (0 when every restart succeeded first try).
+  // Extra single-seed fit attempts consumed by the RetryPolicy (0 when the
+  // first attempt succeeded).
   int numeric_retries = 0;
-
-  // Filled when a graceful-degradation chain produced this result.
-  DegradationReport degradation;
 
   double final_objective() const {
     return objective_trace.empty() ? 0.0 : objective_trace.back();

@@ -27,14 +27,13 @@ std::string StatuszJson() {
                                 iter_snapshot.p50 / 1e6);
   }
   return StrFormat(
-      "{\"fit_active\":%s,\"restart\":%lld,\"attempt\":%lld,"
+      "{\"fit_active\":%s,\"attempt\":%lld,"
       "\"iteration\":%lld,\"max_iterations\":%lld,"
       "\"objective\":%.17g,\"convergence_delta\":%.10g,"
       "\"checkpoint_generation\":%lld,"
       "\"foldin_rows\":%lld,\"foldin_batches\":%lld,"
       "\"updates\":%lld,\"eta_seconds\":%s,\"uptime_seconds\":%.3f}\n",
       p.fit_active.load(std::memory_order_relaxed) ? "true" : "false",
-      static_cast<long long>(p.restart.load(std::memory_order_relaxed)),
       static_cast<long long>(p.attempt.load(std::memory_order_relaxed)),
       static_cast<long long>(iteration),
       static_cast<long long>(max_iterations),

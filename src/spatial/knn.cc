@@ -112,10 +112,11 @@ std::vector<Neighbor> KdTree::Query(std::span<const double> query, Index k,
     const Index near = delta <= 0 ? node.left : node.right;
     const Index far = delta <= 0 ? node.right : node.left;
     self(self, near);
-    // Only descend into the far half-space if it can still contain a closer
-    // point than the current k-th best.
+    // Only descend into the far half-space if it can still contain a point
+    // that beats the current k-th best: a closer one, or one at the same
+    // distance with a smaller index (BruteForceKnn's tie order).
     if (static_cast<Index>(heap.size()) < k ||
-        std::fabs(delta) < heap.top().distance) {
+        std::fabs(delta) <= heap.top().distance) {
       self(self, far);
     }
   };

@@ -612,5 +612,53 @@ TEST(CliTest, MetricsRecordTheProbedSimdTier) {
   }
 }
 
+// A flag no part of the command reads is refused by name before any work
+// starts: a misspelt --lambda used to fit the default λ, and a retired
+// --simd was ignored the same way.
+TEST(CliTest, RejectsUnknownFlags) {
+  Fixture f = WriteIncompleteCsv("smfl_cli_flag_in.csv", 60, 0.1, 61);
+  const std::string model_path = TempPath("smfl_cli_flag_model.txt");
+  std::remove(model_path.c_str());
+  for (const char* flag : {"--lamda=0.1", "--simd=1"}) {
+    std::string output;
+    Status status = ::smfl::cli::Run(
+        MakeFlags({"fit", "--in=" + f.path, "--model=" + model_path,
+                   "--rank=5", flag}),
+        &output);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << flag;
+    const std::string name(flag, std::string_view(flag).find('='));
+    EXPECT_NE(status.message().find(name + " for 'smfl fit'"),
+              std::string::npos)
+        << flag << ": " << status.ToString();
+    EXPECT_FALSE(std::filesystem::exists(model_path)) << flag;
+  }
+  // A flag another command reads is still refused here.
+  std::string output;
+  Status status = ::smfl::cli::Run(
+      MakeFlags({"stats", "--in=" + f.path, "--out=stats.csv"}), &output);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("--out"), std::string::npos)
+      << status.ToString();
+  std::remove(f.path.c_str());
+}
+
+// A non-finite λ is refused by name instead of fitting into a misleading
+// divergence error.
+TEST(CliTest, RejectsNonFiniteLambda) {
+  Fixture f = WriteIncompleteCsv("smfl_cli_nan_in.csv", 60, 0.1, 63);
+  const std::string model_path = TempPath("smfl_cli_nan_model.txt");
+  std::string output;
+  Status status = ::smfl::cli::Run(
+      MakeFlags({"fit", "--in=" + f.path, "--model=" + model_path,
+                 "--rank=5", "--lambda=nan"}),
+      &output);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("lambda must be finite"),
+            std::string::npos)
+      << status.ToString();
+  std::remove(f.path.c_str());
+  std::remove(model_path.c_str());
+}
+
 }  // namespace
 }  // namespace smfl::cli

@@ -205,30 +205,6 @@ TEST(SmflEdgeTest, LandmarkFreezingDoesNotSlowDown) {
       << "SMFL " << smfl_seconds << "s vs SMF " << smf_seconds << "s";
 }
 
-TEST(SmflEdgeTest, RestartsNeverWorsenObjective) {
-  Scenario s = MakeScenario(120, 0.1, 29);
-  SmflOptions single;
-  single.use_landmarks = false;  // SMF: random init, restarts matter
-  single.max_iterations = 40;
-  auto one = FitSmfl(s.input, s.observed, 2, single);
-  ASSERT_TRUE(one.ok());
-  SmflOptions multi = single;
-  multi.num_restarts = 4;
-  auto best = FitSmfl(s.input, s.observed, 2, multi);
-  ASSERT_TRUE(best.ok());
-  // The best-of-4 includes seed variations; its objective cannot exceed
-  // the single fit's (same first seed).
-  EXPECT_LE(best->report.final_objective(),
-            one->report.final_objective() * (1.0 + 1e-12));
-}
-
-TEST(SmflEdgeTest, RestartsValidation) {
-  Scenario s = MakeScenario(30, 0.1, 31);
-  SmflOptions options;
-  options.num_restarts = 0;
-  EXPECT_FALSE(FitSmfl(s.input, s.observed, 2, options).ok());
-}
-
 TEST(LandmarkEdgeTest, SingleLandmark) {
   auto dataset = data::MakeLakeLike(50, 25);
   Matrix si = dataset->table.SpatialInfo();

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "src/core/feature_geometry.h"
 #include "src/core/landmarks.h"
@@ -102,7 +104,23 @@ TEST(SmflTest, InputValidation) {
   options.rank = 5;
   options.lambda = -1.0;
   EXPECT_FALSE(FitSmfl(s.input, s.observed, 2, options).ok());
+  // Non-finite settings are refused by name, not run into a divergence.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double lambda : {std::nan(""), inf}) {
+    options.lambda = lambda;
+    auto fit = FitSmfl(s.input, s.observed, 2, options);
+    EXPECT_EQ(fit.status().code(), StatusCode::kInvalidArgument) << lambda;
+    EXPECT_NE(fit.status().message().find("lambda"), std::string::npos)
+        << fit.status().ToString();
+  }
   options.lambda = 0.05;
+  options.update = UpdateMethod::kGradientDescent;
+  options.learning_rate = inf;
+  auto fit = FitSmfl(s.input, s.observed, 2, options);
+  EXPECT_EQ(fit.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(fit.status().message().find("learning_rate"), std::string::npos)
+      << fit.status().ToString();
+  options.update = UpdateMethod::kMultiplicative;
   EXPECT_FALSE(FitSmfl(s.input, s.observed, 0, options).ok());  // L < 1
   EXPECT_FALSE(
       FitSmfl(s.input, s.observed, s.input.cols() + 1, options).ok());

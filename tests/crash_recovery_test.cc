@@ -6,7 +6,6 @@
 //    identical to an uninterrupted run — across seeds and thread counts —
 //    and that the killed run's checkpoint resumes in process to the
 //    uninterrupted U (the model file holds only mean(U)),
-//  * a two-restart fit resumes with its best-so-far model, U included,
 //  * corrupt-generation fallback: a flipped byte in the newest checkpoint
 //    falls back to the previous generation and still reaches the
 //    bitwise-identical model,
@@ -37,9 +36,7 @@
 
 #include "src/common/durable_io.h"
 #include "src/common/fault.h"
-#include "src/common/fit_progress.h"
 #include "src/common/logging.h"
-#include "src/common/shutdown.h"
 #include "src/core/checkpoint.h"
 #include "src/core/model_io.h"
 #include "src/core/smfl.h"
@@ -47,7 +44,6 @@
 #include "src/data/generators.h"
 #include "src/data/inject.h"
 #include "src/data/normalize.h"
-#include "src/la/ops.h"
 
 namespace smfl::core {
 namespace {
@@ -277,57 +273,6 @@ TEST_F(CrashRecoveryTest, ResumeIsBitwiseIdenticalAcrossSeedsAndThreads) {
   }
 }
 
-// A two-restart fit interrupted in its second restart resumes with the
-// first restart's model as the best so far, restored from the checkpoint
-// — U included, though the model file inside the checkpoint has none.
-TEST_F(CrashRecoveryTest, ResumedBestSoFarModelKeepsItsU) {
-  const std::string csv = MakeTrainingCsv();
-  InProcessFit fit = CliFit(csv, 4, 1);
-  fit.options.num_restarts = 2;
-  fit.options.max_iterations = 60;
-  auto uninterrupted = FitSmfl(fit.x, fit.csv.observed, 2, fit.options);
-  ASSERT_TRUE(uninterrupted.ok()) << uninterrupted.status().ToString();
-  // The first restart must win, or the resumed fit would not return the
-  // restored model at all.
-  SmflOptions first = fit.options;
-  first.num_restarts = 1;
-  auto first_restart = FitSmfl(fit.x, fit.csv.observed, 2, first);
-  ASSERT_TRUE(first_restart.ok());
-  ASSERT_EQ(la::MaxAbsDiff(first_restart->u, uninterrupted->u), 0.0)
-      << "pick a seed whose first restart wins";
-
-  // Interrupt the second restart at its first checkpoint, as SIGINT would.
-  CheckpointConfig config;
-  config.dir = Path("ckpt");
-  config.every = 5;
-  {
-    CheckpointManager manager(config);
-    manager.SetPostWriteHook([](int) {
-      if (GlobalFitProgress().restart.load() == 1) RequestShutdown();
-    });
-    SmflOptions interrupted = fit.options;
-    interrupted.checkpoint = &manager;
-    auto stopped = FitSmfl(fit.x, fit.csv.observed, 2, interrupted);
-    ResetShutdownForTesting();
-    ASSERT_FALSE(stopped.ok());
-  }
-  auto checkpoint = CheckpointManager(config).LoadLatest();
-  ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
-  ASSERT_EQ(checkpoint->restart, 1);
-  ASSERT_FALSE(checkpoint->best_model.empty());
-  ExpectSameMatrix(checkpoint->best_u, uninterrupted->u, "checkpoint best_u");
-
-  SmflOptions resume = fit.options;
-  resume.resume_from = &*checkpoint;
-  auto resumed = FitSmfl(fit.x, fit.csv.observed, 2, resume);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  ExpectSameMatrix(resumed->u, uninterrupted->u, "U");
-  ExpectSameMatrix(resumed->v, uninterrupted->v, "V");
-  ExpectSameMatrix(resumed->landmarks, uninterrupted->landmarks, "C");
-  EXPECT_EQ(resumed->report.objective_trace,
-            uninterrupted->report.objective_trace);
-}
-
 TEST_F(CrashRecoveryTest, CorruptNewestGenerationFallsBackToPrevious) {
   const std::string csv = MakeTrainingCsv();
   const uint64_t seed = 23;
@@ -394,9 +339,7 @@ FitCheckpoint MakeSyntheticCheckpoint() {
   cp.seed = 0xdeadbeefcafeULL;
   cp.input_fingerprint = Fnv1a64("input-bytes");
   cp.options_fingerprint = Fnv1a64("options-bytes");
-  cp.restart = 1;
   cp.attempt = 2;
-  cp.retries_used = 1;
   cp.iteration = 17;
   cp.div_eps = 3.0e-12;
   cp.u = Matrix(3, 2);
@@ -408,6 +351,7 @@ FitCheckpoint MakeSyntheticCheckpoint() {
                    static_cast<double>(j) / 3.0;
     }
   }
+  cp.u(2, 1) = -0.0;
   for (Index i = 0; i < cp.v.rows(); ++i) {
     for (Index j = 0; j < cp.v.cols(); ++j) {
       cp.v(i, j) = 0.3333333333333333 * static_cast<double>(j + 1) +
@@ -436,9 +380,6 @@ FitCheckpoint MakeSyntheticCheckpoint() {
   cp.guard.rng.cached_normal_bits = 0x3ff0000000000000ULL;
   cp.guard.checkpoint_u = cp.u;
   cp.guard.checkpoint_v = cp.v;
-  cp.best_model = "opaque best-model bytes\nwith newlines\n";
-  cp.best_u = cp.u;
-  cp.best_u(2, 1) = -0.0;
   auto normalizer = data::MinMaxNormalizer::FromBounds(
       {0.0, -1.5, 2.0, 3.0}, {1.0, 2.5, 7.0, 4.0});
   SMFL_CHECK(normalizer.ok());
@@ -453,13 +394,12 @@ TEST(CheckpointSerializationTest, RoundTripIsExact) {
   EXPECT_EQ(restored->seed, cp.seed);
   EXPECT_EQ(restored->input_fingerprint, cp.input_fingerprint);
   EXPECT_EQ(restored->options_fingerprint, cp.options_fingerprint);
-  EXPECT_EQ(restored->restart, cp.restart);
   EXPECT_EQ(restored->attempt, cp.attempt);
-  EXPECT_EQ(restored->retries_used, cp.retries_used);
   EXPECT_EQ(restored->iteration, cp.iteration);
   EXPECT_EQ(restored->div_eps, cp.div_eps);
   EXPECT_EQ(restored->spatial_cols, cp.spatial_cols);
   ExpectSameMatrix(restored->u, cp.u, "u");
+  EXPECT_TRUE(std::signbit(restored->u(2, 1)));
   ExpectSameMatrix(restored->v, cp.v, "v");
   ExpectSameMatrix(restored->landmarks, cp.landmarks, "landmarks");
   ASSERT_EQ(restored->objective_trace.size(), cp.objective_trace.size());
@@ -487,9 +427,6 @@ TEST(CheckpointSerializationTest, RoundTripIsExact) {
                    "guard_u");
   ExpectSameMatrix(restored->guard.checkpoint_v, cp.guard.checkpoint_v,
                    "guard_v");
-  EXPECT_EQ(restored->best_model, cp.best_model);
-  ExpectSameMatrix(restored->best_u, cp.best_u, "best_u");
-  EXPECT_TRUE(std::signbit(restored->best_u(2, 1)));
   ASSERT_TRUE(restored->normalizer.has_value());
   ASSERT_EQ(restored->normalizer->NumCols(), cp.normalizer->NumCols());
   for (Index j = 0; j < cp.normalizer->NumCols(); ++j) {
@@ -537,6 +474,7 @@ TEST(CheckpointSerializationTest, FlippedByteInEverySectionIsADataError) {
   const auto spans = WalkSectionSpans(bytes);
   ASSERT_EQ(spans.size(), 11u);
   for (const SectionSpan& span : spans) {
+    if (span.name == "best_model") continue;  // always empty: no byte to flip
     ASSERT_GT(span.length, 0u) << span.name;
     std::string corrupt = bytes;
     const size_t index = span.begin + span.length / 2;
@@ -558,6 +496,46 @@ TEST(CheckpointSerializationTest, FlippedByteInEverySectionIsADataError) {
   auto result = DeserializeCheckpoint(corrupt_header);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDataError);
+}
+
+// Format v2 keeps the fields of the restart loop the fit no longer runs at
+// fixed values: restart 0, retries_used equal to the attempt, no
+// best-so-far model and a 0x0 U for it. Anything else came from a
+// multi-restart fit, whose best model a resume would drop, so it is
+// refused — with valid checksums, as that fit wrote it.
+TEST(CheckpointSerializationTest, MultiRestartFieldsAreRefused) {
+  const std::string bytes = SerializeCheckpoint(MakeSyntheticCheckpoint());
+  ASSERT_TRUE(DeserializeCheckpoint(bytes).ok());
+  auto sections = ParseSections(bytes);
+  ASSERT_TRUE(sections.ok()) << sections.status().ToString();
+  const auto rewrite = [&](const std::string& name, const std::string& from,
+                           const std::string& to) {
+    SectionWriter writer;
+    for (const Section& section : *sections) {
+      std::string payload = section.payload;
+      if (section.name == name) {
+        const size_t at = payload.find(from);
+        SMFL_CHECK(at != std::string::npos);
+        payload.replace(at, from.size(), to);
+      }
+      writer.Add(section.name, payload);
+    }
+    return writer.Finish();
+  };
+  const std::string variants[] = {
+      rewrite("meta", "restart 0\n", "restart 1\n"),
+      rewrite("meta", "attempt 2\n", "attempt 1\n"),  // retries_used 2
+      rewrite("best_model", "", "opaque best-model bytes\n"),
+      rewrite("best_u", "0 0\n", "1 1\n3ff0000000000000\n"),
+  };
+  for (const std::string& variant : variants) {
+    auto result = DeserializeCheckpoint(variant);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kDataError);
+    EXPECT_NE(result.status().message().find("multi-restart fit"),
+              std::string::npos)
+        << result.status().message();
+  }
 }
 
 // ------------------------------------------- manager rotation / fallback

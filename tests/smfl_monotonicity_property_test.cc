@@ -1,8 +1,8 @@
 // Executable form of the paper's Propositions 5 and 7: under the
 // kMultiplicative update rules the SMFL (landmarks on) and SMF (landmarks
 // off) objectives are non-increasing, across many random seeds and several
-// (rank, lambda, p) combinations. The TrainingGuard is disabled here so a
-// violation fails the test instead of being silently repaired.
+// (rank, lambda, p) combinations. The TrainingGuard would repair a
+// violation by rolling it back, so each fit must also report no rollback.
 
 #include <gtest/gtest.h>
 
@@ -68,10 +68,10 @@ void RunPropertyFor(bool use_landmarks) {
       options.update = UpdateMethod::kMultiplicative;
       options.max_iterations = 30;
       options.tolerance = 0.0;  // full trace, no early stop
-      options.guard.enabled = false;
       options.seed = seed * 7919 + 3;
       auto model = FitSmfl(input, injection->observed, 2, options);
       ASSERT_TRUE(model.ok()) << model.status().ToString();
+      EXPECT_EQ(model->report.rollbacks, 0);
       ExpectMonotoneTrace(
           model->report.objective_trace,
           (use_landmarks ? std::string("SMFL") : std::string("SMF")) +

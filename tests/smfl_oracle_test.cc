@@ -37,6 +37,7 @@
 #include "src/common/fault.h"
 #include "src/common/rng.h"
 #include "src/core/smfl.h"
+#include "src/core/training_guard.h"
 #include "src/data/mask.h"
 #include "src/la/simd.h"
 #include "src/mf/factorization.h"
@@ -274,8 +275,6 @@ TEST(SmflOracleTest, FitMatchesNaiveDenseUpdatesBitwise) {
           options.learning_rate = 0.05;
           options.tolerance = -std::numeric_limits<double>::infinity();
           options.seed = 29;
-          // The oracle has no rollback; a healthy run never needs one.
-          options.guard.enabled = false;
           const std::string label =
               p.name + " rank " + std::to_string(rank) + " " + name +
               (rule == UpdateMethod::kMultiplicative ? " multiplicative"
@@ -315,6 +314,8 @@ TEST(SmflOracleTest, FitMatchesNaiveDenseUpdatesBitwise) {
               auto fit = core::FitSmflWithGraph(p.x, p.observed, kSpatial,
                                                 p.graph, options);
               ASSERT_TRUE(fit.ok()) << run << ": " << fit.status().ToString();
+              // The oracle has no rollback; a healthy run never needs one.
+              EXPECT_EQ(fit->report.rollbacks, 0) << run;
               ASSERT_EQ(fit->report.objective_trace.size(), trace.size())
                   << run;
               for (size_t t = 0; t < trace.size(); ++t) {
@@ -392,7 +393,6 @@ TEST(SmflOracleTest, ToleranceStopMidRunMatchesOracleBitwise) {
     options.update = rule;
     options.learning_rate = 0.05;
     options.seed = 31;
-    options.guard.enabled = false;
     options.max_iterations = 0;
     auto init =
         core::FitSmflWithGraph(p.x, p.observed, kSpatial, p.graph, options);
@@ -435,9 +435,9 @@ TEST(SmflOracleTest, ToleranceStopMidRunMatchesOracleBitwise) {
   }
 }
 
-// The guard on, refreshing its checkpoint every 25 iterations over a
-// healthy 60-iteration fit: it observes every objective and never rolls
-// back, so the trajectory is the oracle's bit for bit.
+// The guard, refreshing its checkpoint every core::kCheckpointInterval
+// iterations over a healthy 60-iteration fit, observes every objective and
+// never rolls back, so the trajectory is the oracle's bit for bit.
 TEST(SmflOracleTest, GuardedFitMatchesOracleBitwise) {
   const Problem p = MakeProblem(150, 0.5, 16);
   for (const char* method : {"SMFL", "NMF"}) {
@@ -447,8 +447,6 @@ TEST(SmflOracleTest, GuardedFitMatchesOracleBitwise) {
     options.lambda = std::string(method) == "NMF" ? 0.0 : 0.5;
     options.tolerance = -std::numeric_limits<double>::infinity();
     options.seed = 37;
-    options.guard.enabled = true;
-    options.guard.checkpoint_interval = 25;
     options.max_iterations = 0;
     auto init =
         core::FitSmflWithGraph(p.x, p.observed, kSpatial, p.graph, options);
@@ -466,25 +464,25 @@ TEST(SmflOracleTest, GuardedFitMatchesOracleBitwise) {
   }
 }
 
-// A rollback: the smfl.update.nan fault poisons iteration 12, the guard
-// restores the checkpoint it took after iteration 10 and widens ε by
-// core::kEpsBump, and the fit continues from there — the restored state's U
-// step comes from a fresh row pass, not from the poisoned one. The oracle
-// replays it: iterations 0..10 at ε, then the remaining 17 at the widened
-// ε from the same state; the trace keeps the accepted entries only.
+// A rollback: the smfl.update.nan fault poisons iteration 32, the guard
+// restores the checkpoint it took after iteration 25, one
+// core::kCheckpointInterval in, and widens ε by core::kEpsBump, and the fit
+// continues from there — the restored state's U step comes from a fresh
+// row pass, not from the poisoned one. The oracle replays it: iterations
+// 0..25 at ε, then the remaining 17 at the widened ε from the same state;
+// the trace keeps the accepted entries only.
 TEST(SmflOracleTest, RolledBackFitMatchesOracleBitwise) {
   const Problem p = MakeProblem(150, 0.5, 17);
   SmflOptions options;
   options.rank = 10;
   options.tolerance = -std::numeric_limits<double>::infinity();
   options.seed = 41;
-  options.guard.checkpoint_interval = 5;
   options.max_iterations = 0;
   auto init =
       core::FitSmflWithGraph(p.x, p.observed, kSpatial, p.graph, options);
   ASSERT_TRUE(init.ok()) << init.status().ToString();
   Oracle oracle = MakeOracle(p, options);
-  constexpr int kCap = 30, kNanAt = 12, kCheckpoint = 10;
+  constexpr int kCap = 50, kNanAt = 32, kCheckpoint = core::kCheckpointInterval;
   Matrix u = init->u, v = init->v;
   std::vector<double> trace = {oracle.Objective(u, v)};
   for (int t = 0; t <= kCheckpoint; ++t) {

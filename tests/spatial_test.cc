@@ -116,6 +116,25 @@ TEST(AllKnnTest, SmallAndLargeAgree) {
   }
 }
 
+// On an integer grid most k-th neighbours tie with others at the same
+// distance; the kd-tree path must break those ties by index exactly as
+// brute force does, or the p-NN graph would depend on the row count.
+TEST(AllKnnTest, GridTiesBreakLikeBruteForce) {
+  constexpr Index kSide = 20;  // 400 rows: the kd-tree path
+  Matrix points(kSide * kSide, 2);
+  for (Index i = 0; i < points.rows(); ++i) {
+    points(i, 0) = static_cast<double>(i / kSide);
+    points(i, 1) = static_cast<double>(i % kSide);
+  }
+  auto all = AllKnn(points, 3);
+  ASSERT_TRUE(all.ok());
+  for (Index i = 0; i < points.rows(); ++i) {
+    EXPECT_EQ((*all)[static_cast<size_t>(i)],
+              BruteForceKnn(points, points.Row(i), 3, i))
+        << "row " << i;
+  }
+}
+
 // ---------------------------------------------------------------- graph
 
 TEST(NeighborGraphTest, RejectsBadP) {
