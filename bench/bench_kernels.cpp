@@ -30,7 +30,8 @@
 //     threaded per-row multiplicative solves of core::FoldIn.
 //   * FoldInSolve: one core::FoldIn batch at perfbench's apply-batches
 //     shape on each tier at one thread (the fold_in_rows kernel's
-//     end-to-end view).
+//     end-to-end view), and FoldInSetup: the same batch with no updates
+//     (everything of a FoldIn call but the solve).
 //   * ParseCsv / WriteCsv: CSV ingest and the completed-table write at
 //     perfbench's apply-batch and impute-sparse table shapes.
 //
@@ -352,48 +353,77 @@ void BM_FoldInBatch(benchmark::State& state) {
 BENCHMARK(BM_FoldInBatch)->Arg(64)->Arg(512)->Arg(2048)
     ->Unit(benchmark::kMillisecond);
 
-// The serving solve at perfbench's apply-batches shape: a 1000-row batch
-// of 20 columns (2 coordinates) against a rank-10 model, with that
-// workload's outage patterns — 60% of rows lose one of 4 fixed sets of 6
-// attribute columns, the rest lose each attribute cell with probability
-// 0.2. Nearly every row runs the full 200 iterations. Pinned to one thread,
-// perfbench's serving shape, as BM_FitRowPass is. Arg: tier.
-void BM_FoldInSolve(benchmark::State& state) {
-  const la::simd::ScopedSimd tier(static_cast<int>(state.range(0)));
-  const parallel::ScopedParallelism threads(1);
+// A serving batch at perfbench's apply-batches shape: 1000 rows of 20
+// columns (2 coordinates) against a rank-10 model, with that workload's
+// outage patterns — 60% of rows lose one of 4 fixed sets of 6 attribute
+// columns, the rest lose each attribute cell with probability 0.2.
+struct ApplyBatch {
+  core::SmflModel model;
+  Matrix x;
+  Mask observed;
+};
+
+ApplyBatch MakeApplyBatch() {
   constexpr Index kRows = 1000, kCols = 20, kSpatial = 2, kRank = 10;
   constexpr size_t kPatterns = 4, kOutageCols = 6;
-  core::SmflModel model;
-  model.v = RandomMatrix(kRank, kCols, 31);
-  model.landmarks = model.v.Block(0, 0, kRank, kSpatial);
-  model.u = RandomMatrix(4000, kRank, 32);
-  model.spatial_cols = kSpatial;
-  const Matrix x = RandomMatrix(kRows, kCols, 33);
+  ApplyBatch b;
+  b.model.v = RandomMatrix(kRank, kCols, 31);
+  b.model.landmarks = b.model.v.Block(0, 0, kRank, kSpatial);
+  b.model.u = RandomMatrix(4000, kRank, 32);
+  b.model.spatial_cols = kSpatial;
+  b.x = RandomMatrix(kRows, kCols, 33);
   Rng rng(34);
   std::vector<std::vector<size_t>> outage(kPatterns);
   for (auto& cols : outage) {
     cols = rng.SampleWithoutReplacement(kCols - kSpatial, kOutageCols);
   }
-  Mask observed(kRows, kCols, true);
+  b.observed = Mask(kRows, kCols, true);
   for (Index i = 0; i < kRows; ++i) {
     if (rng.Uniform() < 0.6) {
       for (size_t j : outage[rng.UniformInt(kPatterns)]) {
-        observed.Set(i, kSpatial + static_cast<Index>(j), false);
+        b.observed.Set(i, kSpatial + static_cast<Index>(j), false);
       }
     } else {
       for (Index j = kSpatial; j < kCols; ++j) {
-        if (rng.Uniform() < 0.2) observed.Set(i, j, false);
+        if (rng.Uniform() < 0.2) b.observed.Set(i, j, false);
       }
     }
   }
+  return b;
+}
+
+// The serving solve of one apply batch (MakeApplyBatch). Nearly every row
+// runs the full 200 iterations. Pinned to one thread, perfbench's serving
+// shape, as BM_FitRowPass is. Arg: tier.
+void BM_FoldInSolve(benchmark::State& state) {
+  const la::simd::ScopedSimd tier(static_cast<int>(state.range(0)));
+  const parallel::ScopedParallelism threads(1);
+  const ApplyBatch b = MakeApplyBatch();
   for (auto _ : state) {
-    auto folded = core::FoldIn(model, x, observed);
+    auto folded = core::FoldIn(b.model, b.x, b.observed);
     SMFL_CHECK(folded.ok());
     benchmark::DoNotOptimize(folded->data());
   }
-  state.SetItemsProcessed(state.iterations() * kRows);
+  state.SetItemsProcessed(state.iterations() * b.x.rows());
 }
 BENCHMARK(BM_FoldInSolve)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// Everything of BM_FoldInSolve's batch but the updates (max_iterations =
+// 0): validation, pattern grouping, the start vectors, the kernel's
+// per-row start and the completed rows. Dispatched tier, one thread.
+void BM_FoldInSetup(benchmark::State& state) {
+  const parallel::ScopedParallelism threads(1);
+  const ApplyBatch b = MakeApplyBatch();
+  core::FoldInOptions options;
+  options.max_iterations = 0;
+  for (auto _ : state) {
+    auto folded = core::FoldIn(b.model, b.x, b.observed, options);
+    SMFL_CHECK(folded.ok());
+    benchmark::DoNotOptimize(folded->data());
+  }
+  state.SetItemsProcessed(state.iterations() * b.x.rows());
+}
+BENCHMARK(BM_FoldInSetup)->Unit(benchmark::kMicrosecond);
 
 // CSV ingest (data::ParseCsv from memory) at perfbench's two table shapes,
 // cells written "%.6f" as perfbench writes them: Arg(0) an apply batch —

@@ -13,15 +13,16 @@
 // The batch entry point is built for serving throughput and fault
 // isolation:
 //
-//  * Rows are grouped by observed-column pattern, and each group packs the
-//    frozen V's observed columns once.
+//  * Rows are grouped by observed-column pattern, and each group computes
+//    the Gram matrix of the frozen V's observed columns, G = V_obs V_obsᵀ
+//    (K × K), once.
 //  * The per-row multiplicative solves run in the la::simd kernel
-//    fold_in_rows, which solves the rows of a 4-row chunk side by side, a
-//    row per vector lane. Rows are taken in pattern order (narrowest
-//    first), so a chunk's rows share their width. Chunks are threaded with
-//    parallel::ParallelFor under the determinism contract: batched output
-//    is bitwise identical to row-at-a-time FoldInRow at any thread count
-//    and SIMD tier.
+//    fold_in_rows on each row's G, so an update costs K² multiply-adds
+//    whatever the row's width; it solves the rows of a 4-row chunk side by
+//    side, a row per vector lane. Chunks take the solvable rows in row
+//    order and are threaded with parallel::ParallelFor under the
+//    determinism contract: batched output is bitwise identical to
+//    row-at-a-time FoldInRow at any thread count and SIMD tier.
 //  * A bad row never aborts the batch. Per-row faults (no observed
 //    entries, non-finite or negative observed cells) degrade that row to
 //    a lower serving tier and are recorded in a FoldInReport:
@@ -40,8 +41,10 @@
 namespace smfl::core {
 
 struct FoldInOptions {
-  // Multiplicative updates on the row's coefficient vector.
+  // Multiplicative updates on the row's coefficient vector, >= 0.
   int max_iterations = 200;
+  // A row stops when its squared error falls by less than this fraction
+  // of the previous error; a nonnegative number (NaN is refused).
   double tolerance = 1e-8;
 };
 
@@ -93,8 +96,10 @@ struct FoldInReport {
 // with observed_row[j] true are read (the rest may hold anything). Returns
 // the completed row: observed cells copied, missing cells reconstructed.
 // Strict: invalid input (no observed entries, negative or non-finite
-// observed values) is an error. The batch FoldIn below degrades such rows
-// instead; for valid rows the two paths are bitwise identical.
+// observed values) and invalid options (a negative max_iterations, a NaN
+// or negative tolerance: InvalidArgument naming the field) are errors.
+// The batch FoldIn below degrades such rows instead; for valid rows the
+// two paths are bitwise identical.
 Result<la::Vector> FoldInRow(const SmflModel& model, const la::Vector& row,
                              const std::vector<bool>& observed_row,
                              const FoldInOptions& options = {});
@@ -104,7 +109,7 @@ Result<la::Vector> FoldInRow(const SmflModel& model, const la::Vector& row,
 // a row with no usable observed cells is served by the column-mean tier,
 // and non-finite / negative observed cells are dropped from that row's
 // solve — both recorded in `report` (optional) — rather than failing the
-// batch. Batch-level shape mismatches still error.
+// batch. Batch-level shape mismatches and invalid options still error.
 Result<Matrix> FoldIn(const SmflModel& model, const Matrix& x,
                       const Mask& observed, const FoldInOptions& options = {},
                       FoldInReport* report = nullptr);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "src/core/fold_in.h"
 #include "src/data/generators.h"
@@ -54,6 +55,32 @@ TEST(FoldInTest, Validation) {
   // Empty model rejected.
   SmflModel empty;
   EXPECT_FALSE(FoldInRow(empty, row, all).ok());
+  // Options no solve can honour are refused by name, by both entry points:
+  // a NaN tolerance (no stop test would ever pass, so every row would run
+  // silently to the cap), a negative one, and a negative update cap.
+  const Matrix batch(2, f.truth.cols(), 0.5);
+  const Mask batch_observed = Mask::AllSet(2, f.truth.cols());
+  struct BadOptions {
+    FoldInOptions options;
+    const char* field;
+  };
+  for (const BadOptions& bad :
+       {BadOptions{{200, std::nan("")}, "tolerance"},
+        BadOptions{{200, -1e-8}, "tolerance"},
+        BadOptions{{-1, 1e-8}, "max_iterations"}}) {
+    auto single = FoldInRow(f.model, row, all, bad.options);
+    ASSERT_FALSE(single.ok()) << bad.field;
+    EXPECT_EQ(single.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(single.status().message().find(bad.field), std::string::npos)
+        << single.status().message();
+    auto folded = FoldIn(f.model, batch, batch_observed, bad.options);
+    ASSERT_FALSE(folded.ok()) << bad.field;
+    EXPECT_EQ(folded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(folded.status().message().find(bad.field), std::string::npos)
+        << folded.status().message();
+  }
+  // No updates is a valid request: the start is served.
+  EXPECT_TRUE(FoldInRow(f.model, row, all, FoldInOptions{0, 1e-8}).ok());
 }
 
 TEST(FoldInTest, PreservesObservedEntries) {
